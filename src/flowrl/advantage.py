@@ -2,9 +2,10 @@
 weights, group-relative normalization, and the adaptive dual estimator that
 keeps a learning signal alive when within-group reward diversity vanishes.
 
-Conventions: matrices are (G, T) with rows indexed by trajectory and columns
-in generation order (step T first, step 1 last). Group statistics use the
-population standard deviation (divide by G).
+Conventions: tables are (..., G, T): group members on axis -2, timesteps on
+axis -1 in generation order (step T first, step 1 last), and any leading axes
+index independent groups. A column is one timestep of one group. Group
+statistics use the population standard deviation (divide by G).
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ class AdvantageTable:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "A", np.asarray(self.A, dtype=np.float64))
-        if self.A.ndim != 2:
-            raise ValueError("advantage table must be (G, T)")
+        if self.A.ndim < 2:
+            raise ValueError("advantage table must be (..., G, T)")
         if not np.all(np.isfinite(self.A)):
             raise ValueError("non-finite advantages")
         if self.estimator not in ESTIMATOR_NAMES:
@@ -51,19 +52,11 @@ class StdDiagnostic:
     guard_active: bool    # std below the numerical floor
 
 
-def _column_stats(values: np.ndarray) -> tuple[float, float]:
-    """Population mean and std of one group column."""
-    m = float(values.mean())
-    s = float(np.sqrt(((values - m) ** 2).mean()))
+def _group_stats(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Population mean and std of every column, kept as length-1 axis -2."""
+    m = q.mean(axis=-2, keepdims=True)
+    s = np.sqrt(((q - m) ** 2).mean(axis=-2, keepdims=True))
     return m, s
-
-
-def _normalize_column(values: np.ndarray, eps_std: float) -> np.ndarray:
-    """(v - mean)/max(std, eps); a degenerate column (std < eps) is all zero."""
-    m, s = _column_stats(values)
-    if s < eps_std:
-        return np.zeros_like(values)
-    return (values - m) / max(s, eps_std)
 
 
 def cumulative_values(instant_rewards, gamma: float):
@@ -99,34 +92,18 @@ def value_weights(q, eps_mean: float = DEFAULT_EPS_MEAN):
     return np.where(mean_t < eps_mean, 1.0, q / safe)
 
 
-def grpo_terminal_advantage(terminal_rewards, num_steps: int, eps_std: float = DEFAULT_EPS_STD) -> np.ndarray:
-    """Group-normalized terminal rewards broadcast to every timestep.
-
-    The sparse-reward baseline: one normalized score per trajectory, repeated
-    across the T columns.
-    """
-    r = np.asarray(terminal_rewards, dtype=np.float64)
-    if r.ndim != 1 or r.shape[0] < 2:
-        raise ValueError("need a 1-D group of at least 2 terminal rewards")
-    if num_steps < 1:
-        raise ValueError("num_steps must be >= 1")
-    col = _normalize_column(r, eps_std)
-    return np.tile(col[:, None], (1, num_steps))
-
-
 def group_relative(q, eps_std: float = DEFAULT_EPS_STD) -> np.ndarray:
-    """Per-timestep group normalization of a (G, T) value table.
+    """Group normalization (Q - mean) / std of every column of a (..., G, T) table.
 
     Columns whose std falls below ``eps_std`` are defined as all zero rather
-    than letting 1/std blow up.
+    than letting 1/std blow up. The sparse-reward baseline applies it to
+    terminal rewards broadcast over the T columns.
     """
     q = np.asarray(q, dtype=np.float64)
-    if q.ndim != 2 or q.shape[0] < 2:
-        raise ValueError("need a (G, T) table with G >= 2")
-    out = np.empty_like(q)
-    for j in range(q.shape[1]):
-        out[:, j] = _normalize_column(np.ascontiguousarray(q[:, j]), eps_std)
-    return out
+    if q.ndim < 2 or q.shape[-2] < 2:
+        raise ValueError("need a (..., G, T) table with G >= 2")
+    m, s = _group_stats(q)
+    return np.where(s < eps_std, 0.0, (q - m) / np.maximum(s, eps_std))
 
 
 def adae(q, k: float, omega, eps_std: float = DEFAULT_EPS_STD) -> AdvantageTable:
@@ -139,20 +116,15 @@ def adae(q, k: float, omega, eps_std: float = DEFAULT_EPS_STD) -> AdvantageTable
     """
     q = np.asarray(q, dtype=np.float64)
     omega = np.asarray(omega, dtype=np.float64)
-    if q.ndim != 2 or q.shape[0] < 2:
-        raise ValueError("need a (G, T) table with G >= 2")
+    if q.ndim < 2 or q.shape[-2] < 2:
+        raise ValueError("need a (..., G, T) table with G >= 2")
     if omega.shape != q.shape:
         raise ValueError(f"omega shape {omega.shape} != {q.shape}")
     if k < 0.0:
         raise ValueError("k must be >= 0")
-    a = np.empty_like(q)
-    for j in range(q.shape[1]):
-        col = np.ascontiguousarray(q[:, j])
-        m, s = _column_stats(col)
-        if s < eps_std:
-            a[:, j] = omega[:, j] * (k * col)
-        else:
-            a[:, j] = omega[:, j] * (((1.0 + k * s) * col - m) / max(s, eps_std))
+    m, s = _group_stats(q)
+    relative = ((1.0 + k * s) * q - m) / np.maximum(s, eps_std)
+    a = omega * np.where(s < eps_std, k * q, relative)
     return AdvantageTable(A=a, estimator="vgpo-adae", k=float(k), eps_std=float(eps_std))
 
 
@@ -165,7 +137,7 @@ def near_zero_std_diagnostic(
     col = np.asarray(column, dtype=np.float64)
     if col.ndim != 1 or col.shape[0] < 1:
         raise ValueError("need a 1-D column")
-    _, s = _column_stats(col)
+    s = float(_group_stats(col[:, None])[1][0, 0])
     amplification = float("inf") if s == 0.0 else 1.0 / s
     return StdDiagnostic(
         std=s,

@@ -139,50 +139,60 @@ def features(arch: Architecture, x, tau, context) -> np.ndarray:
     return phi
 
 
-def forward(arch: Architecture, params: np.ndarray, x, tau, context) -> np.ndarray:
-    """Velocity prediction. Batch in, batch out; single sample in, vector out."""
+def forward(arch: Architecture, params: np.ndarray, x, tau, context, keep_activations: bool = False):
+    """Velocity prediction. Batch in, batch out; single sample in, vector out.
+
+    With ``keep_activations`` the result is ``(out, activations)`` for a batch:
+    the input of every layer, from which ``backward`` forms gradients without
+    evaluating the network again.
+    """
     single = np.asarray(x).ndim == 1
-    phi = features(arch, x, tau, context)
     layers = unpack(arch, params)
-    h = phi
+    hs = [features(arch, x, tau, context)]
     for w, b in layers[:-1]:
-        h = np.tanh(h @ w.T + b)
+        z = hs[-1] @ w.T
+        z += b
+        hs.append(np.tanh(z, out=z))  # in place: large batches keep fewer temporaries alive
     w, b = layers[-1]
-    out = h @ w.T + b
+    out = hs[-1] @ w.T + b
+    if keep_activations:
+        return out, hs
     return out[0] if single else out
 
 
-def grad(arch: Architecture, params: np.ndarray, x, tau, context, upstream):
-    """Exact reverse-mode gradient of ``sum_n <upstream_n, forward(params, x_n)>``.
+def backward(arch: Architecture, params: np.ndarray, activations, upstream):
+    """Exact reverse-mode gradient of ``sum_n <upstream_n, out_n>`` from the
+    activations ``forward`` kept.
 
     Returns ``(param_grad, input_grad)``: ``param_grad`` is flat like
-    ``params``; ``input_grad`` has one row per sample in feature space (the
-    leading ``state_dim`` columns are the derivative w.r.t. the state).
+    ``params``; ``input_grad`` has one row per sample in feature space.
     """
-    single = np.asarray(x).ndim == 1
-    phi = features(arch, x, tau, context)
+    n = activations[0].shape[0]
     upstream = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
-    if upstream.shape != (phi.shape[0], arch.output_dim):
-        raise ValueError(
-            f"upstream shape {upstream.shape} != {(phi.shape[0], arch.output_dim)}"
-        )
+    if upstream.shape != (n, arch.output_dim):
+        raise ValueError(f"upstream shape {upstream.shape} != {(n, arch.output_dim)}")
     layers = unpack(arch, params)
-    # forward pass keeping the input of every layer
-    hs = [phi]
-    h = phi
-    for w, b in layers[:-1]:
-        h = np.tanh(h @ w.T + b)
-        hs.append(h)
-    # backward pass; the output layer is linear
+    # the output layer is linear; hidden layers are tanh
     per_layer = [None] * len(layers)
     delta = upstream
     for idx in range(len(layers) - 1, -1, -1):
         w, _ = layers[idx]
-        per_layer[idx] = (delta.T @ hs[idx], delta.sum(axis=0))
+        per_layer[idx] = (delta.T @ activations[idx], delta.sum(axis=0))
         delta = delta @ w
         if idx > 0:
-            delta = delta * (1.0 - hs[idx] ** 2)
+            delta *= 1.0 - activations[idx] ** 2
     flat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in per_layer])
+    return flat, delta
+
+
+def grad(arch: Architecture, params: np.ndarray, x, tau, context, upstream):
+    """Exact reverse-mode gradient of ``sum_n <upstream_n, forward(params, x_n)>``:
+    ``backward``'s ``(param_grad, input_grad)``, whose leading ``state_dim``
+    input columns are the derivative w.r.t. the state.
+    """
+    single = np.asarray(x).ndim == 1
+    _, activations = forward(arch, params, x, tau, context, keep_activations=True)
+    flat, delta = backward(arch, params, activations, upstream)
     return flat, (delta[0] if single else delta)
 
 

@@ -6,7 +6,7 @@ quality oracle (exact mixture log-density) for reward-hacking monitoring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,7 +19,10 @@ class TaskSpec:
     """One synthetic task: a Gaussian-mixture data distribution plus a reward.
 
     Mixture centers/weights are stored as tuples so specs hash and compare
-    cleanly; use ``centers()`` / ``weights()`` for the array views.
+    cleanly; use ``centers()`` / ``weights()`` for the array views. ``params``
+    holds the named parameters the spec was built from, as sorted (name,
+    value) pairs, so a configuration can be written back exactly; it takes no
+    part in comparisons.
     """
 
     name: str
@@ -30,6 +33,7 @@ class TaskSpec:
     context_count: int
     reward_sharpness: float
     ring_radius: float | None = None
+    params: tuple[tuple[str, object], ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
         if self.name not in TASK_NAMES:
@@ -73,6 +77,10 @@ class RewardModel:
             raise ValueError(f"unknown reward kind {self.kind!r}")
 
 
+def _params(**values) -> tuple[tuple[str, object], ...]:
+    return tuple(sorted(values.items()))
+
+
 def mode_preference_task(
     num_modes: int = 8,
     radius: float = 3.0,
@@ -105,6 +113,8 @@ def mode_preference_task(
         mode_var=mode_var,
         context_count=context_count,
         reward_sharpness=sharpness,
+        params=_params(num_modes=num_modes, radius=radius, mode_var=mode_var,
+                       context_count=context_count, sharpness=sharpness, state_dim=state_dim),
     )
 
 
@@ -126,6 +136,8 @@ def half_plane_task(
         mode_var=mode_var,
         context_count=context_count,
         reward_sharpness=sharpness,
+        params=_params(state_dim=state_dim, separation=separation, mode_var=mode_var,
+                       context_count=context_count, sharpness=sharpness),
     )
 
 
@@ -148,6 +160,8 @@ def ring_task(
         context_count=context_count,
         reward_sharpness=sharpness,
         ring_radius=ring_radius,
+        params=_params(ring_radius=ring_radius, num_modes=num_modes, mode_var=mode_var,
+                       context_count=context_count, sharpness=sharpness),
     )
 
 
@@ -185,7 +199,8 @@ def _logistic(z):
 
 
 def reward(rm: RewardModel, x, context):
-    """Task reward in [0, 1] for state(s) x under conditioning ``context``."""
+    """Task reward in [0, 1] for state(s) x under conditioning ``context``
+    (one int, or one per row of a batch)."""
     task = rm.task
     x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x2.shape[1] != task.state_dim:
@@ -194,8 +209,8 @@ def reward(rm: RewardModel, x, context):
         raise ValueError("non-finite state")
     s = task.reward_sharpness
     if task.name == "mode-preference":
-        ctx = int(context)
-        if not 0 <= ctx < task.context_count:
+        ctx = np.broadcast_to(np.asarray(context, dtype=np.int64), (x2.shape[0],))
+        if np.any(ctx < 0) or np.any(ctx >= task.context_count):
             raise ValueError("context index out of range")
         center = task.centers()[ctx]
         r = np.exp(-s * ((x2 - center) ** 2).sum(axis=1))

@@ -20,6 +20,21 @@ from .diffnet import Architecture
 VAR_MATCH_TOL = 1e-12
 
 
+class NonFiniteStep(RuntimeError):
+    """A sampling step produced non-finite values; ``rows`` lists the batch
+    rows they sit in."""
+
+    def __init__(self, message: str, rows: np.ndarray):
+        super().__init__(message)
+        self.rows = rows
+
+
+def _check_finite(values: np.ndarray, what: str) -> None:
+    bad = ~np.isfinite(np.atleast_2d(values)).all(axis=1)
+    if bad.any():
+        raise NonFiniteStep(f"non-finite {what}", np.flatnonzero(bad))
+
+
 @dataclass(frozen=True)
 class NoiseSchedule:
     """Exploration-noise schedule sigma(tau) = a * sqrt(tau / (1 - tau)).
@@ -60,14 +75,15 @@ class NoiseSchedule:
 
 @dataclass(frozen=True)
 class StepDistribution:
-    """Isotropic Gaussian over the next state: mean vector(s), scalar variance."""
+    """Isotropic Gaussian over the next state: mean vector(s) and a variance,
+    scalar or one per row of a batch of means."""
 
     mean: np.ndarray
-    var: float
+    var: float | np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
-        if self.var < 0.0 or not math.isfinite(self.var):
+        if np.any(np.asarray(self.var) < 0.0) or not np.all(np.isfinite(self.var)):
             raise ValueError("variance must be finite and >= 0")
         if not np.all(np.isfinite(self.mean)):
             raise ValueError("non-finite step mean")
@@ -110,15 +126,20 @@ def step_distribution(
     var = sigma^2 * dtau, with v the predicted velocity at (x, tau).
     """
     v = diffnet.forward(arch, params, x, tau, context)
-    x = np.asarray(x, dtype=np.float64)
-    tc = schedule.clamp(tau)
-    sig = sigma(tau, schedule)
-    s2 = sig * sig
-    drift = v + (s2 / (2.0 * tc)) * (x + (1.0 - tc) * v)
-    mean = x - drift * dtau
-    if not np.all(np.isfinite(mean)):
-        raise RuntimeError("non-finite step mean")
+    s2 = sigma(tau, schedule) ** 2
+    mean = step_mean(np.asarray(x, dtype=np.float64), v, schedule.clamp(tau), s2, dtau)
+    _check_finite(mean, "step mean")
     return StepDistribution(mean=mean, var=s2 * dtau)
+
+
+def step_mean(x, v, tau_clamped, s2, dtau: float):
+    """Mean of the stochastic step from the predicted velocity v at x.
+
+    ``tau_clamped`` and ``s2`` (sigma^2) are scalars, or (n, 1) columns that
+    give each row of a batch its own time.
+    """
+    drift = v + (s2 / (2.0 * tau_clamped)) * (x + (1.0 - tau_clamped) * v)
+    return x - drift * dtau
 
 
 def mean_velocity_coeff(tau: float, dtau: float, schedule: NoiseSchedule) -> float:
@@ -151,8 +172,7 @@ def sde_step(
     dist = step_distribution(arch, params, x, tau, dtau, schedule, context)
     sig = sigma(tau, schedule)
     x_next = dist.mean + sig * math.sqrt(dtau) * noise
-    if not np.all(np.isfinite(x_next)):
-        raise RuntimeError("non-finite SDE state")
+    _check_finite(x_next, "SDE state")
     return x_next, dist
 
 
@@ -172,7 +192,7 @@ def ode_project(arch: Architecture, params: np.ndarray, s, tau: float, context) 
 
 def transition_logpdf(x_next, dist: StepDistribution):
     """Isotropic Gaussian log-density of x_next under a step distribution."""
-    if dist.var <= 0.0:
+    if np.any(np.asarray(dist.var) <= 0.0):
         raise ValueError("deterministic step (variance 0) has no transition density")
     x_next = np.atleast_2d(np.asarray(x_next, dtype=np.float64))
     mean = np.atleast_2d(dist.mean)
@@ -186,9 +206,9 @@ def transition_logpdf(x_next, dist: StepDistribution):
 
 def kl_step(dist_p: StepDistribution, dist_q: StepDistribution):
     """KL between equal-variance Gaussian steps: ||mean_p - mean_q||^2 / (2 var)."""
-    if dist_p.var <= 0.0 or dist_q.var <= 0.0:
+    if np.any(np.asarray(dist_p.var) <= 0.0) or np.any(np.asarray(dist_q.var) <= 0.0):
         raise ValueError("KL undefined for zero-variance steps")
-    if abs(dist_p.var - dist_q.var) > VAR_MATCH_TOL:
+    if np.max(np.abs(np.subtract(dist_p.var, dist_q.var))) > VAR_MATCH_TOL:
         raise ValueError(f"variance mismatch: {dist_p.var} vs {dist_q.var}")
     mp = np.atleast_2d(dist_p.mean)
     mq = np.atleast_2d(dist_q.mean)
@@ -210,11 +230,11 @@ def fm_loss_and_grad(arch: Architecture, params: np.ndarray, x0, x1, tau, contex
         raise ValueError("empty batch")
     xt = interpolate(x0, x1, tau)
     target = x1 - x0
-    v = diffnet.forward(arch, params, xt, tau, context)
+    v, activations = diffnet.forward(arch, params, xt, tau, context, keep_activations=True)
     resid = target - v
     loss = float((resid ** 2).sum(axis=1).mean())
     upstream = (-2.0 / x0.shape[0]) * resid
-    pgrad, _ = diffnet.grad(arch, params, xt, tau, context, upstream)
+    pgrad, _ = diffnet.backward(arch, params, activations, upstream)
     return loss, pgrad
 
 

@@ -110,7 +110,7 @@ def _build_task(values: dict) -> TaskSpec:
         raise ConfigError(f"key 'task': unknown task {name!r} (have {list(TASK_NAMES)})")
     try:
         if name == "mode-preference":
-            return mode_preference_task(
+            task = mode_preference_task(
                 num_modes=values["task_num_modes"],
                 radius=values["task_radius"],
                 mode_var=values["task_mode_var"],
@@ -118,23 +118,33 @@ def _build_task(values: dict) -> TaskSpec:
                 sharpness=values["task_sharpness"],
                 state_dim=values["task_state_dim"],
             )
-        if name == "half-plane":
-            return half_plane_task(
+        elif name == "half-plane":
+            task = half_plane_task(
                 state_dim=values["task_state_dim"],
                 separation=values["task_radius"],
                 mode_var=values["task_mode_var"],
                 context_count=values["task_context_count"],
                 sharpness=values["task_sharpness"],
             )
-        return ring_task(
-            ring_radius=values["task_ring_radius"],
-            num_modes=values["task_num_modes"],
-            mode_var=values["task_mode_var"],
-            context_count=values["task_context_count"],
-            sharpness=values["task_sharpness"],
-        )
+        else:
+            task = ring_task(
+                ring_radius=values["task_ring_radius"],
+                num_modes=values["task_num_modes"],
+                mode_var=values["task_mode_var"],
+                context_count=values["task_context_count"],
+                sharpness=values["task_sharpness"],
+            )
     except ValueError as exc:
         raise ConfigError(f"invalid task specification: {exc}") from exc
+    # keep the keys this task ignores as well, so its config writes back as given
+    used = {_task_key(param) for param, _ in task.params}
+    ignored = tuple((key[len("task_"):], values[key]) for key in _TASK_KEYS if key not in used | {"task"})
+    return replace(task, params=tuple(sorted(task.params + ignored)))
+
+
+def _task_key(param: str) -> str:
+    """Config key of a task builder parameter."""
+    return "task_radius" if param == "separation" else f"task_{param}"
 
 
 def config_from_dict(raw: dict) -> TrainConfig:
@@ -176,21 +186,9 @@ def parse_config(path) -> TrainConfig:
 def config_to_dict(config: TrainConfig) -> dict:
     """Flat effective configuration; round-trips through config_from_dict."""
     task = config.task
-    ring_default = _TASK_KEYS["task_ring_radius"][1]
-    out = {
-        "task": task.name,
-        "task_state_dim": task.state_dim,
-        "task_num_modes": len(task.mode_centers),
-        "task_radius": (
-            abs(task.mode_centers[0][0]) if task.name == "half-plane"
-            else float(max(abs(v) for c in task.mode_centers for v in c)) or _TASK_KEYS["task_radius"][1]
-        ),
-        "task_mode_var": task.mode_var,
-        "task_context_count": task.context_count,
-        "task_sharpness": task.reward_sharpness,
-        "task_ring_radius": task.ring_radius if task.ring_radius is not None else ring_default,
-        "hidden_dims": list(config.hidden_dims),
-    }
+    out = {key: default for key, (_, default) in _TASK_KEYS.items()} | {"task": task.name}
+    out.update((_task_key(param), value) for param, value in task.params)
+    out["hidden_dims"] = list(config.hidden_dims)
     for key in _TRAIN_KEYS:
         if key != "hidden_dims":
             out[key] = getattr(config, key)
@@ -291,8 +289,7 @@ def dump_rollout_profile(config: TrainConfig, params, path, step_index: int = 0)
         triplet=trainer.PolicyTriplet.from_pretrained(np.asarray(params, dtype=np.float64)),
         adam=diffnet.adam_init(np.asarray(params).size),
     )
-    groups = trainer.rollout_batch(state, step_index)
-    rollout.dump_trajectories(groups, path)
+    rollout.dump_trajectories(trainer.rollout_batch(state, step_index), path)
     return Path(path)
 
 

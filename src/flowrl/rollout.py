@@ -1,9 +1,10 @@
 """Denoising-MDP executor: samples groups of stochastic trajectories under a
 frozen policy and scores every step via one-step terminal projection.
 
-Each trajectory draws from its own seed-derived stream (seed entropy includes
-the trajectory index), so groups regenerate bit-identically and could be
-produced in parallel.
+A batch holds one group per context slot, stored as arrays. Each trajectory
+draws from its own seed-derived stream (the slot's seed sequence spawns one
+child per group member), so batches regenerate bit-identically whatever
+their size, while every timestep advances all rows of the batch at once.
 """
 
 from __future__ import annotations
@@ -25,85 +26,43 @@ class RolloutError(RuntimeError):
 
 
 @dataclass
-class Trajectory:
-    """One rollout: states in generation order s_T .. s_0 plus per-step records.
+class RolloutBatch:
+    """B groups of G trajectories, one group per context slot.
 
-    ``instant_rewards`` holds R_T .. R_1 (chronological); the last entry equals
-    ``terminal_reward`` exactly because the projection at tau = 0 is the
-    identity. ``logp_old`` is None for deterministic (a = 0) rollouts, which
-    have no transition density.
+    Axes are slot, group member, timestep and state dimension. ``states``
+    runs in generation order s_T .. s_0; ``instant_rewards`` holds R_T .. R_1
+    (chronological), and its last entry equals the terminal reward exactly
+    because the projection at tau = 0 is the identity. ``logp_old`` is None
+    for deterministic (a = 0) rollouts, which have no transition density.
     """
 
-    context: int
-    states: np.ndarray          # (T+1, D)
-    noises: np.ndarray          # (T, D)
-    step_means: np.ndarray      # (T, D)
-    step_vars: np.ndarray       # (T,)
-    logp_old: np.ndarray | None
-    instant_rewards: np.ndarray  # (T,)
-    terminal_reward: float
+    contexts: np.ndarray          # (B,)
+    schedule: NoiseSchedule
+    states: np.ndarray            # (B, G, T+1, D)
+    noises: np.ndarray            # (B, G, T, D)
+    step_vars: np.ndarray         # (T,)
+    logp_old: np.ndarray | None   # (B, G, T)
+    instant_rewards: np.ndarray   # (B, G, T)
+    terminal_rewards: np.ndarray  # (B, G)
 
     def __post_init__(self) -> None:
-        t = self.num_steps
-        if self.states.shape[0] != t + 1:
-            raise ValueError("states must have T+1 entries")
-        for name in ("noises", "step_means"):
-            if getattr(self, name).shape[0] != t:
-                raise ValueError(f"{name} must have T entries")
-        if self.step_vars.shape != (t,) or self.instant_rewards.shape != (t,):
-            raise ValueError("per-step arrays must have T entries")
-        if self.logp_old is not None and self.logp_old.shape != (t,):
-            raise ValueError("logp_old must have T entries")
-        arrays = [self.states, self.noises, self.step_means, self.step_vars, self.instant_rewards]
+        arrays = ["states", "noises", "step_vars", "instant_rewards", "terminal_rewards"]
         if self.logp_old is not None:
-            arrays.append(self.logp_old)
-        if not all(np.all(np.isfinite(a)) for a in arrays):
+            arrays.append("logp_old")
+        if not all(np.all(np.isfinite(getattr(self, name))) for name in arrays):
             raise ValueError("non-finite trajectory entries")
         # the projection at tau = 0 is the identity, so the last instant
         # reward must reproduce the terminal reward
-        if self.instant_rewards[-1] != self.terminal_reward:
+        if not np.array_equal(self.instant_rewards[..., -1], self.terminal_rewards):
             raise ValueError("final instant reward must equal the terminal reward")
 
     @property
-    def num_steps(self) -> int:
-        return self.instant_rewards.shape[0] if self.instant_rewards.ndim else 0
-
-
-@dataclass
-class RolloutGroup:
-    """G trajectories sharing one context and one schedule."""
-
-    context: int
-    schedule: NoiseSchedule
-    trajectories: list[Trajectory]
-
-    def __post_init__(self) -> None:
-        if not self.trajectories:
-            raise ValueError("empty rollout group")
-        if any(tr.context != self.context for tr in self.trajectories):
-            raise ValueError("trajectories must share the group context")
-
-    @property
     def group_size(self) -> int:
-        return len(self.trajectories)
+        return self.states.shape[1]
 
     @property
     def num_steps(self) -> int:
-        return self.trajectories[0].num_steps
-
-    def terminal_rewards(self) -> np.ndarray:
-        return np.array([tr.terminal_reward for tr in self.trajectories])
-
-    def instant_reward_matrix(self) -> np.ndarray:
-        return np.stack([tr.instant_rewards for tr in self.trajectories])
-
-    def states_stack(self) -> np.ndarray:
-        return np.stack([tr.states for tr in self.trajectories])
-
-    def logp_matrix(self) -> np.ndarray:
-        if any(tr.logp_old is None for tr in self.trajectories):
-            raise ValueError("deterministic rollouts carry no log-densities")
-        return np.stack([tr.logp_old for tr in self.trajectories])
+        return self.states.shape[2] - 1
 
 
 def _as_seed_sequence(seed) -> np.random.SeedSequence:
@@ -120,35 +79,16 @@ def instant_reward(
     s_next,
     tau_next: float,
     rm: RewardModel,
-    context: int,
+    context,
 ):
     """Reward of the one-step projected terminal state reached from s_next."""
     projected = flowcore.ode_project(arch, params_old, s_next, tau_next, context)
     return envsuite.reward(rm, projected, context)
 
 
-def rollout_group(
-    arch: Architecture,
-    params_old: np.ndarray,
-    context: int,
-    group_size: int,
-    schedule: NoiseSchedule,
-    rm: RewardModel,
-    seed,
-    shared_initial_noise: bool = False,
-) -> RolloutGroup:
-    """Sample G stochastic trajectories for one context under a frozen policy.
-
-    For t = T .. 1 each trajectory takes one exploration step, records the
-    transition distribution and its log-density, and scores the one-step
-    projection of the new state. ``shared_initial_noise`` starts every
-    trajectory from the same s_T (exploration then comes only from the step
-    noise); the default draws independent initial noise per trajectory.
-    """
-    if group_size < 2:
-        raise ValueError("group_size must be >= 2")
-    t_steps = schedule.num_steps
-    d = arch.state_dim
+def _draw_noise(seed, group_size: int, t_steps: int, d: int, shared_initial_noise: bool):
+    """Initial states (G, D) and step noise (G, T, D) of one slot; each member's
+    generator draws its initial state, then its step noise."""
     children = _as_seed_sequence(seed).spawn(group_size + 1)
     rngs = [np.random.default_rng(c) for c in children[:group_size]]
     if shared_initial_noise:
@@ -156,62 +96,86 @@ def rollout_group(
         init = np.tile(shared, (group_size, 1))
     else:
         init = np.stack([r.standard_normal(d) for r in rngs])
-    noises = np.stack([r.standard_normal((t_steps, d)) for r in rngs])
+    return init, np.stack([r.standard_normal((t_steps, d)) for r in rngs])
 
-    states = np.empty((t_steps + 1, group_size, d))
-    step_means = np.empty((t_steps, group_size, d))
+
+def rollout_group(
+    arch: Architecture,
+    params_old: np.ndarray,
+    contexts,
+    group_size: int,
+    schedule: NoiseSchedule,
+    rm: RewardModel,
+    seeds,
+    shared_initial_noise: bool = False,
+) -> RolloutBatch:
+    """Sample G stochastic trajectories per context slot under a frozen policy.
+
+    ``seeds`` gives one seed per slot. For t = T .. 1 every row of the batch
+    takes one exploration step, records the log-density of its transition,
+    and scores the one-step projection of the new state. ``shared_initial_noise``
+    starts every trajectory of a slot from the same s_T (exploration then
+    comes only from the step noise); the default draws independent initial
+    noise per trajectory.
+    """
+    contexts = np.asarray(contexts, dtype=np.int64)
+    if group_size < 2:
+        raise ValueError("group_size must be >= 2")
+    if contexts.ndim != 1 or contexts.shape[0] < 1 or len(seeds) != contexts.shape[0]:
+        raise ValueError("need one seed per context slot")
+    t_steps = schedule.num_steps
+    b, d = contexts.shape[0], arch.state_dim
+    n = b * group_size
+    draws = [_draw_noise(s, group_size, t_steps, d, shared_initial_noise) for s in seeds]
+    noises = np.stack([noise for _, noise in draws])
+    row_noise = noises.reshape(n, t_steps, d)
+    row_contexts = np.repeat(contexts, group_size)
+
+    states = np.empty((n, t_steps + 1, d))
     step_vars = np.empty(t_steps)
-    logps = np.empty((t_steps, group_size)) if schedule.a > 0 else None
-    rewards = np.empty((t_steps, group_size))
+    logps = np.empty((n, t_steps)) if schedule.a > 0 else None
+    rewards = np.empty((n, t_steps))
 
-    states[0] = init
-    x = init
+    x = np.concatenate([init for init, _ in draws])
+    states[:, 0] = x
     for j, t in enumerate(range(t_steps, 0, -1)):
-        tau = t / t_steps
         try:
             x, dist = flowcore.sde_step(
-                arch, params_old, x, tau, schedule.dtau, schedule, noises[:, j], context
+                arch, params_old, x, t / t_steps, schedule.dtau, schedule, row_noise[:, j], row_contexts
             )
-        except RuntimeError as exc:
-            raise RolloutError(f"step t={t} context={context}: {exc}") from exc
-        states[j + 1] = x
-        step_means[j] = dist.mean
+        except flowcore.NonFiniteStep as exc:
+            bad = ",".join(str(c) for c in np.unique(row_contexts[exc.rows]))
+            raise RolloutError(f"step t={t} context={bad}: {exc}") from exc
+        states[:, j + 1] = x
         step_vars[j] = dist.var
         if logps is not None:
-            logps[j] = flowcore.transition_logpdf(x, dist)
-        tau_next = (t - 1) / t_steps
-        projected = flowcore.ode_project(arch, params_old, x, tau_next, context)
-        rewards[j] = envsuite.reward(rm, projected, context)
-    terminal = envsuite.reward(rm, x, context)
+            logps[:, j] = flowcore.transition_logpdf(x, dist)
+        rewards[:, j] = instant_reward(arch, params_old, x, (t - 1) / t_steps, rm, row_contexts)
 
-    trajectories = []
-    for i in range(group_size):
-        trajectories.append(
-            Trajectory(
-                context=context,
-                states=states[:, i].copy(),
-                noises=noises[i],
-                step_means=step_means[:, i].copy(),
-                step_vars=step_vars.copy(),
-                logp_old=None if logps is None else logps[:, i].copy(),
-                instant_rewards=rewards[:, i].copy(),
-                terminal_reward=float(terminal[i]),
-            )
-        )
-    return RolloutGroup(context=context, schedule=schedule, trajectories=trajectories)
+    shape = (b, group_size)
+    return RolloutBatch(
+        contexts=contexts,
+        schedule=schedule,
+        states=states.reshape(*shape, t_steps + 1, d),
+        noises=noises,
+        step_vars=step_vars,
+        logp_old=None if logps is None else logps.reshape(*shape, t_steps),
+        instant_rewards=rewards.reshape(*shape, t_steps),
+        terminal_rewards=envsuite.reward(rm, x, row_contexts).reshape(shape),
+    )
 
 
-def dump_trajectories(groups, path) -> None:
+def dump_trajectories(batch: RolloutBatch, path) -> None:
     """Write one JSON-lines record per trajectory (debugging / oracle tests)."""
     with Path(path).open("w") as fh:
-        for group in groups:
-            for tr in group.trajectories:
+        for b, context in enumerate(batch.contexts.tolist()):
+            for i in range(batch.group_size):
                 record = {
-                    "context": tr.context,
-                    "states": tr.states.tolist(),
-                    "instant_rewards": tr.instant_rewards.tolist(),
-                    "terminal_reward": tr.terminal_reward,
-                    "logp_old": None if tr.logp_old is None else tr.logp_old.tolist(),
+                    "context": context,
+                    "states": batch.states[b, i].tolist(),
+                    "instant_rewards": batch.instant_rewards[b, i].tolist(),
+                    "terminal_reward": float(batch.terminal_rewards[b, i]),
+                    "logp_old": None if batch.logp_old is None else batch.logp_old[b, i].tolist(),
                 }
                 fh.write(json.dumps(record) + "\n")
 

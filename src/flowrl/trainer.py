@@ -18,7 +18,7 @@ from .diffnet import AdamState, Architecture
 from .envsuite import TaskSpec, default_task
 from .flowcore import NoiseSchedule
 from .records import MetricRecord
-from .rollout import RolloutGroup
+from .rollout import RolloutBatch
 
 ESTIMATORS = ("flow-grpo", "vgpo")
 
@@ -132,6 +132,7 @@ class SurrogateResult:
     kl: float
     mean_ratio: float
     clip_fraction: float
+    nonfinite_contexts: tuple[int, ...] = ()  # contexts of rows with a non-finite gradient term
 
 
 @dataclass(frozen=True)
@@ -185,23 +186,24 @@ def pretrain(
     return params
 
 
-def compute_advantages(group: RolloutGroup, config: TrainConfig) -> adv.AdvantageTable:
-    """Advantage table for one group under the configured estimator.
+def compute_advantages(batch: RolloutBatch, config: TrainConfig) -> adv.AdvantageTable:
+    """(B, G, T) advantage table of a rollout batch under the configured estimator.
 
-    flow-grpo broadcasts normalized terminal rewards. vgpo builds discounted
-    cumulative values (from instant rewards when tcrm is enabled, otherwise a
-    terminal broadcast, whose temporal mean makes every weight exactly one)
-    and applies the adaptive dual estimator.
+    flow-grpo group-normalizes the terminal rewards broadcast over the
+    timesteps. vgpo builds discounted cumulative values (from instant rewards
+    when tcrm is enabled, otherwise the same terminal broadcast, whose
+    temporal mean makes every weight exactly one) and applies the adaptive
+    dual estimator.
     """
-    t_steps = group.num_steps
+    terminal = np.repeat(batch.terminal_rewards[..., None], batch.num_steps, axis=-1)
     if config.estimator == "flow-grpo":
-        table = adv.grpo_terminal_advantage(group.terminal_rewards(), t_steps, config.eps_std)
+        table = adv.group_relative(terminal, config.eps_std)
         return adv.AdvantageTable(A=table, estimator="flow-grpo", k=0.0, eps_std=config.eps_std)
     if config.tcrm_enabled:
-        q = adv.cumulative_values(group.instant_reward_matrix(), config.gamma)
+        q = adv.cumulative_values(batch.instant_rewards, config.gamma)
         omega = adv.value_weights(q, config.eps_mean)
     else:
-        q = np.tile(group.terminal_rewards()[:, None], (1, t_steps))
+        q = terminal
         omega = np.ones_like(q)
     return adv.adae(q, config.k, omega, config.eps_std)
 
@@ -213,78 +215,99 @@ def clipped_term(ratio, advantages, eps_clip: float):
     return np.minimum(ratio * advantages, np.clip(ratio, 1.0 - eps_clip, 1.0 + eps_clip) * advantages)
 
 
+def _step_rows(batch: RolloutBatch) -> dict:
+    """Every (slot, member, step) transition of a batch as one row.
+
+    The schedule scalars (clamped tau, sigma^2, d mean / d v) are worked out
+    once per timestep and repeated per row as (n, 1) columns.
+    """
+    sched = batch.schedule
+    b, g, t = batch.instant_rewards.shape
+    d = batch.states.shape[-1]
+    taus = sched.tau_grid()
+    per_step = np.array([
+        (sched.clamp(tau), flowcore.sigma(tau, sched) ** 2,
+         flowcore.mean_velocity_coeff(tau, sched.dtau, sched))
+        for tau in taus
+    ])
+    tc, s2, coeff = np.tile(per_step, (b * g, 1)).T[:, :, None]
+    return {
+        "x": batch.states[:, :, :-1].reshape(-1, d),
+        "x_next": batch.states[:, :, 1:].reshape(-1, d),
+        "tau": np.tile(taus, b * g),
+        "context": np.repeat(batch.contexts, g * t),
+        "tau_clamped": tc,
+        "s2": s2,
+        "coeff": coeff,
+    }
+
+
+def reference_means(arch: Architecture, theta_ref: np.ndarray, batch: RolloutBatch) -> np.ndarray:
+    """Step means of the reference policy over every row of a batch."""
+    rows = _step_rows(batch)
+    v = diffnet.forward(arch, theta_ref, rows["x"], rows["tau"], rows["context"])
+    return flowcore.step_mean(rows["x"], v, rows["tau_clamped"], rows["s2"], batch.schedule.dtau)
+
+
 def surrogate_loss_and_grad(
     arch: Architecture,
     triplet: PolicyTriplet,
-    group: RolloutGroup,
+    batch: RolloutBatch,
     advantages: adv.AdvantageTable,
     eps_clip: float,
     beta_kl: float,
+    ref_means: np.ndarray | None = None,
 ) -> SurrogateResult:
-    """Clipped surrogate objective for one group and its exact gradient.
+    """Clipped surrogate objective over a rollout batch and its exact gradient.
 
     Ratios are exp(logp_theta - logp_old) where logp_theta comes from the
     current policy's step distribution recomputed at the stored states;
     advantages and the stored old log-densities are constants. The KL penalty
-    compares the current and reference step means under the shared schedule.
-    Gradients flow only through the current policy's means.
+    compares the current and reference step means under the shared schedule;
+    ``ref_means`` (from ``reference_means``) is computed here when not given.
+    Gradients flow only through the current policy's means. Value and
+    gradient are means over all B * G * T rows, i.e. the mean over groups of
+    the per-group objective.
     """
-    schedule = group.schedule
+    schedule = batch.schedule
     if schedule.a == 0.0:
         raise ValueError("policy optimization requires stochastic rollouts (a > 0)")
     if eps_clip <= 0.0:
         raise ValueError("eps_clip must be > 0")
-    g_size = group.group_size
-    t_steps = group.num_steps
-    a_table = advantages.A
-    if a_table.shape != (g_size, t_steps):
-        raise ValueError(f"advantage shape {a_table.shape} != {(g_size, t_steps)}")
-    states = group.states_stack()          # (G, T+1, D)
-    logp_old = group.logp_matrix()         # (G, T)
-    dtau = schedule.dtau
-    n_rows = g_size * t_steps
-
-    xs, taus, upstreams = [], [], []
-    surrogate_terms = np.empty((g_size, t_steps))
-    kl_terms = np.empty((g_size, t_steps))
-    ratios = np.empty((g_size, t_steps))
-    for j, t in enumerate(range(t_steps, 0, -1)):
-        tau = t / t_steps
-        x_t = np.ascontiguousarray(states[:, j])
-        x_next = np.ascontiguousarray(states[:, j + 1])
-        dist_cur = flowcore.step_distribution(arch, triplet.theta, x_t, tau, dtau, schedule, group.context)
-        dist_ref = flowcore.step_distribution(arch, triplet.theta_ref, x_t, tau, dtau, schedule, group.context)
-        logp_cur = flowcore.transition_logpdf(x_next, dist_cur)
-        ratio = np.exp(logp_cur - logp_old[:, j])
-        a_col = a_table[:, j]
-        unclipped = ratio * a_col
-        clipped = np.clip(ratio, 1.0 - eps_clip, 1.0 + eps_clip) * a_col
-        surrogate_terms[:, j] = np.minimum(unclipped, clipped)
-        ratios[:, j] = ratio
-        kl_terms[:, j] = flowcore.kl_step(dist_cur, dist_ref)
-        # d(objective)/d(mean): the unclipped branch contributes A*r*dlogp/dmean,
-        # the saturated clip branch contributes nothing.
-        kappa = np.where(unclipped <= clipped, unclipped, 0.0)
-        dj_dmean = (
-            kappa[:, None] * (x_next - dist_cur.mean)
-            - beta_kl * (dist_cur.mean - dist_ref.mean)
-        ) / (n_rows * dist_cur.var)
-        coeff = flowcore.mean_velocity_coeff(tau, dtau, schedule)
-        xs.append(x_t)
-        taus.append(np.full(g_size, tau))
-        upstreams.append(coeff * dj_dmean)
-
-    x_all = np.concatenate(xs)
-    tau_all = np.concatenate(taus)
-    up_all = np.concatenate(upstreams)
-    pgrad, _ = diffnet.grad(arch, triplet.theta, x_all, tau_all, group.context, up_all)
-    value = float(surrogate_terms.mean() - beta_kl * kl_terms.mean())
+    if advantages.A.shape != batch.logp_old.shape:
+        raise ValueError(f"advantage shape {advantages.A.shape} != {batch.logp_old.shape}")
+    if ref_means is None:
+        ref_means = reference_means(arch, triplet.theta_ref, batch)
+    rows = _step_rows(batch)
+    x_next = rows["x_next"]
+    n_rows = x_next.shape[0]
+    v, activations = diffnet.forward(
+        arch, triplet.theta, rows["x"], rows["tau"], rows["context"], keep_activations=True
+    )
+    mean = flowcore.step_mean(rows["x"], v, rows["tau_clamped"], rows["s2"], schedule.dtau)
+    var = rows["s2"][:, 0] * schedule.dtau
+    dist_cur = flowcore.StepDistribution(mean=mean, var=var)
+    ratio = np.exp(flowcore.transition_logpdf(x_next, dist_cur) - batch.logp_old.ravel())
+    a = advantages.A.ravel()
+    unclipped = ratio * a
+    surrogate_terms = clipped_term(ratio, a, eps_clip)
+    kl_terms = flowcore.kl_step(dist_cur, flowcore.StepDistribution(mean=ref_means, var=var))
+    # d(objective)/d(mean): the unclipped branch contributes A*r*dlogp/dmean,
+    # the saturated clip branch contributes nothing; a NaN term stays NaN
+    kappa = np.where(surrogate_terms < unclipped, 0.0, unclipped)
+    dj_dmean = (
+        kappa[:, None] * (x_next - mean) - beta_kl * (mean - ref_means)
+    ) / (n_rows * var[:, None])
+    upstream = rows["coeff"] * dj_dmean
+    pgrad, _ = diffnet.backward(arch, triplet.theta, activations, upstream)
+    bad_rows = ~np.isfinite(upstream).all(axis=1)
     return SurrogateResult(
-        value=value,
+        value=float(surrogate_terms.mean() - beta_kl * kl_terms.mean()),
         grad=pgrad,
         kl=float(kl_terms.mean()),
-        mean_ratio=float(ratios.mean()),
-        clip_fraction=float((ratios < 1.0 - eps_clip).mean() + (ratios > 1.0 + eps_clip).mean()),
+        mean_ratio=float(ratio.mean()),
+        clip_fraction=float((ratio < 1.0 - eps_clip).mean() + (ratio > 1.0 + eps_clip).mean()),
+        nonfinite_contexts=tuple(np.unique(rows["context"][bad_rows]).tolist()),
     )
 
 
@@ -307,55 +330,55 @@ def init_state(config: TrainConfig) -> TrainState:
     )
 
 
-def rollout_batch(state: TrainState, step_index: int) -> list[RolloutGroup]:
+def rollout_batch(state: TrainState, step_index: int) -> RolloutBatch:
     """Sample the step's context batch and one rollout group per context."""
     cfg = state.config
     ctx_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, STREAM_CONTEXT, step_index)))
     contexts = [envsuite.sample_context(cfg.task, ctx_rng) for _ in range(cfg.batch_contexts)]
-    schedule = cfg.schedule()
-    rm = cfg.reward_model()
-    groups = []
-    for slot, context in enumerate(contexts):
-        seed = np.random.SeedSequence((cfg.seed, STREAM_ROLLOUT, step_index, slot, context))
-        groups.append(
-            rollout.rollout_group(
-                state.arch,
-                state.triplet.theta_old,
-                context,
-                cfg.group_size,
-                schedule,
-                rm,
-                seed,
-                shared_initial_noise=cfg.shared_initial_noise,
-            )
-        )
-    return groups
+    seeds = [
+        np.random.SeedSequence((cfg.seed, STREAM_ROLLOUT, step_index, slot, context))
+        for slot, context in enumerate(contexts)
+    ]
+    return rollout.rollout_group(
+        state.arch,
+        state.triplet.theta_old,
+        contexts,
+        cfg.group_size,
+        cfg.schedule(),
+        cfg.reward_model(),
+        seeds,
+        shared_initial_noise=cfg.shared_initial_noise,
+    )
 
 
 def update_policy(
     state: TrainState,
-    groups: list[RolloutGroup],
-    tables: list[adv.AdvantageTable],
+    batch: RolloutBatch,
+    table: adv.AdvantageTable,
+    step_index: int,
 ) -> tuple[float, float, float]:
     """Apply the configured number of ascent epochs on a rollout batch.
 
     Returns (mean surrogate value, mean KL, update norm) of the applied
     updates. Mutates the triplet's current parameters and the Adam state.
+    A non-finite gradient stops the run before it reaches the parameters.
     """
     cfg = state.config
     theta_before = state.triplet.theta.copy()
+    ref_means = reference_means(state.arch, state.triplet.theta_ref, batch)
     values, kls = [], []
     for _ in range(cfg.inner_epochs):
-        results = [
-            surrogate_loss_and_grad(state.arch, state.triplet, g, tab, cfg.eps_clip, cfg.beta_kl)
-            for g, tab in zip(groups, tables)
-        ]
-        grad_mean = np.mean([r.grad for r in results], axis=0)
-        values.append(float(np.mean([r.value for r in results])))
-        kls.append(float(np.mean([r.kl for r in results])))
+        res = surrogate_loss_and_grad(
+            state.arch, state.triplet, batch, table, cfg.eps_clip, cfg.beta_kl, ref_means
+        )
+        if not np.all(np.isfinite(res.grad)):
+            contexts = list(res.nonfinite_contexts)
+            raise RuntimeError(f"non-finite policy gradient at step {step_index}: contexts {contexts}")
+        values.append(res.value)
+        kls.append(res.kl)
         # ascent on the surrogate = descent on its negation
         state.triplet.theta, state.adam = diffnet.adam_update(
-            state.triplet.theta, -grad_mean, state.adam, cfg.lr
+            state.triplet.theta, -res.grad, state.adam, cfg.lr
         )
     update_norm = float(np.linalg.norm(state.triplet.theta - theta_before))
     return float(np.mean(values)), float(np.mean(kls)), update_norm
@@ -364,15 +387,14 @@ def update_policy(
 def train_step(state: TrainState, step_index: int) -> StepRecord:
     """One outer optimization step: snapshot, rollouts, advantages, update."""
     state.triplet.refresh_old()
-    groups = rollout_batch(state, step_index)
-    tables = [compute_advantages(g, state.config) for g in groups]
-    surrogate, kl_mean, update_norm = update_policy(state, groups, tables)
-    terminal = np.concatenate([g.terminal_rewards() for g in groups])
-    stds = [float(np.std(g.terminal_rewards())) for g in groups]
+    batch = rollout_batch(state, step_index)
+    table = compute_advantages(batch, state.config)
+    surrogate, kl_mean, update_norm = update_policy(state, batch, table, step_index)
+    terminal = batch.terminal_rewards
     return StepRecord(
         step=step_index,
         mean_terminal_reward=float(terminal.mean()),
-        group_reward_std_mean=float(np.mean(stds)),
+        group_reward_std_mean=float(terminal.std(axis=-1).mean()),
         kl_mean=kl_mean,
         surrogate=surrogate,
         update_norm=update_norm,

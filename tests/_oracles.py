@@ -1,12 +1,18 @@
 """Independent oracles used to check the library's fast paths.
 
 Everything here is written straight from definitions (loops, explicit sums,
-finite differences) and never calls the code paths it verifies.
+finite differences) and never calls the code paths it verifies. The
+per-group rollout, advantage and surrogate references at the end are the
+group-by-group, timestep-by-timestep path the batched training step
+replaced; they build on the single-step layers (``flowcore``, ``envsuite``,
+``diffnet.grad``) only.
 """
 
 import math
 
 import numpy as np
+
+from flowrl import diffnet, envsuite, flowcore
 
 
 def central_difference(f, theta, h=1e-6):
@@ -79,3 +85,116 @@ def wasserstein1_1d(a, b):
     b = np.sort(np.asarray(b, dtype=float).ravel())
     assert a.shape == b.shape
     return float(np.mean(np.abs(a - b)))
+
+
+def _population_normalize(values, eps_std):
+    """(v - mean) / max(std, eps) of one group column; all zero below eps."""
+    m = float(values.mean())
+    s = float(np.sqrt(((values - m) ** 2).mean()))
+    if s < eps_std:
+        return np.zeros_like(values), m, s
+    return (values - m) / max(s, eps_std), m, s
+
+
+def reference_rollout_group(arch, params_old, context, group_size, schedule, rm, seed,
+                            shared_initial_noise=False):
+    """One group of G trajectories, one timestep at a time over G rows.
+
+    Returns a dict of (G, ...) arrays: noises, states, logp_old,
+    instant_rewards, terminal_rewards.
+    """
+    t_steps, d = schedule.num_steps, arch.state_dim
+    children = np.random.SeedSequence(seed).spawn(group_size + 1)
+    rngs = [np.random.default_rng(c) for c in children[:group_size]]
+    if shared_initial_noise:
+        shared = np.random.default_rng(children[group_size]).standard_normal(d)
+        init = np.tile(shared, (group_size, 1))
+    else:
+        init = np.stack([r.standard_normal(d) for r in rngs])
+    noises = np.stack([r.standard_normal((t_steps, d)) for r in rngs])
+    states = np.empty((t_steps + 1, group_size, d))
+    logps = np.empty((t_steps, group_size))
+    rewards = np.empty((t_steps, group_size))
+    states[0] = x = init
+    for j, t in enumerate(range(t_steps, 0, -1)):
+        x, dist = flowcore.sde_step(
+            arch, params_old, x, t / t_steps, schedule.dtau, schedule, noises[:, j], context
+        )
+        states[j + 1] = x
+        logps[j] = flowcore.transition_logpdf(x, dist)
+        projected = flowcore.ode_project(arch, params_old, x, (t - 1) / t_steps, context)
+        rewards[j] = envsuite.reward(rm, projected, context)
+    return {
+        "noises": noises,
+        "states": states.transpose(1, 0, 2),
+        "logp_old": logps.T,
+        "instant_rewards": rewards.T,
+        "terminal_rewards": envsuite.reward(rm, x, context),
+    }
+
+
+def reference_advantages(instant_rewards, terminal_rewards, config):
+    """(G, T) advantages of one group, column by column."""
+    g_size, t_steps = instant_rewards.shape
+    if config.estimator == "flow-grpo":
+        col, _, _ = _population_normalize(terminal_rewards, config.eps_std)
+        return np.tile(col[:, None], (1, t_steps))
+    if config.tcrm_enabled:
+        q = np.asarray(instant_rewards, dtype=float).copy()
+        for j in range(t_steps - 2, -1, -1):
+            q[:, j] += config.gamma * q[:, j + 1]
+        omega = np.ones_like(q)
+        for i in range(g_size):
+            mean_t = q[i].mean()
+            if mean_t >= config.eps_mean:
+                omega[i] = q[i] / mean_t
+    else:
+        q = np.tile(terminal_rewards[:, None], (1, t_steps))
+        omega = np.ones_like(q)
+    out = np.empty((g_size, t_steps))
+    for j in range(t_steps):
+        col = q[:, j]
+        _, m, s = _population_normalize(col, config.eps_std)
+        if s < config.eps_std:
+            out[:, j] = omega[:, j] * (config.k * col)
+        else:
+            out[:, j] = omega[:, j] * (((1.0 + config.k * s) * col - m) / max(s, config.eps_std))
+    return out
+
+
+def reference_surrogate(arch, theta, theta_ref, states, logp_old, advantages, context,
+                        schedule, eps_clip, beta_kl):
+    """Clipped surrogate value and gradient of one group, one timestep at a time.
+
+    ``states`` is (G, T+1, D); the gradient is that group's mean over its
+    G * T rows, so a batch's gradient is the mean of these over its groups.
+    """
+    g_size, t_steps = advantages.shape
+    dtau = schedule.dtau
+    n_rows = g_size * t_steps
+    xs, taus, upstreams = [], [], []
+    terms = np.empty((g_size, t_steps))
+    kls = np.empty((g_size, t_steps))
+    for j, t in enumerate(range(t_steps, 0, -1)):
+        tau = t / t_steps
+        x_t = np.ascontiguousarray(states[:, j])
+        x_next = np.ascontiguousarray(states[:, j + 1])
+        cur = flowcore.step_distribution(arch, theta, x_t, tau, dtau, schedule, context)
+        ref = flowcore.step_distribution(arch, theta_ref, x_t, tau, dtau, schedule, context)
+        ratio = np.exp(flowcore.transition_logpdf(x_next, cur) - logp_old[:, j])
+        a_col = advantages[:, j]
+        unclipped = ratio * a_col
+        clipped = np.clip(ratio, 1.0 - eps_clip, 1.0 + eps_clip) * a_col
+        terms[:, j] = np.minimum(unclipped, clipped)
+        kls[:, j] = flowcore.kl_step(cur, ref)
+        kappa = np.where(unclipped <= clipped, unclipped, 0.0)
+        dj_dmean = (
+            kappa[:, None] * (x_next - cur.mean) - beta_kl * (cur.mean - ref.mean)
+        ) / (n_rows * cur.var)
+        xs.append(x_t)
+        taus.append(np.full(g_size, tau))
+        upstreams.append(flowcore.mean_velocity_coeff(tau, dtau, schedule) * dj_dmean)
+    pgrad, _ = diffnet.grad(
+        arch, theta, np.concatenate(xs), np.concatenate(taus), context, np.concatenate(upstreams)
+    )
+    return float(terms.mean() - beta_kl * kls.mean()), pgrad

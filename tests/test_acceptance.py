@@ -78,7 +78,7 @@ class TestCriterion1EquationOracles:
             rewards = rng.uniform(0.0, 1.0, g_size)
             if rewards.std() <= adv.DEFAULT_EPS_STD:
                 continue
-            table = adv.grpo_terminal_advantage(rewards, num_steps=3)
+            table = adv.group_relative(np.tile(rewards[:, None], (1, 3)))
             for j in range(3):
                 worst = max(worst, abs(float(table[:, j].mean())))
                 worst = max(worst, abs(float(table[:, j].std()) - 1.0))
@@ -125,7 +125,7 @@ class TestCriterion2GradientChecks:
         theta_s = diffnet.init_params(arch_s, 5)
         schedule = flowcore.NoiseSchedule(a=0.7, num_steps=4)
         group = rollout.rollout_group(
-            arch_s, theta_s, 1, 3, schedule, envsuite.RewardModel(task), seed=(7, 0)
+            arch_s, theta_s, [1], 3, schedule, envsuite.RewardModel(task), seeds=[(7, 0)]
         )
         cfg = trainer.TrainConfig(task=task, hidden_dims=(6,), sampling_steps=4, group_size=3)
         table = trainer.compute_advantages(group, cfg)
@@ -161,11 +161,11 @@ class TestCriterion3SamplerReductions:
         sched0 = flowcore.NoiseSchedule(a=0.0, num_steps=10)
         bitwise_ok = True
         for i in range(20):
-            group = rollout.rollout_group(arch, params, i % 8, 8, sched0, rm, seed=(30, i))
-            states = group.states_stack()
+            group = rollout.rollout_group(arch, params, [i % 8], 8, sched0, rm, seeds=[(30, i)])
+            states = group.states[0]
             x = states[:, 0]
             for j, t in enumerate(range(10, 0, -1)):
-                x = flowcore.euler_ode_step(arch, params, x, t / 10, sched0.dtau, group.context)
+                x = flowcore.euler_ode_step(arch, params, x, t / 10, sched0.dtau, i % 8)
                 bitwise_ok = bitwise_ok and bool(np.array_equal(x, states[:, j + 1]))
 
         # 1000-rollout fuzz: the last instant reward is the terminal reward
@@ -173,10 +173,10 @@ class TestCriterion3SamplerReductions:
         exact = 0
         total = 0
         for i in range(125):
-            group = rollout.rollout_group(arch, params, i % 8, 8, sched, rm, seed=(31, i))
-            for tr in group.trajectories:
+            group = rollout.rollout_group(arch, params, [i % 8], 8, sched, rm, seeds=[(31, i)])
+            for instant, terminal in zip(group.instant_rewards[0], group.terminal_rewards[0]):
                 total += 1
-                exact += tr.instant_rewards[-1] == tr.terminal_reward
+                exact += instant[-1] == terminal
         ok = bitwise_ok and exact == total == 1000
         report(3, "sampler reductions (a=0 bitwise, R_1 == terminal)", ok,
                f"{exact}/{total} exact terminals")
@@ -225,13 +225,11 @@ class TestCriterion6StagnationContrast:
         for name, cfg in (("flow-grpo", cfg_grpo), ("vgpo", cfg_vgpo)):
             state = trainer.init_state(cfg)
             state.triplet.refresh_old()
-            groups = trainer.rollout_batch(state, 1)
-            for group in groups:
-                for tr in group.trajectories:
-                    tr.instant_rewards = np.full_like(tr.instant_rewards, 0.8)
-                    tr.terminal_reward = 0.8
-            tables = [trainer.compute_advantages(g, cfg) for g in groups]
-            _, _, norms[name] = trainer.update_policy(state, groups, tables)
+            batch = trainer.rollout_batch(state, 1)
+            batch.instant_rewards[...] = 0.8
+            batch.terminal_rewards[...] = 0.8
+            table = trainer.compute_advantages(batch, cfg)
+            _, _, norms[name] = trainer.update_policy(state, batch, table, 1)
         ok = norms["flow-grpo"] == 0.0 and norms["vgpo"] >= 1e-6
         report(6, "stagnation contrast on uniform sub-maximal rewards", ok,
                f"flow-grpo {norms['flow-grpo']:.1e}, vgpo {norms['vgpo']:.1e}")

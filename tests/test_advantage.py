@@ -10,6 +10,13 @@ from flowrl import advantage as adv
 from _oracles import discounted_sum
 
 
+def terminal_table(terminal_rewards, num_steps, eps_std=adv.DEFAULT_EPS_STD):
+    """The sparse-reward baseline: group-normalized terminal rewards, one
+    column per timestep."""
+    r = np.asarray(terminal_rewards, dtype=np.float64)
+    return adv.group_relative(np.tile(r[:, None], (1, num_steps)), eps_std)
+
+
 class TestCumulativeValues:
     def test_zero_gamma_copies_rewards(self, rng):
         r = rng.uniform(0, 1, (4, 6))
@@ -77,7 +84,7 @@ class TestValueWeights:
 class TestGrpoTerminalAdvantage:
     def test_hand_worked_normalization(self):
         # mean 1, population std sqrt(2/3)
-        table = adv.grpo_terminal_advantage(np.array([0.0, 1.0, 2.0]), num_steps=4)
+        table = terminal_table(np.array([0.0, 1.0, 2.0]), num_steps=4)
         expected = 1.0 / math.sqrt(2.0 / 3.0)
         assert table.shape == (3, 4)
         for j in range(4):
@@ -86,12 +93,12 @@ class TestGrpoTerminalAdvantage:
             assert abs(table[2, j] - expected) < 1e-4
 
     def test_identical_rewards_give_exact_zeros(self):
-        table = adv.grpo_terminal_advantage(np.full(5, 0.8), num_steps=3)
+        table = terminal_table(np.full(5, 0.8), num_steps=3)
         assert np.all(table == 0.0)
 
     def test_columns_standardized(self, rng):
         r = rng.uniform(0, 1, 8)
-        table = adv.grpo_terminal_advantage(r, num_steps=10)
+        table = terminal_table(r, num_steps=10)
         for j in range(10):
             col = table[:, j]
             assert abs(col.mean()) < 1e-10
@@ -99,7 +106,7 @@ class TestGrpoTerminalAdvantage:
 
     def test_needs_group_of_two(self):
         with pytest.raises(ValueError):
-            adv.grpo_terminal_advantage(np.array([1.0]), num_steps=2)
+            terminal_table(np.array([1.0]), num_steps=2)
 
 
 class TestGroupRelative:
@@ -143,7 +150,7 @@ class TestAdae:
         # estimator still pushes proportionally to the value
         q = np.full((8, 10), 0.8)
         omega = adv.value_weights(q)
-        grpo = adv.grpo_terminal_advantage(q[:, 0], num_steps=10)
+        grpo = terminal_table(q[:, 0], num_steps=10)
         dual = adv.adae(q, 0.5, omega)
         assert np.all(grpo == 0.0)
         assert np.all(dual.A == 0.5 * 0.8)
@@ -154,8 +161,8 @@ class TestAdae:
         q = rng.uniform(0, 1, (8, 6))
         omega = np.ones_like(q)
         assert np.array_equal(
-            adv.grpo_terminal_advantage(2.0 * q[:, 0], 6),
-            adv.grpo_terminal_advantage(q[:, 0], 6),
+            terminal_table(2.0 * q[:, 0], 6),
+            terminal_table(q[:, 0], 6),
         )
         base = adv.adae(q, 0.5, omega).A - adv.group_relative(q)
         doubled = adv.adae(2.0 * q, 0.5, omega).A - adv.group_relative(2.0 * q)
@@ -172,7 +179,7 @@ class TestAdae:
         t_steps = 10
         q = np.tile(terminal[:, None], (1, t_steps))
         table = adv.adae(q, 0.0, np.ones_like(q))
-        sparse = adv.grpo_terminal_advantage(terminal, t_steps)
+        sparse = terminal_table(terminal, t_steps)
         assert np.array_equal(table.A, sparse)
 
 

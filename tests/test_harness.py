@@ -69,6 +69,18 @@ class TestParseConfig:
         assert harness.config_to_dict(reparsed) == emitted
         assert reparsed == cfg
 
+    def test_task_keys_written_back_as_given(self):
+        # keys a task ignores (ring ignores task_radius, half-plane ignores
+        # task_num_modes) are written back too, not rebuilt from its centers
+        for raw in (
+            {"task": "ring", "task_radius": 5.0, "task_ring_radius": 2.5},
+            {"task": "half-plane", "task_num_modes": 3, "task_radius": 0.75},
+        ):
+            cfg = harness.config_from_dict(dict(raw, task_context_count=1))
+            emitted = harness.config_to_dict(cfg)
+            assert {key: emitted[key] for key in raw} == raw
+            assert harness.config_from_dict(emitted) == cfg
+
     def test_task_variants_constructible(self, tmp_path):
         for name in ("half-plane", "ring"):
             path = write_config(tmp_path, {"task": name, "task_context_count": 1}, name=f"{name}.json")

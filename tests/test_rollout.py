@@ -16,11 +16,12 @@ def setup():
 
 
 def make_group(setup, a=0.7, seed=(0, 1, 2), group_size=8, shared=False, steps=10):
+    """A one-slot batch: one group of trajectories for context 2."""
     _, arch, params, rm = setup
     sched = flowcore.NoiseSchedule(a=a, num_steps=steps)
     return rollout.rollout_group(
-        arch, params, context=2, group_size=group_size, schedule=sched, rm=rm,
-        seed=seed, shared_initial_noise=shared,
+        arch, params, contexts=[2], group_size=group_size, schedule=sched, rm=rm,
+        seeds=[seed], shared_initial_noise=shared,
     )
 
 
@@ -28,20 +29,18 @@ class TestRolloutGroup:
     def test_fixed_seed_bit_identical(self, setup):
         g1 = make_group(setup)
         g2 = make_group(setup)
-        for t1, t2 in zip(g1.trajectories, g2.trajectories):
-            assert np.array_equal(t1.states, t2.states)
-            assert np.array_equal(t1.logp_old, t2.logp_old)
-            assert np.array_equal(t1.instant_rewards, t2.instant_rewards)
-            assert t1.terminal_reward == t2.terminal_reward
+        assert np.array_equal(g1.states, g2.states)
+        assert np.array_equal(g1.logp_old, g2.logp_old)
+        assert np.array_equal(g1.instant_rewards, g2.instant_rewards)
+        assert np.array_equal(g1.terminal_rewards, g2.terminal_rewards)
 
     def test_shapes_and_finiteness(self, setup):
         g = make_group(setup)
         assert g.group_size == 8
         assert g.num_steps == 10
-        for tr in g.trajectories:
-            assert tr.states.shape == (11, 2)
-            assert tr.logp_old.shape == (10,)
-            assert np.all(np.isfinite(tr.states))
+        assert g.states.shape == (1, 8, 11, 2)
+        assert g.logp_old.shape == (1, 8, 10)
+        assert np.all(np.isfinite(g.states))
 
     def test_group_size_below_two_rejected(self, setup):
         with pytest.raises(ValueError):
@@ -49,29 +48,28 @@ class TestRolloutGroup:
 
     def test_deterministic_dynamics_shared_noise_collapses_group(self, setup):
         g = make_group(setup, a=0.0, shared=True)
-        base = g.trajectories[0].states
-        for tr in g.trajectories[1:]:
-            assert np.array_equal(tr.states, base)
+        base = g.states[0, 0]
+        for states in g.states[0, 1:]:
+            assert np.array_equal(states, base)
 
     def test_deterministic_dynamics_differ_only_via_initial_state(self, setup):
         # with a = 0 every trajectory is the Euler flow of its own s_T: the
         # whole group re-integrated deterministically reproduces the states
         _, arch, params, _ = setup
         g = make_group(setup, a=0.0, shared=False)
-        states = g.states_stack()
+        states = g.states[0]
         x = states[:, 0]
         for j, t in enumerate(range(10, 0, -1)):
-            x = flowcore.euler_ode_step(arch, params, x, t / 10, 0.1, g.context)
+            x = flowcore.euler_ode_step(arch, params, x, t / 10, 0.1, int(g.contexts[0]))
             assert np.array_equal(x, states[:, j + 1])
-        for tr in g.trajectories:
-            assert tr.logp_old is None
-            assert np.all(tr.step_vars == 0.0)
+        assert g.logp_old is None
+        assert np.all(g.step_vars == 0.0)
 
     def test_per_trajectory_streams_do_not_depend_on_group_size(self, setup):
         small = make_group(setup, group_size=4)
         large = make_group(setup, group_size=8)
         for i in range(4):
-            assert np.array_equal(small.trajectories[i].states, large.trajectories[i].states)
+            assert np.array_equal(small.states[0, i], large.states[0, i])
 
     def test_completes_within_measured_budget(self, setup):
         make_group(setup)  # warm caches before timing
@@ -85,27 +83,32 @@ class TestRolloutGroup:
 
 class TestStoredDensities:
     def test_logp_matches_recomputation_from_stored_distributions(self, setup):
+        # the step means are recomputed one trajectory at a time, the stored
+        # variances are used as they are
+        _, arch, params, _ = setup
         g = make_group(setup)
-        for tr in g.trajectories:
-            for j in range(g.num_steps):
-                dist = flowcore.StepDistribution(mean=tr.step_means[j], var=float(tr.step_vars[j]))
-                recomputed = flowcore.transition_logpdf(tr.states[j + 1], dist)
-                assert abs(recomputed - tr.logp_old[j]) <= 1e-12
+        for states, logp in zip(g.states[0], g.logp_old[0]):
+            for j, t in enumerate(range(g.num_steps, 0, -1)):
+                mean = flowcore.step_distribution(
+                    arch, params, states[j], t / g.num_steps, g.schedule.dtau, g.schedule, 2
+                ).mean
+                dist = flowcore.StepDistribution(mean=mean, var=float(g.step_vars[j]))
+                recomputed = flowcore.transition_logpdf(states[j + 1], dist)
+                assert abs(recomputed - logp[j]) <= 1e-12
 
     def test_logp_finite_whenever_noise_active(self, setup):
         g = make_group(setup, a=0.3)
-        assert np.all(np.isfinite(g.logp_matrix()))
+        assert np.all(np.isfinite(g.logp_old))
 
 
 class TestInstantRewards:
     def test_final_step_equals_terminal_reward_exactly(self, setup):
         g = make_group(setup)
-        for tr in g.trajectories:
-            assert tr.instant_rewards[-1] == tr.terminal_reward
+        assert np.all(g.instant_rewards[..., -1] == g.terminal_rewards)
 
     def test_rewards_within_unit_interval(self, setup):
         g = make_group(setup)
-        r = g.instant_reward_matrix()
+        r = g.instant_rewards
         assert np.all(r >= 0.0) and np.all(r <= 1.0)
 
     def test_constant_field_matches_hand_projection(self, setup):
@@ -125,24 +128,24 @@ class TestInstantRewards:
         task, arch, _, rm = setup
         params = np.zeros(diffnet.param_count(arch))
         sched = flowcore.NoiseSchedule(a=0.0, num_steps=10)
-        g = rollout.rollout_group(arch, params, 1, 4, sched, rm, seed=9)
-        for tr in g.trajectories:
-            assert np.all(tr.instant_rewards == tr.instant_rewards[0])
+        g = rollout.rollout_group(arch, params, [1], 4, sched, rm, seeds=[9])
+        for r in g.instant_rewards[0]:
+            assert np.all(r == r[0])
 
 
 class TestTrajectoryValidation:
     def test_non_finite_states_rejected(self):
-        bad = np.full((11, 2), np.nan)
+        bad = np.full((1, 1, 11, 2), np.nan)
         with pytest.raises(ValueError):
-            rollout.Trajectory(
-                context=0,
+            rollout.RolloutBatch(
+                contexts=np.zeros(1, dtype=np.int64),
+                schedule=flowcore.NoiseSchedule(),
                 states=bad,
-                noises=np.zeros((10, 2)),
-                step_means=np.zeros((10, 2)),
+                noises=np.zeros((1, 1, 10, 2)),
                 step_vars=np.ones(10),
-                logp_old=np.zeros(10),
-                instant_rewards=np.zeros(10),
-                terminal_reward=0.0,
+                logp_old=np.zeros((1, 1, 10)),
+                instant_rewards=np.zeros((1, 1, 10)),
+                terminal_rewards=np.zeros((1, 1)),
             )
 
     @pytest.mark.filterwarnings("ignore:overflow")
@@ -156,19 +159,36 @@ class TestTrajectoryValidation:
         )
         rm = envsuite.RewardModel(task)
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
-        with pytest.raises(rollout.RolloutError, match="context=0"):
-            rollout.rollout_group(arch, params, 0, 2, sched, rm, seed=0)
+        with pytest.raises(rollout.RolloutError, match="t=10 context=0"):
+            rollout.rollout_group(arch, params, [0], 2, sched, rm, seeds=[0])
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_diagnostic_names_only_the_diverging_contexts(self):
+        # a linear field whose velocity overflows only for context 1: the
+        # one-hot context feature of context 1 carries a near-float-max weight
+        arch = diffnet.for_task(1, 3, hidden_dims=())
+        weights = np.zeros((1, arch.input_dim))
+        weights[0, 1 + diffnet.TIME_FEATURES + 1] = 1.7e308
+        params = np.concatenate([weights.ravel(), [0.0]])
+        task = envsuite.mode_preference_task(
+            num_modes=3, context_count=3, state_dim=1, centers=[[0.0], [1.0], [2.0]]
+        )
+        sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
+        with pytest.raises(rollout.RolloutError, match="t=10 context=1:"):
+            rollout.rollout_group(
+                arch, params, [0, 1, 2, 1], 2, sched, envsuite.RewardModel(task), seeds=[0, 1, 2, 3]
+            )
 
 
 class TestTrajectoryDump:
     def test_jsonl_round_trip(self, setup, tmp_path):
         g = make_group(setup)
         path = tmp_path / "trajectories.jsonl"
-        rollout.dump_trajectories([g], path)
+        rollout.dump_trajectories(g, path)
         rows = rollout.load_trajectory_dump(path)
         assert len(rows) == g.group_size
-        for row, tr in zip(rows, g.trajectories):
-            assert row["context"] == tr.context
-            assert row["terminal_reward"] == tr.terminal_reward
-            assert np.array_equal(np.array(row["states"]), tr.states)
-            assert np.array_equal(np.array(row["instant_rewards"]), tr.instant_rewards)
+        for i, row in enumerate(rows):
+            assert row["context"] == g.contexts[0]
+            assert row["terminal_reward"] == g.terminal_rewards[0, i]
+            assert np.array_equal(np.array(row["states"]), g.states[0, i])
+            assert np.array_equal(np.array(row["instant_rewards"]), g.instant_rewards[0, i])

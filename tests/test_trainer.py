@@ -38,8 +38,8 @@ def tiny_setup():
     cfg = small_config()
     state = trainer.init_state(cfg)
     state.triplet.refresh_old()
-    groups = trainer.rollout_batch(state, step_index=1)
-    return cfg, state, groups
+    batch = trainer.rollout_batch(state, step_index=1)
+    return cfg, state, batch
 
 
 class TestTrainConfig:
@@ -121,27 +121,27 @@ class TestPretrain:
 
 class TestComputeAdvantages:
     def test_flow_grpo_broadcasts_terminal_column(self, tiny_setup):
-        cfg, _, groups = tiny_setup
+        cfg, _, batch = tiny_setup
         cfg_grpo = replace(cfg, estimator="flow-grpo", tcrm_enabled=False, k=0.0)
-        table = trainer.compute_advantages(groups[0], cfg_grpo)
+        table = trainer.compute_advantages(batch, cfg_grpo)
         assert table.estimator == "flow-grpo"
-        assert np.all(table.A == table.A[:, :1])
+        assert np.all(table.A == table.A[..., :1])
 
     def test_vgpo_uses_adae_on_cumulative_values(self, tiny_setup):
-        cfg, _, groups = tiny_setup
-        table = trainer.compute_advantages(groups[0], cfg)
-        q = adv.cumulative_values(groups[0].instant_reward_matrix(), cfg.gamma)
+        cfg, _, batch = tiny_setup
+        table = trainer.compute_advantages(batch, cfg)
+        q = adv.cumulative_values(batch.instant_rewards, cfg.gamma)
         omega = adv.value_weights(q, cfg.eps_mean)
         want = adv.adae(q, cfg.k, omega, cfg.eps_std)
         assert np.array_equal(table.A, want.A)
         assert table.estimator == "vgpo-adae"
 
     def test_tcrm_disabled_uses_terminal_broadcast_with_unit_weights(self, tiny_setup):
-        cfg, _, groups = tiny_setup
+        cfg, _, batch = tiny_setup
         cfg_off = replace(cfg, tcrm_enabled=False)
-        table = trainer.compute_advantages(groups[0], cfg_off)
-        terminal = groups[0].terminal_rewards()
-        q = np.tile(terminal[:, None], (1, groups[0].num_steps))
+        table = trainer.compute_advantages(batch, cfg_off)
+        terminal = batch.terminal_rewards
+        q = np.tile(terminal[..., None], (1, 1, batch.num_steps))
         want = adv.adae(q, cfg.k, np.ones_like(q), cfg.eps_std)
         assert np.array_equal(table.A, want.A)
 
@@ -168,10 +168,10 @@ class TestClippedTerm:
 
 class TestSurrogate:
     def test_on_policy_identity(self, tiny_setup):
-        cfg, state, groups = tiny_setup
-        table = trainer.compute_advantages(groups[0], cfg)
+        cfg, state, batch = tiny_setup
+        table = trainer.compute_advantages(batch, cfg)
         res = trainer.surrogate_loss_and_grad(
-            state.arch, state.triplet, groups[0], table, cfg.eps_clip, beta_kl=0.0
+            state.arch, state.triplet, batch, table, cfg.eps_clip, beta_kl=0.0
         )
         # freshly refreshed old policy: every recomputed ratio is 1 and the
         # surrogate value is the advantage mean
@@ -182,36 +182,36 @@ class TestSurrogate:
     def test_on_policy_magnitude_bound(self, tiny_setup):
         # in the on-policy regime the per-element surrogate magnitude cannot
         # exceed (1 + eps) |A|; with ratios == 1 it equals |A| exactly
-        cfg, state, groups = tiny_setup
-        table = trainer.compute_advantages(groups[0], cfg)
+        cfg, state, batch = tiny_setup
+        table = trainer.compute_advantages(batch, cfg)
         res = trainer.surrogate_loss_and_grad(
-            state.arch, state.triplet, groups[0], table, cfg.eps_clip, beta_kl=0.0
+            state.arch, state.triplet, batch, table, cfg.eps_clip, beta_kl=0.0
         )
         assert abs(res.value) <= (1 + cfg.eps_clip) * np.abs(table.A).mean() + 1e-12
 
     def test_reference_policy_has_zero_kl(self, tiny_setup):
-        cfg, state, groups = tiny_setup
-        table = trainer.compute_advantages(groups[0], cfg)
+        cfg, state, batch = tiny_setup
+        table = trainer.compute_advantages(batch, cfg)
         triplet = trainer.PolicyTriplet(
             theta=state.triplet.theta_ref.copy(),
             theta_old=state.triplet.theta_old.copy(),
             theta_ref=state.triplet.theta_ref.copy(),
         )
         res = trainer.surrogate_loss_and_grad(
-            state.arch, triplet, groups[0], table, cfg.eps_clip, cfg.beta_kl
+            state.arch, triplet, batch, table, cfg.eps_clip, cfg.beta_kl
         )
         assert res.kl == 0.0
 
     def test_kl_nonnegative_off_reference(self, tiny_setup):
-        cfg, state, groups = tiny_setup
-        table = trainer.compute_advantages(groups[0], cfg)
+        cfg, state, batch = tiny_setup
+        table = trainer.compute_advantages(batch, cfg)
         triplet = trainer.PolicyTriplet(
             theta=state.triplet.theta + 0.01,
             theta_old=state.triplet.theta_old,
             theta_ref=state.triplet.theta_ref,
         )
         res = trainer.surrogate_loss_and_grad(
-            state.arch, triplet, groups[0], table, cfg.eps_clip, cfg.beta_kl
+            state.arch, triplet, batch, table, cfg.eps_clip, cfg.beta_kl
         )
         assert res.kl > 0.0
 
@@ -223,7 +223,7 @@ class TestSurrogate:
         theta = diffnet.init_params(arch, 5)
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=4)
         rm = envsuite.RewardModel(task)
-        group = rollout.rollout_group(arch, theta, 1, 3, sched, rm, seed=(7, 0))
+        group = rollout.rollout_group(arch, theta, [1], 3, sched, rm, seeds=[(7, 0)])
         cfg = trainer.TrainConfig(
             task=task, hidden_dims=(6,), sampling_steps=4, group_size=3
         )
@@ -249,19 +249,17 @@ class TestSurrogate:
         theta = diffnet.init_params(arch, 5)
         sched = flowcore.NoiseSchedule(a=0.0, num_steps=4)
         rm = envsuite.RewardModel(SMALL_TASK)
-        group = rollout.rollout_group(arch, theta, 0, 3, sched, rm, seed=1)
+        group = rollout.rollout_group(arch, theta, [0], 3, sched, rm, seeds=[1])
         cfg = trainer.TrainConfig(task=SMALL_TASK, hidden_dims=(6,), sampling_steps=4, group_size=3)
         triplet = trainer.PolicyTriplet(theta, theta.copy(), theta.copy())
-        table = adv.adae(np.ones((3, 4)), 0.5, np.ones((3, 4)))
+        table = adv.adae(np.ones((1, 3, 4)), 0.5, np.ones((1, 3, 4)))
         with pytest.raises(ValueError, match="stochastic"):
             trainer.surrogate_loss_and_grad(arch, triplet, group, table, 0.2, 0.01)
 
 
-def _inject_constant_rewards(groups, value):
-    for group in groups:
-        for tr in group.trajectories:
-            tr.instant_rewards = np.full_like(tr.instant_rewards, value)
-            tr.terminal_reward = value
+def _inject_constant_rewards(batch, value):
+    batch.instant_rewards[...] = value
+    batch.terminal_rewards[...] = value
 
 
 class TestStagnationContrast:
@@ -270,23 +268,23 @@ class TestStagnationContrast:
         cfg_grpo = replace(cfg, estimator="flow-grpo", tcrm_enabled=False, k=0.0)
         fresh = trainer.init_state(cfg_grpo)
         fresh.triplet.refresh_old()
-        groups = trainer.rollout_batch(fresh, 1)
-        _inject_constant_rewards(groups, 0.8)
-        tables = [trainer.compute_advantages(g, cfg_grpo) for g in groups]
-        assert all(np.all(t.A == 0.0) for t in tables)
-        _, _, update_norm = trainer.update_policy(fresh, groups, tables)
+        batch = trainer.rollout_batch(fresh, 1)
+        _inject_constant_rewards(batch, 0.8)
+        table = trainer.compute_advantages(batch, cfg_grpo)
+        assert np.all(table.A == 0.0)
+        _, _, update_norm = trainer.update_policy(fresh, batch, table, 1)
         assert update_norm == 0.0
 
     def test_vgpo_update_is_nonzero(self, tiny_setup):
         cfg, _, _ = tiny_setup
         fresh = trainer.init_state(cfg)
         fresh.triplet.refresh_old()
-        groups = trainer.rollout_batch(fresh, 1)
-        _inject_constant_rewards(groups, 0.8)
-        tables = [trainer.compute_advantages(g, cfg) for g in groups]
+        batch = trainer.rollout_batch(fresh, 1)
+        _inject_constant_rewards(batch, 0.8)
+        table = trainer.compute_advantages(batch, cfg)
         # degenerate columns engage the absolute-value limit
-        assert all(np.all(t.A > 0.0) for t in tables)
-        _, _, update_norm = trainer.update_policy(fresh, groups, tables)
+        assert np.all(table.A > 0.0)
+        _, _, update_norm = trainer.update_policy(fresh, batch, table, 1)
         assert update_norm >= 1e-6
 
 
@@ -300,13 +298,38 @@ class TestTrainStep:
         assert recs[0] == recs[1]
 
     def test_on_policy_ratio_one_after_refresh(self, tiny_setup):
-        cfg, state, groups = tiny_setup
-        tables = [trainer.compute_advantages(g, cfg) for g in groups]
-        for g, t in zip(groups, tables):
+        cfg, state, batch = tiny_setup
+        table = trainer.compute_advantages(batch, cfg)
+        for b in range(batch.contexts.shape[0]):
+            fields = ("contexts", "states", "noises", "logp_old", "instant_rewards", "terminal_rewards")
+            group = replace(batch, **{name: getattr(batch, name)[b:b + 1] for name in fields})
             res = trainer.surrogate_loss_and_grad(
-                state.arch, state.triplet, g, t, cfg.eps_clip, cfg.beta_kl
+                state.arch, state.triplet, group, replace(table, A=table.A[b:b + 1]),
+                cfg.eps_clip, cfg.beta_kl,
             )
             assert abs(res.mean_ratio - 1.0) < 1e-10
+
+
+class TestNonFiniteGradient:
+    def test_nan_advantage_stops_the_update(self, tiny_setup):
+        cfg, _, _ = tiny_setup
+        fresh = trainer.init_state(cfg)
+        fresh.triplet.refresh_old()
+        batch = trainer.rollout_batch(fresh, 5)
+        table = trainer.compute_advantages(batch, cfg)
+        poisoned = table.A.copy()
+        poisoned[1, 0, 3] = np.nan
+        # AdvantageTable rejects non-finite entries, so bypass its check
+        object.__setattr__(table, "A", poisoned)
+        theta_before = fresh.triplet.theta.copy()
+        res = trainer.surrogate_loss_and_grad(
+            fresh.arch, fresh.triplet, batch, table, cfg.eps_clip, cfg.beta_kl
+        )
+        assert res.nonfinite_contexts == (int(batch.contexts[1]),)
+        with pytest.raises(RuntimeError, match=rf"step 5: contexts \[{batch.contexts[1]}\]"):
+            trainer.update_policy(fresh, batch, table, 5)
+        assert np.array_equal(fresh.triplet.theta, theta_before)
+        assert fresh.adam.t == 0
 
 
 class TestReductionEquivalence:
