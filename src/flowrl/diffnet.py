@@ -128,36 +128,51 @@ def features(arch: Architecture, x, tau, context) -> np.ndarray:
     if arch.context_count > 0:
         if np.any(context < 0) or np.any(context >= arch.context_count):
             raise ValueError("context index out of range")
-    d = arch.state_dim
+    return feature_matrix(arch, x, tau, context)
+
+
+def feature_matrix(arch: Architecture, x: np.ndarray, tau, context) -> np.ndarray:
+    """``features`` without its checks, for validated x (n, state_dim), tau and context."""
+    n = x.shape[0]
     phi = np.zeros((n, arch.input_dim))
+    write_state_time(arch, phi, x, tau)
+    if arch.context_count > 0:
+        phi[np.arange(n), arch.state_dim + TIME_FEATURES + context] = 1.0
+    return phi
+
+
+def write_state_time(arch: Architecture, phi: np.ndarray, x: np.ndarray, tau) -> None:
+    """Overwrite the state and time columns of ``phi`` in place, keeping its context block."""
+    d = arch.state_dim
     phi[:, :d] = x
     phi[:, d] = tau
     phi[:, d + 1] = np.sin(2.0 * np.pi * tau)
     phi[:, d + 2] = np.cos(2.0 * np.pi * tau)
-    if arch.context_count > 0:
-        phi[np.arange(n), d + TIME_FEATURES + context] = 1.0
-    return phi
 
 
-def forward(arch: Architecture, params: np.ndarray, x, tau, context, keep_activations: bool = False):
-    """Velocity prediction. Batch in, batch out; single sample in, vector out.
+def mlp(layers, phi: np.ndarray, keep_activations: bool = False):
+    """The network, unchecked, on a prebuilt feature matrix and ``unpack``'s layers.
 
-    With ``keep_activations`` the result is ``(out, activations)`` for a batch:
-    the input of every layer, from which ``backward`` forms gradients without
-    evaluating the network again.
+    With ``keep_activations`` the result is ``(out, activations)``: the input
+    of every layer, ``phi`` first, from which ``backward`` forms gradients.
     """
-    single = np.asarray(x).ndim == 1
-    layers = unpack(arch, params)
-    hs = [features(arch, x, tau, context)]
+    hs = [phi]
     for w, b in layers[:-1]:
         z = hs[-1] @ w.T
         z += b
         hs.append(np.tanh(z, out=z))  # in place: large batches keep fewer temporaries alive
     w, b = layers[-1]
     out = hs[-1] @ w.T + b
-    if keep_activations:
-        return out, hs
-    return out[0] if single else out
+    return (out, hs) if keep_activations else out
+
+
+def forward(arch: Architecture, params: np.ndarray, x, tau, context, keep_activations: bool = False):
+    """Velocity prediction through ``features`` and ``mlp``. Batch in, batch
+    out; single sample in, vector out; ``(out, activations)`` when kept."""
+    result = mlp(unpack(arch, params), features(arch, x, tau, context), keep_activations)
+    if keep_activations or np.asarray(x).ndim != 1:
+        return result
+    return result[0]
 
 
 def backward(arch: Architecture, params: np.ndarray, activations, upstream):

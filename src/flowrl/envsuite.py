@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 TASK_NAMES = ("mode-preference", "half-plane", "ring")
-REWARD_KINDS = ("terminal", "projected")
 
 
 @dataclass(frozen=True)
@@ -56,9 +55,12 @@ class TaskSpec:
             raise ValueError("reward_sharpness must be > 0")
         if self.name == "ring" and (self.ring_radius is None or self.ring_radius <= 0.0):
             raise ValueError("ring task needs ring_radius > 0")
+        centers = np.array(self.mode_centers, dtype=np.float64)
+        centers.flags.writeable = False
+        object.__setattr__(self, "_centers", centers)
 
     def centers(self) -> np.ndarray:
-        return np.asarray(self.mode_centers, dtype=np.float64)
+        return self._centers
 
     def weights(self) -> np.ndarray:
         return np.asarray(self.mode_weights, dtype=np.float64)
@@ -66,15 +68,10 @@ class TaskSpec:
 
 @dataclass(frozen=True)
 class RewardModel:
-    """Analytic reward in [0, 1]; ``kind`` tags whether scores are taken on
-    terminal samples or on projected virtual terminals."""
+    """Analytic reward in [0, 1] of a task, scored on terminal samples and on
+    projected virtual terminals alike."""
 
     task: TaskSpec
-    kind: str = "terminal"
-
-    def __post_init__(self) -> None:
-        if self.kind not in REWARD_KINDS:
-            raise ValueError(f"unknown reward kind {self.kind!r}")
 
 
 def _params(**values) -> tuple[tuple[str, object], ...]:
@@ -174,12 +171,11 @@ def sample_context(task: TaskSpec, rng: np.random.Generator) -> int:
     return int(rng.integers(0, task.context_count))
 
 
-def sample_data(task: TaskSpec, context, rng: np.random.Generator, n: int | None = None):
+def sample_data(task: TaskSpec, rng: np.random.Generator, n: int | None = None):
     """Draw from the full data mixture.
 
-    Pretraining data deliberately ignores ``context`` so that RL has to move
-    conditional mass toward the designated mode; the argument is kept for
-    conditional task variants.
+    Pretraining data deliberately carries no context, so that RL has to move
+    conditional mass toward the designated mode.
     """
     count = 1 if n is None else int(n)
     centers = task.centers()

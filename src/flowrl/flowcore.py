@@ -76,17 +76,10 @@ class NoiseSchedule:
 @dataclass(frozen=True)
 class StepDistribution:
     """Isotropic Gaussian over the next state: mean vector(s) and a variance,
-    scalar or one per row of a batch of means."""
+    scalar or one per row of a batch of means; the samplers check the means."""
 
     mean: np.ndarray
     var: float | np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
-        if np.any(np.asarray(self.var) < 0.0) or not np.all(np.isfinite(self.var)):
-            raise ValueError("variance must be finite and >= 0")
-        if not np.all(np.isfinite(self.mean)):
-            raise ValueError("non-finite step mean")
 
 
 def interpolate(x0, x1, tau):
@@ -126,8 +119,12 @@ def step_distribution(
     var = sigma^2 * dtau, with v the predicted velocity at (x, tau).
     """
     v = diffnet.forward(arch, params, x, tau, context)
+    return _step_distribution(np.asarray(x, dtype=np.float64), v, tau, dtau, schedule)
+
+
+def _step_distribution(x, v, tau: float, dtau: float, schedule: NoiseSchedule) -> StepDistribution:
     s2 = sigma(tau, schedule) ** 2
-    mean = step_mean(np.asarray(x, dtype=np.float64), v, schedule.clamp(tau), s2, dtau)
+    mean = step_mean(x, v, schedule.clamp(tau), s2, dtau)
     _check_finite(mean, "step mean")
     return StepDistribution(mean=mean, var=s2 * dtau)
 
@@ -169,17 +166,28 @@ def sde_step(
     x_arr = np.asarray(x, dtype=np.float64)
     if noise.shape != x_arr.shape:
         raise ValueError(f"noise shape {noise.shape} != state shape {x_arr.shape}")
-    dist = step_distribution(arch, params, x, tau, dtau, schedule, context)
-    sig = sigma(tau, schedule)
-    x_next = dist.mean + sig * math.sqrt(dtau) * noise
+    v = diffnet.forward(arch, params, x, tau, context)
+    return sde_update(x_arr, v, tau, dtau, schedule, noise)
+
+
+def sde_update(x: np.ndarray, v: np.ndarray, tau: float, dtau: float, schedule: NoiseSchedule, noise: np.ndarray):
+    """``sde_step`` from the velocity v already predicted at (x, tau), unchecked;
+    raises ``NonFiniteStep`` when the mean or the next state is not finite."""
+    dist = _step_distribution(x, v, tau, dtau, schedule)
+    x_next = dist.mean + sigma(tau, schedule) * math.sqrt(dtau) * noise
     _check_finite(x_next, "SDE state")
     return x_next, dist
+
+
+def euler_update(x: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
+    """Euler step x - h * v; with h = tau, the one-step projection to tau = 0."""
+    return x - h * v
 
 
 def euler_ode_step(arch: Architecture, params: np.ndarray, x, tau: float, dtau: float, context) -> np.ndarray:
     """Deterministic Euler step x - dtau * v along the learned field."""
     v = diffnet.forward(arch, params, x, tau, context)
-    return np.asarray(x, dtype=np.float64) - dtau * v
+    return euler_update(np.asarray(x, dtype=np.float64), v, dtau)
 
 
 def ode_project(arch: Architecture, params: np.ndarray, s, tau: float, context) -> np.ndarray:
@@ -187,7 +195,7 @@ def ode_project(arch: Architecture, params: np.ndarray, s, tau: float, context) 
     if not (0.0 <= tau <= 1.0):
         raise ValueError("tau outside [0, 1]")
     v = diffnet.forward(arch, params, s, tau, context)
-    return np.asarray(s, dtype=np.float64) - tau * v
+    return euler_update(np.asarray(s, dtype=np.float64), v, tau)
 
 
 def transition_logpdf(x_next, dist: StepDistribution):

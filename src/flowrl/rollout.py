@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import envsuite, flowcore
+from . import diffnet, envsuite, flowcore
 from .diffnet import Architecture
 from .envsuite import RewardModel
 from .flowcore import NoiseSchedule
@@ -67,23 +67,12 @@ class RolloutBatch:
 
 def _as_seed_sequence(seed) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
-        return seed
+        # a copy: spawning advances a SeedSequence, and the caller's must
+        # give the same children every time
+        return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size)
     if isinstance(seed, (tuple, list)):
         return np.random.SeedSequence(tuple(int(s) for s in seed))
     return np.random.SeedSequence(int(seed))
-
-
-def instant_reward(
-    arch: Architecture,
-    params_old: np.ndarray,
-    s_next,
-    tau_next: float,
-    rm: RewardModel,
-    context,
-):
-    """Reward of the one-step projected terminal state reached from s_next."""
-    projected = flowcore.ode_project(arch, params_old, s_next, tau_next, context)
-    return envsuite.reward(rm, projected, context)
 
 
 def _draw_noise(seed, group_size: int, t_steps: int, d: int, shared_initial_noise: bool):
@@ -117,12 +106,18 @@ def rollout_group(
     starts every trajectory of a slot from the same s_T (exploration then
     comes only from the step noise); the default draws independent initial
     noise per trajectory.
+
+    Inputs are checked here, once. Each projection's velocity, taken at the
+    new state and time, is also the one the next exploration step needs.
     """
     contexts = np.asarray(contexts, dtype=np.int64)
     if group_size < 2:
         raise ValueError("group_size must be >= 2")
     if contexts.ndim != 1 or contexts.shape[0] < 1 or len(seeds) != contexts.shape[0]:
         raise ValueError("need one seed per context slot")
+    if arch.context_count > 0 and (contexts.min() < 0 or contexts.max() >= arch.context_count):
+        raise ValueError("context index out of range")
+    layers = diffnet.unpack(arch, params_old)
     t_steps = schedule.num_steps
     b, d = contexts.shape[0], arch.state_dim
     n = b * group_size
@@ -138,11 +133,11 @@ def rollout_group(
 
     x = np.concatenate([init for init, _ in draws])
     states[:, 0] = x
+    phi = diffnet.feature_matrix(arch, x, 1.0, row_contexts)
+    v = diffnet.mlp(layers, phi)
     for j, t in enumerate(range(t_steps, 0, -1)):
         try:
-            x, dist = flowcore.sde_step(
-                arch, params_old, x, t / t_steps, schedule.dtau, schedule, row_noise[:, j], row_contexts
-            )
+            x, dist = flowcore.sde_update(x, v, t / t_steps, schedule.dtau, schedule, row_noise[:, j])
         except flowcore.NonFiniteStep as exc:
             bad = ",".join(str(c) for c in np.unique(row_contexts[exc.rows]))
             raise RolloutError(f"step t={t} context={bad}: {exc}") from exc
@@ -150,7 +145,10 @@ def rollout_group(
         step_vars[j] = dist.var
         if logps is not None:
             logps[:, j] = flowcore.transition_logpdf(x, dist)
-        rewards[:, j] = instant_reward(arch, params_old, x, (t - 1) / t_steps, rm, row_contexts)
+        tau_next = (t - 1) / t_steps
+        diffnet.write_state_time(arch, phi, x, tau_next)
+        v = diffnet.mlp(layers, phi)
+        rewards[:, j] = envsuite.reward(rm, flowcore.euler_update(x, v, tau_next), row_contexts)
 
     shape = (b, group_size)
     return RolloutBatch(

@@ -104,7 +104,7 @@ class TrainConfig:
         return NoiseSchedule(a=self.noise_level, num_steps=self.sampling_steps)
 
     def reward_model(self) -> envsuite.RewardModel:
-        return envsuite.RewardModel(task=self.task, kind="projected")
+        return envsuite.RewardModel(task=self.task)
 
 
 @dataclass
@@ -175,7 +175,7 @@ def pretrain(
     rng = np.random.default_rng(np.random.SeedSequence((seed, STREAM_PRETRAIN)))
     state = diffnet.adam_init(params.size)
     for step in range(steps):
-        x0 = envsuite.sample_data(task, None, rng, n=batch_size)
+        x0 = envsuite.sample_data(task, rng, n=batch_size)
         x1 = rng.standard_normal(x0.shape)
         tau = rng.uniform(0.0, 1.0, batch_size)
         ctx = rng.integers(0, task.context_count, batch_size)
@@ -215,11 +215,13 @@ def clipped_term(ratio, advantages, eps_clip: float):
     return np.minimum(ratio * advantages, np.clip(ratio, 1.0 - eps_clip, 1.0 + eps_clip) * advantages)
 
 
-def _step_rows(batch: RolloutBatch) -> dict:
-    """Every (slot, member, step) transition of a batch as one row.
+def step_rows(arch: Architecture, theta_ref: np.ndarray, batch: RolloutBatch) -> dict:
+    """Every (slot, member, step) transition of a batch as one row, with the
+    rows' feature matrix ``phi`` and the reference policy's step means.
 
     The schedule scalars (clamped tau, sigma^2, d mean / d v) are worked out
-    once per timestep and repeated per row as (n, 1) columns.
+    once per timestep and repeated per row as (n, 1) columns. A batch is
+    validated when it is built, so ``phi`` is assembled without input checks.
     """
     sched = batch.schedule
     b, g, t = batch.instant_rewards.shape
@@ -231,22 +233,20 @@ def _step_rows(batch: RolloutBatch) -> dict:
         for tau in taus
     ])
     tc, s2, coeff = np.tile(per_step, (b * g, 1)).T[:, :, None]
+    x = batch.states[:, :, :-1].reshape(-1, d)
+    context = np.repeat(batch.contexts, g * t)
+    phi = diffnet.feature_matrix(arch, x, np.tile(taus, b * g), context)
+    v_ref = diffnet.mlp(diffnet.unpack(arch, theta_ref), phi)
     return {
-        "x": batch.states[:, :, :-1].reshape(-1, d),
+        "x": x,
         "x_next": batch.states[:, :, 1:].reshape(-1, d),
-        "tau": np.tile(taus, b * g),
-        "context": np.repeat(batch.contexts, g * t),
+        "context": context,
+        "phi": phi,
         "tau_clamped": tc,
         "s2": s2,
         "coeff": coeff,
+        "ref_mean": flowcore.step_mean(x, v_ref, tc, s2, sched.dtau),
     }
-
-
-def reference_means(arch: Architecture, theta_ref: np.ndarray, batch: RolloutBatch) -> np.ndarray:
-    """Step means of the reference policy over every row of a batch."""
-    rows = _step_rows(batch)
-    v = diffnet.forward(arch, theta_ref, rows["x"], rows["tau"], rows["context"])
-    return flowcore.step_mean(rows["x"], v, rows["tau_clamped"], rows["s2"], batch.schedule.dtau)
 
 
 def surrogate_loss_and_grad(
@@ -256,7 +256,7 @@ def surrogate_loss_and_grad(
     advantages: adv.AdvantageTable,
     eps_clip: float,
     beta_kl: float,
-    ref_means: np.ndarray | None = None,
+    rows: dict | None = None,
 ) -> SurrogateResult:
     """Clipped surrogate objective over a rollout batch and its exact gradient.
 
@@ -264,7 +264,8 @@ def surrogate_loss_and_grad(
     current policy's step distribution recomputed at the stored states;
     advantages and the stored old log-densities are constants. The KL penalty
     compares the current and reference step means under the shared schedule;
-    ``ref_means`` (from ``reference_means``) is computed here when not given.
+    ``rows`` (from ``step_rows``, with the reference means) is built here when
+    not given.
     Gradients flow only through the current policy's means. Value and
     gradient are means over all B * G * T rows, i.e. the mean over groups of
     the per-group objective.
@@ -276,14 +277,11 @@ def surrogate_loss_and_grad(
         raise ValueError("eps_clip must be > 0")
     if advantages.A.shape != batch.logp_old.shape:
         raise ValueError(f"advantage shape {advantages.A.shape} != {batch.logp_old.shape}")
-    if ref_means is None:
-        ref_means = reference_means(arch, triplet.theta_ref, batch)
-    rows = _step_rows(batch)
-    x_next = rows["x_next"]
+    if rows is None:
+        rows = step_rows(arch, triplet.theta_ref, batch)
+    x_next, ref_means = rows["x_next"], rows["ref_mean"]
     n_rows = x_next.shape[0]
-    v, activations = diffnet.forward(
-        arch, triplet.theta, rows["x"], rows["tau"], rows["context"], keep_activations=True
-    )
+    v, activations = diffnet.mlp(diffnet.unpack(arch, triplet.theta), rows["phi"], keep_activations=True)
     mean = flowcore.step_mean(rows["x"], v, rows["tau_clamped"], rows["s2"], schedule.dtau)
     var = rows["s2"][:, 0] * schedule.dtau
     dist_cur = flowcore.StepDistribution(mean=mean, var=var)
@@ -365,11 +363,11 @@ def update_policy(
     """
     cfg = state.config
     theta_before = state.triplet.theta.copy()
-    ref_means = reference_means(state.arch, state.triplet.theta_ref, batch)
+    rows = step_rows(state.arch, state.triplet.theta_ref, batch)
     values, kls = [], []
     for _ in range(cfg.inner_epochs):
         res = surrogate_loss_and_grad(
-            state.arch, state.triplet, batch, table, cfg.eps_clip, cfg.beta_kl, ref_means
+            state.arch, state.triplet, batch, table, cfg.eps_clip, cfg.beta_kl, rows
         )
         if not np.all(np.isfinite(res.grad)):
             contexts = list(res.nonfinite_contexts)

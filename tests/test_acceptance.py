@@ -154,7 +154,7 @@ class TestCriterion3SamplerReductions:
         task = envsuite.default_task()
         arch = diffnet.for_task(task.state_dim, task.context_count, hidden_dims=(16,))
         params = trainer.pretrain(arch, task, steps=300, seed=3, batch_size=64)
-        rm = envsuite.RewardModel(task, kind="projected")
+        rm = envsuite.RewardModel(task)
 
         # deterministic reduction: whole groups re-integrated with the Euler
         # stepper must be bit-identical

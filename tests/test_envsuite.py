@@ -63,27 +63,27 @@ class TestSampleData:
         task = envsuite.mode_preference_task(
             num_modes=1, context_count=1, mode_var=1e-8, centers=[[3.0, 0.0]]
         )
-        x = envsuite.sample_data(task, None, np.random.default_rng(0), n=100)
+        x = envsuite.sample_data(task, np.random.default_rng(0), n=100)
         assert np.max(np.abs(x - np.array([3.0, 0.0]))) < 1e-3
 
     def test_two_mode_mean_near_zero(self):
         task = envsuite.mode_preference_task(
             num_modes=2, radius=3.0, context_count=2, state_dim=1, mode_var=0.15
         )
-        x = envsuite.sample_data(task, None, np.random.default_rng(1), n=10000)
+        x = envsuite.sample_data(task, np.random.default_rng(1), n=10000)
         # var per sample = mode_var + 9; 3-sigma bound on the sample mean
         bound = 3 * math.sqrt((0.15 + 9.0) / 10000)
         assert abs(float(x.mean())) < bound
 
     def test_deterministic_given_seed(self):
         task = envsuite.default_task()
-        a = envsuite.sample_data(task, None, np.random.default_rng(5), n=32)
-        b = envsuite.sample_data(task, None, np.random.default_rng(5), n=32)
+        a = envsuite.sample_data(task, np.random.default_rng(5), n=32)
+        b = envsuite.sample_data(task, np.random.default_rng(5), n=32)
         assert np.array_equal(a, b)
 
     def test_single_draw_shape(self):
         task = envsuite.default_task()
-        x = envsuite.sample_data(task, 0, np.random.default_rng(2))
+        x = envsuite.sample_data(task, np.random.default_rng(2))
         assert x.shape == (2,)
 
 

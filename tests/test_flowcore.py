@@ -229,6 +229,18 @@ class TestFmLoss:
         )
         assert max_rel_error(got, fd) < 1e-5
 
+    def test_non_finite_x0_rejected(self):
+        params = np.zeros(diffnet.param_count(CONST_ARCH))
+        x0 = np.array([[0.0, np.nan], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            flowcore.fm_loss_and_grad(CONST_ARCH, params, x0, np.zeros((2, 2)), 0.5, 0)
+
+    @pytest.mark.parametrize("tau", [-0.1, 1.1, [0.5, 1.5]])
+    def test_tau_outside_unit_interval_rejected(self, tau):
+        params = np.zeros(diffnet.param_count(CONST_ARCH))
+        with pytest.raises(ValueError, match="tau outside"):
+            flowcore.fm_loss_and_grad(CONST_ARCH, params, np.zeros((2, 2)), np.ones((2, 2)), tau, 0)
+
     def test_empty_batch_rejected(self):
         params = np.zeros(diffnet.param_count(CONST_ARCH))
         with pytest.raises(ValueError):

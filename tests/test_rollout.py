@@ -11,7 +11,7 @@ def setup():
     task = envsuite.default_task()
     arch = diffnet.for_task(task.state_dim, task.context_count, hidden_dims=(16,))
     params = trainer.pretrain(arch, task, steps=300, seed=3, batch_size=64)
-    rm = envsuite.RewardModel(task, kind="projected")
+    rm = envsuite.RewardModel(task)
     return task, arch, params, rm
 
 
@@ -65,6 +65,28 @@ class TestRolloutGroup:
         assert g.logp_old is None
         assert np.all(g.step_vars == 0.0)
 
+    def test_same_seed_sequences_reused_give_the_same_batch(self, setup):
+        # spawning advances a SeedSequence; the rollout must not advance the caller's
+        _, arch, params, rm = setup
+        sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
+        seeds = [np.random.SeedSequence((0, 1, 2)), np.random.SeedSequence((0, 1, 3))]
+        first = rollout.rollout_group(arch, params, [2, 5], 4, sched, rm, seeds)
+        again = rollout.rollout_group(arch, params, [2, 5], 4, sched, rm, seeds)
+        assert np.array_equal(first.noises, again.noises)
+        assert np.array_equal(first.states, again.states)
+
+    def test_context_out_of_range_rejected_before_drawing(self, setup, monkeypatch):
+        _, arch, params, rm = setup
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("noise drawn before the contexts were checked")
+
+        monkeypatch.setattr(rollout, "_draw_noise", no_draws)
+        sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
+        for contexts in ([0, arch.context_count], [-1]):
+            with pytest.raises(ValueError, match="context index out of range"):
+                rollout.rollout_group(arch, params, contexts, 4, sched, rm, seeds=[0] * len(contexts))
+
     def test_per_trajectory_streams_do_not_depend_on_group_size(self, setup):
         small = make_group(setup, group_size=4)
         large = make_group(setup, group_size=8)
@@ -112,15 +134,19 @@ class TestInstantRewards:
         assert np.all(r >= 0.0) and np.all(r <= 1.0)
 
     def test_constant_field_matches_hand_projection(self, setup):
+        # every instant reward scores s_next - tau_next * c for the constant field c
         task, _, _, _ = setup
         arch = diffnet.for_task(2, task.context_count, hidden_dims=())
         c = np.array([0.5, -0.25])
         params = np.concatenate([np.zeros((2, arch.input_dim)).ravel(), c])
         rm = envsuite.RewardModel(task)
-        s_next = np.array([1.0, 2.0])
-        got = rollout.instant_reward(arch, params, s_next, 0.4, rm, context=1)
-        want = envsuite.reward(rm, s_next - 0.4 * c, 1)
-        assert got == want
+        sched = flowcore.NoiseSchedule(a=0.7, num_steps=5)
+        g = rollout.rollout_group(arch, params, [1], 3, sched, rm, seeds=[4])
+        for j, tau_next in enumerate((4 / 5, 3 / 5, 2 / 5, 1 / 5, 0.0)):
+            s_next = g.states[0, :, j + 1]
+            got = g.instant_rewards[0, :, j]
+            want = envsuite.reward(rm, s_next - tau_next * c, 1)
+            assert np.array_equal(got, want)
 
     def test_frozen_dynamics_give_constant_instant_rewards(self, setup):
         # zero field and zero noise: the state never moves, so every

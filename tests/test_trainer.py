@@ -90,7 +90,7 @@ class TestPretrain:
             state = diffnet.adam_init(params.size)
             losses = []
             for _ in range(100):
-                x0 = envsuite.sample_data(SMALL_TASK, None, rng, n=64)
+                x0 = envsuite.sample_data(SMALL_TASK, rng, n=64)
                 x1 = rng.standard_normal(x0.shape)
                 tau = rng.uniform(0, 1, 64)
                 ctx = rng.integers(0, 2, 64)
