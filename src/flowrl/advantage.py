@@ -14,31 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ESTIMATOR_NAMES = ("flow-grpo", "vgpo-adae")
-
 DEFAULT_EPS_STD = 1e-8
 DEFAULT_EPS_MEAN = 1e-6
-
-
-@dataclass(frozen=True)
-class AdvantageTable:
-    """Per-(trajectory, timestep) advantages under a named estimator."""
-
-    A: np.ndarray
-    estimator: str
-    k: float
-    eps_std: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "A", np.asarray(self.A, dtype=np.float64))
-        if self.A.ndim < 2:
-            raise ValueError("advantage table must be (..., G, T)")
-        if not np.all(np.isfinite(self.A)):
-            raise ValueError("non-finite advantages")
-        if self.estimator not in ESTIMATOR_NAMES:
-            raise ValueError(f"unknown estimator {self.estimator!r}")
-        if self.k < 0.0 or self.eps_std <= 0.0:
-            raise ValueError("need k >= 0 and eps_std > 0")
 
 
 @dataclass(frozen=True)
@@ -106,7 +83,7 @@ def group_relative(q, eps_std: float = DEFAULT_EPS_STD) -> np.ndarray:
     return np.where(s < eps_std, 0.0, (q - m) / np.maximum(s, eps_std))
 
 
-def adae(q, k: float, omega, eps_std: float = DEFAULT_EPS_STD) -> AdvantageTable:
+def adae(q, k: float, omega, eps_std: float = DEFAULT_EPS_STD) -> np.ndarray:
     """Adaptive dual advantages: relative normalization plus an absolute term.
 
     Per column, with alpha = k * std: A_i = omega_i * ((1 + alpha) * Q_i -
@@ -120,12 +97,11 @@ def adae(q, k: float, omega, eps_std: float = DEFAULT_EPS_STD) -> AdvantageTable
         raise ValueError("need a (..., G, T) table with G >= 2")
     if omega.shape != q.shape:
         raise ValueError(f"omega shape {omega.shape} != {q.shape}")
-    if k < 0.0:
-        raise ValueError("k must be >= 0")
+    if k < 0.0 or eps_std <= 0.0:
+        raise ValueError("need k >= 0 and eps_std > 0")
     m, s = _group_stats(q)
     relative = ((1.0 + k * s) * q - m) / np.maximum(s, eps_std)
-    a = omega * np.where(s < eps_std, k * q, relative)
-    return AdvantageTable(A=a, estimator="vgpo-adae", k=float(k), eps_std=float(eps_std))
+    return omega * np.where(s < eps_std, k * q, relative)
 
 
 def near_zero_std_diagnostic(

@@ -3,7 +3,7 @@
 The network is the only trainable object in the lab: a small tanh MLP that
 maps (state, time, context) features to a velocity vector of the same
 dimension as the state. Parameters live in one flat float64 vector so policy
-snapshots (current / old / reference) are plain array copies. Gradients are
+snapshots (current / reference) are plain array copies. Gradients are
 hand-written reverse mode, exact for the scalar ``sum_n <upstream_n, out_n>``,
 which is all the training objectives need.
 """
@@ -166,27 +166,25 @@ def mlp(layers, phi: np.ndarray, keep_activations: bool = False):
     return (out, hs) if keep_activations else out
 
 
-def forward(arch: Architecture, params: np.ndarray, x, tau, context, keep_activations: bool = False):
+def forward(arch: Architecture, params: np.ndarray, x, tau, context):
     """Velocity prediction through ``features`` and ``mlp``. Batch in, batch
-    out; single sample in, vector out; ``(out, activations)`` when kept."""
-    result = mlp(unpack(arch, params), features(arch, x, tau, context), keep_activations)
-    if keep_activations or np.asarray(x).ndim != 1:
-        return result
-    return result[0]
+    out; single sample in, vector out."""
+    out = mlp(unpack(arch, params), features(arch, x, tau, context))
+    return out[0] if np.asarray(x).ndim == 1 else out
 
 
-def backward(arch: Architecture, params: np.ndarray, activations, upstream):
-    """Exact reverse-mode gradient of ``sum_n <upstream_n, out_n>`` from the
-    activations ``forward`` kept.
+def backward(layers, activations, upstream):
+    """Exact reverse-mode gradient of ``sum_n <upstream_n, out_n>`` from
+    ``unpack``'s layers and the activations ``mlp`` kept with them.
 
-    Returns ``(param_grad, input_grad)``: ``param_grad`` is flat like
-    ``params``; ``input_grad`` has one row per sample in feature space.
+    Returns ``(param_grad, input_grad)``: ``param_grad`` is flat like the
+    parameter vector; ``input_grad`` has one row per sample in feature space.
     """
     n = activations[0].shape[0]
     upstream = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
-    if upstream.shape != (n, arch.output_dim):
-        raise ValueError(f"upstream shape {upstream.shape} != {(n, arch.output_dim)}")
-    layers = unpack(arch, params)
+    out_dim = layers[-1][0].shape[0]
+    if upstream.shape != (n, out_dim):
+        raise ValueError(f"upstream shape {upstream.shape} != {(n, out_dim)}")
     # the output layer is linear; hidden layers are tanh
     per_layer = [None] * len(layers)
     delta = upstream
@@ -206,8 +204,9 @@ def grad(arch: Architecture, params: np.ndarray, x, tau, context, upstream):
     input columns are the derivative w.r.t. the state.
     """
     single = np.asarray(x).ndim == 1
-    _, activations = forward(arch, params, x, tau, context, keep_activations=True)
-    flat, delta = backward(arch, params, activations, upstream)
+    layers = unpack(arch, params)
+    _, activations = mlp(layers, features(arch, x, tau, context), keep_activations=True)
+    flat, delta = backward(layers, activations, upstream)
     return flat, (delta[0] if single else delta)
 
 

@@ -66,14 +66,6 @@ class TaskSpec:
         return np.asarray(self.mode_weights, dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class RewardModel:
-    """Analytic reward in [0, 1] of a task, scored on terminal samples and on
-    projected virtual terminals alike."""
-
-    task: TaskSpec
-
-
 def _params(**values) -> tuple[tuple[str, object], ...]:
     return tuple(sorted(values.items()))
 
@@ -194,10 +186,10 @@ def _logistic(z):
     return out
 
 
-def reward(rm: RewardModel, x, context):
-    """Task reward in [0, 1] for state(s) x under conditioning ``context``
-    (one int, or one per row of a batch)."""
-    task = rm.task
+def reward(task: TaskSpec, x, context):
+    """Analytic task reward in [0, 1] for state(s) x under conditioning
+    ``context`` (one int, or one per row of a batch), scored on terminal
+    samples and on projected virtual terminals alike."""
     x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x2.shape[1] != task.state_dim:
         raise ValueError(f"state dim {x2.shape[1]} != {task.state_dim}")

@@ -39,34 +39,27 @@ def _check_finite(values: np.ndarray, what: str) -> None:
 class NoiseSchedule:
     """Exploration-noise schedule sigma(tau) = a * sqrt(tau / (1 - tau)).
 
-    tau is clamped to [tau_clamp_lo, tau_clamp_hi] inside ``sigma`` and the
-    drift's 1/(2*tau) factor, which keeps both ends of the grid finite. The
-    defaults put the clamps half a step inside the grid.
+    tau is clamped to [0.5/T, 1 - 0.5/T], half a step inside the grid, in
+    ``sigma`` and the drift's 1/(2*tau) factor, which keeps both ends of the
+    grid finite.
     """
 
     a: float = 0.7
     num_steps: int = 10
-    tau_clamp_lo: float | None = None
-    tau_clamp_hi: float | None = None
 
     def __post_init__(self) -> None:
         if self.a < 0.0:
             raise ValueError("noise level a must be >= 0")
         if self.num_steps < 2:
             raise ValueError("need at least 2 sampling steps")
-        lo = self.tau_clamp_lo if self.tau_clamp_lo is not None else 0.5 / self.num_steps
-        hi = self.tau_clamp_hi if self.tau_clamp_hi is not None else 1.0 - 0.5 / self.num_steps
-        object.__setattr__(self, "tau_clamp_lo", float(lo))
-        object.__setattr__(self, "tau_clamp_hi", float(hi))
-        if not (0.0 < self.tau_clamp_lo < self.tau_clamp_hi < 1.0):
-            raise ValueError("clamping bounds must satisfy 0 < lo < hi < 1")
 
     @property
     def dtau(self) -> float:
         return 1.0 / self.num_steps
 
     def clamp(self, tau: float) -> float:
-        return min(max(float(tau), self.tau_clamp_lo), self.tau_clamp_hi)
+        half_step = 0.5 / self.num_steps
+        return min(max(float(tau), half_step), 1.0 - half_step)
 
     def tau_grid(self) -> np.ndarray:
         """Descending times tau_T .. tau_1 visited during generation."""
@@ -238,11 +231,12 @@ def fm_loss_and_grad(arch: Architecture, params: np.ndarray, x0, x1, tau, contex
         raise ValueError("empty batch")
     xt = interpolate(x0, x1, tau)
     target = x1 - x0
-    v, activations = diffnet.forward(arch, params, xt, tau, context, keep_activations=True)
+    layers = diffnet.unpack(arch, params)
+    v, activations = diffnet.mlp(layers, diffnet.features(arch, xt, tau, context), keep_activations=True)
     resid = target - v
     loss = float((resid ** 2).sum(axis=1).mean())
     upstream = (-2.0 / x0.shape[0]) * resid
-    pgrad, _ = diffnet.backward(arch, params, activations, upstream)
+    pgrad, _ = diffnet.backward(layers, activations, upstream)
     return loss, pgrad
 
 

@@ -18,6 +18,7 @@ import csv
 import hashlib
 import json
 import sys
+import typing
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,14 +29,14 @@ from .envsuite import TASK_NAMES, TaskSpec, half_plane_task, mode_preference_tas
 from .records import SCHEMA_VERSION, MetricRecord
 from .trainer import TrainConfig
 
-PRESET_NAMES = ("vgpo", "flow-grpo", "tcrm-only", "adae-only")
+PRESET_NAMES = tuple(trainer.PRESETS)
 
 
 class ConfigError(ValueError):
     """A configuration file failed strict parsing."""
 
 
-# key -> (type, default); None defaults are resolved against the task/estimator
+# key -> (type, default)
 _TASK_KEYS = {
     "task": (str, "mode-preference"),
     "task_state_dim": (int, 2),
@@ -47,35 +48,16 @@ _TASK_KEYS = {
     "task_ring_radius": (float, 2.0),
 }
 
-_TRAIN_KEYS = {
-    "hidden_dims": (list, [64, 64]),
-    "group_size": (int, 8),
-    "sampling_steps": (int, 10),
-    "train_steps": (int, 1000),
-    "batch_contexts": (int, 4),
-    "gamma": (float, 0.9),
-    "k": (float, 0.5),
-    "noise_level": (float, 0.7),
-    "eps_clip": (float, 0.2),
-    "beta_kl": (float, 0.01),
-    "lr": (float, 1e-3),
-    "estimator": (str, "vgpo"),
-    "tcrm_enabled": (bool, None),
-    "seed": (int, 0),
-    "inner_epochs": (int, 1),
-    "pretrain_steps": (int, 3000),
-    "pretrain_lr": (float, 1e-3),
-    "pretrain_batch": (int, 128),
-    "eval_every": (int, 25),
-    "eval_samples": (int, 256),
-    "accuracy_threshold": (float, 0.5),
-    "shared_initial_noise": (bool, False),
-    "checkpoint_every": (int, 0),
-    "eps_std": (float, 1e-8),
-    "eps_mean": (float, 1e-6),
-}
 
-CONFIG_KEYS = {**_TASK_KEYS, **_TRAIN_KEYS}
+def _kind(hint) -> type:
+    """Config value type of a TrainConfig annotation: ``X | None`` is X, a tuple a list."""
+    if typing.get_origin(hint) is tuple:
+        return list
+    return next((arg for arg in typing.get_args(hint) if arg is not type(None)), hint)
+
+
+# every TrainConfig field but the task, in field order: key -> type
+_TRAIN_KEYS = {name: _kind(hint) for name, hint in typing.get_type_hints(TrainConfig).items() if name != "task"}
 
 
 def _coerce(key: str, kind: type, value):
@@ -149,21 +131,17 @@ def _task_key(param: str) -> str:
 
 def config_from_dict(raw: dict) -> TrainConfig:
     """Build a TrainConfig from a flat key/value mapping, strictly."""
-    unknown = sorted(set(raw) - set(CONFIG_KEYS))
+    unknown = sorted(set(raw) - set(_TASK_KEYS) - set(_TRAIN_KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    values = {}
-    for key, (kind, default) in CONFIG_KEYS.items():
-        values[key] = _coerce(key, kind, raw[key]) if key in raw else default
-    if values["tcrm_enabled"] is None:
-        values["tcrm_enabled"] = values["estimator"] == "vgpo"
-    task = _build_task(values)
+    task_values = {
+        key: _coerce(key, kind, raw[key]) if key in raw else default
+        for key, (kind, default) in _TASK_KEYS.items()
+    }
+    task = _build_task(task_values)
+    train_values = {key: _coerce(key, kind, raw[key]) for key, kind in _TRAIN_KEYS.items() if key in raw}
     try:
-        return TrainConfig(
-            task=task,
-            hidden_dims=tuple(values["hidden_dims"]),
-            **{key: values[key] for key in _TRAIN_KEYS if key != "hidden_dims"},
-        )
+        return TrainConfig(task=task, **train_values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -188,17 +166,10 @@ def config_to_dict(config: TrainConfig) -> dict:
     task = config.task
     out = {key: default for key, (_, default) in _TASK_KEYS.items()} | {"task": task.name}
     out.update((_task_key(param), value) for param, value in task.params)
-    out["hidden_dims"] = list(config.hidden_dims)
-    for key in _TRAIN_KEYS:
-        if key != "hidden_dims":
-            out[key] = getattr(config, key)
+    for key, kind in _TRAIN_KEYS.items():
+        value = getattr(config, key)
+        out[key] = list(value) if kind is list else value
     return out
-
-
-def preset_config(base: TrainConfig, name: str) -> TrainConfig:
-    if name not in PRESET_NAMES:
-        raise ConfigError(f"unknown preset {name!r} (have {list(PRESET_NAMES)})")
-    return trainer.apply_preset(base, name)
 
 
 def _config_hash(config: TrainConfig) -> str:
@@ -283,11 +254,13 @@ def dump_rollout_profile(config: TrainConfig, params, path, step_index: int = 0)
     Each line carries the per-step instant-reward sequence next to the flat
     terminal reward, the data behind sparse-vs-dense reward comparisons.
     """
+    params = np.asarray(params, dtype=np.float64)
     state = trainer.TrainState(
         config=config,
         arch=config.architecture(),
-        triplet=trainer.PolicyTriplet.from_pretrained(np.asarray(params, dtype=np.float64)),
-        adam=diffnet.adam_init(np.asarray(params).size),
+        theta=params,
+        theta_ref=params,
+        adam=diffnet.adam_init(params.size),
     )
     rollout.dump_trajectories(trainer.rollout_batch(state, step_index), path)
     return Path(path)
@@ -389,15 +362,8 @@ def _cmd_pretrain(args) -> int:
     config = _load_config(args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    arch = config.architecture()
-    params = trainer.pretrain(
-        arch,
-        config.task,
-        config.pretrain_steps,
-        config.seed,
-        lr=config.pretrain_lr,
-        batch_size=config.pretrain_batch,
-    )
+    state = trainer.init_state(config)
+    arch, params = state.arch, state.theta
     (out / "config.json").write_text(json.dumps(config_to_dict(config), indent=2) + "\n")
     diffnet.save_checkpoint(out / "checkpoint_pretrained.json", arch, params)
     stats = trainer.evaluate(arch, params, config, step=0)
@@ -408,7 +374,7 @@ def _cmd_pretrain(args) -> int:
 def _cmd_train(args) -> int:
     config = _load_config(args)
     if args.preset:
-        config = preset_config(config, args.preset)
+        config = trainer.apply_preset(config, args.preset)
     result = run_experiment(config, args.out_dir)
     if args.dump_trajectories:
         dump_rollout_profile(
@@ -437,7 +403,7 @@ def _cmd_ablate(args) -> int:
     out = Path(args.out_dir)
     runs = {}
     for name in PRESET_NAMES:
-        config = preset_config(base, name)
+        config = trainer.apply_preset(base, name)
         result = run_experiment(config, out / name)
         runs[name] = result.metrics
         print(json.dumps({"preset": name, "final": result.metrics[-1].metrics_json()}))

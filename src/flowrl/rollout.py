@@ -17,7 +17,7 @@ import numpy as np
 
 from . import diffnet, envsuite, flowcore
 from .diffnet import Architecture
-from .envsuite import RewardModel
+from .envsuite import TaskSpec
 from .flowcore import NoiseSchedule
 
 
@@ -94,7 +94,7 @@ def rollout_group(
     contexts,
     group_size: int,
     schedule: NoiseSchedule,
-    rm: RewardModel,
+    task: TaskSpec,
     seeds,
     shared_initial_noise: bool = False,
 ) -> RolloutBatch:
@@ -148,7 +148,7 @@ def rollout_group(
         tau_next = (t - 1) / t_steps
         diffnet.write_state_time(arch, phi, x, tau_next)
         v = diffnet.mlp(layers, phi)
-        rewards[:, j] = envsuite.reward(rm, flowcore.euler_update(x, v, tau_next), row_contexts)
+        rewards[:, j] = envsuite.reward(task, flowcore.euler_update(x, v, tau_next), row_contexts)
 
     shape = (b, group_size)
     return RolloutBatch(
@@ -159,7 +159,7 @@ def rollout_group(
         step_vars=step_vars,
         logp_old=None if logps is None else logps.reshape(*shape, t_steps),
         instant_rewards=rewards.reshape(*shape, t_steps),
-        terminal_rewards=envsuite.reward(rm, x, row_contexts).reshape(shape),
+        terminal_rewards=envsuite.reward(task, x, row_contexts).reshape(shape),
     )
 
 

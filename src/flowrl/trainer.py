@@ -46,7 +46,7 @@ class TrainConfig:
     beta_kl: float = 0.01
     lr: float = 1e-3
     estimator: str = "vgpo"
-    tcrm_enabled: bool = True
+    tcrm_enabled: bool | None = None  # None: on for vgpo, off for flow-grpo
     seed: int = 0
     inner_epochs: int = 1
     pretrain_steps: int = 3000
@@ -64,6 +64,8 @@ class TrainConfig:
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
+        if self.tcrm_enabled is None:
+            object.__setattr__(self, "tcrm_enabled", self.estimator == "vgpo")
         if self.estimator == "flow-grpo" and self.tcrm_enabled:
             raise ValueError("the flow-grpo estimator requires tcrm_enabled = false")
         if self.group_size < 2:
@@ -103,24 +105,20 @@ class TrainConfig:
     def schedule(self) -> NoiseSchedule:
         return NoiseSchedule(a=self.noise_level, num_steps=self.sampling_steps)
 
-    def reward_model(self) -> envsuite.RewardModel:
-        return envsuite.RewardModel(task=self.task)
+
+# estimator/tcrm/k switch combinations of the ablation grid
+PRESETS = {
+    "vgpo": {"estimator": "vgpo", "tcrm_enabled": True},
+    "flow-grpo": {"estimator": "flow-grpo", "tcrm_enabled": False, "k": 0.0},
+    "tcrm-only": {"estimator": "vgpo", "tcrm_enabled": True, "k": 0.0},
+    "adae-only": {"estimator": "vgpo", "tcrm_enabled": False},
+}
 
 
-@dataclass
-class PolicyTriplet:
-    """Current, old (rollout-generating), and fixed reference parameters."""
-
-    theta: np.ndarray
-    theta_old: np.ndarray
-    theta_ref: np.ndarray
-
-    @classmethod
-    def from_pretrained(cls, params: np.ndarray) -> "PolicyTriplet":
-        return cls(theta=params.copy(), theta_old=params.copy(), theta_ref=params.copy())
-
-    def refresh_old(self) -> None:
-        self.theta_old = self.theta.copy()
+def apply_preset(config: TrainConfig, name: str) -> TrainConfig:
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r} (have {sorted(PRESETS)})")
+    return replace(config, **PRESETS[name])
 
 
 @dataclass(frozen=True)
@@ -149,9 +147,14 @@ class StepRecord:
 
 @dataclass
 class TrainState:
+    """The current parameters, which also generate each step's rollouts (the
+    surrogate's old log-densities are stored in the batch), and the fixed
+    reference parameters of the KL penalty."""
+
     config: TrainConfig
     arch: Architecture
-    triplet: PolicyTriplet
+    theta: np.ndarray
+    theta_ref: np.ndarray
     adam: AdamState
 
 
@@ -186,7 +189,7 @@ def pretrain(
     return params
 
 
-def compute_advantages(batch: RolloutBatch, config: TrainConfig) -> adv.AdvantageTable:
+def compute_advantages(batch: RolloutBatch, config: TrainConfig) -> np.ndarray:
     """(B, G, T) advantage table of a rollout batch under the configured estimator.
 
     flow-grpo group-normalizes the terminal rewards broadcast over the
@@ -197,8 +200,7 @@ def compute_advantages(batch: RolloutBatch, config: TrainConfig) -> adv.Advantag
     """
     terminal = np.repeat(batch.terminal_rewards[..., None], batch.num_steps, axis=-1)
     if config.estimator == "flow-grpo":
-        table = adv.group_relative(terminal, config.eps_std)
-        return adv.AdvantageTable(A=table, estimator="flow-grpo", k=0.0, eps_std=config.eps_std)
+        return adv.group_relative(terminal, config.eps_std)
     if config.tcrm_enabled:
         q = adv.cumulative_values(batch.instant_rewards, config.gamma)
         omega = adv.value_weights(q, config.eps_mean)
@@ -251,9 +253,10 @@ def step_rows(arch: Architecture, theta_ref: np.ndarray, batch: RolloutBatch) ->
 
 def surrogate_loss_and_grad(
     arch: Architecture,
-    triplet: PolicyTriplet,
+    theta: np.ndarray,
+    theta_ref: np.ndarray,
     batch: RolloutBatch,
-    advantages: adv.AdvantageTable,
+    advantages: np.ndarray,
     eps_clip: float,
     beta_kl: float,
     rows: dict | None = None,
@@ -275,18 +278,19 @@ def surrogate_loss_and_grad(
         raise ValueError("policy optimization requires stochastic rollouts (a > 0)")
     if eps_clip <= 0.0:
         raise ValueError("eps_clip must be > 0")
-    if advantages.A.shape != batch.logp_old.shape:
-        raise ValueError(f"advantage shape {advantages.A.shape} != {batch.logp_old.shape}")
+    if np.shape(advantages) != batch.logp_old.shape:
+        raise ValueError(f"advantage shape {np.shape(advantages)} != {batch.logp_old.shape}")
     if rows is None:
-        rows = step_rows(arch, triplet.theta_ref, batch)
+        rows = step_rows(arch, theta_ref, batch)
     x_next, ref_means = rows["x_next"], rows["ref_mean"]
     n_rows = x_next.shape[0]
-    v, activations = diffnet.mlp(diffnet.unpack(arch, triplet.theta), rows["phi"], keep_activations=True)
+    layers = diffnet.unpack(arch, theta)
+    v, activations = diffnet.mlp(layers, rows["phi"], keep_activations=True)
     mean = flowcore.step_mean(rows["x"], v, rows["tau_clamped"], rows["s2"], schedule.dtau)
     var = rows["s2"][:, 0] * schedule.dtau
     dist_cur = flowcore.StepDistribution(mean=mean, var=var)
     ratio = np.exp(flowcore.transition_logpdf(x_next, dist_cur) - batch.logp_old.ravel())
-    a = advantages.A.ravel()
+    a = np.ravel(advantages)
     unclipped = ratio * a
     surrogate_terms = clipped_term(ratio, a, eps_clip)
     kl_terms = flowcore.kl_step(dist_cur, flowcore.StepDistribution(mean=ref_means, var=var))
@@ -297,7 +301,7 @@ def surrogate_loss_and_grad(
         kappa[:, None] * (x_next - mean) - beta_kl * (mean - ref_means)
     ) / (n_rows * var[:, None])
     upstream = rows["coeff"] * dj_dmean
-    pgrad, _ = diffnet.backward(arch, triplet.theta, activations, upstream)
+    pgrad, _ = diffnet.backward(layers, activations, upstream)
     bad_rows = ~np.isfinite(upstream).all(axis=1)
     return SurrogateResult(
         value=float(surrogate_terms.mean() - beta_kl * kl_terms.mean()),
@@ -310,7 +314,7 @@ def surrogate_loss_and_grad(
 
 
 def init_state(config: TrainConfig) -> TrainState:
-    """Pretrain the policy and set up the triplet and optimizer."""
+    """Pretrain the policy; it is also the reference. Set up the optimizer."""
     arch = config.architecture()
     params = pretrain(
         arch,
@@ -323,7 +327,8 @@ def init_state(config: TrainConfig) -> TrainState:
     return TrainState(
         config=config,
         arch=arch,
-        triplet=PolicyTriplet.from_pretrained(params),
+        theta=params,
+        theta_ref=params.copy(),
         adam=diffnet.adam_init(params.size),
     )
 
@@ -339,11 +344,11 @@ def rollout_batch(state: TrainState, step_index: int) -> RolloutBatch:
     ]
     return rollout.rollout_group(
         state.arch,
-        state.triplet.theta_old,
+        state.theta,
         contexts,
         cfg.group_size,
         cfg.schedule(),
-        cfg.reward_model(),
+        cfg.task,
         seeds,
         shared_initial_noise=cfg.shared_initial_noise,
     )
@@ -352,22 +357,22 @@ def rollout_batch(state: TrainState, step_index: int) -> RolloutBatch:
 def update_policy(
     state: TrainState,
     batch: RolloutBatch,
-    table: adv.AdvantageTable,
+    advantages: np.ndarray,
     step_index: int,
 ) -> tuple[float, float, float]:
     """Apply the configured number of ascent epochs on a rollout batch.
 
     Returns (mean surrogate value, mean KL, update norm) of the applied
-    updates. Mutates the triplet's current parameters and the Adam state.
+    updates. Replaces the state's current parameters and Adam state.
     A non-finite gradient stops the run before it reaches the parameters.
     """
     cfg = state.config
-    theta_before = state.triplet.theta.copy()
-    rows = step_rows(state.arch, state.triplet.theta_ref, batch)
+    theta_before = state.theta.copy()
+    rows = step_rows(state.arch, state.theta_ref, batch)
     values, kls = [], []
     for _ in range(cfg.inner_epochs):
         res = surrogate_loss_and_grad(
-            state.arch, state.triplet, batch, table, cfg.eps_clip, cfg.beta_kl, rows
+            state.arch, state.theta, state.theta_ref, batch, advantages, cfg.eps_clip, cfg.beta_kl, rows
         )
         if not np.all(np.isfinite(res.grad)):
             contexts = list(res.nonfinite_contexts)
@@ -375,19 +380,16 @@ def update_policy(
         values.append(res.value)
         kls.append(res.kl)
         # ascent on the surrogate = descent on its negation
-        state.triplet.theta, state.adam = diffnet.adam_update(
-            state.triplet.theta, -res.grad, state.adam, cfg.lr
-        )
-    update_norm = float(np.linalg.norm(state.triplet.theta - theta_before))
+        state.theta, state.adam = diffnet.adam_update(state.theta, -res.grad, state.adam, cfg.lr)
+    update_norm = float(np.linalg.norm(state.theta - theta_before))
     return float(np.mean(values)), float(np.mean(kls)), update_norm
 
 
 def train_step(state: TrainState, step_index: int) -> StepRecord:
-    """One outer optimization step: snapshot, rollouts, advantages, update."""
-    state.triplet.refresh_old()
+    """One outer optimization step: rollouts, advantages, update."""
     batch = rollout_batch(state, step_index)
-    table = compute_advantages(batch, state.config)
-    surrogate, kl_mean, update_norm = update_policy(state, batch, table, step_index)
+    advantages = compute_advantages(batch, state.config)
+    surrogate, kl_mean, update_norm = update_policy(state, batch, advantages, step_index)
     terminal = batch.terminal_rewards
     return StepRecord(
         step=step_index,
@@ -403,13 +405,12 @@ def evaluate(arch: Architecture, params: np.ndarray, config: TrainConfig, step: 
     """Noise-free policy assessment: ODE samples per context, scored by the
     task reward, thresholded accuracy, and the mixture-density quality oracle."""
     task = config.task
-    rm = config.reward_model()
     schedule = config.schedule()
     rewards, qualities = [], []
     for context in range(task.context_count):
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, STREAM_EVAL, step, context)))
         samples = flowcore.sample_terminal_ode(arch, params, schedule, context, config.eval_samples, rng)
-        rewards.append(envsuite.reward(rm, samples, context))
+        rewards.append(envsuite.reward(task, samples, context))
         qualities.append(envsuite.quality(task, samples))
     r = np.concatenate(rewards)
     q = np.concatenate(qualities)
@@ -442,7 +443,7 @@ def run(config: TrainConfig, on_metric=None, on_checkpoint=None) -> RunResult:
     window: list[StepRecord] = []
 
     def emit(step: int) -> None:
-        stats = evaluate(state.arch, state.triplet.theta, config, step)
+        stats = evaluate(state.arch, state.theta, config, step)
         record = MetricRecord(
             step=step,
             mean_reward=stats["mean_reward"],
@@ -468,27 +469,10 @@ def run(config: TrainConfig, on_metric=None, on_checkpoint=None) -> RunResult:
             and config.checkpoint_every
             and step_index % config.checkpoint_every == 0
         ):
-            on_checkpoint(step_index, state.triplet.theta.copy())
+            on_checkpoint(step_index, state.theta.copy())
     return RunResult(
         config=config,
         metrics=records,
-        params=state.triplet.theta.copy(),
-        params_ref=state.triplet.theta_ref.copy(),
+        params=state.theta.copy(),
+        params_ref=state.theta_ref.copy(),
     )
-
-
-def preset_overrides(name: str) -> dict:
-    """Estimator/tcrm/k switch combinations for the ablation grid."""
-    presets = {
-        "vgpo": {"estimator": "vgpo", "tcrm_enabled": True},
-        "flow-grpo": {"estimator": "flow-grpo", "tcrm_enabled": False, "k": 0.0},
-        "tcrm-only": {"estimator": "vgpo", "tcrm_enabled": True, "k": 0.0},
-        "adae-only": {"estimator": "vgpo", "tcrm_enabled": False},
-    }
-    if name not in presets:
-        raise ValueError(f"unknown preset {name!r} (have {sorted(presets)})")
-    return presets[name]
-
-
-def apply_preset(config: TrainConfig, name: str) -> TrainConfig:
-    return replace(config, **preset_overrides(name))

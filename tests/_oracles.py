@@ -96,7 +96,7 @@ def _population_normalize(values, eps_std):
     return (values - m) / max(s, eps_std), m, s
 
 
-def reference_rollout_group(arch, params_old, context, group_size, schedule, rm, seed,
+def reference_rollout_group(arch, params_old, context, group_size, schedule, task, seed,
                             shared_initial_noise=False):
     """One group of G trajectories, one timestep at a time over G rows.
 
@@ -123,13 +123,13 @@ def reference_rollout_group(arch, params_old, context, group_size, schedule, rm,
         states[j + 1] = x
         logps[j] = flowcore.transition_logpdf(x, dist)
         projected = flowcore.ode_project(arch, params_old, x, (t - 1) / t_steps, context)
-        rewards[j] = envsuite.reward(rm, projected, context)
+        rewards[j] = envsuite.reward(task, projected, context)
     return {
         "noises": noises,
         "states": states.transpose(1, 0, 2),
         "logp_old": logps.T,
         "instant_rewards": rewards.T,
-        "terminal_rewards": envsuite.reward(rm, x, context),
+        "terminal_rewards": envsuite.reward(task, x, context),
     }
 
 

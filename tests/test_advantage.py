@@ -133,17 +133,17 @@ class TestAdae:
         k = 0.5
         table = adv.adae(q, k, omega)
         rebuilt = omega * (adv.group_relative(q) + k * q)
-        assert np.max(np.abs(table.A - rebuilt)) < 1e-10
+        assert np.max(np.abs(table - rebuilt)) < 1e-10
 
     def test_constant_column_limit(self):
         q = np.full((4, 3), 0.8)
         table = adv.adae(q, 0.5, np.ones_like(q))
-        assert np.allclose(table.A, 0.4, atol=1e-15)
+        assert np.allclose(table, 0.4, atol=1e-15)
 
     def test_k_zero_reduces_to_group_relative(self, rng):
         q = rng.uniform(0, 1, (6, 7))
         table = adv.adae(q, 0.0, np.ones_like(q))
-        assert np.array_equal(table.A, adv.group_relative(q))
+        assert np.array_equal(table, adv.group_relative(q))
 
     def test_stagnation_contrast(self):
         # identical positive values: the sparse estimator is silent, the dual
@@ -153,7 +153,7 @@ class TestAdae:
         grpo = terminal_table(q[:, 0], num_steps=10)
         dual = adv.adae(q, 0.5, omega)
         assert np.all(grpo == 0.0)
-        assert np.all(dual.A == 0.5 * 0.8)
+        assert np.all(dual == 0.5 * 0.8)
 
     def test_scale_behavior(self, rng):
         # doubling is exact in floating point: the relative part is scale
@@ -164,14 +164,9 @@ class TestAdae:
             terminal_table(2.0 * q[:, 0], 6),
             terminal_table(q[:, 0], 6),
         )
-        base = adv.adae(q, 0.5, omega).A - adv.group_relative(q)
-        doubled = adv.adae(2.0 * q, 0.5, omega).A - adv.group_relative(2.0 * q)
+        base = adv.adae(q, 0.5, omega) - adv.group_relative(q)
+        doubled = adv.adae(2.0 * q, 0.5, omega) - adv.group_relative(2.0 * q)
         assert np.max(np.abs(doubled - 2.0 * base)) < 1e-10
-
-    def test_metadata_recorded(self):
-        table = adv.adae(np.ones((2, 2)), 0.25, np.ones((2, 2)))
-        assert table.estimator == "vgpo-adae"
-        assert table.k == 0.25
 
     def test_full_reduction_to_terminal_normalization_bit_for_bit(self, rng):
         # terminal broadcast + k = 0 + unit weights reproduces the sparse table
@@ -180,7 +175,7 @@ class TestAdae:
         q = np.tile(terminal[:, None], (1, t_steps))
         table = adv.adae(q, 0.0, np.ones_like(q))
         sparse = terminal_table(terminal, t_steps)
-        assert np.array_equal(table.A, sparse)
+        assert np.array_equal(table, sparse)
 
 
 class TestNearZeroStdDiagnostic:
@@ -229,6 +224,6 @@ def test_adae_decomposition_property(seed, g_size, t_steps, k):
     rebuilt = omega * (adv.group_relative(q) + k * q)
     for j in range(t_steps):
         if stds[j] >= adv.DEFAULT_EPS_STD:
-            assert np.max(np.abs(table.A[:, j] - rebuilt[:, j])) < 1e-10
+            assert np.max(np.abs(table[:, j] - rebuilt[:, j])) < 1e-10
         else:
-            assert np.allclose(table.A[:, j], omega[:, j] * k * q[:, j], atol=1e-12)
+            assert np.allclose(table[:, j], omega[:, j] * k * q[:, j], atol=1e-12)

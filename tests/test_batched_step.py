@@ -39,14 +39,13 @@ def test_batched_step_matches_per_group_oracle(seed, b, g, t, preset, shared):
     theta = theta_old + 0.05 * rng.standard_normal(theta_old.size)
     theta_ref = diffnet.init_params(ARCH, seed + 1)
     schedule = flowcore.NoiseSchedule(a=0.7, num_steps=t)
-    rm = envsuite.RewardModel(TASK)
     contexts = rng.integers(0, TASK.context_count, b)
     # entropy tuples: spawning advances a SeedSequence, so each side builds its own
     seeds = [(seed, trainer.STREAM_ROLLOUT, 1, slot, int(c)) for slot, c in enumerate(contexts)]
 
-    batch = rollout.rollout_group(ARCH, theta_old, contexts, g, schedule, rm, seeds, shared)
+    batch = rollout.rollout_group(ARCH, theta_old, contexts, g, schedule, TASK, seeds, shared)
     groups = [
-        reference_rollout_group(ARCH, theta_old, int(c), g, schedule, rm, s, shared)
+        reference_rollout_group(ARCH, theta_old, int(c), g, schedule, TASK, s, shared)
         for c, s in zip(contexts, seeds)
     ]
     for slot, ref in enumerate(groups):
@@ -59,18 +58,17 @@ def test_batched_step_matches_per_group_oracle(seed, b, g, t, preset, shared):
     config = trainer.apply_preset(
         trainer.TrainConfig(task=TASK, hidden_dims=(8,), group_size=g, sampling_steps=t), preset
     )
-    table = trainer.compute_advantages(batch, config)
+    advantages = trainer.compute_advantages(batch, config)
     for slot in range(b):
         want = reference_advantages(
             batch.instant_rewards[slot], batch.terminal_rewards[slot], config
         )
-        assert close(table.A[slot], want)
+        assert close(advantages[slot], want)
 
-    triplet = trainer.PolicyTriplet(theta=theta, theta_old=theta_old, theta_ref=theta_ref)
-    res = trainer.surrogate_loss_and_grad(ARCH, triplet, batch, table, 0.2, 0.01)
+    res = trainer.surrogate_loss_and_grad(ARCH, theta, theta_ref, batch, advantages, 0.2, 0.01)
     per_group = [
         reference_surrogate(
-            ARCH, theta, theta_ref, batch.states[slot], batch.logp_old[slot], table.A[slot],
+            ARCH, theta, theta_ref, batch.states[slot], batch.logp_old[slot], advantages[slot],
             int(contexts[slot]), schedule, 0.2, 0.01,
         )
         for slot in range(b)

@@ -263,11 +263,11 @@ def test_param_count_formula_property(state_dim, context_count, hidden, seed):
     hidden=st.lists(st.integers(1, 6), max_size=2),
     n=st.integers(1, 6),
     seed=st.integers(0, 2**16),
-    keep=st.booleans(),
 )
-def test_mlp_on_features_matches_forward_property(state_dim, context_count, hidden, n, seed, keep):
-    """The unchecked core on checked features is ``forward`` bit for bit, and a
-    feature buffer rewritten in place equals freshly built features."""
+def test_mlp_on_features_matches_forward_property(state_dim, context_count, hidden, n, seed):
+    """The unchecked core on checked features is ``forward`` bit for bit, with
+    and without kept activations, and a feature buffer rewritten in place
+    equals freshly built features."""
     arch = diffnet.for_task(state_dim, context_count, tuple(hidden))
     rng = np.random.default_rng(seed)
     params = rng.standard_normal(diffnet.param_count(arch))
@@ -275,14 +275,12 @@ def test_mlp_on_features_matches_forward_property(state_dim, context_count, hidd
     tau = rng.uniform(0.0, 1.0, n)
     ctx = rng.integers(0, max(context_count, 1), n)
     phi = diffnet.features(arch, x, tau, ctx)
-    got = diffnet.mlp(diffnet.unpack(arch, params), phi, keep_activations=keep)
-    want = diffnet.forward(arch, params, x, tau, ctx, keep_activations=keep)
-    if keep:
-        assert np.array_equal(got[0], want[0])
-        assert len(got[1]) == len(want[1])
-        assert all(np.array_equal(a, b) for a, b in zip(got[1], want[1]))
-    else:
-        assert np.array_equal(got, want)
+    layers = diffnet.unpack(arch, params)
+    want = diffnet.forward(arch, params, x, tau, ctx)
+    assert np.array_equal(diffnet.mlp(layers, phi), want)
+    got, activations = diffnet.mlp(layers, phi, keep_activations=True)
+    assert np.array_equal(got, want)
+    assert len(activations) == len(layers) and activations[0] is phi
     buffer = diffnet.feature_matrix(arch, rng.standard_normal((n, state_dim)), 1.0, ctx)
     diffnet.write_state_time(arch, buffer, x, tau)
     assert np.array_equal(buffer, phi)

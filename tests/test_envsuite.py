@@ -90,51 +90,45 @@ class TestSampleData:
 class TestReward:
     def test_designated_center_scores_one(self):
         task = envsuite.default_task()
-        rm = envsuite.RewardModel(task)
         for ctx in range(task.context_count):
             x = np.array(task.mode_centers[ctx])
-            assert envsuite.reward(rm, x, ctx) == 1.0
+            assert envsuite.reward(task, x, ctx) == 1.0
 
     def test_non_designated_center_scores_exp_minus_s_d2(self):
         task = envsuite.mode_preference_task(sharpness=1.3)
-        rm = envsuite.RewardModel(task)
         centers = task.centers()
         x = centers[3]
         d2 = float(((x - centers[0]) ** 2).sum())
-        got = envsuite.reward(rm, x, 0)
+        got = envsuite.reward(task, x, 0)
         assert abs(got - math.exp(-1.3 * d2)) < 1e-15
 
     def test_half_plane_context_invariant(self, rng):
         task = envsuite.half_plane_task(context_count=3)
-        rm = envsuite.RewardModel(task)
         x = rng.standard_normal(2)
-        values = {envsuite.reward(rm, x, c) for c in range(3)}
+        values = {envsuite.reward(task, x, c) for c in range(3)}
         assert len(values) == 1
 
     def test_half_plane_logistic_value(self):
         task = envsuite.half_plane_task(sharpness=2.0)
-        rm = envsuite.RewardModel(task)
         x = np.array([0.4, 9.9])
-        assert abs(envsuite.reward(rm, x, 0) - 1.0 / (1.0 + math.exp(-0.8))) < 1e-15
+        assert abs(envsuite.reward(task, x, 0) - 1.0 / (1.0 + math.exp(-0.8))) < 1e-15
 
     def test_half_plane_extreme_states_stay_bounded(self):
         task = envsuite.half_plane_task()
-        rm = envsuite.RewardModel(task)
-        assert envsuite.reward(rm, np.array([-1e6, 0.0]), 0) == 0.0
-        assert envsuite.reward(rm, np.array([1e6, 0.0]), 0) == 1.0
+        assert envsuite.reward(task, np.array([-1e6, 0.0]), 0) == 0.0
+        assert envsuite.reward(task, np.array([1e6, 0.0]), 0) == 1.0
 
     def test_ring_peak_on_circle(self):
         task = envsuite.ring_task(ring_radius=2.0)
-        rm = envsuite.RewardModel(task)
         on_ring = np.array([2.0, 0.0])
         off_ring = np.array([3.0, 0.0])
-        assert envsuite.reward(rm, on_ring, 0) == 1.0
-        assert abs(envsuite.reward(rm, off_ring, 0) - math.exp(-1.0)) < 1e-15
+        assert envsuite.reward(task, on_ring, 0) == 1.0
+        assert abs(envsuite.reward(task, off_ring, 0) - math.exp(-1.0)) < 1e-15
 
     def test_non_finite_state_rejected(self):
-        rm = envsuite.RewardModel(envsuite.default_task())
+        task = envsuite.default_task()
         with pytest.raises(ValueError):
-            envsuite.reward(rm, np.array([np.nan, 0.0]), 0)
+            envsuite.reward(task, np.array([np.nan, 0.0]), 0)
 
 
 class TestQuality:
@@ -182,6 +176,5 @@ def test_rewards_always_in_unit_interval(x, ctx, name):
         task = envsuite.half_plane_task(context_count=8)
     else:
         task = envsuite.ring_task(context_count=8)
-    rm = envsuite.RewardModel(task)
-    r = envsuite.reward(rm, np.array(x), ctx)
+    r = envsuite.reward(task, np.array(x), ctx)
     assert 0.0 <= r <= 1.0

@@ -70,8 +70,6 @@ class TestSigma:
             flowcore.NoiseSchedule(a=-0.1, num_steps=10)
         with pytest.raises(ValueError):
             flowcore.NoiseSchedule(a=0.5, num_steps=1)
-        with pytest.raises(ValueError):
-            flowcore.NoiseSchedule(a=0.5, num_steps=10, tau_clamp_lo=0.9, tau_clamp_hi=0.1)
 
 
 class TestSdeStep:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -92,6 +93,65 @@ class TestParseConfig:
         path.write_text("{not json")
         with pytest.raises(harness.ConfigError, match="JSON"):
             harness.parse_config(path)
+
+
+# every config key at a value other than its default
+NON_DEFAULT_CONFIG = {
+    "task": "half-plane",
+    "task_state_dim": 3,
+    "task_num_modes": 4,
+    "task_radius": 1.25,
+    "task_mode_var": 0.2,
+    "task_context_count": 2,
+    "task_sharpness": 1.5,
+    "task_ring_radius": 2.5,
+    "hidden_dims": [16, 8],
+    "group_size": 6,
+    "sampling_steps": 7,
+    "train_steps": 12,
+    "batch_contexts": 3,
+    "gamma": 0.8,
+    "k": 0.25,
+    "noise_level": 0.5,
+    "eps_clip": 0.3,
+    "beta_kl": 0.02,
+    "lr": 0.002,
+    "estimator": "flow-grpo",
+    "tcrm_enabled": False,
+    "seed": 5,
+    "inner_epochs": 2,
+    "pretrain_steps": 50,
+    "pretrain_lr": 0.0005,
+    "pretrain_batch": 16,
+    "eval_every": 3,
+    "eval_samples": 32,
+    "accuracy_threshold": 0.6,
+    "shared_initial_noise": True,
+    "checkpoint_every": 4,
+    "eps_std": 1e-07,
+    "eps_mean": 1e-05,
+}
+
+
+class TestConfigSchema:
+    def test_every_train_field_is_a_key_in_field_order(self):
+        keys = [key for key in harness.config_to_dict(trainer.TrainConfig()) if not key.startswith("task")]
+        fields = [f.name for f in dataclasses.fields(trainer.TrainConfig) if f.name != "task"]
+        assert keys == fields
+
+    def test_non_default_values_round_trip(self):
+        defaults = harness.config_to_dict(trainer.TrainConfig())
+        assert list(NON_DEFAULT_CONFIG) == list(defaults)
+        assert all(NON_DEFAULT_CONFIG[key] != defaults[key] for key in defaults)
+        cfg = harness.config_from_dict(NON_DEFAULT_CONFIG)
+        assert cfg.hidden_dims == (16, 8) and cfg.eps_mean == 1e-05 and cfg.shared_initial_noise
+        emitted = harness.config_to_dict(cfg)
+        assert emitted == NON_DEFAULT_CONFIG
+        assert harness.config_from_dict(emitted) == cfg
+
+    def test_tcrm_default_follows_the_estimator(self):
+        assert trainer.TrainConfig().tcrm_enabled is True
+        assert trainer.TrainConfig(estimator="flow-grpo").tcrm_enabled is False
 
 
 class TestRunExperiment:

@@ -11,16 +11,15 @@ def setup():
     task = envsuite.default_task()
     arch = diffnet.for_task(task.state_dim, task.context_count, hidden_dims=(16,))
     params = trainer.pretrain(arch, task, steps=300, seed=3, batch_size=64)
-    rm = envsuite.RewardModel(task)
-    return task, arch, params, rm
+    return task, arch, params
 
 
 def make_group(setup, a=0.7, seed=(0, 1, 2), group_size=8, shared=False, steps=10):
     """A one-slot batch: one group of trajectories for context 2."""
-    _, arch, params, rm = setup
+    task, arch, params = setup
     sched = flowcore.NoiseSchedule(a=a, num_steps=steps)
     return rollout.rollout_group(
-        arch, params, contexts=[2], group_size=group_size, schedule=sched, rm=rm,
+        arch, params, contexts=[2], group_size=group_size, schedule=sched, task=task,
         seeds=[seed], shared_initial_noise=shared,
     )
 
@@ -55,7 +54,7 @@ class TestRolloutGroup:
     def test_deterministic_dynamics_differ_only_via_initial_state(self, setup):
         # with a = 0 every trajectory is the Euler flow of its own s_T: the
         # whole group re-integrated deterministically reproduces the states
-        _, arch, params, _ = setup
+        _, arch, params = setup
         g = make_group(setup, a=0.0, shared=False)
         states = g.states[0]
         x = states[:, 0]
@@ -67,16 +66,16 @@ class TestRolloutGroup:
 
     def test_same_seed_sequences_reused_give_the_same_batch(self, setup):
         # spawning advances a SeedSequence; the rollout must not advance the caller's
-        _, arch, params, rm = setup
+        task, arch, params = setup
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
         seeds = [np.random.SeedSequence((0, 1, 2)), np.random.SeedSequence((0, 1, 3))]
-        first = rollout.rollout_group(arch, params, [2, 5], 4, sched, rm, seeds)
-        again = rollout.rollout_group(arch, params, [2, 5], 4, sched, rm, seeds)
+        first = rollout.rollout_group(arch, params, [2, 5], 4, sched, task, seeds)
+        again = rollout.rollout_group(arch, params, [2, 5], 4, sched, task, seeds)
         assert np.array_equal(first.noises, again.noises)
         assert np.array_equal(first.states, again.states)
 
     def test_context_out_of_range_rejected_before_drawing(self, setup, monkeypatch):
-        _, arch, params, rm = setup
+        task, arch, params = setup
 
         def no_draws(*args, **kwargs):
             raise AssertionError("noise drawn before the contexts were checked")
@@ -85,7 +84,7 @@ class TestRolloutGroup:
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
         for contexts in ([0, arch.context_count], [-1]):
             with pytest.raises(ValueError, match="context index out of range"):
-                rollout.rollout_group(arch, params, contexts, 4, sched, rm, seeds=[0] * len(contexts))
+                rollout.rollout_group(arch, params, contexts, 4, sched, task, seeds=[0] * len(contexts))
 
     def test_per_trajectory_streams_do_not_depend_on_group_size(self, setup):
         small = make_group(setup, group_size=4)
@@ -107,7 +106,7 @@ class TestStoredDensities:
     def test_logp_matches_recomputation_from_stored_distributions(self, setup):
         # the step means are recomputed one trajectory at a time, the stored
         # variances are used as they are
-        _, arch, params, _ = setup
+        _, arch, params = setup
         g = make_group(setup)
         for states, logp in zip(g.states[0], g.logp_old[0]):
             for j, t in enumerate(range(g.num_steps, 0, -1)):
@@ -135,26 +134,25 @@ class TestInstantRewards:
 
     def test_constant_field_matches_hand_projection(self, setup):
         # every instant reward scores s_next - tau_next * c for the constant field c
-        task, _, _, _ = setup
+        task, _, _ = setup
         arch = diffnet.for_task(2, task.context_count, hidden_dims=())
         c = np.array([0.5, -0.25])
         params = np.concatenate([np.zeros((2, arch.input_dim)).ravel(), c])
-        rm = envsuite.RewardModel(task)
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=5)
-        g = rollout.rollout_group(arch, params, [1], 3, sched, rm, seeds=[4])
+        g = rollout.rollout_group(arch, params, [1], 3, sched, task, seeds=[4])
         for j, tau_next in enumerate((4 / 5, 3 / 5, 2 / 5, 1 / 5, 0.0)):
             s_next = g.states[0, :, j + 1]
             got = g.instant_rewards[0, :, j]
-            want = envsuite.reward(rm, s_next - tau_next * c, 1)
+            want = envsuite.reward(task, s_next - tau_next * c, 1)
             assert np.array_equal(got, want)
 
     def test_frozen_dynamics_give_constant_instant_rewards(self, setup):
         # zero field and zero noise: the state never moves, so every
         # projection scores the same point
-        task, arch, _, rm = setup
+        task, arch, _ = setup
         params = np.zeros(diffnet.param_count(arch))
         sched = flowcore.NoiseSchedule(a=0.0, num_steps=10)
-        g = rollout.rollout_group(arch, params, [1], 4, sched, rm, seeds=[9])
+        g = rollout.rollout_group(arch, params, [1], 4, sched, task, seeds=[9])
         for r in g.instant_rewards[0]:
             assert np.all(r == r[0])
 
@@ -183,10 +181,9 @@ class TestTrajectoryValidation:
         task = envsuite.mode_preference_task(
             num_modes=1, context_count=1, state_dim=1, centers=[[0.0]]
         )
-        rm = envsuite.RewardModel(task)
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
         with pytest.raises(rollout.RolloutError, match="t=10 context=0"):
-            rollout.rollout_group(arch, params, [0], 2, sched, rm, seeds=[0])
+            rollout.rollout_group(arch, params, [0], 2, sched, task, seeds=[0])
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_diagnostic_names_only_the_diverging_contexts(self):
@@ -202,7 +199,7 @@ class TestTrajectoryValidation:
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
         with pytest.raises(rollout.RolloutError, match="t=10 context=1:"):
             rollout.rollout_group(
-                arch, params, [0, 1, 2, 1], 2, sched, envsuite.RewardModel(task), seeds=[0, 1, 2, 3]
+                arch, params, [0, 1, 2, 1], 2, sched, task, seeds=[0, 1, 2, 3]
             )
 
 

@@ -37,7 +37,6 @@ def tiny_setup():
     """Tiny pretrained policy plus one rollout batch, shared across tests."""
     cfg = small_config()
     state = trainer.init_state(cfg)
-    state.triplet.refresh_old()
     batch = trainer.rollout_batch(state, step_index=1)
     return cfg, state, batch
 
@@ -123,27 +122,27 @@ class TestComputeAdvantages:
     def test_flow_grpo_broadcasts_terminal_column(self, tiny_setup):
         cfg, _, batch = tiny_setup
         cfg_grpo = replace(cfg, estimator="flow-grpo", tcrm_enabled=False, k=0.0)
-        table = trainer.compute_advantages(batch, cfg_grpo)
-        assert table.estimator == "flow-grpo"
-        assert np.all(table.A == table.A[..., :1])
+        advantages = trainer.compute_advantages(batch, cfg_grpo)
+        assert np.all(advantages == advantages[..., :1])
+        terminal = np.tile(batch.terminal_rewards[..., None], (1, 1, batch.num_steps))
+        assert np.array_equal(advantages, adv.group_relative(terminal, cfg.eps_std))
 
     def test_vgpo_uses_adae_on_cumulative_values(self, tiny_setup):
         cfg, _, batch = tiny_setup
-        table = trainer.compute_advantages(batch, cfg)
+        advantages = trainer.compute_advantages(batch, cfg)
         q = adv.cumulative_values(batch.instant_rewards, cfg.gamma)
         omega = adv.value_weights(q, cfg.eps_mean)
         want = adv.adae(q, cfg.k, omega, cfg.eps_std)
-        assert np.array_equal(table.A, want.A)
-        assert table.estimator == "vgpo-adae"
+        assert np.array_equal(advantages, want)
 
     def test_tcrm_disabled_uses_terminal_broadcast_with_unit_weights(self, tiny_setup):
         cfg, _, batch = tiny_setup
         cfg_off = replace(cfg, tcrm_enabled=False)
-        table = trainer.compute_advantages(batch, cfg_off)
+        advantages = trainer.compute_advantages(batch, cfg_off)
         terminal = batch.terminal_rewards
         q = np.tile(terminal[..., None], (1, 1, batch.num_steps))
         want = adv.adae(q, cfg.k, np.ones_like(q), cfg.eps_std)
-        assert np.array_equal(table.A, want.A)
+        assert np.array_equal(advantages, want)
 
 
 class TestClippedTerm:
@@ -169,49 +168,39 @@ class TestClippedTerm:
 class TestSurrogate:
     def test_on_policy_identity(self, tiny_setup):
         cfg, state, batch = tiny_setup
-        table = trainer.compute_advantages(batch, cfg)
+        advantages = trainer.compute_advantages(batch, cfg)
         res = trainer.surrogate_loss_and_grad(
-            state.arch, state.triplet, batch, table, cfg.eps_clip, beta_kl=0.0
+            state.arch, state.theta, state.theta_ref, batch, advantages, cfg.eps_clip, beta_kl=0.0
         )
-        # freshly refreshed old policy: every recomputed ratio is 1 and the
-        # surrogate value is the advantage mean
+        # the policy that generated the batch: every recomputed ratio is 1 and
+        # the surrogate value is the advantage mean
         assert abs(res.mean_ratio - 1.0) < 1e-10
-        assert abs(res.value - table.A.mean()) < 1e-10
+        assert abs(res.value - advantages.mean()) < 1e-10
         assert res.clip_fraction == 0.0
 
     def test_on_policy_magnitude_bound(self, tiny_setup):
         # in the on-policy regime the per-element surrogate magnitude cannot
         # exceed (1 + eps) |A|; with ratios == 1 it equals |A| exactly
         cfg, state, batch = tiny_setup
-        table = trainer.compute_advantages(batch, cfg)
+        advantages = trainer.compute_advantages(batch, cfg)
         res = trainer.surrogate_loss_and_grad(
-            state.arch, state.triplet, batch, table, cfg.eps_clip, beta_kl=0.0
+            state.arch, state.theta, state.theta_ref, batch, advantages, cfg.eps_clip, beta_kl=0.0
         )
-        assert abs(res.value) <= (1 + cfg.eps_clip) * np.abs(table.A).mean() + 1e-12
+        assert abs(res.value) <= (1 + cfg.eps_clip) * np.abs(advantages).mean() + 1e-12
 
     def test_reference_policy_has_zero_kl(self, tiny_setup):
         cfg, state, batch = tiny_setup
-        table = trainer.compute_advantages(batch, cfg)
-        triplet = trainer.PolicyTriplet(
-            theta=state.triplet.theta_ref.copy(),
-            theta_old=state.triplet.theta_old.copy(),
-            theta_ref=state.triplet.theta_ref.copy(),
-        )
+        advantages = trainer.compute_advantages(batch, cfg)
         res = trainer.surrogate_loss_and_grad(
-            state.arch, triplet, batch, table, cfg.eps_clip, cfg.beta_kl
+            state.arch, state.theta_ref.copy(), state.theta_ref, batch, advantages, cfg.eps_clip, cfg.beta_kl
         )
         assert res.kl == 0.0
 
     def test_kl_nonnegative_off_reference(self, tiny_setup):
         cfg, state, batch = tiny_setup
-        table = trainer.compute_advantages(batch, cfg)
-        triplet = trainer.PolicyTriplet(
-            theta=state.triplet.theta + 0.01,
-            theta_old=state.triplet.theta_old,
-            theta_ref=state.triplet.theta_ref,
-        )
+        advantages = trainer.compute_advantages(batch, cfg)
         res = trainer.surrogate_loss_and_grad(
-            state.arch, triplet, batch, table, cfg.eps_clip, cfg.beta_kl
+            state.arch, state.theta + 0.01, state.theta_ref, batch, advantages, cfg.eps_clip, cfg.beta_kl
         )
         assert res.kl > 0.0
 
@@ -222,24 +211,23 @@ class TestSurrogate:
         assert diffnet.param_count(arch) <= 200
         theta = diffnet.init_params(arch, 5)
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=4)
-        rm = envsuite.RewardModel(task)
-        group = rollout.rollout_group(arch, theta, [1], 3, sched, rm, seeds=[(7, 0)])
+        group = rollout.rollout_group(arch, theta, [1], 3, sched, task, seeds=[(7, 0)])
         cfg = trainer.TrainConfig(
             task=task, hidden_dims=(6,), sampling_steps=4, group_size=3
         )
-        table = trainer.compute_advantages(group, cfg)
+        advantages = trainer.compute_advantages(group, cfg)
+        theta_ref = diffnet.init_params(arch, 12)
         rng = np.random.default_rng(9)
-        for shift in (0.0, 0.01):
+        # at shift 0.1 a share of the ratios leaves the clip band, so the
+        # saturated branch's zero gradient is checked too
+        for shift in (0.0, 0.01, 0.1):
             theta_cur = theta + shift * rng.standard_normal(theta.size)
-            triplet = trainer.PolicyTriplet(
-                theta=theta_cur, theta_old=theta.copy(),
-                theta_ref=diffnet.init_params(arch, 12),
-            )
-            res = trainer.surrogate_loss_and_grad(arch, triplet, group, table, 0.2, 0.01)
+            res = trainer.surrogate_loss_and_grad(arch, theta_cur, theta_ref, group, advantages, 0.2, 0.01)
+            if shift == 0.1:
+                assert res.clip_fraction > 0.0
 
             def value_at(t):
-                trip = trainer.PolicyTriplet(t, theta.copy(), triplet.theta_ref)
-                return trainer.surrogate_loss_and_grad(arch, trip, group, table, 0.2, 0.01).value
+                return trainer.surrogate_loss_and_grad(arch, t, theta_ref, group, advantages, 0.2, 0.01).value
 
             fd = central_difference(value_at, theta_cur)
             assert max_rel_error(res.grad, fd) < 1e-5
@@ -248,13 +236,10 @@ class TestSurrogate:
         arch = diffnet.for_task(2, 2, hidden_dims=(6,))
         theta = diffnet.init_params(arch, 5)
         sched = flowcore.NoiseSchedule(a=0.0, num_steps=4)
-        rm = envsuite.RewardModel(SMALL_TASK)
-        group = rollout.rollout_group(arch, theta, [0], 3, sched, rm, seeds=[1])
-        cfg = trainer.TrainConfig(task=SMALL_TASK, hidden_dims=(6,), sampling_steps=4, group_size=3)
-        triplet = trainer.PolicyTriplet(theta, theta.copy(), theta.copy())
-        table = adv.adae(np.ones((1, 3, 4)), 0.5, np.ones((1, 3, 4)))
+        group = rollout.rollout_group(arch, theta, [0], 3, sched, SMALL_TASK, seeds=[1])
+        advantages = adv.adae(np.ones((1, 3, 4)), 0.5, np.ones((1, 3, 4)))
         with pytest.raises(ValueError, match="stochastic"):
-            trainer.surrogate_loss_and_grad(arch, triplet, group, table, 0.2, 0.01)
+            trainer.surrogate_loss_and_grad(arch, theta, theta.copy(), group, advantages, 0.2, 0.01)
 
 
 def _inject_constant_rewards(batch, value):
@@ -267,24 +252,22 @@ class TestStagnationContrast:
         cfg, state, _ = tiny_setup
         cfg_grpo = replace(cfg, estimator="flow-grpo", tcrm_enabled=False, k=0.0)
         fresh = trainer.init_state(cfg_grpo)
-        fresh.triplet.refresh_old()
         batch = trainer.rollout_batch(fresh, 1)
         _inject_constant_rewards(batch, 0.8)
-        table = trainer.compute_advantages(batch, cfg_grpo)
-        assert np.all(table.A == 0.0)
-        _, _, update_norm = trainer.update_policy(fresh, batch, table, 1)
+        advantages = trainer.compute_advantages(batch, cfg_grpo)
+        assert np.all(advantages == 0.0)
+        _, _, update_norm = trainer.update_policy(fresh, batch, advantages, 1)
         assert update_norm == 0.0
 
     def test_vgpo_update_is_nonzero(self, tiny_setup):
         cfg, _, _ = tiny_setup
         fresh = trainer.init_state(cfg)
-        fresh.triplet.refresh_old()
         batch = trainer.rollout_batch(fresh, 1)
         _inject_constant_rewards(batch, 0.8)
-        table = trainer.compute_advantages(batch, cfg)
+        advantages = trainer.compute_advantages(batch, cfg)
         # degenerate columns engage the absolute-value limit
-        assert np.all(table.A > 0.0)
-        _, _, update_norm = trainer.update_policy(fresh, batch, table, 1)
+        assert np.all(advantages > 0.0)
+        _, _, update_norm = trainer.update_policy(fresh, batch, advantages, 1)
         assert update_norm >= 1e-6
 
 
@@ -299,12 +282,12 @@ class TestTrainStep:
 
     def test_on_policy_ratio_one_after_refresh(self, tiny_setup):
         cfg, state, batch = tiny_setup
-        table = trainer.compute_advantages(batch, cfg)
+        advantages = trainer.compute_advantages(batch, cfg)
         for b in range(batch.contexts.shape[0]):
             fields = ("contexts", "states", "noises", "logp_old", "instant_rewards", "terminal_rewards")
             group = replace(batch, **{name: getattr(batch, name)[b:b + 1] for name in fields})
             res = trainer.surrogate_loss_and_grad(
-                state.arch, state.triplet, group, replace(table, A=table.A[b:b + 1]),
+                state.arch, state.theta, state.theta_ref, group, advantages[b:b + 1],
                 cfg.eps_clip, cfg.beta_kl,
             )
             assert abs(res.mean_ratio - 1.0) < 1e-10
@@ -314,21 +297,17 @@ class TestNonFiniteGradient:
     def test_nan_advantage_stops_the_update(self, tiny_setup):
         cfg, _, _ = tiny_setup
         fresh = trainer.init_state(cfg)
-        fresh.triplet.refresh_old()
         batch = trainer.rollout_batch(fresh, 5)
-        table = trainer.compute_advantages(batch, cfg)
-        poisoned = table.A.copy()
+        poisoned = trainer.compute_advantages(batch, cfg)
         poisoned[1, 0, 3] = np.nan
-        # AdvantageTable rejects non-finite entries, so bypass its check
-        object.__setattr__(table, "A", poisoned)
-        theta_before = fresh.triplet.theta.copy()
+        theta_before = fresh.theta.copy()
         res = trainer.surrogate_loss_and_grad(
-            fresh.arch, fresh.triplet, batch, table, cfg.eps_clip, cfg.beta_kl
+            fresh.arch, fresh.theta, fresh.theta_ref, batch, poisoned, cfg.eps_clip, cfg.beta_kl
         )
         assert res.nonfinite_contexts == (int(batch.contexts[1]),)
         with pytest.raises(RuntimeError, match=rf"step 5: contexts \[{batch.contexts[1]}\]"):
-            trainer.update_policy(fresh, batch, table, 5)
-        assert np.array_equal(fresh.triplet.theta, theta_before)
+            trainer.update_policy(fresh, batch, poisoned, 5)
+        assert np.array_equal(fresh.theta, theta_before)
         assert fresh.adam.t == 0
 
 
@@ -344,7 +323,7 @@ class TestReductionEquivalence:
         for step in range(1, 11):
             trainer.train_step(state_a, step)
             trainer.train_step(state_b, step)
-            diff = np.max(np.abs(state_a.triplet.theta - state_b.triplet.theta))
+            diff = np.max(np.abs(state_a.theta - state_b.theta))
             assert diff <= 1e-12
 
 
