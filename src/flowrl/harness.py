@@ -50,7 +50,7 @@ _TASK_KEYS = {
 
 
 def _kind(hint) -> type:
-    """Config value type of a TrainConfig annotation: ``X | None`` is X, a tuple a list."""
+    """Config value type of a TrainConfig annotation: X for ``X | None``, list for a tuple."""
     if typing.get_origin(hint) is tuple:
         return list
     return next((arg for arg in typing.get_args(hint) if arg is not type(None)), hint)
