@@ -1,6 +1,7 @@
 """Advantage estimation: discounted cumulative values, value-driven timestep
-weights, group-relative normalization, and the adaptive dual estimator that
-keeps a learning signal alive when within-group reward diversity vanishes.
+weights, and the adaptive dual estimator, a group-relative normalization
+that keeps a learning signal alive when within-group reward diversity
+vanishes.
 
 Conventions: tables are (..., G, T): group members on axis -2, timesteps on
 axis -1 in generation order (step T first, step 1 last), and any leading axes
@@ -69,27 +70,15 @@ def value_weights(q, eps_mean: float = DEFAULT_EPS_MEAN):
     return np.where(mean_t < eps_mean, 1.0, q / safe)
 
 
-def group_relative(q, eps_std: float = DEFAULT_EPS_STD) -> np.ndarray:
-    """Group normalization (Q - mean) / std of every column of a (..., G, T) table.
-
-    Columns whose std falls below ``eps_std`` are defined as all zero rather
-    than letting 1/std blow up. The sparse-reward baseline applies it to
-    terminal rewards broadcast over the T columns.
-    """
-    q = np.asarray(q, dtype=np.float64)
-    if q.ndim < 2 or q.shape[-2] < 2:
-        raise ValueError("need a (..., G, T) table with G >= 2")
-    m, s = _group_stats(q)
-    return np.where(s < eps_std, 0.0, (q - m) / np.maximum(s, eps_std))
-
-
 def adae(q, k: float, omega, eps_std: float = DEFAULT_EPS_STD) -> np.ndarray:
     """Adaptive dual advantages: relative normalization plus an absolute term.
 
     Per column, with alpha = k * std: A_i = omega_i * ((1 + alpha) * Q_i -
     mean) / max(std, eps). When the column's std falls below ``eps_std`` the
     algebraic limit A_i = omega_i * k * Q_i takes over, so uniformly scored
-    groups still produce a (value-proportional) learning signal.
+    groups still produce a (value-proportional) learning signal. With k = 0
+    and unit weights it is plain group normalization (Q - mean) / std, zero
+    on constant columns.
     """
     q = np.asarray(q, dtype=np.float64)
     omega = np.asarray(omega, dtype=np.float64)

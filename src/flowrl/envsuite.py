@@ -6,7 +6,7 @@ quality oracle (exact mixture log-density) for reward-hacking monitoring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,145 +17,86 @@ TASK_NAMES = ("mode-preference", "half-plane", "ring")
 class TaskSpec:
     """One synthetic task: a Gaussian-mixture data distribution plus a reward.
 
-    Mixture centers/weights are stored as tuples so specs hash and compare
-    cleanly; use ``centers()`` / ``weights()`` for the array views. ``params``
-    holds the named parameters the spec was built from, as sorted (name,
-    value) pairs, so a configuration can be written back exactly; it takes no
-    part in comparisons.
+    The fields are the flat task recipe (the config keys are ``task`` for
+    ``name`` and ``task_<field>`` for the rest); each task reads the ones it
+    needs:
+
+    - mode-preference: ``num_modes`` centers on the circle of ``radius``
+      (2-D) or evenly spaced on [-radius, radius] (1-D); each context
+      designates one mode as the reward target.
+    - half-plane: two modes at x[0] = +-``radius``; the reward is a logistic
+      in x[0].
+    - ring: ``num_modes`` centers on the circle of ``ring_radius`` (2-D);
+      the reward peaks on that circle.
+
+    ``mode_centers``, when given, replaces the worked-out layout; such a task
+    has no config form. Every task weights its modes equally. ``centers()``
+    and ``weights()`` return read-only arrays worked out once.
     """
 
-    name: str
-    state_dim: int
-    mode_centers: tuple[tuple[float, ...], ...]
-    mode_weights: tuple[float, ...]
-    mode_var: float
-    context_count: int
-    reward_sharpness: float
-    ring_radius: float | None = None
-    params: tuple[tuple[str, object], ...] = field(default=(), compare=False)
+    name: str = "mode-preference"
+    state_dim: int = 2
+    num_modes: int = 8
+    radius: float = 3.0
+    mode_var: float = 0.15
+    context_count: int = 8
+    sharpness: float = 1.0
+    ring_radius: float = 2.0
+    mode_centers: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self) -> None:
         if self.name not in TASK_NAMES:
-            raise ValueError(f"unknown task {self.name!r}")
+            raise ValueError(f"unknown task {self.name!r} (have {list(TASK_NAMES)})")
         if self.state_dim < 1:
             raise ValueError("state_dim must be >= 1")
-        if len(self.mode_centers) != len(self.mode_weights) or not self.mode_centers:
-            raise ValueError("need one weight per mode center")
-        if any(len(c) != self.state_dim for c in self.mode_centers):
+        if self.mode_centers is not None:
+            centers = tuple(tuple(float(v) for v in c) for c in self.mode_centers)
+            object.__setattr__(self, "mode_centers", centers)
+        centers = self._layout()
+        if len(centers) == 0:
+            raise ValueError("need at least one mode")
+        if centers.shape[1] != self.state_dim:
             raise ValueError("mode center dimension != state_dim")
-        if abs(sum(self.mode_weights) - 1.0) > 1e-9 or any(w < 0 for w in self.mode_weights):
-            raise ValueError("mixture weights must be nonnegative and sum to 1")
         if self.mode_var <= 0.0:
             raise ValueError("mode_var must be > 0")
         if self.context_count < 1:
             raise ValueError("context_count must be >= 1")
-        if self.name == "mode-preference" and self.context_count > len(self.mode_centers):
+        if self.name == "mode-preference" and self.context_count > len(centers):
             raise ValueError("mode-preference needs context_count <= number of modes")
-        if self.reward_sharpness <= 0.0:
-            raise ValueError("reward_sharpness must be > 0")
-        if self.name == "ring" and (self.ring_radius is None or self.ring_radius <= 0.0):
+        if self.sharpness <= 0.0:
+            raise ValueError("sharpness must be > 0")
+        if self.name == "ring" and self.ring_radius <= 0.0:
             raise ValueError("ring task needs ring_radius > 0")
-        centers = np.array(self.mode_centers, dtype=np.float64)
-        centers.flags.writeable = False
+        weights = np.full(len(centers), 1.0 / len(centers))
+        centers.flags.writeable = weights.flags.writeable = False
         object.__setattr__(self, "_centers", centers)
+        object.__setattr__(self, "_weights", weights)
+
+    def _layout(self) -> np.ndarray:
+        """(M, state_dim) mode centers of the task."""
+        if self.mode_centers is not None:
+            return np.array(self.mode_centers, dtype=np.float64, ndmin=2)
+        if self.name == "half-plane":
+            centers = np.zeros((2, self.state_dim))
+            centers[:, 0] = (-self.radius, self.radius)
+            return centers
+        if self.name == "ring" and self.state_dim != 2:
+            raise ValueError(f"ring task needs state_dim 2, got {self.state_dim}")
+        radius = self.ring_radius if self.name == "ring" else self.radius
+        if self.state_dim == 2:
+            angles = 2.0 * np.pi * np.arange(self.num_modes) / self.num_modes
+            return np.stack([radius * np.cos(angles), radius * np.sin(angles)], axis=1)
+        if self.state_dim == 1:
+            if self.num_modes == 1:
+                return np.zeros((1, 1))
+            return np.linspace(-radius, radius, self.num_modes)[:, None]
+        raise ValueError("built-in mode layouts cover state_dim 1 and 2")
 
     def centers(self) -> np.ndarray:
         return self._centers
 
     def weights(self) -> np.ndarray:
-        return np.asarray(self.mode_weights, dtype=np.float64)
-
-
-def _params(**values) -> tuple[tuple[str, object], ...]:
-    return tuple(sorted(values.items()))
-
-
-def mode_preference_task(
-    num_modes: int = 8,
-    radius: float = 3.0,
-    mode_var: float = 0.15,
-    context_count: int = 8,
-    sharpness: float = 1.0,
-    state_dim: int = 2,
-    centers=None,
-) -> TaskSpec:
-    """Modes on a circle (2-D) or evenly spaced on a line (1-D); each context
-    designates one mode as the reward target."""
-    if centers is None:
-        if state_dim == 2:
-            angles = 2.0 * np.pi * np.arange(num_modes) / num_modes
-            centers = np.stack([radius * np.cos(angles), radius * np.sin(angles)], axis=1)
-        elif state_dim == 1:
-            if num_modes == 1:
-                centers = np.zeros((1, 1))
-            else:
-                centers = np.linspace(-radius, radius, num_modes)[:, None]
-        else:
-            raise ValueError("built-in mode layouts cover state_dim 1 and 2")
-    centers = np.asarray(centers, dtype=np.float64)
-    weights = tuple(1.0 / len(centers) for _ in range(len(centers)))
-    return TaskSpec(
-        name="mode-preference",
-        state_dim=state_dim,
-        mode_centers=tuple(tuple(float(v) for v in c) for c in centers),
-        mode_weights=weights,
-        mode_var=mode_var,
-        context_count=context_count,
-        reward_sharpness=sharpness,
-        params=_params(num_modes=num_modes, radius=radius, mode_var=mode_var,
-                       context_count=context_count, sharpness=sharpness, state_dim=state_dim),
-    )
-
-
-def half_plane_task(
-    state_dim: int = 2,
-    separation: float = 1.5,
-    mode_var: float = 0.25,
-    context_count: int = 1,
-    sharpness: float = 1.0,
-) -> TaskSpec:
-    """Two modes straddling the x[0] = 0 boundary; reward is a logistic in x[0]."""
-    left = [-separation] + [0.0] * (state_dim - 1)
-    right = [separation] + [0.0] * (state_dim - 1)
-    return TaskSpec(
-        name="half-plane",
-        state_dim=state_dim,
-        mode_centers=(tuple(left), tuple(right)),
-        mode_weights=(0.5, 0.5),
-        mode_var=mode_var,
-        context_count=context_count,
-        reward_sharpness=sharpness,
-        params=_params(state_dim=state_dim, separation=separation, mode_var=mode_var,
-                       context_count=context_count, sharpness=sharpness),
-    )
-
-
-def ring_task(
-    ring_radius: float = 2.0,
-    num_modes: int = 8,
-    mode_var: float = 0.1,
-    context_count: int = 1,
-    sharpness: float = 1.0,
-) -> TaskSpec:
-    """Data modes on a circle; reward peaks on the circle of ``ring_radius``."""
-    angles = 2.0 * np.pi * np.arange(num_modes) / num_modes
-    centers = np.stack([ring_radius * np.cos(angles), ring_radius * np.sin(angles)], axis=1)
-    return TaskSpec(
-        name="ring",
-        state_dim=2,
-        mode_centers=tuple(tuple(float(v) for v in c) for c in centers),
-        mode_weights=tuple(1.0 / num_modes for _ in range(num_modes)),
-        mode_var=mode_var,
-        context_count=context_count,
-        reward_sharpness=sharpness,
-        ring_radius=ring_radius,
-        params=_params(ring_radius=ring_radius, num_modes=num_modes, mode_var=mode_var,
-                       context_count=context_count, sharpness=sharpness),
-    )
-
-
-def default_task() -> TaskSpec:
-    return mode_preference_task()
+        return self._weights
 
 
 def sample_context(task: TaskSpec, rng: np.random.Generator) -> int:
@@ -195,7 +136,7 @@ def reward(task: TaskSpec, x, context):
         raise ValueError(f"state dim {x2.shape[1]} != {task.state_dim}")
     if not np.all(np.isfinite(x2)):
         raise ValueError("non-finite state")
-    s = task.reward_sharpness
+    s = task.sharpness
     if task.name == "mode-preference":
         ctx = np.broadcast_to(np.asarray(context, dtype=np.int64), (x2.shape[0],))
         if np.any(ctx < 0) or np.any(ctx >= task.context_count):

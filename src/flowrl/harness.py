@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, diffnet, rollout, trainer
-from .envsuite import TASK_NAMES, TaskSpec, half_plane_task, mode_preference_task, ring_task
+from .envsuite import TaskSpec
 from .records import SCHEMA_VERSION, MetricRecord
 from .trainer import TrainConfig
 
@@ -36,26 +36,17 @@ class ConfigError(ValueError):
     """A configuration file failed strict parsing."""
 
 
-# key -> (type, default)
-_TASK_KEYS = {
-    "task": (str, "mode-preference"),
-    "task_state_dim": (int, 2),
-    "task_num_modes": (int, 8),
-    "task_radius": (float, 3.0),
-    "task_mode_var": (float, 0.15),
-    "task_context_count": (int, 8),
-    "task_sharpness": (float, 1.0),
-    "task_ring_radius": (float, 2.0),
-}
-
-
 def _kind(hint) -> type:
-    """Config value type of a TrainConfig annotation: X for ``X | None``, list for a tuple."""
-    if typing.get_origin(hint) is tuple:
-        return list
-    return next((arg for arg in typing.get_args(hint) if arg is not type(None)), hint)
+    """Config value type of a field annotation: list for a tuple, else the type."""
+    return list if typing.get_origin(hint) is tuple else hint
 
 
+# config key -> (TaskSpec field, type): "task" for the name, "task_<field>" for the rest
+_TASK_KEYS = {
+    ("task" if name == "name" else f"task_{name}"): (name, _kind(hint))
+    for name, hint in typing.get_type_hints(TaskSpec).items()
+    if name != "mode_centers"
+}
 # every TrainConfig field but the task, in field order: key -> type
 _TRAIN_KEYS = {name: _kind(hint) for name, hint in typing.get_type_hints(TrainConfig).items() if name != "task"}
 
@@ -86,59 +77,16 @@ def _coerce(key: str, kind: type, value):
     raise AssertionError(f"unhandled config type {kind}")
 
 
-def _build_task(values: dict) -> TaskSpec:
-    name = values["task"]
-    if name not in TASK_NAMES:
-        raise ConfigError(f"key 'task': unknown task {name!r} (have {list(TASK_NAMES)})")
-    try:
-        if name == "mode-preference":
-            task = mode_preference_task(
-                num_modes=values["task_num_modes"],
-                radius=values["task_radius"],
-                mode_var=values["task_mode_var"],
-                context_count=values["task_context_count"],
-                sharpness=values["task_sharpness"],
-                state_dim=values["task_state_dim"],
-            )
-        elif name == "half-plane":
-            task = half_plane_task(
-                state_dim=values["task_state_dim"],
-                separation=values["task_radius"],
-                mode_var=values["task_mode_var"],
-                context_count=values["task_context_count"],
-                sharpness=values["task_sharpness"],
-            )
-        else:
-            task = ring_task(
-                ring_radius=values["task_ring_radius"],
-                num_modes=values["task_num_modes"],
-                mode_var=values["task_mode_var"],
-                context_count=values["task_context_count"],
-                sharpness=values["task_sharpness"],
-            )
-    except ValueError as exc:
-        raise ConfigError(f"invalid task specification: {exc}") from exc
-    # keep the keys this task ignores as well, so its config writes back as given
-    used = {_task_key(param) for param, _ in task.params}
-    ignored = tuple((key[len("task_"):], values[key]) for key in _TASK_KEYS if key not in used | {"task"})
-    return replace(task, params=tuple(sorted(task.params + ignored)))
-
-
-def _task_key(param: str) -> str:
-    """Config key of a task builder parameter."""
-    return "task_radius" if param == "separation" else f"task_{param}"
-
-
 def config_from_dict(raw: dict) -> TrainConfig:
     """Build a TrainConfig from a flat key/value mapping, strictly."""
     unknown = sorted(set(raw) - set(_TASK_KEYS) - set(_TRAIN_KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    task_values = {
-        key: _coerce(key, kind, raw[key]) if key in raw else default
-        for key, (kind, default) in _TASK_KEYS.items()
-    }
-    task = _build_task(task_values)
+    task_values = {name: _coerce(key, kind, raw[key]) for key, (name, kind) in _TASK_KEYS.items() if key in raw}
+    try:
+        task = TaskSpec(**task_values)
+    except ValueError as exc:
+        raise ConfigError(f"invalid task specification: {exc}") from exc
     train_values = {key: _coerce(key, kind, raw[key]) for key, kind in _TRAIN_KEYS.items() if key in raw}
     try:
         return TrainConfig(task=task, **train_values)
@@ -164,8 +112,9 @@ def parse_config(path) -> TrainConfig:
 def config_to_dict(config: TrainConfig) -> dict:
     """Flat effective configuration; round-trips through config_from_dict."""
     task = config.task
-    out = {key: default for key, (_, default) in _TASK_KEYS.items()} | {"task": task.name}
-    out.update((_task_key(param), value) for param, value in task.params)
+    if task.mode_centers is not None:
+        raise ValueError("a task with explicit mode_centers has no config form")
+    out = {key: getattr(task, name) for key, (name, _) in _TASK_KEYS.items()}
     for key, kind in _TRAIN_KEYS.items():
         value = getattr(config, key)
         out[key] = list(value) if kind is list else value

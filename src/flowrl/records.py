@@ -50,7 +50,7 @@ class MetricRecord:
         return {"step": self.step, "wallclock_ms": self.wallclock_ms}
 
     @classmethod
-    def from_metrics_json(cls, payload: dict, wallclock_ms: float = 0.0) -> "MetricRecord":
+    def from_metrics_json(cls, payload: dict) -> "MetricRecord":
         if payload.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(f"unsupported metrics schema: {payload.get('schema_version')}")
         return cls(
@@ -61,5 +61,5 @@ class MetricRecord:
             group_reward_std_mean=float(payload["group_reward_std_mean"]),
             kl_mean=float(payload["kl_mean"]),
             update_norm=float(payload["update_norm"]),
-            wallclock_ms=wallclock_ms,
+            wallclock_ms=0.0,  # the metrics stream carries no wallclock
         )

@@ -15,12 +15,10 @@ import numpy as np
 from . import advantage as adv
 from . import diffnet, envsuite, flowcore, rollout
 from .diffnet import AdamState, Architecture
-from .envsuite import TaskSpec, default_task
+from .envsuite import TaskSpec
 from .flowcore import NoiseSchedule
 from .records import MetricRecord
 from .rollout import RolloutBatch
-
-ESTIMATORS = ("flow-grpo", "vgpo")
 
 # seed-stream tags; every generator is seeded as (seed, stream, ...)
 STREAM_PRETRAIN = 0
@@ -33,7 +31,7 @@ STREAM_EVAL = 3
 class TrainConfig:
     """Full experiment configuration with desk-scale defaults."""
 
-    task: TaskSpec = field(default_factory=default_task)
+    task: TaskSpec = field(default_factory=TaskSpec)
     hidden_dims: tuple[int, ...] = (64, 64)
     group_size: int = 8
     sampling_steps: int = 10
@@ -45,8 +43,7 @@ class TrainConfig:
     eps_clip: float = 0.2
     beta_kl: float = 0.01
     lr: float = 1e-3
-    estimator: str = "vgpo"
-    tcrm_enabled: bool | None = None  # None: on for vgpo, off for flow-grpo
+    tcrm_enabled: bool = True  # dense per-step rewards; False: the terminal reward only
     seed: int = 0
     inner_epochs: int = 1
     pretrain_steps: int = 3000
@@ -62,12 +59,6 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
-        if self.estimator not in ESTIMATORS:
-            raise ValueError(f"unknown estimator {self.estimator!r}")
-        if self.tcrm_enabled is None:
-            object.__setattr__(self, "tcrm_enabled", self.estimator == "vgpo")
-        if self.estimator == "flow-grpo" and self.tcrm_enabled:
-            raise ValueError("the flow-grpo estimator requires tcrm_enabled = false")
         if self.group_size < 2:
             raise ValueError("group_size must be >= 2")
         if self.sampling_steps < 2:
@@ -106,12 +97,12 @@ class TrainConfig:
         return NoiseSchedule(a=self.noise_level, num_steps=self.sampling_steps)
 
 
-# estimator/tcrm/k switch combinations of the ablation grid
+# tcrm/k switch combinations of the ablation grid; flow-grpo is both off
 PRESETS = {
-    "vgpo": {"estimator": "vgpo", "tcrm_enabled": True},
-    "flow-grpo": {"estimator": "flow-grpo", "tcrm_enabled": False, "k": 0.0},
-    "tcrm-only": {"estimator": "vgpo", "tcrm_enabled": True, "k": 0.0},
-    "adae-only": {"estimator": "vgpo", "tcrm_enabled": False},
+    "vgpo": {"tcrm_enabled": True},
+    "flow-grpo": {"tcrm_enabled": False, "k": 0.0},
+    "tcrm-only": {"tcrm_enabled": True, "k": 0.0},
+    "adae-only": {"tcrm_enabled": False},
 }
 
 
@@ -190,22 +181,20 @@ def pretrain(
 
 
 def compute_advantages(batch: RolloutBatch, config: TrainConfig) -> np.ndarray:
-    """(B, G, T) advantage table of a rollout batch under the configured estimator.
+    """(B, G, T) advantage table of a rollout batch: the adaptive dual
+    estimator on per-step values.
 
-    flow-grpo group-normalizes the terminal rewards broadcast over the
-    timesteps. vgpo builds discounted cumulative values (from instant rewards
-    when tcrm is enabled, otherwise the same terminal broadcast, whose
-    temporal mean makes every weight exactly one) and applies the adaptive
-    dual estimator.
+    With tcrm enabled the values are the discounted cumulative instant
+    rewards, weighted by ``value_weights``; otherwise they are the terminal
+    rewards broadcast over the timesteps, with unit weights. With tcrm off
+    and k = 0 this is GRPO's group-normalized terminal reward (the flow-grpo
+    preset).
     """
-    terminal = np.repeat(batch.terminal_rewards[..., None], batch.num_steps, axis=-1)
-    if config.estimator == "flow-grpo":
-        return adv.group_relative(terminal, config.eps_std)
     if config.tcrm_enabled:
         q = adv.cumulative_values(batch.instant_rewards, config.gamma)
         omega = adv.value_weights(q, config.eps_mean)
     else:
-        q = terminal
+        q = np.repeat(batch.terminal_rewards[..., None], batch.num_steps, axis=-1)
         omega = np.ones_like(q)
     return adv.adae(q, config.k, omega, config.eps_std)
 

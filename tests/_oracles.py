@@ -88,12 +88,23 @@ def wasserstein1_1d(a, b):
 
 
 def _population_normalize(values, eps_std):
-    """(v - mean) / max(std, eps) of one group column; all zero below eps."""
-    m = float(values.mean())
-    s = float(np.sqrt(((values - m) ** 2).mean()))
+    """(v - mean) / max(std, eps) of one group column; all zero below eps.
+
+    The sums run member by member, in order.
+    """
+    values = np.asarray(values, dtype=float)
+    m = sum(float(v) for v in values) / len(values)
+    s = math.sqrt(sum((float(v) - m) ** 2 for v in values) / len(values))
     if s < eps_std:
         return np.zeros_like(values), m, s
     return (values - m) / max(s, eps_std), m, s
+
+
+def group_normalize(q, eps_std):
+    """(Q - mean) / std of every column of one group's (G, T) table, column
+    by column; columns whose std falls below ``eps_std`` are all zero."""
+    q = np.asarray(q, dtype=float)
+    return np.stack([_population_normalize(q[:, j], eps_std)[0] for j in range(q.shape[1])], axis=1)
 
 
 def reference_rollout_group(arch, params_old, context, group_size, schedule, task, seed,
@@ -133,12 +144,16 @@ def reference_rollout_group(arch, params_old, context, group_size, schedule, tas
     }
 
 
+def grpo_advantages(terminal_rewards, t_steps, eps_std):
+    """(G, T) GRPO advantages of one group: the group-normalized terminal
+    rewards, the same in every timestep column."""
+    r = np.asarray(terminal_rewards, dtype=float)
+    return group_normalize(np.tile(r[:, None], (1, t_steps)), eps_std)
+
+
 def reference_advantages(instant_rewards, terminal_rewards, config):
     """(G, T) advantages of one group, column by column."""
     g_size, t_steps = instant_rewards.shape
-    if config.estimator == "flow-grpo":
-        col, _, _ = _population_normalize(terminal_rewards, config.eps_std)
-        return np.tile(col[:, None], (1, t_steps))
     if config.tcrm_enabled:
         q = np.asarray(instant_rewards, dtype=float).copy()
         for j in range(t_steps - 2, -1, -1):

@@ -17,7 +17,7 @@ settings.load_profile("suite")
 @pytest.fixture(scope="session")
 def two_mode_1d():
     """Pretrained 1-D two-mode model shared by the sampler tests."""
-    task = envsuite.mode_preference_task(
+    task = envsuite.TaskSpec(
         num_modes=2, radius=1.5, mode_var=0.09, context_count=2, state_dim=1
     )
     arch = diffnet.for_task(1, 2)

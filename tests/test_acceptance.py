@@ -14,7 +14,14 @@ import pytest
 from flowrl import advantage as adv
 from flowrl import diffnet, envsuite, flowcore, harness, rollout, trainer
 
-from _oracles import central_difference, discounted_sum, max_rel_error, wasserstein1_1d
+from _oracles import (
+    central_difference,
+    discounted_sum,
+    group_normalize,
+    grpo_advantages,
+    max_rel_error,
+    wasserstein1_1d,
+)
 
 SEEDS = (1, 2, 3, 4, 5)
 EFFICACY_STEPS = 500
@@ -62,7 +69,7 @@ class TestCriterion1EquationOracles:
             omega = rng.uniform(0.25, 2.0, (g_size, t_steps))
             k = float(rng.uniform(0.0, 2.0))
             table = adv.adae(q, k, omega)
-            rebuilt = omega * (adv.group_relative(q) + k * q)
+            rebuilt = omega * (group_normalize(q, adv.DEFAULT_EPS_STD) + k * q)
             live = q.std(axis=0) >= adv.DEFAULT_EPS_STD
             if live.any():
                 worst = max(worst, float(np.max(np.abs(table[:, live] - rebuilt[:, live]))))
@@ -78,7 +85,8 @@ class TestCriterion1EquationOracles:
             rewards = rng.uniform(0.0, 1.0, g_size)
             if rewards.std() <= adv.DEFAULT_EPS_STD:
                 continue
-            table = adv.group_relative(np.tile(rewards[:, None], (1, 3)))
+            tiled = np.tile(rewards[:, None], (1, 3))
+            table = adv.adae(tiled, 0.0, np.ones_like(tiled))
             for j in range(3):
                 worst = max(worst, abs(float(table[:, j].mean())))
                 worst = max(worst, abs(float(table[:, j].std()) - 1.0))
@@ -116,9 +124,9 @@ class TestCriterion2GradientChecks:
         )
         errors["flow-matching"] = max_rel_error(g_fm, fd_fm)
 
-        task = envsuite.mode_preference_task(
+        task = envsuite.TaskSpec(
             num_modes=2, radius=1.5, mode_var=0.09, context_count=2, state_dim=2,
-            centers=[[1.5, 0.0], [-1.5, 0.0]],
+            mode_centers=[[1.5, 0.0], [-1.5, 0.0]],
         )
         arch_s = diffnet.for_task(2, 2, hidden_dims=(6,))
         assert diffnet.param_count(arch_s) <= 200
@@ -144,7 +152,7 @@ class TestCriterion2GradientChecks:
 
 class TestCriterion3SamplerReductions:
     def test_ode_reduction_and_final_instant_reward(self):
-        task = envsuite.default_task()
+        task = envsuite.TaskSpec()
         arch = diffnet.for_task(task.state_dim, task.context_count, hidden_dims=(16,))
         params = trainer.pretrain(arch, task, steps=300, seed=3, batch_size=64)
 
@@ -192,16 +200,19 @@ class TestCriterion4MarginalPreservation:
 
 class TestCriterion5ReductionEquivalence:
     def test_degenerate_vgpo_tracks_flow_grpo_for_50_steps(self):
-        base = trainer.TrainConfig(train_steps=0, pretrain_steps=500, eval_samples=32)
-        cfg_vgpo = replace(
-            trainer.apply_preset(base, "vgpo"), tcrm_enabled=False, k=0.0, seed=7
-        )
-        cfg_grpo = replace(trainer.apply_preset(base, "flow-grpo"), seed=7)
-        state_a = trainer.init_state(cfg_vgpo)
-        state_b = trainer.init_state(cfg_grpo)
+        # the flow-grpo preset (tcrm off, k = 0) against an update loop driven
+        # by GRPO's group-normalized terminal rewards
+        base = trainer.TrainConfig(train_steps=0, pretrain_steps=500, eval_samples=32, seed=7)
+        cfg = trainer.apply_preset(base, "flow-grpo")
+        state_a = trainer.init_state(cfg)
+        state_b = trainer.init_state(cfg)
         worst = 0.0
         for step in range(1, 51):
-            trainer.train_step(state_a, step)
+            batch = trainer.rollout_batch(state_a, step)
+            advantages = np.stack(
+                [grpo_advantages(r, batch.num_steps, cfg.eps_std) for r in batch.terminal_rewards]
+            )
+            trainer.update_policy(state_a, batch, advantages, step)
             trainer.train_step(state_b, step)
             worst = max(worst, float(np.max(np.abs(state_a.theta - state_b.theta))))
         ok = worst <= 1e-12

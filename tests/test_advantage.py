@@ -7,14 +7,20 @@ from hypothesis import strategies as st
 
 from flowrl import advantage as adv
 
-from _oracles import discounted_sum
+from _oracles import discounted_sum, grpo_advantages, group_normalize
 
 
-def terminal_table(terminal_rewards, num_steps, eps_std=adv.DEFAULT_EPS_STD):
+def group_relative(q):
+    """Group normalization as the flow-grpo preset runs it: the adaptive dual
+    estimator with k = 0 and unit weights."""
+    return adv.adae(q, 0.0, np.ones_like(q))
+
+
+def terminal_table(terminal_rewards, num_steps):
     """The sparse-reward baseline: group-normalized terminal rewards, one
     column per timestep."""
     r = np.asarray(terminal_rewards, dtype=np.float64)
-    return adv.group_relative(np.tile(r[:, None], (1, num_steps)), eps_std)
+    return group_relative(np.tile(r[:, None], (1, num_steps)))
 
 
 class TestCumulativeValues:
@@ -112,27 +118,27 @@ class TestGrpoTerminalAdvantage:
 class TestGroupRelative:
     def test_two_member_column(self):
         # population std of (0, 1) is 0.5
-        got = adv.group_relative(np.array([[0.0], [1.0]]))
+        got = group_relative(np.array([[0.0], [1.0]]))
         assert np.allclose(got, [[-1.0], [1.0]], atol=1e-12)
 
     def test_constant_column_zeroed(self):
-        got = adv.group_relative(np.full((4, 3), 2.5))
+        got = group_relative(np.full((4, 3), 2.5))
         assert np.all(got == 0.0)
 
     def test_translation_invariance(self, rng):
         q = rng.uniform(0, 1, (6, 5))
         shifted = q + 7.25
-        assert np.allclose(adv.group_relative(q), adv.group_relative(shifted), atol=1e-9)
+        assert np.allclose(group_relative(q), group_relative(shifted), atol=1e-9)
 
 
 class TestAdae:
     def test_decomposition_identity(self, rng):
-        # adae / omega = group_relative + k * Q whenever the std guard is idle
+        # adae / omega = group normalization + k * Q whenever the std guard is idle
         q = rng.uniform(0, 1, (8, 10))
         omega = rng.uniform(0.5, 1.5, (8, 10))
         k = 0.5
         table = adv.adae(q, k, omega)
-        rebuilt = omega * (adv.group_relative(q) + k * q)
+        rebuilt = omega * (group_normalize(q, adv.DEFAULT_EPS_STD) + k * q)
         assert np.max(np.abs(table - rebuilt)) < 1e-10
 
     def test_constant_column_limit(self):
@@ -143,7 +149,7 @@ class TestAdae:
     def test_k_zero_reduces_to_group_relative(self, rng):
         q = rng.uniform(0, 1, (6, 7))
         table = adv.adae(q, 0.0, np.ones_like(q))
-        assert np.array_equal(table, adv.group_relative(q))
+        assert np.array_equal(table, group_normalize(q, adv.DEFAULT_EPS_STD))
 
     def test_stagnation_contrast(self):
         # identical positive values: the sparse estimator is silent, the dual
@@ -164,8 +170,8 @@ class TestAdae:
             terminal_table(2.0 * q[:, 0], 6),
             terminal_table(q[:, 0], 6),
         )
-        base = adv.adae(q, 0.5, omega) - adv.group_relative(q)
-        doubled = adv.adae(2.0 * q, 0.5, omega) - adv.group_relative(2.0 * q)
+        base = adv.adae(q, 0.5, omega) - group_relative(q)
+        doubled = adv.adae(2.0 * q, 0.5, omega) - group_relative(2.0 * q)
         assert np.max(np.abs(doubled - 2.0 * base)) < 1e-10
 
     def test_full_reduction_to_terminal_normalization_bit_for_bit(self, rng):
@@ -174,7 +180,7 @@ class TestAdae:
         t_steps = 10
         q = np.tile(terminal[:, None], (1, t_steps))
         table = adv.adae(q, 0.0, np.ones_like(q))
-        sparse = terminal_table(terminal, t_steps)
+        sparse = grpo_advantages(terminal, t_steps, adv.DEFAULT_EPS_STD)
         assert np.array_equal(table, sparse)
 
 
@@ -221,7 +227,7 @@ def test_adae_decomposition_property(seed, g_size, t_steps, k):
     omega = rng.uniform(0.25, 2.0, (g_size, t_steps))
     table = adv.adae(q, k, omega)
     stds = q.std(axis=0)
-    rebuilt = omega * (adv.group_relative(q) + k * q)
+    rebuilt = omega * (group_normalize(q, adv.DEFAULT_EPS_STD) + k * q)
     for j in range(t_steps):
         if stds[j] >= adv.DEFAULT_EPS_STD:
             assert np.max(np.abs(table[:, j] - rebuilt[:, j])) < 1e-10

@@ -14,7 +14,7 @@ from flowrl import diffnet, envsuite, flowcore, rollout, trainer
 from _oracles import reference_advantages, reference_rollout_group, reference_surrogate
 
 TOL = 1e-12
-TASK = envsuite.default_task()
+TASK = envsuite.TaskSpec()
 ARCH = diffnet.for_task(TASK.state_dim, TASK.context_count, hidden_dims=(8,))
 
 

@@ -132,9 +132,9 @@ class TestOdeProject:
         # closed-form rectified flow for Gaussian endpoints: at tau = 1 the
         # optimal field satisfies s - v(s, 1) = data mean for every s
         center = 1.2
-        task = envsuite.mode_preference_task(
+        task = envsuite.TaskSpec(
             num_modes=1, radius=0.0, mode_var=0.25, context_count=1, state_dim=1,
-            centers=[[center]],
+            mode_centers=[[center]],
         )
         arch = diffnet.for_task(1, 1)
         params = trainer.pretrain(arch, task, steps=2000, seed=5, batch_size=128)

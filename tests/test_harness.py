@@ -1,10 +1,15 @@
 import dataclasses
 import json
+import re
+import typing
+from pathlib import Path
 
 import pytest
 
-from flowrl import harness, trainer
+from flowrl import envsuite, harness, trainer
 from flowrl.records import MetricRecord
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 TINY_CONFIG = {
     "task_num_modes": 2,
@@ -53,17 +58,14 @@ class TestParseConfig:
         with pytest.raises(harness.ConfigError, match="tcrm_enabled"):
             harness.parse_config(path)
 
-    def test_estimator_consistency_enforced(self, tmp_path):
-        path = write_config(tmp_path, {"estimator": "flow-grpo", "tcrm_enabled": True})
-        with pytest.raises(harness.ConfigError):
+    def test_estimator_key_rejected(self, tmp_path):
+        # flow-grpo is the tcrm_enabled/k switches, not a key of its own
+        path = write_config(tmp_path, {"estimator": "flow-grpo"})
+        with pytest.raises(harness.ConfigError, match="estimator"):
             harness.parse_config(path)
-        # omitted tcrm flag defaults consistently with the estimator
-        path = write_config(tmp_path, {"estimator": "flow-grpo"}, name="c2.json")
-        cfg = harness.parse_config(path)
-        assert not cfg.tcrm_enabled
 
     def test_round_trip_effective_config(self, tmp_path):
-        path = write_config(tmp_path, dict(TINY_CONFIG, estimator="flow-grpo", k=0.0))
+        path = write_config(tmp_path, dict(TINY_CONFIG, tcrm_enabled=False, k=0.0))
         cfg = harness.parse_config(path)
         emitted = harness.config_to_dict(cfg)
         reparsed = harness.config_from_dict(emitted)
@@ -81,6 +83,17 @@ class TestParseConfig:
             emitted = harness.config_to_dict(cfg)
             assert {key: emitted[key] for key in raw} == raw
             assert harness.config_from_dict(emitted) == cfg
+
+    def test_ring_task_needs_two_dimensions(self):
+        with pytest.raises(harness.ConfigError, match="ring task needs state_dim 2"):
+            harness.config_from_dict({"task": "ring", "task_state_dim": 3})
+
+    def test_explicit_mode_centers_have_no_config_form(self):
+        task = envsuite.TaskSpec(num_modes=2, context_count=2, mode_centers=((-1.5, 0.0), (1.5, 0.0)))
+        with pytest.raises(ValueError, match="mode_centers"):
+            harness.config_to_dict(trainer.TrainConfig(task=task))
+        with pytest.raises(harness.ConfigError, match="mode_centers"):
+            harness.config_from_dict({"task_mode_centers": [[-1.5, 0.0], [1.5, 0.0]]})
 
     def test_task_variants_constructible(self, tmp_path):
         for name in ("half-plane", "ring"):
@@ -116,7 +129,6 @@ NON_DEFAULT_CONFIG = {
     "eps_clip": 0.3,
     "beta_kl": 0.02,
     "lr": 0.002,
-    "estimator": "flow-grpo",
     "tcrm_enabled": False,
     "seed": 5,
     "inner_epochs": 2,
@@ -139,6 +151,12 @@ class TestConfigSchema:
         fields = [f.name for f in dataclasses.fields(trainer.TrainConfig) if f.name != "task"]
         assert keys == fields
 
+    def test_every_task_field_is_a_key_in_field_order(self):
+        keys = [key for key in harness.config_to_dict(trainer.TrainConfig()) if key.startswith("task")]
+        fields = [f.name for f in dataclasses.fields(envsuite.TaskSpec) if f.name != "mode_centers"]
+        assert keys == ["task"] + [f"task_{name}" for name in fields[1:]]
+        assert fields[0] == "name"
+
     def test_non_default_values_round_trip(self):
         defaults = harness.config_to_dict(trainer.TrainConfig())
         assert list(NON_DEFAULT_CONFIG) == list(defaults)
@@ -149,9 +167,18 @@ class TestConfigSchema:
         assert emitted == NON_DEFAULT_CONFIG
         assert harness.config_from_dict(emitted) == cfg
 
-    def test_tcrm_default_follows_the_estimator(self):
-        assert trainer.TrainConfig().tcrm_enabled is True
-        assert trainer.TrainConfig(estimator="flow-grpo").tcrm_enabled is False
+    def test_flow_grpo_preset_is_a_plain_replace(self):
+        base = trainer.TrainConfig()
+        assert dataclasses.replace(base, tcrm_enabled=False, k=0.0) == trainer.apply_preset(base, "flow-grpo")
+        hints = typing.get_type_hints(trainer.TrainConfig)
+        assert not any(type(None) in typing.get_args(hint) for hint in hints.values())
+
+    def test_readme_default_config_block(self):
+        # the jsonc block under "## Configuration", comments stripped
+        text = README.read_text().split("## Configuration", 1)[1]
+        block = text.split("```jsonc\n", 1)[1].split("```", 1)[0]
+        parsed = json.loads(re.sub(r"//.*", "", block))
+        assert list(parsed.items()) == list(harness.config_to_dict(trainer.TrainConfig()).items())
 
 
 class TestRunExperiment:

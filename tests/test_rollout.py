@@ -8,7 +8,7 @@ from flowrl import diffnet, envsuite, flowcore, rollout, trainer
 
 @pytest.fixture(scope="module")
 def setup():
-    task = envsuite.default_task()
+    task = envsuite.TaskSpec()
     arch = diffnet.for_task(task.state_dim, task.context_count, hidden_dims=(16,))
     params = trainer.pretrain(arch, task, steps=300, seed=3, batch_size=64)
     return task, arch, params
@@ -178,8 +178,8 @@ class TestTrajectoryValidation:
         # on the first step
         arch = diffnet.for_task(1, 1, hidden_dims=())
         params = np.concatenate([np.zeros(arch.input_dim), [1.7e308]])
-        task = envsuite.mode_preference_task(
-            num_modes=1, context_count=1, state_dim=1, centers=[[0.0]]
+        task = envsuite.TaskSpec(
+            num_modes=1, context_count=1, state_dim=1, mode_centers=[[0.0]]
         )
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
         with pytest.raises(rollout.RolloutError, match="t=10 context=0"):
@@ -193,8 +193,8 @@ class TestTrajectoryValidation:
         weights = np.zeros((1, arch.input_dim))
         weights[0, 1 + diffnet.TIME_FEATURES + 1] = 1.7e308
         params = np.concatenate([weights.ravel(), [0.0]])
-        task = envsuite.mode_preference_task(
-            num_modes=3, context_count=3, state_dim=1, centers=[[0.0], [1.0], [2.0]]
+        task = envsuite.TaskSpec(
+            num_modes=3, context_count=3, state_dim=1, mode_centers=[[0.0], [1.0], [2.0]]
         )
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
         with pytest.raises(rollout.RolloutError, match="t=10 context=1:"):
