@@ -11,23 +11,10 @@ statistics use the population standard deviation (divide by G).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 DEFAULT_EPS_STD = 1e-8
 DEFAULT_EPS_MEAN = 1e-6
-
-
-@dataclass(frozen=True)
-class StdDiagnostic:
-    """Report for one group column: how hard pure relative normalization
-    would amplify its reward gaps."""
-
-    std: float
-    amplification: float  # 1/std; inf for a constant column
-    flagged: bool         # std below the configured threshold
-    guard_active: bool    # std below the numerical floor
 
 
 def _group_stats(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -92,21 +79,3 @@ def adae(q, k: float, omega, eps_std: float = DEFAULT_EPS_STD) -> np.ndarray:
     relative = ((1.0 + k * s) * q - m) / np.maximum(s, eps_std)
     return omega * np.where(s < eps_std, k * q, relative)
 
-
-def near_zero_std_diagnostic(
-    column,
-    threshold: float = 1e-3,
-    eps_std: float = DEFAULT_EPS_STD,
-) -> StdDiagnostic:
-    """Flag a group column whose reward spread would be amplified by 1/std."""
-    col = np.asarray(column, dtype=np.float64)
-    if col.ndim != 1 or col.shape[0] < 1:
-        raise ValueError("need a 1-D column")
-    s = float(_group_stats(col[:, None])[1][0, 0])
-    amplification = float("inf") if s == 0.0 else 1.0 / s
-    return StdDiagnostic(
-        std=s,
-        amplification=amplification,
-        flagged=s < threshold,
-        guard_active=s < eps_std,
-    )

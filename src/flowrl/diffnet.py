@@ -268,17 +268,24 @@ def save_checkpoint(path, arch: Architecture, params: np.ndarray) -> None:
 
 
 def load_checkpoint(path) -> tuple[Architecture, np.ndarray]:
+    """Read a ``save_checkpoint`` file; any other content raises ValueError."""
     payload = json.loads(Path(path).read_text())
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a parameter checkpoint: {path}")
-    head = payload["architecture"]
-    arch = Architecture(
-        input_dim=int(head["input_dim"]),
-        hidden_dims=tuple(int(h) for h in head["hidden_dims"]),
-        output_dim=int(head["output_dim"]),
-        activation=str(head["activation"]),
-    )
-    params = np.asarray(payload["values"], dtype=np.float64)
+    version = payload.get("version")
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version!r}, expected {CHECKPOINT_VERSION}")
+    try:
+        head = payload["architecture"]
+        arch = Architecture(
+            input_dim=int(head["input_dim"]),
+            hidden_dims=tuple(int(h) for h in head["hidden_dims"]),
+            output_dim=int(head["output_dim"]),
+            activation=str(head["activation"]),
+        )
+        params = np.asarray(payload["values"], dtype=np.float64)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed checkpoint {path}: {exc!r}") from exc
     if params.shape != (param_count(arch),):
         raise ValueError("checkpoint value count does not match its architecture header")
     if not np.all(np.isfinite(params)):

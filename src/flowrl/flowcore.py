@@ -1,5 +1,6 @@
-"""Rectified-flow mathematics: interpolation path, flow-matching loss,
-deterministic and stochastic samplers, Gaussian step densities, per-step KL.
+"""Rectified-flow mathematics: interpolation path, flow-matching loss, the
+Euler ODE sampler, the stochastic sampling step, Gaussian step densities,
+per-step KL.
 
 Time convention: generation integrates tau from 1 (noise) to 0 (data) on the
 uniform grid tau_i = i/T with dtau = 1/T. The stochastic sampler's sign is
@@ -177,12 +178,6 @@ def euler_update(x: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
     return x - h * v
 
 
-def euler_ode_step(arch: Architecture, params: np.ndarray, x, tau: float, dtau: float, context) -> np.ndarray:
-    """Deterministic Euler step x - dtau * v along the learned field."""
-    v = diffnet.forward(arch, params, x, tau, context)
-    return euler_update(np.asarray(x, dtype=np.float64), v, dtau)
-
-
 def ode_project(arch: Architecture, params: np.ndarray, s, tau: float, context) -> np.ndarray:
     """One-step projection of a state at time tau to its virtual terminal sample."""
     if not (0.0 <= tau <= 1.0):
@@ -248,24 +243,18 @@ def sample_terminal_ode(
     n: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Deterministic generation: integrate the field from noise to n samples."""
-    x = rng.standard_normal((n, arch.state_dim))
-    for t in range(schedule.num_steps, 0, -1):
-        x = euler_ode_step(arch, params, x, t / schedule.num_steps, schedule.dtau, context)
-    return x
+    """Deterministic generation: integrate the field from noise to n samples
+    by Euler steps x - dtau * v.
 
-
-def sample_terminal_sde(
-    arch: Architecture,
-    params: np.ndarray,
-    schedule: NoiseSchedule,
-    context,
-    n: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Stochastic generation with the exploration sampler; same marginals as ODE."""
+    The features are built and checked once; each step rewrites their state
+    and time columns. A non-finite state raises ``NonFiniteStep`` naming the
+    step and the context.
+    """
+    layers = diffnet.unpack(arch, params)
     x = rng.standard_normal((n, arch.state_dim))
+    phi = diffnet.features(arch, x, 1.0, context)
     for t in range(schedule.num_steps, 0, -1):
-        noise = rng.standard_normal(x.shape)
-        x, _ = sde_step(arch, params, x, t / schedule.num_steps, schedule.dtau, schedule, noise, context)
+        diffnet.write_state_time(arch, phi, x, t / schedule.num_steps)
+        x = euler_update(x, diffnet.mlp(layers, phi), schedule.dtau)
+        _check_finite(x, f"ODE state at step t={t} context={context}")
     return x

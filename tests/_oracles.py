@@ -1,11 +1,14 @@
 """Independent oracles used to check the library's fast paths.
 
 Everything here is written straight from definitions (loops, explicit sums,
-finite differences) and never calls the code paths it verifies. The
-per-group rollout, advantage and surrogate references at the end are the
+finite differences). The Euler and rollout references evaluate the network
+with ``reference_mlp_forward`` on hand-built features and take every step
+from the formulas, so they share no sampler code with the library. The
+per-group advantage and surrogate references at the end are the
 group-by-group, timestep-by-timestep path the batched training step
-replaced; they build on the single-step layers (``flowcore``, ``envsuite``,
-``diffnet.grad``) only.
+replaced; the surrogate reference builds on the single-step layers
+(``flowcore.step_distribution``, ``transition_logpdf``, ``kl_step`` and
+``diffnet.grad``).
 """
 
 import math
@@ -48,6 +51,30 @@ def reference_mlp_forward(layer_dims, params, features):
         if idx < n_layers - 1:
             out = np.tanh(out)
     return out
+
+
+def reference_features(arch, x, tau, context):
+    """Rows [x, tau, sin 2 pi tau, cos 2 pi tau, one-hot context] at one time."""
+    n = x.shape[0]
+    time = np.tile([tau, np.sin(2.0 * np.pi * tau), np.cos(2.0 * np.pi * tau)], (n, 1))
+    one_hot = np.zeros((n, arch.context_count))
+    one_hot[:, context] = 1.0
+    return np.hstack([x, time, one_hot])
+
+
+def reference_velocity(arch, params, x, tau, context):
+    """The network's velocity at rows x, one time and one context."""
+    return reference_mlp_forward(arch.layer_dims, params, reference_features(arch, x, tau, context))
+
+
+def reference_euler_states(arch, params, x, context, t_steps):
+    """(n, T+1, D) Euler ODE path s_T .. s_0 of the rows of x:
+    s <- s - (1/T) * v(s, t/T) for t = T .. 1."""
+    states = [x]
+    for t in range(t_steps, 0, -1):
+        x = x - (1.0 / t_steps) * reference_velocity(arch, params, x, t / t_steps, context)
+        states.append(x)
+    return np.stack(states, axis=1)
 
 
 def gaussian_product_logpdf(x, mean, var):
@@ -111,8 +138,12 @@ def reference_rollout_group(arch, params_old, context, group_size, schedule, tas
                             shared_initial_noise=False):
     """One group of G trajectories, one timestep at a time over G rows.
 
-    Returns a dict of (G, ...) arrays: noises, states, logp_old,
-    instant_rewards, terminal_rewards.
+    Each step is taken from the formulas: with tau' the time clamped half a
+    step inside the grid and sigma^2 = a^2 tau' / (1 - tau'), the mean is
+    x - [v + sigma^2 / (2 tau') * (x + (1 - tau') v)] / T, the variance
+    sigma^2 / T, and the instant reward scores the projection x - tau v at
+    the new state and time. Returns a dict of (G, ...) arrays: noises,
+    states, logp_old, instant_rewards, terminal_rewards.
     """
     t_steps, d = schedule.num_steps, arch.state_dim
     children = np.random.SeedSequence(seed).spawn(group_size + 1)
@@ -127,13 +158,18 @@ def reference_rollout_group(arch, params_old, context, group_size, schedule, tas
     logps = np.empty((t_steps, group_size))
     rewards = np.empty((t_steps, group_size))
     states[0] = x = init
+    half_step = 0.5 / t_steps
     for j, t in enumerate(range(t_steps, 0, -1)):
-        x, dist = flowcore.sde_step(
-            arch, params_old, x, t / t_steps, schedule.dtau, schedule, noises[:, j], context
-        )
+        tc = min(max(t / t_steps, half_step), 1.0 - half_step)
+        s2 = schedule.a ** 2 * tc / (1.0 - tc)
+        v = reference_velocity(arch, params_old, x, t / t_steps, context)
+        mean = x - (v + s2 / (2.0 * tc) * (x + (1.0 - tc) * v)) / t_steps
+        var = s2 / t_steps
+        x = mean + math.sqrt(var) * noises[:, j]
         states[j + 1] = x
-        logps[j] = flowcore.transition_logpdf(x, dist)
-        projected = flowcore.ode_project(arch, params_old, x, (t - 1) / t_steps, context)
+        logps[j] = [gaussian_product_logpdf(x[i], mean[i], var) for i in range(group_size)]
+        tau_next = (t - 1) / t_steps
+        projected = x - tau_next * reference_velocity(arch, params_old, x, tau_next, context)
         rewards[j] = envsuite.reward(task, projected, context)
     return {
         "noises": noises,

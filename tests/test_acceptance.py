@@ -20,6 +20,7 @@ from _oracles import (
     group_normalize,
     grpo_advantages,
     max_rel_error,
+    reference_euler_states,
     wasserstein1_1d,
 )
 
@@ -156,17 +157,15 @@ class TestCriterion3SamplerReductions:
         arch = diffnet.for_task(task.state_dim, task.context_count, hidden_dims=(16,))
         params = trainer.pretrain(arch, task, steps=300, seed=3, batch_size=64)
 
-        # deterministic reduction: whole groups re-integrated with the Euler
-        # stepper must be bit-identical
+        # deterministic reduction: whole groups re-integrated by the Euler
+        # oracle must be bit-identical
         sched0 = flowcore.NoiseSchedule(a=0.0, num_steps=10)
         bitwise_ok = True
         for i in range(20):
             group = rollout.rollout_group(arch, params, [i % 8], 8, sched0, task, seeds=[(30, i)])
             states = group.states[0]
-            x = states[:, 0]
-            for j, t in enumerate(range(10, 0, -1)):
-                x = flowcore.euler_ode_step(arch, params, x, t / 10, sched0.dtau, i % 8)
-                bitwise_ok = bitwise_ok and bool(np.array_equal(x, states[:, j + 1]))
+            euler = reference_euler_states(arch, params, states[:, 0], i % 8, 10)
+            bitwise_ok = bitwise_ok and bool(np.array_equal(euler, states))
 
         # 1000-rollout fuzz: the last instant reward is the terminal reward
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
@@ -185,12 +184,15 @@ class TestCriterion3SamplerReductions:
 
 class TestCriterion4MarginalPreservation:
     def test_wasserstein_ode_vs_sde(self, two_mode_1d):
-        _, arch, params = two_mode_1d
+        # 10000 evaluation ODE samples against the terminal states of 1250
+        # rollout groups of 8
+        task, arch, params = two_mode_1d
         distances = {}
         for a in (0.1, 0.3, 0.7):
             sched = flowcore.NoiseSchedule(a=a, num_steps=10)
             ode = flowcore.sample_terminal_ode(arch, params, sched, 0, 10000, np.random.default_rng(41))
-            sde = flowcore.sample_terminal_sde(arch, params, sched, 0, 10000, np.random.default_rng(42))
+            seeds = [(42, i) for i in range(1250)]
+            sde = rollout.rollout_group(arch, params, [0] * 1250, 8, sched, task, seeds).states[:, :, -1]
             distances[a] = wasserstein1_1d(ode, sde)
         ok = all(d < 0.1 for d in distances.values())
         report(4, "marginal preservation (W1 ODE vs SDE < 0.1)", ok,

@@ -184,27 +184,6 @@ class TestAdae:
         assert np.array_equal(table, sparse)
 
 
-class TestNearZeroStdDiagnostic:
-    def test_reported_amplification(self):
-        # population std of (0, 0.0016) is 0.0008
-        report = adv.near_zero_std_diagnostic(np.array([0.0, 0.0016]))
-        assert abs(report.std - 0.0008) < 1e-18
-        assert abs(report.amplification - 1250.0) < 1e-9
-        assert report.flagged
-        assert not report.guard_active
-
-    def test_unit_std_not_flagged(self):
-        # population std of (0, 2) is 1
-        report = adv.near_zero_std_diagnostic(np.array([0.0, 2.0]))
-        assert report.amplification == 1.0
-        assert not report.flagged
-
-    def test_constant_column_guard_active(self):
-        report = adv.near_zero_std_diagnostic(np.full(4, 0.3))
-        assert math.isinf(report.amplification)
-        assert report.guard_active and report.flagged
-
-
 @given(
     rewards=st.lists(st.floats(0, 1), min_size=1, max_size=12),
     gamma=st.floats(0, 0.999),

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -238,10 +240,23 @@ class TestCheckpoint:
         assert np.array_equal(params2, params)
 
     def test_rejects_corrupted_header(self, tmp_path):
+        arch = ARCH_MATRIX[1]
+        good = tmp_path / "good.json"
+        diffnet.save_checkpoint(good, arch, np.zeros(diffnet.param_count(arch)))
+        valid = json.loads(good.read_text())
+        contents = [
+            {"format": "something-else", "values": []},
+            [valid],
+            {key: value for key, value in valid.items() if key != "architecture"},
+            {key: value for key, value in valid.items() if key != "values"},
+            dict(valid, architecture=[arch.input_dim]),
+            dict(valid, version=2),
+        ]
         path = tmp_path / "bad.json"
-        path.write_text('{"format": "something-else", "values": []}')
-        with pytest.raises(ValueError):
-            diffnet.load_checkpoint(path)
+        for content in contents:
+            path.write_text(json.dumps(content))
+            with pytest.raises(ValueError):
+                diffnet.load_checkpoint(path)
 
 
 @given(

@@ -5,9 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flowrl import diffnet, envsuite, flowcore, trainer
+from flowrl import diffnet, envsuite, flowcore, rollout, trainer
 
-from _oracles import central_difference, gaussian_product_logpdf, max_rel_error, wasserstein1_1d
+from _oracles import (
+    central_difference,
+    gaussian_product_logpdf,
+    max_rel_error,
+    reference_euler_states,
+    wasserstein1_1d,
+)
 
 
 def constant_field_params(arch, value):
@@ -77,10 +83,8 @@ class TestSdeStep:
         # 1-D, v = 0, x = 1, tau' = 0.5, a = 0.7, dtau = 0.1, noise = 0:
         # sigma^2 = 0.49, mean = 1 - (0.49 / 1.0) * 1 * 0.1 = 0.951
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
-        params = constant_field_params(CONST_ARCH_1D, [0.0])
-        x = np.array([1.0])
-        x_next, dist = flowcore.sde_step(
-            CONST_ARCH_1D, params, x, 0.5, 0.1, sched, np.array([0.0]), 0
+        x_next, dist = flowcore.sde_update(
+            np.array([1.0]), np.array([0.0]), 0.5, 0.1, sched, np.array([0.0])
         )
         assert abs(dist.mean[0] - 0.951) < 1e-12
         assert np.array_equal(x_next, dist.mean)
@@ -88,23 +92,19 @@ class TestSdeStep:
 
     def test_hand_evaluated_diffusion(self):
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
-        params = constant_field_params(CONST_ARCH_1D, [0.0])
-        x_next, dist = flowcore.sde_step(
-            CONST_ARCH_1D, params, np.array([1.0]), 0.5, 0.1, sched, np.array([1.0]), 0
+        x_next, _ = flowcore.sde_update(
+            np.array([1.0]), np.array([0.0]), 0.5, 0.1, sched, np.array([1.0])
         )
         assert abs(x_next[0] - (0.951 + 0.7 * math.sqrt(0.1))) < 1e-12
 
     def test_zero_noise_reduces_to_euler_ode(self, rng):
-        arch = diffnet.for_task(2, 2, hidden_dims=(8,))
-        params = rng.standard_normal(diffnet.param_count(arch))
+        # for any velocity, the a = 0 step is the Euler step x - dtau * v
         sched = flowcore.NoiseSchedule(a=0.0, num_steps=10)
         x = rng.standard_normal((5, 2))
-        noise = rng.standard_normal((5, 2))
         for t in range(10, 0, -1):
-            tau = t / 10
-            x_next, dist = flowcore.sde_step(arch, params, x, tau, 0.1, sched, noise, 1)
-            euler = flowcore.euler_ode_step(arch, params, x, tau, 0.1, 1)
-            assert np.array_equal(x_next, euler)
+            v = rng.standard_normal((5, 2))
+            x_next, dist = flowcore.sde_update(x, v, t / 10, 0.1, sched, rng.standard_normal((5, 2)))
+            assert np.array_equal(x_next, x - 0.1 * v)
             assert dist.var == 0.0
             x = x_next
 
@@ -247,20 +247,15 @@ class TestFmLoss:
 
 @given(seed=st.integers(0, 2**16), steps=st.integers(2, 6))
 def test_ode_reduction_property(seed, steps):
-    """a = 0 makes full SDE trajectories bit-identical to the Euler integrator."""
+    """a = 0 makes rollout trajectories bit-identical to the Euler integrator."""
     rng = np.random.default_rng(seed)
+    task = envsuite.TaskSpec(num_modes=2, context_count=2)
     arch = diffnet.for_task(2, 2, hidden_dims=(5,))
     params = rng.standard_normal(diffnet.param_count(arch))
     sched = flowcore.NoiseSchedule(a=0.0, num_steps=steps)
-    x_sde = rng.standard_normal(2)
-    x_ode = x_sde.copy()
-    for t in range(steps, 0, -1):
-        tau = t / steps
-        x_sde, _ = flowcore.sde_step(
-            arch, params, x_sde, tau, sched.dtau, sched, rng.standard_normal(2), 0
-        )
-        x_ode = flowcore.euler_ode_step(arch, params, x_ode, tau, sched.dtau, 0)
-        assert np.array_equal(x_sde, x_ode)
+    context = int(rng.integers(0, 2))
+    states = rollout.rollout_group(arch, params, [context], 2, sched, task, seeds=[seed]).states[0]
+    assert np.array_equal(states, reference_euler_states(arch, params, states[:, 0], context, steps))
 
 
 class TestMarginalPreservation:
@@ -269,15 +264,13 @@ class TestMarginalPreservation:
         task, arch, params = two_mode_1d
         sched = flowcore.NoiseSchedule(a=noise_level, num_steps=10)
         ode = flowcore.sample_terminal_ode(arch, params, sched, 0, 10000, np.random.default_rng(1))
-        sde = flowcore.sample_terminal_sde(arch, params, sched, 0, 10000, np.random.default_rng(2))
+        seeds = [(2, i) for i in range(1250)]
+        sde = rollout.rollout_group(arch, params, [0] * 1250, 8, sched, task, seeds).states[:, :, -1]
         assert wasserstein1_1d(ode, sde) < 0.1
 
-    def test_logpdf_of_sampled_states_finite(self, two_mode_1d, rng):
-        _, arch, params = two_mode_1d
+    def test_logpdf_of_sampled_states_finite(self, two_mode_1d):
+        task, arch, params = two_mode_1d
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
-        x = rng.standard_normal((16, 1))
-        for t in range(10, 0, -1):
-            x, dist = flowcore.sde_step(
-                arch, params, x, t / 10, sched.dtau, sched, rng.standard_normal((16, 1)), 0
-            )
-            assert np.all(np.isfinite(flowcore.transition_logpdf(x, dist)))
+        batch = rollout.rollout_group(arch, params, [0, 1], 16, sched, task, seeds=[0, 1])
+        assert batch.logp_old.shape == (2, 16, 10)
+        assert np.all(np.isfinite(batch.logp_old))

@@ -268,6 +268,14 @@ class TestCli:
         stats = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert set(stats) == {"mean_reward", "accuracy", "quality_mean"}
 
+    def test_eval_of_malformed_checkpoint_reports_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, TINY_CONFIG)
+        ckpt = tmp_path / "bad.json"
+        for content in ([], {"format": "flowrl-params", "version": 1, "values": []}):
+            ckpt.write_text(json.dumps(content))
+            assert harness.cli(["eval", "--config", str(config), "--checkpoint", str(ckpt)]) == 1
+            assert "checkpoint" in capsys.readouterr().err
+
     def test_ablate_writes_four_runs_and_report(self, tmp_path):
         config = write_config(tmp_path, dict(TINY_CONFIG, train_steps=2, eval_every=1))
         out = tmp_path / "ablate"

@@ -331,6 +331,16 @@ class TestReductionEquivalence:
             assert diff <= 1e-12
 
 
+class TestEvaluate:
+    def test_non_finite_state_stops_evaluation(self):
+        cfg = small_config()
+        arch = cfg.architecture()
+        params = diffnet.init_params(arch, 0)
+        params[-arch.output_dim:] = np.inf  # output bias: every velocity is inf
+        with pytest.raises(RuntimeError, match="non-finite ODE state at step t=5 context=0"):
+            trainer.evaluate(arch, params, cfg, step=0)
+
+
 class TestRun:
     def test_zero_steps_emits_single_pretrained_evaluation(self):
         cfg = small_config(train_steps=0)
