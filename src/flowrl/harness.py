@@ -22,8 +22,6 @@ import typing
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, diffnet, rollout, trainer
 from .envsuite import TaskSpec
 from .records import SCHEMA_VERSION, MetricRecord
@@ -126,11 +124,12 @@ def _config_hash(config: TrainConfig) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def run_experiment(config: TrainConfig, out_dir) -> trainer.RunResult:
+def run_experiment(config: TrainConfig, out_dir, pretrained=None) -> trainer.RunResult:
     """Execute a full run into a self-describing directory.
 
-    Metrics lines flush as they are produced, so a failed run leaves a
-    partial-but-valid metrics stream behind.
+    RL starts from ``pretrained``; without it the run pretrains by the
+    config's recipe first. Metrics lines flush as they are produced, so a
+    failed run leaves a partial-but-valid metrics stream behind.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -148,6 +147,9 @@ def run_experiment(config: TrainConfig, out_dir) -> trainer.RunResult:
         + "\n"
     )
     arch = config.architecture()
+    if pretrained is None:
+        pretrained = trainer.pretrain(config)
+    diffnet.save_checkpoint(out / "checkpoint_pretrained.json", arch, pretrained)
     with (out / "metrics.jsonl").open("w") as metrics_fh, (out / "timing.jsonl").open("w") as timing_fh:
 
         def on_metric(record: MetricRecord) -> None:
@@ -159,8 +161,7 @@ def run_experiment(config: TrainConfig, out_dir) -> trainer.RunResult:
         def on_checkpoint(step: int, params) -> None:
             diffnet.save_checkpoint(out / f"checkpoint_step{step}.json", arch, params)
 
-        result = trainer.run(config, on_metric=on_metric, on_checkpoint=on_checkpoint)
-    diffnet.save_checkpoint(out / "checkpoint_pretrained.json", arch, result.params_ref)
+        result = trainer.run(config, pretrained, on_metric=on_metric, on_checkpoint=on_checkpoint)
     diffnet.save_checkpoint(out / "checkpoint_final.json", arch, result.params)
     return result
 
@@ -203,14 +204,7 @@ def dump_rollout_profile(config: TrainConfig, params, path, step_index: int = 0)
     Each line carries the per-step instant-reward sequence next to the flat
     terminal reward, the data behind sparse-vs-dense reward comparisons.
     """
-    params = np.asarray(params, dtype=np.float64)
-    state = trainer.TrainState(
-        config=config,
-        arch=config.architecture(),
-        theta=params,
-        theta_ref=params,
-        adam=diffnet.adam_init(params.size),
-    )
+    state = trainer.init_state(config, params)
     rollout.dump_trajectories(trainer.rollout_batch(state, step_index), path)
     return Path(path)
 
@@ -311,8 +305,7 @@ def _cmd_pretrain(args) -> int:
     config = _load_config(args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    state = trainer.init_state(config)
-    arch, params = state.arch, state.theta
+    arch, params = config.architecture(), trainer.pretrain(config)
     (out / "config.json").write_text(json.dumps(config_to_dict(config), indent=2) + "\n")
     diffnet.save_checkpoint(out / "checkpoint_pretrained.json", arch, params)
     stats = trainer.evaluate(arch, params, config, step=0)
@@ -350,10 +343,12 @@ def _cmd_eval(args) -> int:
 def _cmd_ablate(args) -> int:
     base = _load_config(args)
     out = Path(args.out_dir)
+    # the presets change only tcrm_enabled and k, so all four share one pretraining
+    pretrained = trainer.pretrain(base)
     runs = {}
     for name in PRESET_NAMES:
         config = trainer.apply_preset(base, name)
-        result = run_experiment(config, out / name)
+        result = run_experiment(config, out / name, pretrained)
         runs[name] = result.metrics
         print(json.dumps({"preset": name, "final": result.metrics[-1].metrics_json()}))
     report = reproduce_phenomena({"vgpo": runs["vgpo"], "flow-grpo": runs["flow-grpo"]})

@@ -65,20 +65,10 @@ class RolloutBatch:
         return self.states.shape[2] - 1
 
 
-def _as_seed_sequence(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        # a copy: spawning advances a SeedSequence, and the caller's must
-        # give the same children every time
-        return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size)
-    if isinstance(seed, (tuple, list)):
-        return np.random.SeedSequence(tuple(int(s) for s in seed))
-    return np.random.SeedSequence(int(seed))
-
-
 def _draw_noise(seed, group_size: int, t_steps: int, d: int, shared_initial_noise: bool):
     """Initial states (G, D) and step noise (G, T, D) of one slot; each member's
     generator draws its initial state, then its step noise."""
-    children = _as_seed_sequence(seed).spawn(group_size + 1)
+    children = np.random.SeedSequence(seed).spawn(group_size + 1)
     rngs = [np.random.default_rng(c) for c in children[:group_size]]
     if shared_initial_noise:
         shared = np.random.default_rng(children[group_size]).standard_normal(d)
@@ -100,9 +90,10 @@ def rollout_group(
 ) -> RolloutBatch:
     """Sample G stochastic trajectories per context slot under a frozen policy.
 
-    ``seeds`` gives one seed per slot. For t = T .. 1 every row of the batch
-    takes one exploration step, records the log-density of its transition,
-    and scores the one-step projection of the new state. ``shared_initial_noise``
+    ``seeds`` gives one seed per slot, as SeedSequence entropy (an int or a
+    tuple of ints). For t = T .. 1 every row of the batch takes one
+    exploration step, records the log-density of its transition, and scores
+    the one-step projection of the new state. ``shared_initial_noise``
     starts every trajectory of a slot from the same s_T (exploration then
     comes only from the step noise); the default draws independent initial
     noise per trajectory.

@@ -149,26 +149,20 @@ class TrainState:
     adam: AdamState
 
 
-def pretrain(
-    arch: Architecture,
-    task: TaskSpec,
-    steps: int,
-    seed: int,
-    lr: float = 1e-3,
-    batch_size: int = 128,
-) -> np.ndarray:
+def pretrain(config: TrainConfig) -> np.ndarray:
     """Fit the velocity field by flow matching on the task's data mixture.
 
-    Contexts are fed to the net but carry no information (the data ignores
-    them), which leaves the conditional mass for RL to move. Returns the
-    trained parameters; the caller snapshots them as the reference policy.
+    The recipe is the config's architecture, task, seed, ``pretrain_steps``,
+    ``pretrain_lr`` and ``pretrain_batch``; no other field changes the
+    result. Contexts are fed to the net but carry no information (the data
+    ignores them), which leaves the conditional mass for RL to move. Returns
+    the trained parameters, from which ``init_state`` and ``run`` start RL.
     """
-    params = diffnet.init_params(arch, seed)
-    if steps == 0:
-        return params
-    rng = np.random.default_rng(np.random.SeedSequence((seed, STREAM_PRETRAIN)))
+    arch, task, batch_size = config.architecture(), config.task, config.pretrain_batch
+    params = diffnet.init_params(arch, config.seed)
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, STREAM_PRETRAIN)))
     state = diffnet.adam_init(params.size)
-    for step in range(steps):
+    for step in range(config.pretrain_steps):
         x0 = envsuite.sample_data(task, rng, n=batch_size)
         x1 = rng.standard_normal(x0.shape)
         tau = rng.uniform(0.0, 1.0, batch_size)
@@ -176,7 +170,7 @@ def pretrain(
         loss, g = flowcore.fm_loss_and_grad(arch, params, x0, x1, tau, ctx)
         if not np.isfinite(loss):
             raise RuntimeError(f"pretraining diverged at step {step}: loss={loss}")
-        params, state = diffnet.adam_update(params, g, state, lr)
+        params, state = diffnet.adam_update(params, g, state, config.pretrain_lr)
     return params
 
 
@@ -302,23 +296,16 @@ def surrogate_loss_and_grad(
     )
 
 
-def init_state(config: TrainConfig) -> TrainState:
-    """Pretrain the policy; it is also the reference. Set up the optimizer."""
-    arch = config.architecture()
-    params = pretrain(
-        arch,
-        config.task,
-        config.pretrain_steps,
-        config.seed,
-        lr=config.pretrain_lr,
-        batch_size=config.pretrain_batch,
-    )
+def init_state(config: TrainConfig, pretrained: np.ndarray) -> TrainState:
+    """RL state starting from the pretrained parameters, which are also the
+    reference policy. Both are copies, so the caller's array never changes."""
+    theta = np.array(pretrained, dtype=np.float64)
     return TrainState(
         config=config,
-        arch=arch,
-        theta=params,
-        theta_ref=params.copy(),
-        adam=diffnet.adam_init(params.size),
+        arch=config.architecture(),
+        theta=theta,
+        theta_ref=theta.copy(),
+        adam=diffnet.adam_init(theta.size),
     )
 
 
@@ -327,10 +314,7 @@ def rollout_batch(state: TrainState, step_index: int) -> RolloutBatch:
     cfg = state.config
     ctx_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, STREAM_CONTEXT, step_index)))
     contexts = [envsuite.sample_context(cfg.task, ctx_rng) for _ in range(cfg.batch_contexts)]
-    seeds = [
-        np.random.SeedSequence((cfg.seed, STREAM_ROLLOUT, step_index, slot, context))
-        for slot, context in enumerate(contexts)
-    ]
+    seeds = [(cfg.seed, STREAM_ROLLOUT, step_index, slot, context) for slot, context in enumerate(contexts)]
     return rollout.rollout_group(
         state.arch,
         state.theta,
@@ -412,22 +396,20 @@ def evaluate(arch: Architecture, params: np.ndarray, config: TrainConfig, step: 
 
 @dataclass
 class RunResult:
-    config: TrainConfig
     metrics: list[MetricRecord]
     params: np.ndarray
-    params_ref: np.ndarray
 
 
-def run(config: TrainConfig, on_metric=None, on_checkpoint=None) -> RunResult:
-    """Full experiment: pretrain, then S training steps with periodic
-    deterministic evaluation.
+def run(config: TrainConfig, pretrained: np.ndarray, on_metric=None, on_checkpoint=None) -> RunResult:
+    """S training steps from the pretrained parameters, with periodic
+    deterministic evaluation; ``wallclock_ms`` counts from the start of RL.
 
     ``on_metric(record)`` fires for every evaluation record as it is produced
     (the caller can flush incrementally); ``on_checkpoint(step, params)``
     fires on the configured cadence.
     """
     t0 = time.perf_counter()
-    state = init_state(config)
+    state = init_state(config, pretrained)
     records: list[MetricRecord] = []
     window: list[StepRecord] = []
 
@@ -459,9 +441,4 @@ def run(config: TrainConfig, on_metric=None, on_checkpoint=None) -> RunResult:
             and step_index % config.checkpoint_every == 0
         ):
             on_checkpoint(step_index, state.theta.copy())
-    return RunResult(
-        config=config,
-        metrics=records,
-        params=state.theta.copy(),
-        params_ref=state.theta_ref.copy(),
-    )
+    return RunResult(metrics=records, params=state.theta.copy())

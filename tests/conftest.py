@@ -20,9 +20,10 @@ def two_mode_1d():
     task = envsuite.TaskSpec(
         num_modes=2, radius=1.5, mode_var=0.09, context_count=2, state_dim=1
     )
-    arch = diffnet.for_task(1, 2)
-    params = trainer.pretrain(arch, task, steps=4000, seed=11, batch_size=128)
-    return task, arch, params
+    config = trainer.TrainConfig(task=task, pretrain_steps=4000, seed=11, pretrain_batch=128)
+    arch = config.architecture()
+    assert arch == diffnet.for_task(1, 2)
+    return task, arch, trainer.pretrain(config)
 
 
 @pytest.fixture()

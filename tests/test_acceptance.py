@@ -36,13 +36,15 @@ def report(number: int, name: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="session")
 def training_matrix():
-    """Metric series for (preset, seed) over 500 training steps."""
+    """Metric series for (preset, seed) over 500 training steps; both presets
+    of a seed start from one pretraining, as they do under `flowrl ablate`."""
     matrix = {}
     base = trainer.TrainConfig(train_steps=EFFICACY_STEPS)
     for seed in SEEDS:
+        pretrained = trainer.pretrain(replace(base, seed=seed))
         for preset in ("vgpo", "flow-grpo"):
             config = replace(trainer.apply_preset(base, preset), seed=seed)
-            matrix[(preset, seed)] = trainer.run(config).metrics
+            matrix[(preset, seed)] = trainer.run(config, pretrained).metrics
     return matrix
 
 
@@ -153,9 +155,8 @@ class TestCriterion2GradientChecks:
 
 class TestCriterion3SamplerReductions:
     def test_ode_reduction_and_final_instant_reward(self):
-        task = envsuite.TaskSpec()
-        arch = diffnet.for_task(task.state_dim, task.context_count, hidden_dims=(16,))
-        params = trainer.pretrain(arch, task, steps=300, seed=3, batch_size=64)
+        config = trainer.TrainConfig(hidden_dims=(16,), pretrain_steps=300, seed=3, pretrain_batch=64)
+        task, arch, params = config.task, config.architecture(), trainer.pretrain(config)
 
         # deterministic reduction: whole groups re-integrated by the Euler
         # oracle must be bit-identical
@@ -206,8 +207,9 @@ class TestCriterion5ReductionEquivalence:
         # by GRPO's group-normalized terminal rewards
         base = trainer.TrainConfig(train_steps=0, pretrain_steps=500, eval_samples=32, seed=7)
         cfg = trainer.apply_preset(base, "flow-grpo")
-        state_a = trainer.init_state(cfg)
-        state_b = trainer.init_state(cfg)
+        pretrained = trainer.pretrain(cfg)
+        state_a = trainer.init_state(cfg, pretrained)
+        state_b = trainer.init_state(cfg, pretrained)
         worst = 0.0
         for step in range(1, 51):
             batch = trainer.rollout_batch(state_a, step)
@@ -226,9 +228,10 @@ class TestCriterion6StagnationContrast:
     def test_constructed_uniform_groups(self):
         cfg_vgpo = trainer.TrainConfig(pretrain_steps=300, pretrain_batch=64)
         cfg_grpo = trainer.apply_preset(cfg_vgpo, "flow-grpo")
+        pretrained = trainer.pretrain(cfg_vgpo)
         norms = {}
         for name, cfg in (("flow-grpo", cfg_grpo), ("vgpo", cfg_vgpo)):
-            state = trainer.init_state(cfg)
+            state = trainer.init_state(cfg, pretrained)
             batch = trainer.rollout_batch(state, 1)
             batch.instant_rewards[...] = 0.8
             batch.terminal_rewards[...] = 0.8

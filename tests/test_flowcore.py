@@ -136,8 +136,10 @@ class TestOdeProject:
             num_modes=1, radius=0.0, mode_var=0.25, context_count=1, state_dim=1,
             mode_centers=[[center]],
         )
-        arch = diffnet.for_task(1, 1)
-        params = trainer.pretrain(arch, task, steps=2000, seed=5, batch_size=128)
+        config = trainer.TrainConfig(task=task, pretrain_steps=2000, seed=5, pretrain_batch=128)
+        arch = config.architecture()
+        assert arch == diffnet.for_task(1, 1)
+        params = trainer.pretrain(config)
         rng = np.random.default_rng(0)
         starts = rng.standard_normal((64, 1))
         projected = flowcore.ode_project(arch, params, starts, 1.0, 0)

@@ -285,6 +285,27 @@ class TestCli:
         report = json.loads((out / "phenomena_report.json").read_text())
         assert "steps_to_threshold" in report
 
+    def test_ablate_pretrains_once_for_all_presets(self, tmp_path, monkeypatch):
+        # sharing one θ is sound only while no preset touches the pretraining recipe
+        recipe = {"task", "hidden_dims", "seed"} | {
+            f.name for f in dataclasses.fields(trainer.TrainConfig) if f.name.startswith("pretrain_")
+        }
+        assert all(not recipe & set(overrides) for overrides in trainer.PRESETS.values())
+        calls = []
+        real_pretrain = trainer.pretrain
+
+        def counting_pretrain(*args, **kwargs):
+            calls.append(args)
+            return real_pretrain(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "pretrain", counting_pretrain)
+        config = write_config(tmp_path, dict(TINY_CONFIG, train_steps=1, eval_every=1))
+        out = tmp_path / "ablate"
+        assert harness.cli(["ablate", "--config", str(config), "--out-dir", str(out)]) == 0
+        assert len(calls) == 1
+        checkpoints = {(out / p / "checkpoint_pretrained.json").read_bytes() for p in harness.PRESET_NAMES}
+        assert len(checkpoints) == 1
+
     def test_dump_curves_row_per_eval(self, tmp_path):
         config = write_config(tmp_path, TINY_CONFIG)
         out = tmp_path / "run"

@@ -10,10 +10,8 @@ from _oracles import reference_euler_states
 
 @pytest.fixture(scope="module")
 def setup():
-    task = envsuite.TaskSpec()
-    arch = diffnet.for_task(task.state_dim, task.context_count, hidden_dims=(16,))
-    params = trainer.pretrain(arch, task, steps=300, seed=3, batch_size=64)
-    return task, arch, params
+    config = trainer.TrainConfig(hidden_dims=(16,), pretrain_steps=300, seed=3, pretrain_batch=64)
+    return config.task, config.architecture(), trainer.pretrain(config)
 
 
 def make_group(setup, a=0.7, seed=(0, 1, 2), group_size=8, shared=False, steps=10):
@@ -64,10 +62,10 @@ class TestRolloutGroup:
         assert np.all(g.step_vars == 0.0)
 
     def test_same_seed_sequences_reused_give_the_same_batch(self, setup):
-        # spawning advances a SeedSequence; the rollout must not advance the caller's
+        # seeds are entropy, not SeedSequence objects that spawning advances
         task, arch, params = setup
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
-        seeds = [np.random.SeedSequence((0, 1, 2)), np.random.SeedSequence((0, 1, 3))]
+        seeds = [(0, 1, 2), (0, 1, 3)]
         first = rollout.rollout_group(arch, params, [2, 5], 4, sched, task, seeds)
         again = rollout.rollout_group(arch, params, [2, 5], 4, sched, task, seeds)
         assert np.array_equal(first.noises, again.noises)

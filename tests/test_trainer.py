@@ -33,10 +33,17 @@ def small_config(**overrides):
 
 
 @pytest.fixture(scope="module")
-def tiny_setup():
+def pretrained():
+    """Parameters pretrained by small_config()'s recipe; the presets and the
+    overrides used below leave that recipe unchanged."""
+    return trainer.pretrain(small_config())
+
+
+@pytest.fixture(scope="module")
+def tiny_setup(pretrained):
     """Tiny pretrained policy plus one rollout batch, shared across tests."""
     cfg = small_config()
-    state = trainer.init_state(cfg)
+    state = trainer.init_state(cfg, pretrained)
     batch = trainer.rollout_batch(state, step_index=1)
     return cfg, state, batch
 
@@ -76,7 +83,8 @@ class TestTrainConfig:
 class TestPretrain:
     def test_zero_steps_returns_initial_params(self):
         arch = diffnet.for_task(2, 2, hidden_dims=(8,))
-        got = trainer.pretrain(arch, SMALL_TASK, steps=0, seed=4)
+        cfg = trainer.TrainConfig(task=SMALL_TASK, hidden_dims=(8,), pretrain_steps=0, seed=4)
+        got = trainer.pretrain(cfg)
         assert np.array_equal(got, diffnet.init_params(arch, 4))
 
     def test_loss_decreases_over_first_100_steps(self):
@@ -103,8 +111,10 @@ class TestPretrain:
         task = envsuite.TaskSpec(
             num_modes=1, context_count=1, state_dim=1, mode_var=0.25, mode_centers=[[0.7]]
         )
-        arch = diffnet.for_task(1, 1)
-        params = trainer.pretrain(arch, task, steps=2000, seed=2)
+        cfg = trainer.TrainConfig(task=task, pretrain_steps=2000, seed=2)
+        arch = cfg.architecture()
+        assert arch == diffnet.for_task(1, 1)
+        params = trainer.pretrain(cfg)
         sched = flowcore.NoiseSchedule(a=0.0, num_steps=10)
         samples = flowcore.sample_terminal_ode(arch, params, sched, 0, 2000, np.random.default_rng(0))
         assert abs(float(samples.mean()) - 0.7) < 0.1
@@ -113,9 +123,11 @@ class TestPretrain:
     def test_divergence_aborts_with_diagnostic(self):
         # a pathological learning rate walks the weights past float range and
         # the quadratic loss overflows to inf within a few steps
-        arch = diffnet.for_task(2, 2, hidden_dims=(8,))
+        cfg = trainer.TrainConfig(
+            task=SMALL_TASK, hidden_dims=(8,), pretrain_steps=5, seed=0, pretrain_lr=1e154
+        )
         with pytest.raises(RuntimeError, match="diverged"):
-            trainer.pretrain(arch, SMALL_TASK, steps=5, seed=0, lr=1e154)
+            trainer.pretrain(cfg)
 
 
 class TestComputeAdvantages:
@@ -249,10 +261,10 @@ def _inject_constant_rewards(batch, value):
 
 
 class TestStagnationContrast:
-    def test_flow_grpo_update_is_exactly_zero(self, tiny_setup):
+    def test_flow_grpo_update_is_exactly_zero(self, tiny_setup, pretrained):
         cfg, state, _ = tiny_setup
         cfg_grpo = trainer.apply_preset(cfg, "flow-grpo")
-        fresh = trainer.init_state(cfg_grpo)
+        fresh = trainer.init_state(cfg_grpo, pretrained)
         batch = trainer.rollout_batch(fresh, 1)
         _inject_constant_rewards(batch, 0.8)
         advantages = trainer.compute_advantages(batch, cfg_grpo)
@@ -260,9 +272,9 @@ class TestStagnationContrast:
         _, _, update_norm = trainer.update_policy(fresh, batch, advantages, 1)
         assert update_norm == 0.0
 
-    def test_vgpo_update_is_nonzero(self, tiny_setup):
+    def test_vgpo_update_is_nonzero(self, tiny_setup, pretrained):
         cfg, _, _ = tiny_setup
-        fresh = trainer.init_state(cfg)
+        fresh = trainer.init_state(cfg, pretrained)
         batch = trainer.rollout_batch(fresh, 1)
         _inject_constant_rewards(batch, 0.8)
         advantages = trainer.compute_advantages(batch, cfg)
@@ -277,7 +289,7 @@ class TestTrainStep:
         cfg = small_config()
         recs = []
         for _ in range(2):
-            state = trainer.init_state(cfg)
+            state = trainer.init_state(cfg, trainer.pretrain(cfg))
             recs.append(trainer.train_step(state, 1))
         assert recs[0] == recs[1]
 
@@ -295,9 +307,9 @@ class TestTrainStep:
 
 
 class TestNonFiniteGradient:
-    def test_nan_advantage_stops_the_update(self, tiny_setup):
+    def test_nan_advantage_stops_the_update(self, tiny_setup, pretrained):
         cfg, _, _ = tiny_setup
-        fresh = trainer.init_state(cfg)
+        fresh = trainer.init_state(cfg, pretrained)
         batch = trainer.rollout_batch(fresh, 5)
         poisoned = trainer.compute_advantages(batch, cfg)
         poisoned[1, 0, 3] = np.nan
@@ -312,14 +324,43 @@ class TestNonFiniteGradient:
         assert fresh.adam.t == 0
 
 
+class TestInnerEpochs:
+    def test_two_epochs_are_two_ascent_steps_on_the_same_rows(self, pretrained):
+        # the first epoch evaluates the policy that generated the batch, where
+        # every ratio is 1; only the second sees a moved policy, the one place
+        # the clip band can act
+        cfg = small_config(inner_epochs=2)
+        state = trainer.init_state(cfg, pretrained)
+        batch = trainer.rollout_batch(state, 1)
+        advantages = trainer.compute_advantages(batch, cfg)
+        rows = trainer.step_rows(state.arch, state.theta_ref, batch)
+        theta, adam = state.theta.copy(), state.adam
+        epochs = []
+        for _ in range(2):
+            res = trainer.surrogate_loss_and_grad(
+                state.arch, theta, state.theta_ref, batch, advantages, cfg.eps_clip, cfg.beta_kl, rows
+            )
+            theta, adam = diffnet.adam_update(theta, -res.grad, adam, cfg.lr)
+            epochs.append(res)
+        surrogate, kl, update_norm = trainer.update_policy(state, batch, advantages, 1)
+        assert np.array_equal(state.theta, theta)
+        assert state.adam.t == adam.t == 2
+        assert np.array_equal(state.adam.m, adam.m) and np.array_equal(state.adam.v, adam.v)
+        assert surrogate == float(np.mean([res.value for res in epochs]))
+        assert kl == float(np.mean([res.kl for res in epochs]))
+        assert update_norm == float(np.linalg.norm(theta - pretrained))
+        assert abs(epochs[0].mean_ratio - 1.0) < 1e-10
+        assert abs(epochs[1].mean_ratio - 1.0) > 1e-6
+
+
 class TestReductionEquivalence:
-    def test_vgpo_degenerate_matches_flow_grpo_bitwise(self):
+    def test_vgpo_degenerate_matches_flow_grpo_bitwise(self, pretrained):
         # tcrm off + k = 0 (the flow-grpo preset; weights are ones by
         # construction) must follow an update loop driven by GRPO's
         # group-normalized terminal rewards step for step
         cfg = trainer.apply_preset(small_config(train_steps=0), "flow-grpo")
-        state_a = trainer.init_state(cfg)
-        state_b = trainer.init_state(cfg)
+        state_a = trainer.init_state(cfg, pretrained)
+        state_b = trainer.init_state(cfg, pretrained)
         for step in range(1, 11):
             batch = trainer.rollout_batch(state_a, step)
             advantages = np.stack(
@@ -342,29 +383,29 @@ class TestEvaluate:
 
 
 class TestRun:
-    def test_zero_steps_emits_single_pretrained_evaluation(self):
+    def test_zero_steps_emits_single_pretrained_evaluation(self, pretrained):
         cfg = small_config(train_steps=0)
-        result = trainer.run(cfg)
+        result = trainer.run(cfg, pretrained)
         assert len(result.metrics) == 1
         assert result.metrics[0].step == 0
         assert result.metrics[0].update_norm == 0.0
 
-    def test_eval_cadence_and_final_step(self):
+    def test_eval_cadence_and_final_step(self, pretrained):
         cfg = small_config(train_steps=7, eval_every=3)
-        result = trainer.run(cfg)
+        result = trainer.run(cfg, pretrained)
         assert [r.step for r in result.metrics] == [0, 3, 6, 7]
 
-    def test_metrics_sane(self):
+    def test_metrics_sane(self, pretrained):
         cfg = small_config(train_steps=5, eval_every=5)
-        result = trainer.run(cfg)
+        result = trainer.run(cfg, pretrained)
         for rec in result.metrics:
             assert 0.0 <= rec.accuracy <= 1.0
             assert rec.group_reward_std_mean >= 0.0
             assert rec.kl_mean >= 0.0
             assert rec.wallclock_ms >= 0.0
 
-    def test_checkpoint_callback_cadence(self):
+    def test_checkpoint_callback_cadence(self, pretrained):
         cfg = small_config(train_steps=6, checkpoint_every=2)
         seen = []
-        trainer.run(cfg, on_checkpoint=lambda step, params: seen.append(step))
+        trainer.run(cfg, pretrained, on_checkpoint=lambda step, params: seen.append(step))
         assert seen == [2, 4, 6]
