@@ -20,7 +20,12 @@ import numpy as np
 # time enters raw and as (sin 2*pi*tau, cos 2*pi*tau)
 TIME_FEATURES = 3
 
-ACTIVATIONS = ("tanh",)
+# hidden layers are tanh; checkpoints record it
+ACTIVATION = "tanh"
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 CHECKPOINT_FORMAT = "flowrl-params"
 CHECKPOINT_VERSION = 1
@@ -37,7 +42,6 @@ class Architecture:
     input_dim: int
     hidden_dims: tuple[int, ...] = (64, 64)
     output_dim: int = 2
-    activation: str = "tanh"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
@@ -45,8 +49,6 @@ class Architecture:
             raise ValueError("input_dim and output_dim must be >= 1")
         if any(h < 1 for h in self.hidden_dims):
             raise ValueError("hidden layer widths must be >= 1")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unsupported activation {self.activation!r}")
         if self.input_dim - self.output_dim - TIME_FEATURES < 0:
             raise ValueError("input_dim too small for state + time features")
 
@@ -224,13 +226,7 @@ def adam_init(n_params: int) -> AdamState:
 
 
 def adam_update(
-    params: np.ndarray,
-    gradient: np.ndarray,
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps_opt: float = 1e-8,
+    params: np.ndarray, gradient: np.ndarray, state: AdamState, lr: float
 ) -> tuple[np.ndarray, AdamState]:
     """One adaptive-moment descent step with bias correction.
 
@@ -240,11 +236,11 @@ def adam_update(
     if g.shape != params.shape:
         raise ValueError(f"gradient shape {g.shape} != params shape {params.shape}")
     t = state.t + 1
-    m = beta1 * state.m + (1.0 - beta1) * g
-    v = beta2 * state.v + (1.0 - beta2) * g * g
-    m_hat = m / (1.0 - beta1 ** t)
-    v_hat = v / (1.0 - beta2 ** t)
-    new_params = params - lr * m_hat / (np.sqrt(v_hat) + eps_opt)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    new_params = params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return new_params, AdamState(m=m, v=v, t=t)
 
 
@@ -260,7 +256,7 @@ def save_checkpoint(path, arch: Architecture, params: np.ndarray) -> None:
             "input_dim": arch.input_dim,
             "hidden_dims": list(arch.hidden_dims),
             "output_dim": arch.output_dim,
-            "activation": arch.activation,
+            "activation": ACTIVATION,
         },
         "values": np.asarray(params, dtype=np.float64).tolist(),
     }
@@ -277,11 +273,12 @@ def load_checkpoint(path) -> tuple[Architecture, np.ndarray]:
         raise ValueError(f"unsupported checkpoint version {version!r}, expected {CHECKPOINT_VERSION}")
     try:
         head = payload["architecture"]
+        if head["activation"] != ACTIVATION:
+            raise ValueError(f"unsupported activation {head['activation']!r}")
         arch = Architecture(
             input_dim=int(head["input_dim"]),
             hidden_dims=tuple(int(h) for h in head["hidden_dims"]),
             output_dim=int(head["output_dim"]),
-            activation=str(head["activation"]),
         )
         params = np.asarray(payload["values"], dtype=np.float64)
     except (KeyError, TypeError) as exc:

@@ -22,18 +22,12 @@ VAR_MATCH_TOL = 1e-12
 
 
 class NonFiniteStep(RuntimeError):
-    """A sampling step produced non-finite values; ``rows`` lists the batch
-    rows they sit in."""
-
-    def __init__(self, message: str, rows: np.ndarray):
-        super().__init__(message)
-        self.rows = rows
+    """A sampling step produced non-finite values."""
 
 
 def _check_finite(values: np.ndarray, what: str) -> None:
-    bad = ~np.isfinite(np.atleast_2d(values)).all(axis=1)
-    if bad.any():
-        raise NonFiniteStep(f"non-finite {what}", np.flatnonzero(bad))
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteStep(f"non-finite {what}")
 
 
 @dataclass(frozen=True)
@@ -70,7 +64,7 @@ class NoiseSchedule:
 @dataclass(frozen=True)
 class StepDistribution:
     """Isotropic Gaussian over the next state: mean vector(s) and a variance,
-    scalar or one per row of a batch of means; the samplers check the means."""
+    scalar or one per row of a batch of means."""
 
     mean: np.ndarray
     var: float | np.ndarray
@@ -103,24 +97,22 @@ def step_distribution(
     params: np.ndarray,
     x,
     tau: float,
-    dtau: float,
     schedule: NoiseSchedule,
     context,
 ) -> StepDistribution:
     """Transition distribution of one stochastic step tau -> tau - dtau.
 
     mean = x - [v + (sigma^2 / (2 tau')) * (x + (1 - tau') * v)] * dtau,
-    var = sigma^2 * dtau, with v the predicted velocity at (x, tau).
+    var = sigma^2 * dtau, with v the predicted velocity at (x, tau) and
+    dtau the schedule's step.
     """
     v = diffnet.forward(arch, params, x, tau, context)
-    return _step_distribution(np.asarray(x, dtype=np.float64), v, tau, dtau, schedule)
+    return _step_distribution(np.asarray(x, dtype=np.float64), v, tau, schedule)
 
 
-def _step_distribution(x, v, tau: float, dtau: float, schedule: NoiseSchedule) -> StepDistribution:
-    s2 = sigma(tau, schedule) ** 2
-    mean = step_mean(x, v, schedule.clamp(tau), s2, dtau)
-    _check_finite(mean, "step mean")
-    return StepDistribution(mean=mean, var=s2 * dtau)
+def _step_distribution(x, v, tau: float, schedule: NoiseSchedule) -> StepDistribution:
+    s2, dtau = sigma(tau, schedule) ** 2, schedule.dtau
+    return StepDistribution(mean=step_mean(x, v, schedule.clamp(tau), s2, dtau), var=s2 * dtau)
 
 
 def step_mean(x, v, tau_clamped, s2, dtau: float):
@@ -133,11 +125,11 @@ def step_mean(x, v, tau_clamped, s2, dtau: float):
     return x - drift * dtau
 
 
-def mean_velocity_coeff(tau: float, dtau: float, schedule: NoiseSchedule) -> float:
+def mean_velocity_coeff(tau: float, schedule: NoiseSchedule) -> float:
     """d(mean)/d(v) of ``step_distribution``: -dtau * (1 + sigma^2 (1-tau')/(2 tau'))."""
     tc = schedule.clamp(tau)
     s2 = sigma(tau, schedule) ** 2
-    return -dtau * (1.0 + s2 * (1.0 - tc) / (2.0 * tc))
+    return -schedule.dtau * (1.0 + s2 * (1.0 - tc) / (2.0 * tc))
 
 
 def sde_step(
@@ -145,7 +137,6 @@ def sde_step(
     params: np.ndarray,
     x,
     tau: float,
-    dtau: float,
     schedule: NoiseSchedule,
     noise,
     context,
@@ -161,15 +152,14 @@ def sde_step(
     if noise.shape != x_arr.shape:
         raise ValueError(f"noise shape {noise.shape} != state shape {x_arr.shape}")
     v = diffnet.forward(arch, params, x, tau, context)
-    return sde_update(x_arr, v, tau, dtau, schedule, noise)
+    return sde_update(x_arr, v, tau, schedule, noise)
 
 
-def sde_update(x: np.ndarray, v: np.ndarray, tau: float, dtau: float, schedule: NoiseSchedule, noise: np.ndarray):
-    """``sde_step`` from the velocity v already predicted at (x, tau), unchecked;
-    raises ``NonFiniteStep`` when the mean or the next state is not finite."""
-    dist = _step_distribution(x, v, tau, dtau, schedule)
-    x_next = dist.mean + sigma(tau, schedule) * math.sqrt(dtau) * noise
-    _check_finite(x_next, "SDE state")
+def sde_update(x: np.ndarray, v: np.ndarray, tau: float, schedule: NoiseSchedule, noise: np.ndarray):
+    """``sde_step`` from the velocity v already predicted at (x, tau), unchecked:
+    a non-finite next state is the caller's to detect."""
+    dist = _step_distribution(x, v, tau, schedule)
+    x_next = dist.mean + sigma(tau, schedule) * math.sqrt(schedule.dtau) * noise
     return x_next, dist
 
 

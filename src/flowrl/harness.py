@@ -198,29 +198,23 @@ def dump_curves(run_dir, out_path=None) -> Path:
     return out
 
 
-def dump_rollout_profile(config: TrainConfig, params, path, step_index: int = 0) -> Path:
-    """Write one rollout batch as trajectory JSONL under the given policy.
-
-    Each line carries the per-step instant-reward sequence next to the flat
-    terminal reward, the data behind sparse-vs-dense reward comparisons.
-    """
-    state = trainer.init_state(config, params)
-    rollout.dump_trajectories(trainer.rollout_batch(state, step_index), path)
-    return Path(path)
+# a run has converged when its evaluation reward rose by at least this much
+CONVERGENCE_MIN = 0.1
+# steps to threshold: the first evaluation reaching this fraction of the final reward
+THRESHOLD_FRACTION = 0.8
 
 
-def _steps_to_threshold(records: list[MetricRecord], fraction: float) -> tuple[int, float]:
-    final = records[-1].mean_reward
-    threshold = fraction * final
+def _steps_to_threshold(records: list[MetricRecord]) -> int:
+    threshold = THRESHOLD_FRACTION * records[-1].mean_reward
     for rec in records:
         if rec.mean_reward >= threshold:
-            return rec.step, threshold
-    return records[-1].step, threshold
+            return rec.step
+    return records[-1].step
 
 
-def _std_trend(records: list[MetricRecord], convergence_min: float) -> dict:
+def _std_trend(records: list[MetricRecord]) -> dict:
     improvement = records[-1].mean_reward - records[0].mean_reward
-    out = {"reward_improvement": improvement, "converged": improvement >= convergence_min}
+    out = {"reward_improvement": improvement, "converged": improvement >= CONVERGENCE_MIN}
     if not out["converged"]:
         out["evaluated"] = False
         out["note"] = "no convergence, std trend not evaluated"
@@ -242,11 +236,7 @@ def _std_trend(records: list[MetricRecord], convergence_min: float) -> dict:
     return out
 
 
-def reproduce_phenomena(
-    runs: dict[str, list[MetricRecord]],
-    convergence_min: float = 0.1,
-    threshold_fraction: float = 0.8,
-) -> dict:
+def reproduce_phenomena(runs: dict[str, list[MetricRecord]]) -> dict:
     """Cross-run report: reward-std trend, steps to threshold (dense vs sparse
     reward), and the quality-vs-reward trade-off at matched task reward.
 
@@ -257,18 +247,16 @@ def reproduce_phenomena(
             raise ValueError(f"missing run {required!r}")
     report: dict = {"schema_version": SCHEMA_VERSION}
 
-    report["std_trend"] = {
-        name: _std_trend(records, convergence_min) for name, records in runs.items()
-    }
+    report["std_trend"] = {name: _std_trend(records) for name, records in runs.items()}
 
-    tcrm_steps, _ = _steps_to_threshold(runs["vgpo"], threshold_fraction)
-    sparse_steps, _ = _steps_to_threshold(runs["flow-grpo"], threshold_fraction)
+    tcrm_steps = _steps_to_threshold(runs["vgpo"])
+    sparse_steps = _steps_to_threshold(runs["flow-grpo"])
     if tcrm_steps > 0:
         speedup = sparse_steps / tcrm_steps
     else:
         speedup = None if sparse_steps > 0 else 1.0
     report["steps_to_threshold"] = {
-        "threshold_fraction": threshold_fraction,
+        "threshold_fraction": THRESHOLD_FRACTION,
         "vgpo": tcrm_steps,
         "flow-grpo": sparse_steps,
         "speedup_factor": speedup,
@@ -319,12 +307,9 @@ def _cmd_train(args) -> int:
         config = trainer.apply_preset(config, args.preset)
     result = run_experiment(config, args.out_dir)
     if args.dump_trajectories:
-        dump_rollout_profile(
-            config,
-            result.params,
-            Path(args.out_dir) / "trajectories.jsonl",
-            step_index=config.train_steps + 1,
-        )
+        # one batch under the final policy, at the step index after the last
+        batch = trainer.rollout_batch(trainer.init_state(config, result.params), config.train_steps + 1)
+        rollout.dump_trajectories(batch, Path(args.out_dir) / "trajectories.jsonl")
     print(json.dumps({"steps": config.train_steps, "final": result.metrics[-1].metrics_json()}))
     return 0
 

@@ -1,10 +1,13 @@
 """Denoising-MDP executor: samples groups of stochastic trajectories under a
 frozen policy and scores every step via one-step terminal projection.
 
-A batch holds one group per context slot, stored as arrays. Each trajectory
-draws from its own seed-derived stream (the slot's seed sequence spawns one
-child per group member), so batches regenerate bit-identically whatever
-their size, while every timestep advances all rows of the batch at once.
+A batch holds one group per context slot, stored as arrays: the states, the
+log-densities of their transitions and the instant rewards. The terminal
+reward is the last instant reward, because the projection at tau = 0 is the
+identity. Each trajectory draws from its own seed-derived stream (the slot's
+seed sequence spawns one child per group member), so batches regenerate
+bit-identically whatever their size, while every timestep advances all rows
+of the batch at once. Each new state is checked once, as it is made.
 """
 
 from __future__ import annotations
@@ -31,30 +34,21 @@ class RolloutBatch:
 
     Axes are slot, group member, timestep and state dimension. ``states``
     runs in generation order s_T .. s_0; ``instant_rewards`` holds R_T .. R_1
-    (chronological), and its last entry equals the terminal reward exactly
-    because the projection at tau = 0 is the identity. ``logp_old`` is None
-    for deterministic (a = 0) rollouts, which have no transition density.
+    (chronological). ``logp_old`` is None for deterministic (a = 0) rollouts,
+    which have no transition density.
     """
 
     contexts: np.ndarray          # (B,)
     schedule: NoiseSchedule
     states: np.ndarray            # (B, G, T+1, D)
-    noises: np.ndarray            # (B, G, T, D)
-    step_vars: np.ndarray         # (T,)
     logp_old: np.ndarray | None   # (B, G, T)
     instant_rewards: np.ndarray   # (B, G, T)
-    terminal_rewards: np.ndarray  # (B, G)
 
-    def __post_init__(self) -> None:
-        arrays = ["states", "noises", "step_vars", "instant_rewards", "terminal_rewards"]
-        if self.logp_old is not None:
-            arrays.append("logp_old")
-        if not all(np.all(np.isfinite(getattr(self, name))) for name in arrays):
-            raise ValueError("non-finite trajectory entries")
-        # the projection at tau = 0 is the identity, so the last instant
-        # reward must reproduce the terminal reward
-        if not np.array_equal(self.instant_rewards[..., -1], self.terminal_rewards):
-            raise ValueError("final instant reward must equal the terminal reward")
+    @property
+    def terminal_rewards(self) -> np.ndarray:
+        """(B, G) view of R_1, the reward of s_0: the projection at tau = 0
+        is the identity."""
+        return self.instant_rewards[..., -1]
 
     @property
     def group_size(self) -> int:
@@ -98,8 +92,10 @@ def rollout_group(
     comes only from the step noise); the default draws independent initial
     noise per trajectory.
 
-    Inputs are checked here, once. Each projection's velocity, taken at the
-    new state and time, is also the one the next exploration step needs.
+    Inputs are checked here, once, and each new state as it is made: a
+    non-finite one raises ``RolloutError`` naming the step and the contexts
+    of its rows. Each projection's velocity, taken at the new state and
+    time, is also the one the next exploration step needs.
     """
     contexts = np.asarray(contexts, dtype=np.int64)
     if group_size < 2:
@@ -113,12 +109,10 @@ def rollout_group(
     b, d = contexts.shape[0], arch.state_dim
     n = b * group_size
     draws = [_draw_noise(s, group_size, t_steps, d, shared_initial_noise) for s in seeds]
-    noises = np.stack([noise for _, noise in draws])
-    row_noise = noises.reshape(n, t_steps, d)
+    row_noise = np.concatenate([noise for _, noise in draws])
     row_contexts = np.repeat(contexts, group_size)
 
     states = np.empty((n, t_steps + 1, d))
-    step_vars = np.empty(t_steps)
     logps = np.empty((n, t_steps)) if schedule.a > 0 else None
     rewards = np.empty((n, t_steps))
 
@@ -127,13 +121,12 @@ def rollout_group(
     phi = diffnet.feature_matrix(arch, x, 1.0, row_contexts)
     v = diffnet.mlp(layers, phi)
     for j, t in enumerate(range(t_steps, 0, -1)):
-        try:
-            x, dist = flowcore.sde_update(x, v, t / t_steps, schedule.dtau, schedule, row_noise[:, j])
-        except flowcore.NonFiniteStep as exc:
-            bad = ",".join(str(c) for c in np.unique(row_contexts[exc.rows]))
-            raise RolloutError(f"step t={t} context={bad}: {exc}") from exc
+        x, dist = flowcore.sde_update(x, v, t / t_steps, schedule, row_noise[:, j])
+        bad = ~np.isfinite(x).all(axis=1)
+        if bad.any():
+            names = ",".join(str(c) for c in np.unique(row_contexts[bad]))
+            raise RolloutError(f"step t={t} context={names}: non-finite SDE state")
         states[:, j + 1] = x
-        step_vars[j] = dist.var
         if logps is not None:
             logps[:, j] = flowcore.transition_logpdf(x, dist)
         tau_next = (t - 1) / t_steps
@@ -146,11 +139,8 @@ def rollout_group(
         contexts=contexts,
         schedule=schedule,
         states=states.reshape(*shape, t_steps + 1, d),
-        noises=noises,
-        step_vars=step_vars,
         logp_old=None if logps is None else logps.reshape(*shape, t_steps),
         instant_rewards=rewards.reshape(*shape, t_steps),
-        terminal_rewards=envsuite.reward(task, x, row_contexts).reshape(shape),
     )
 
 

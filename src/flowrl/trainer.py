@@ -71,8 +71,8 @@ class TrainConfig:
             raise ValueError("gamma must be in [0, 1)")
         if self.k < 0.0:
             raise ValueError("k must be >= 0")
-        if self.noise_level < 0.0:
-            raise ValueError("noise_level must be >= 0")
+        if self.noise_level <= 0.0:
+            raise ValueError("noise_level must be > 0: policy optimization needs stochastic rollouts")
         if self.eps_clip <= 0.0:
             raise ValueError("eps_clip must be > 0")
         if self.beta_kl < 0.0:
@@ -205,8 +205,9 @@ def step_rows(arch: Architecture, theta_ref: np.ndarray, batch: RolloutBatch) ->
     rows' feature matrix ``phi`` and the reference policy's step means.
 
     The schedule scalars (clamped tau, sigma^2, d mean / d v) are worked out
-    once per timestep and repeated per row as (n, 1) columns. A batch is
-    validated when it is built, so ``phi`` is assembled without input checks.
+    once per timestep and repeated per row as (n, 1) columns. The rollout
+    checked each state as it made it, so ``phi`` is assembled without input
+    checks.
     """
     sched = batch.schedule
     b, g, t = batch.instant_rewards.shape
@@ -214,7 +215,7 @@ def step_rows(arch: Architecture, theta_ref: np.ndarray, batch: RolloutBatch) ->
     taus = sched.tau_grid()
     per_step = np.array([
         (sched.clamp(tau), flowcore.sigma(tau, sched) ** 2,
-         flowcore.mean_velocity_coeff(tau, sched.dtau, sched))
+         flowcore.mean_velocity_coeff(tau, sched))
         for tau in taus
     ])
     tc, s2, coeff = np.tile(per_step, (b * g, 1)).T[:, :, None]

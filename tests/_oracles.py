@@ -221,7 +221,6 @@ def reference_surrogate(arch, theta, theta_ref, states, logp_old, advantages, co
     G * T rows, so a batch's gradient is the mean of these over its groups.
     """
     g_size, t_steps = advantages.shape
-    dtau = schedule.dtau
     n_rows = g_size * t_steps
     xs, taus, upstreams = [], [], []
     terms = np.empty((g_size, t_steps))
@@ -230,8 +229,8 @@ def reference_surrogate(arch, theta, theta_ref, states, logp_old, advantages, co
         tau = t / t_steps
         x_t = np.ascontiguousarray(states[:, j])
         x_next = np.ascontiguousarray(states[:, j + 1])
-        cur = flowcore.step_distribution(arch, theta, x_t, tau, dtau, schedule, context)
-        ref = flowcore.step_distribution(arch, theta_ref, x_t, tau, dtau, schedule, context)
+        cur = flowcore.step_distribution(arch, theta, x_t, tau, schedule, context)
+        ref = flowcore.step_distribution(arch, theta_ref, x_t, tau, schedule, context)
         ratio = np.exp(flowcore.transition_logpdf(x_next, cur) - logp_old[:, j])
         a_col = advantages[:, j]
         unclipped = ratio * a_col
@@ -244,7 +243,7 @@ def reference_surrogate(arch, theta, theta_ref, states, logp_old, advantages, co
         ) / (n_rows * cur.var)
         xs.append(x_t)
         taus.append(np.full(g_size, tau))
-        upstreams.append(flowcore.mean_velocity_coeff(tau, dtau, schedule) * dj_dmean)
+        upstreams.append(flowcore.mean_velocity_coeff(tau, schedule) * dj_dmean)
     pgrad, _ = diffnet.grad(
         arch, theta, np.concatenate(xs), np.concatenate(taus), context, np.concatenate(upstreams)
     )

@@ -49,7 +49,10 @@ def test_batched_step_matches_per_group_oracle(seed, b, g, t, preset, shared):
         for c, s in zip(contexts, seeds)
     ]
     for slot, ref in enumerate(groups):
-        assert np.array_equal(batch.noises[slot], ref["noises"])
+        init, noise = rollout._draw_noise(seeds[slot], g, t, ARCH.state_dim, shared)
+        assert np.array_equal(noise, ref["noises"])
+        assert np.array_equal(init, ref["states"][:, 0])
+        assert np.array_equal(batch.states[slot, :, 0], init)
         assert close(batch.states[slot], ref["states"])
         assert close(batch.logp_old[slot], ref["logp_old"])
         assert close(batch.instant_rewards[slot], ref["instant_rewards"])

@@ -41,8 +41,6 @@ class TestArchitecture:
             diffnet.Architecture(input_dim=0, hidden_dims=(4,), output_dim=1)
         with pytest.raises(ValueError):
             diffnet.Architecture(input_dim=5, hidden_dims=(0,), output_dim=1)
-        with pytest.raises(ValueError):
-            diffnet.Architecture(input_dim=5, hidden_dims=(4,), output_dim=2, activation="relu")
 
     def test_for_task_feature_layout(self):
         arch = diffnet.for_task(2, 8)
@@ -250,6 +248,7 @@ class TestCheckpoint:
             {key: value for key, value in valid.items() if key != "architecture"},
             {key: value for key, value in valid.items() if key != "values"},
             dict(valid, architecture=[arch.input_dim]),
+            dict(valid, architecture=dict(valid["architecture"], activation="relu")),
             dict(valid, version=2),
         ]
         path = tmp_path / "bad.json"

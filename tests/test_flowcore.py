@@ -84,7 +84,7 @@ class TestSdeStep:
         # sigma^2 = 0.49, mean = 1 - (0.49 / 1.0) * 1 * 0.1 = 0.951
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
         x_next, dist = flowcore.sde_update(
-            np.array([1.0]), np.array([0.0]), 0.5, 0.1, sched, np.array([0.0])
+            np.array([1.0]), np.array([0.0]), 0.5, sched, np.array([0.0])
         )
         assert abs(dist.mean[0] - 0.951) < 1e-12
         assert np.array_equal(x_next, dist.mean)
@@ -93,7 +93,7 @@ class TestSdeStep:
     def test_hand_evaluated_diffusion(self):
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
         x_next, _ = flowcore.sde_update(
-            np.array([1.0]), np.array([0.0]), 0.5, 0.1, sched, np.array([1.0])
+            np.array([1.0]), np.array([0.0]), 0.5, sched, np.array([1.0])
         )
         assert abs(x_next[0] - (0.951 + 0.7 * math.sqrt(0.1))) < 1e-12
 
@@ -103,7 +103,7 @@ class TestSdeStep:
         x = rng.standard_normal((5, 2))
         for t in range(10, 0, -1):
             v = rng.standard_normal((5, 2))
-            x_next, dist = flowcore.sde_update(x, v, t / 10, 0.1, sched, rng.standard_normal((5, 2)))
+            x_next, dist = flowcore.sde_update(x, v, t / 10, sched, rng.standard_normal((5, 2)))
             assert np.array_equal(x_next, x - 0.1 * v)
             assert dist.var == 0.0
             x = x_next
@@ -112,7 +112,7 @@ class TestSdeStep:
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
         params = constant_field_params(CONST_ARCH_1D, [0.0])
         with pytest.raises(ValueError):
-            flowcore.sde_step(CONST_ARCH_1D, params, np.array([1.0]), 0.5, 0.1, sched, np.zeros(2), 0)
+            flowcore.sde_step(CONST_ARCH_1D, params, np.array([1.0]), 0.5, sched, np.zeros(2), 0)
 
 
 class TestOdeProject:

@@ -45,6 +45,17 @@ class TestParseConfig:
         with pytest.raises(harness.ConfigError, match="gamma"):
             harness.parse_config(path)
 
+    def test_zero_noise_level_rejected_before_the_run_starts(self, tmp_path, capsys):
+        # policy optimization needs stochastic rollouts: the config fails at
+        # parse time, before pretraining or any run file
+        with pytest.raises(harness.ConfigError, match="noise_level"):
+            harness.config_from_dict({"noise_level": 0.0})
+        config = write_config(tmp_path, {"noise_level": 0.0, "pretrain_steps": 200, "train_steps": 5})
+        out = tmp_path / "out"
+        assert harness.cli(["train", "--config", str(config), "--out-dir", str(out)]) == 1
+        assert "noise_level" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path, {"grou_size": 8})
         with pytest.raises(harness.ConfigError, match="grou_size"):

@@ -297,7 +297,7 @@ class TestTrainStep:
         cfg, state, batch = tiny_setup
         advantages = trainer.compute_advantages(batch, cfg)
         for b in range(batch.contexts.shape[0]):
-            fields = ("contexts", "states", "noises", "logp_old", "instant_rewards", "terminal_rewards")
+            fields = ("contexts", "states", "logp_old", "instant_rewards")
             group = replace(batch, **{name: getattr(batch, name)[b:b + 1] for name in fields})
             res = trainer.surrogate_loss_and_grad(
                 state.arch, state.theta, state.theta_ref, group, advantages[b:b + 1],
