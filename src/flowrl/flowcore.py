@@ -2,6 +2,10 @@
 Euler ODE sampler, the stochastic sampling step, Gaussian step densities,
 per-step KL.
 
+A stochastic step's transition is an isotropic Gaussian given by its mean
+rows and its variance sigma(tau)^2 * dtau, which the schedule fixes for every
+row at one time; the densities take the two as plain arrays.
+
 Time convention: generation integrates tau from 1 (noise) to 0 (data) on the
 uniform grid tau_i = i/T with dtau = 1/T. The stochastic sampler's sign is
 fixed so that noise level a = 0 reduces bit-for-bit to the Euler ODE step
@@ -17,9 +21,6 @@ import numpy as np
 
 from . import diffnet
 from .diffnet import Architecture
-
-VAR_MATCH_TOL = 1e-12
-
 
 class NonFiniteStep(RuntimeError):
     """A sampling step produced non-finite values."""
@@ -61,15 +62,6 @@ class NoiseSchedule:
         return np.arange(self.num_steps, 0, -1) / self.num_steps
 
 
-@dataclass(frozen=True)
-class StepDistribution:
-    """Isotropic Gaussian over the next state: mean vector(s) and a variance,
-    scalar or one per row of a batch of means."""
-
-    mean: np.ndarray
-    var: float | np.ndarray
-
-
 def interpolate(x0, x1, tau):
     """Linear path (1 - tau) * x0 + tau * x1; tau scalar or per-sample."""
     x0 = np.asarray(x0, dtype=np.float64)
@@ -99,20 +91,17 @@ def step_distribution(
     tau: float,
     schedule: NoiseSchedule,
     context,
-) -> StepDistribution:
-    """Transition distribution of one stochastic step tau -> tau - dtau.
+) -> tuple[np.ndarray, float]:
+    """(mean, var) of one stochastic step tau -> tau - dtau.
 
     mean = x - [v + (sigma^2 / (2 tau')) * (x + (1 - tau') * v)] * dtau,
     var = sigma^2 * dtau, with v the predicted velocity at (x, tau) and
     dtau the schedule's step.
     """
     v = diffnet.forward(arch, params, x, tau, context)
-    return _step_distribution(np.asarray(x, dtype=np.float64), v, tau, schedule)
-
-
-def _step_distribution(x, v, tau: float, schedule: NoiseSchedule) -> StepDistribution:
-    s2, dtau = sigma(tau, schedule) ** 2, schedule.dtau
-    return StepDistribution(mean=step_mean(x, v, schedule.clamp(tau), s2, dtau), var=s2 * dtau)
+    s2 = sigma(tau, schedule) ** 2
+    mean = step_mean(np.asarray(x, dtype=np.float64), v, schedule.clamp(tau), s2, schedule.dtau)
+    return mean, s2 * schedule.dtau
 
 
 def step_mean(x, v, tau_clamped, s2, dtau: float):
@@ -126,7 +115,7 @@ def step_mean(x, v, tau_clamped, s2, dtau: float):
 
 
 def mean_velocity_coeff(tau: float, schedule: NoiseSchedule) -> float:
-    """d(mean)/d(v) of ``step_distribution``: -dtau * (1 + sigma^2 (1-tau')/(2 tau'))."""
+    """d(mean)/d(v) of ``step_mean``: -dtau * (1 + sigma^2 (1-tau')/(2 tau'))."""
     tc = schedule.clamp(tau)
     s2 = sigma(tau, schedule) ** 2
     return -schedule.dtau * (1.0 + s2 * (1.0 - tc) / (2.0 * tc))
@@ -140,8 +129,8 @@ def sde_step(
     schedule: NoiseSchedule,
     noise,
     context,
-) -> tuple[np.ndarray, StepDistribution]:
-    """One stochastic sampling step; returns (x_next, transition distribution).
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """One stochastic sampling step; returns (x_next, mean, var).
 
     ``noise`` is a standard-normal draw shaped like ``x``. With a = 0 the
     diffusion and drift-correction terms vanish and the step equals the Euler
@@ -158,9 +147,9 @@ def sde_step(
 def sde_update(x: np.ndarray, v: np.ndarray, tau: float, schedule: NoiseSchedule, noise: np.ndarray):
     """``sde_step`` from the velocity v already predicted at (x, tau), unchecked:
     a non-finite next state is the caller's to detect."""
-    dist = _step_distribution(x, v, tau, schedule)
-    x_next = dist.mean + sigma(tau, schedule) * math.sqrt(schedule.dtau) * noise
-    return x_next, dist
+    sig, dtau = sigma(tau, schedule), schedule.dtau
+    mean = step_mean(x, v, schedule.clamp(tau), sig ** 2, dtau)
+    return mean + sig * math.sqrt(dtau) * noise, mean, sig ** 2 * dtau
 
 
 def euler_update(x: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
@@ -176,32 +165,21 @@ def ode_project(arch: Architecture, params: np.ndarray, s, tau: float, context) 
     return euler_update(np.asarray(s, dtype=np.float64), v, tau)
 
 
-def transition_logpdf(x_next, dist: StepDistribution):
-    """Isotropic Gaussian log-density of x_next under a step distribution."""
-    if np.any(np.asarray(dist.var) <= 0.0):
+def transition_logpdf(x_next: np.ndarray, mean: np.ndarray, var):
+    """(n,) log-densities of the (n, d) rows x_next under isotropic Gaussians
+    with the (n, d) means and variance ``var`` (a scalar, or one per row)."""
+    if np.any(var <= 0.0):
         raise ValueError("deterministic step (variance 0) has no transition density")
-    x_next = np.atleast_2d(np.asarray(x_next, dtype=np.float64))
-    mean = np.atleast_2d(dist.mean)
-    if x_next.shape != mean.shape:
-        raise ValueError(f"shape mismatch {x_next.shape} vs {mean.shape}")
-    d = x_next.shape[1]
     sq = ((x_next - mean) ** 2).sum(axis=1)
-    out = -0.5 * d * np.log(2.0 * np.pi * dist.var) - sq / (2.0 * dist.var)
-    return float(out[0]) if np.asarray(dist.mean).ndim == 1 else out
+    return -0.5 * x_next.shape[1] * np.log(2.0 * np.pi * var) - sq / (2.0 * var)
 
 
-def kl_step(dist_p: StepDistribution, dist_q: StepDistribution):
-    """KL between equal-variance Gaussian steps: ||mean_p - mean_q||^2 / (2 var)."""
-    if np.any(np.asarray(dist_p.var) <= 0.0) or np.any(np.asarray(dist_q.var) <= 0.0):
+def kl_step(mean_p: np.ndarray, mean_q: np.ndarray, var):
+    """(n,) KL between isotropic Gaussian steps with the (n, d) means and one
+    variance ``var`` (a scalar, or one per row): ||mean_p - mean_q||^2 / (2 var)."""
+    if np.any(var <= 0.0):
         raise ValueError("KL undefined for zero-variance steps")
-    if np.max(np.abs(np.subtract(dist_p.var, dist_q.var))) > VAR_MATCH_TOL:
-        raise ValueError(f"variance mismatch: {dist_p.var} vs {dist_q.var}")
-    mp = np.atleast_2d(dist_p.mean)
-    mq = np.atleast_2d(dist_q.mean)
-    if mp.shape != mq.shape:
-        raise ValueError(f"shape mismatch {mp.shape} vs {mq.shape}")
-    out = ((mp - mq) ** 2).sum(axis=1) / (2.0 * dist_p.var)
-    return float(out[0]) if np.asarray(dist_p.mean).ndim == 1 else out
+    return ((mean_p - mean_q) ** 2).sum(axis=1) / (2.0 * var)
 
 
 def fm_loss_and_grad(arch: Architecture, params: np.ndarray, x0, x1, tau, context):

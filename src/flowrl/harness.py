@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import __version__, diffnet, rollout, trainer
 from .envsuite import TaskSpec
-from .records import SCHEMA_VERSION, MetricRecord
+from .records import METRIC_FIELDS, SCHEMA_VERSION, MetricRecord
 from .trainer import TrainConfig
 
 PRESET_NAMES = tuple(trainer.PRESETS)
@@ -175,15 +175,7 @@ def load_metrics(run_dir) -> list[MetricRecord]:
     return records
 
 
-CURVE_COLUMNS = (
-    "step",
-    "mean_reward",
-    "accuracy",
-    "quality_mean",
-    "group_reward_std_mean",
-    "kl_mean",
-    "update_norm",
-)
+CURVE_COLUMNS = METRIC_FIELDS
 
 
 def dump_curves(run_dir, out_path=None) -> Path:

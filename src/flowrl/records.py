@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 SCHEMA_VERSION = 1
 
@@ -34,32 +34,30 @@ class MetricRecord:
             raise ValueError("wallclock_ms must be >= 0")
 
     def metrics_json(self) -> dict:
-        """Deterministic fields for the metrics stream."""
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "step": self.step,
-            "mean_reward": self.mean_reward,
-            "accuracy": self.accuracy,
-            "quality_mean": self.quality_mean,
-            "group_reward_std_mean": self.group_reward_std_mean,
-            "kl_mean": self.kl_mean,
-            "update_norm": self.update_norm,
-        }
+        """Deterministic fields for the metrics stream: the schema version,
+        then ``METRIC_FIELDS``."""
+        return {"schema_version": SCHEMA_VERSION, **{name: getattr(self, name) for name in METRIC_FIELDS}}
 
     def timing_json(self) -> dict:
         return {"step": self.step, "wallclock_ms": self.wallclock_ms}
 
     @classmethod
-    def from_metrics_json(cls, payload: dict) -> "MetricRecord":
+    def from_metrics_json(cls, payload) -> "MetricRecord":
+        """Read one ``metrics_json`` line; any other content raises ValueError."""
+        if not isinstance(payload, dict):
+            raise ValueError(f"metrics line is not a JSON object: {payload!r}")
         if payload.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(f"unsupported metrics schema: {payload.get('schema_version')}")
-        return cls(
-            step=int(payload["step"]),
-            mean_reward=float(payload["mean_reward"]),
-            accuracy=float(payload["accuracy"]),
-            quality_mean=float(payload["quality_mean"]),
-            group_reward_std_mean=float(payload["group_reward_std_mean"]),
-            kl_mean=float(payload["kl_mean"]),
-            update_norm=float(payload["update_norm"]),
-            wallclock_ms=0.0,  # the metrics stream carries no wallclock
-        )
+        values = {}
+        for name in METRIC_FIELDS:
+            if name not in payload:
+                raise ValueError(f"metrics line lacks {name!r}")
+            value, kind = payload[name], int if name == "step" else (int, float)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"metrics line: {name}={value!r} is not a number")
+            values[name] = value if name == "step" else float(value)
+        return cls(**values, wallclock_ms=0.0)  # the metrics stream carries no wallclock
+
+
+# the metrics stream's fields, in field order; the wallclock goes only to the timing sidecar
+METRIC_FIELDS = tuple(f.name for f in fields(MetricRecord) if f.name != "wallclock_ms")

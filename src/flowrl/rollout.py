@@ -24,10 +24,6 @@ from .envsuite import TaskSpec
 from .flowcore import NoiseSchedule
 
 
-class RolloutError(RuntimeError):
-    """A trajectory produced a non-finite state."""
-
-
 @dataclass
 class RolloutBatch:
     """B groups of G trajectories, one group per context slot.
@@ -93,9 +89,11 @@ def rollout_group(
     noise per trajectory.
 
     Inputs are checked here, once, and each new state as it is made: a
-    non-finite one raises ``RolloutError`` naming the step and the contexts
-    of its rows. Each projection's velocity, taken at the new state and
-    time, is also the one the next exploration step needs.
+    non-finite one raises ``flowcore.NonFiniteStep`` naming the step and the
+    contexts of its rows. Each projection's velocity, taken at the new state
+    and time, is also the one the next exploration step needs, so a rollout
+    makes T network evaluations; the last step's projection, at tau = 0, is
+    the identity and needs none.
     """
     contexts = np.asarray(contexts, dtype=np.int64)
     if group_size < 2:
@@ -121,18 +119,21 @@ def rollout_group(
     phi = diffnet.feature_matrix(arch, x, 1.0, row_contexts)
     v = diffnet.mlp(layers, phi)
     for j, t in enumerate(range(t_steps, 0, -1)):
-        x, dist = flowcore.sde_update(x, v, t / t_steps, schedule, row_noise[:, j])
+        x, mean, var = flowcore.sde_update(x, v, t / t_steps, schedule, row_noise[:, j])
         bad = ~np.isfinite(x).all(axis=1)
         if bad.any():
             names = ",".join(str(c) for c in np.unique(row_contexts[bad]))
-            raise RolloutError(f"step t={t} context={names}: non-finite SDE state")
+            raise flowcore.NonFiniteStep(f"step t={t} context={names}: non-finite SDE state")
         states[:, j + 1] = x
         if logps is not None:
-            logps[:, j] = flowcore.transition_logpdf(x, dist)
+            logps[:, j] = flowcore.transition_logpdf(x, mean, var)
+        if t == 1:
+            break
         tau_next = (t - 1) / t_steps
         diffnet.write_state_time(arch, phi, x, tau_next)
         v = diffnet.mlp(layers, phi)
         rewards[:, j] = envsuite.reward(task, flowcore.euler_update(x, v, tau_next), row_contexts)
+    rewards[:, -1] = envsuite.reward(task, x, row_contexts)
 
     shape = (b, group_size)
     return RolloutBatch(

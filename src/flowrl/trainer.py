@@ -200,17 +200,24 @@ def clipped_term(ratio, advantages, eps_clip: float):
     return np.minimum(ratio * advantages, np.clip(ratio, 1.0 - eps_clip, 1.0 + eps_clip) * advantages)
 
 
-def step_rows(arch: Architecture, theta_ref: np.ndarray, batch: RolloutBatch) -> dict:
-    """Every (slot, member, step) transition of a batch as one row, with the
-    rows' feature matrix ``phi`` and the reference policy's step means.
+def step_rows(arch: Architecture, theta_ref: np.ndarray, batch: RolloutBatch, advantages) -> dict:
+    """The surrogate's inputs, built and checked once per batch: every
+    (slot, member, step) transition as one row, with the rows' feature
+    matrix ``phi``, the reference policy's step means, the stored old
+    log-densities, the advantages and the step variances.
 
     The schedule scalars (clamped tau, sigma^2, d mean / d v) are worked out
     once per timestep and repeated per row as (n, 1) columns. The rollout
     checked each state as it made it, so ``phi`` is assembled without input
-    checks.
+    checks. A deterministic (a = 0) batch, which has no transition densities,
+    and an advantage table not shaped (B, G, T) like the batch are rejected.
     """
     sched = batch.schedule
-    b, g, t = batch.instant_rewards.shape
+    if batch.logp_old is None:
+        raise ValueError("policy optimization requires stochastic rollouts (a > 0)")
+    if np.shape(advantages) != batch.logp_old.shape:
+        raise ValueError(f"advantage shape {np.shape(advantages)} != {batch.logp_old.shape}")
+    b, g, t = batch.logp_old.shape
     d = batch.states.shape[-1]
     taus = sched.tau_grid()
     per_step = np.array([
@@ -231,53 +238,37 @@ def step_rows(arch: Architecture, theta_ref: np.ndarray, batch: RolloutBatch) ->
         "tau_clamped": tc,
         "s2": s2,
         "coeff": coeff,
+        "dtau": sched.dtau,
+        "var": s2[:, 0] * sched.dtau,
         "ref_mean": flowcore.step_mean(x, v_ref, tc, s2, sched.dtau),
+        "logp_old": batch.logp_old.ravel(),
+        "advantage": np.ravel(advantages),
     }
 
 
 def surrogate_loss_and_grad(
-    arch: Architecture,
-    theta: np.ndarray,
-    theta_ref: np.ndarray,
-    batch: RolloutBatch,
-    advantages: np.ndarray,
-    eps_clip: float,
-    beta_kl: float,
-    rows: dict | None = None,
+    arch: Architecture, theta: np.ndarray, rows: dict, eps_clip: float, beta_kl: float
 ) -> SurrogateResult:
-    """Clipped surrogate objective over a rollout batch and its exact gradient.
+    """Clipped surrogate objective over the ``step_rows`` of a rollout batch
+    and its exact gradient.
 
     Ratios are exp(logp_theta - logp_old) where logp_theta comes from the
-    current policy's step distribution recomputed at the stored states;
-    advantages and the stored old log-densities are constants. The KL penalty
-    compares the current and reference step means under the shared schedule;
-    ``rows`` (from ``step_rows``, with the reference means) is built here when
-    not given.
+    current policy's step means recomputed at the stored states; advantages
+    and the stored old log-densities are constants. The KL penalty compares
+    the current and reference step means under the shared schedule.
     Gradients flow only through the current policy's means. Value and
     gradient are means over all B * G * T rows, i.e. the mean over groups of
     the per-group objective.
     """
-    schedule = batch.schedule
-    if schedule.a == 0.0:
-        raise ValueError("policy optimization requires stochastic rollouts (a > 0)")
-    if eps_clip <= 0.0:
-        raise ValueError("eps_clip must be > 0")
-    if np.shape(advantages) != batch.logp_old.shape:
-        raise ValueError(f"advantage shape {np.shape(advantages)} != {batch.logp_old.shape}")
-    if rows is None:
-        rows = step_rows(arch, theta_ref, batch)
-    x_next, ref_means = rows["x_next"], rows["ref_mean"]
+    x_next, ref_means, var, a = rows["x_next"], rows["ref_mean"], rows["var"], rows["advantage"]
     n_rows = x_next.shape[0]
     layers = diffnet.unpack(arch, theta)
     v, activations = diffnet.mlp(layers, rows["phi"], keep_activations=True)
-    mean = flowcore.step_mean(rows["x"], v, rows["tau_clamped"], rows["s2"], schedule.dtau)
-    var = rows["s2"][:, 0] * schedule.dtau
-    dist_cur = flowcore.StepDistribution(mean=mean, var=var)
-    ratio = np.exp(flowcore.transition_logpdf(x_next, dist_cur) - batch.logp_old.ravel())
-    a = np.ravel(advantages)
+    mean = flowcore.step_mean(rows["x"], v, rows["tau_clamped"], rows["s2"], rows["dtau"])
+    ratio = np.exp(flowcore.transition_logpdf(x_next, mean, var) - rows["logp_old"])
     unclipped = ratio * a
     surrogate_terms = clipped_term(ratio, a, eps_clip)
-    kl_terms = flowcore.kl_step(dist_cur, flowcore.StepDistribution(mean=ref_means, var=var))
+    kl_terms = flowcore.kl_step(mean, ref_means, var)
     # d(objective)/d(mean): the unclipped branch contributes A*r*dlogp/dmean,
     # the saturated clip branch contributes nothing; a NaN term stays NaN
     kappa = np.where(surrogate_terms < unclipped, 0.0, unclipped)
@@ -342,12 +333,10 @@ def update_policy(
     """
     cfg = state.config
     theta_before = state.theta.copy()
-    rows = step_rows(state.arch, state.theta_ref, batch)
+    rows = step_rows(state.arch, state.theta_ref, batch, advantages)
     values, kls = [], []
     for _ in range(cfg.inner_epochs):
-        res = surrogate_loss_and_grad(
-            state.arch, state.theta, state.theta_ref, batch, advantages, cfg.eps_clip, cfg.beta_kl, rows
-        )
+        res = surrogate_loss_and_grad(state.arch, state.theta, rows, cfg.eps_clip, cfg.beta_kl)
         if not np.all(np.isfinite(res.grad)):
             contexts = list(res.nonfinite_contexts)
             raise RuntimeError(f"non-finite policy gradient at step {step_index}: contexts {contexts}")

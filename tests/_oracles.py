@@ -7,7 +7,8 @@ from the formulas, so they share no sampler code with the library. The
 per-group advantage and surrogate references at the end are the
 group-by-group, timestep-by-timestep path the batched training step
 replaced; the surrogate reference builds on the single-step layers
-(``flowcore.step_distribution``, ``transition_logpdf``, ``kl_step`` and
+(``flowcore.step_distribution``, which gives one timestep's step means and
+their shared variance, ``transition_logpdf``, ``kl_step`` and
 ``diffnet.grad``).
 """
 
@@ -229,18 +230,18 @@ def reference_surrogate(arch, theta, theta_ref, states, logp_old, advantages, co
         tau = t / t_steps
         x_t = np.ascontiguousarray(states[:, j])
         x_next = np.ascontiguousarray(states[:, j + 1])
-        cur = flowcore.step_distribution(arch, theta, x_t, tau, schedule, context)
-        ref = flowcore.step_distribution(arch, theta_ref, x_t, tau, schedule, context)
-        ratio = np.exp(flowcore.transition_logpdf(x_next, cur) - logp_old[:, j])
+        cur, var = flowcore.step_distribution(arch, theta, x_t, tau, schedule, context)
+        ref, _ = flowcore.step_distribution(arch, theta_ref, x_t, tau, schedule, context)
+        ratio = np.exp(flowcore.transition_logpdf(x_next, cur, var) - logp_old[:, j])
         a_col = advantages[:, j]
         unclipped = ratio * a_col
         clipped = np.clip(ratio, 1.0 - eps_clip, 1.0 + eps_clip) * a_col
         terms[:, j] = np.minimum(unclipped, clipped)
-        kls[:, j] = flowcore.kl_step(cur, ref)
+        kls[:, j] = flowcore.kl_step(cur, ref, var)
         kappa = np.where(unclipped <= clipped, unclipped, 0.0)
         dj_dmean = (
-            kappa[:, None] * (x_next - cur.mean) - beta_kl * (cur.mean - ref.mean)
-        ) / (n_rows * cur.var)
+            kappa[:, None] * (x_next - cur) - beta_kl * (cur - ref)
+        ) / (n_rows * var)
         xs.append(x_t)
         taus.append(np.full(g_size, tau))
         upstreams.append(flowcore.mean_velocity_coeff(tau, schedule) * dj_dmean)

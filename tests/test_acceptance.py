@@ -139,10 +139,10 @@ class TestCriterion2GradientChecks:
         cfg = trainer.TrainConfig(task=task, hidden_dims=(6,), sampling_steps=4, group_size=3)
         advantages = trainer.compute_advantages(group, cfg)
         theta_ref = diffnet.init_params(arch_s, 12)
-        res = trainer.surrogate_loss_and_grad(arch_s, theta_s.copy(), theta_ref, group, advantages, 0.2, 0.01)
+        rows = trainer.step_rows(arch_s, theta_ref, group, advantages)
+        res = trainer.surrogate_loss_and_grad(arch_s, theta_s.copy(), rows, 0.2, 0.01)
         fd_s = central_difference(
-            lambda t: trainer.surrogate_loss_and_grad(arch_s, t, theta_ref, group, advantages, 0.2, 0.01).value,
-            theta_s,
+            lambda t: trainer.surrogate_loss_and_grad(arch_s, t, rows, 0.2, 0.01).value, theta_s
         )
         errors["surrogate"] = max_rel_error(res.grad, fd_s)
 
@@ -251,6 +251,7 @@ def _median_improvement(matrix, preset):
     )
 
 
+@pytest.mark.slow
 class TestCriterion7TrainingEfficacy:
     def test_vgpo_matches_or_beats_baseline_and_both_learn(self, training_matrix):
         vgpo_final = statistics.median(
@@ -267,6 +268,7 @@ class TestCriterion7TrainingEfficacy:
         assert ok
 
 
+@pytest.mark.slow
 class TestCriterion8ConvergenceSpeed:
     def test_dense_rewards_reach_threshold_no_later(self, training_matrix):
         steps = {"vgpo": [], "flow-grpo": []}
@@ -286,6 +288,7 @@ class TestCriterion8ConvergenceSpeed:
         assert ok
 
 
+@pytest.mark.slow
 class TestCriterion9RewardHackingMonitor:
     def test_quality_drop_at_matched_reward(self, training_matrix):
         drops = {"vgpo": [], "flow-grpo": []}

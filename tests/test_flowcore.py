@@ -83,16 +83,16 @@ class TestSdeStep:
         # 1-D, v = 0, x = 1, tau' = 0.5, a = 0.7, dtau = 0.1, noise = 0:
         # sigma^2 = 0.49, mean = 1 - (0.49 / 1.0) * 1 * 0.1 = 0.951
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
-        x_next, dist = flowcore.sde_update(
+        x_next, mean, var = flowcore.sde_update(
             np.array([1.0]), np.array([0.0]), 0.5, sched, np.array([0.0])
         )
-        assert abs(dist.mean[0] - 0.951) < 1e-12
-        assert np.array_equal(x_next, dist.mean)
-        assert abs(dist.var - 0.49 * 0.1) < 1e-12
+        assert abs(mean[0] - 0.951) < 1e-12
+        assert np.array_equal(x_next, mean)
+        assert abs(var - 0.49 * 0.1) < 1e-12
 
     def test_hand_evaluated_diffusion(self):
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
-        x_next, _ = flowcore.sde_update(
+        x_next, _, _ = flowcore.sde_update(
             np.array([1.0]), np.array([0.0]), 0.5, sched, np.array([1.0])
         )
         assert abs(x_next[0] - (0.951 + 0.7 * math.sqrt(0.1))) < 1e-12
@@ -103,9 +103,9 @@ class TestSdeStep:
         x = rng.standard_normal((5, 2))
         for t in range(10, 0, -1):
             v = rng.standard_normal((5, 2))
-            x_next, dist = flowcore.sde_update(x, v, t / 10, sched, rng.standard_normal((5, 2)))
+            x_next, _, var = flowcore.sde_update(x, v, t / 10, sched, rng.standard_normal((5, 2)))
             assert np.array_equal(x_next, x - 0.1 * v)
-            assert dist.var == 0.0
+            assert var == 0.0
             x = x_next
 
     def test_noise_shape_mismatch_rejected(self, rng):
@@ -148,54 +148,45 @@ class TestOdeProject:
 
 class TestTransitionLogpdf:
     def test_mode_value(self):
-        dist = flowcore.StepDistribution(mean=np.zeros(2), var=1.0)
-        assert abs(flowcore.transition_logpdf(np.zeros(2), dist) + math.log(2 * math.pi)) < 1e-15
+        got = flowcore.transition_logpdf(np.zeros((1, 2)), np.zeros((1, 2)), 1.0)
+        assert abs(got[0] + math.log(2 * math.pi)) < 1e-15
 
     def test_symmetry_about_mean(self, rng):
-        mean = rng.standard_normal(3)
-        delta = rng.standard_normal(3)
-        dist = flowcore.StepDistribution(mean=mean, var=0.37)
-        a = flowcore.transition_logpdf(mean + delta, dist)
-        b = flowcore.transition_logpdf(mean - delta, dist)
-        assert abs(a - b) < 1e-12
+        mean = rng.standard_normal((1, 3))
+        delta = rng.standard_normal((1, 3))
+        a = flowcore.transition_logpdf(mean + delta, mean, 0.37)
+        b = flowcore.transition_logpdf(mean - delta, mean, 0.37)
+        assert abs(a[0] - b[0]) < 1e-12
 
     def test_matches_product_of_1d_gaussians(self, rng):
         for _ in range(5):
-            mean = rng.standard_normal(4)
-            x = rng.standard_normal(4)
+            mean = rng.standard_normal((1, 4))
+            x = rng.standard_normal((1, 4))
             var = float(rng.uniform(0.05, 2.0))
-            dist = flowcore.StepDistribution(mean=mean, var=var)
-            got = flowcore.transition_logpdf(x, dist)
+            got = flowcore.transition_logpdf(x, mean, var)
             want = gaussian_product_logpdf(x, mean, var)
-            assert abs(got - want) < 1e-12
+            assert abs(got[0] - want) < 1e-12
 
     def test_zero_variance_rejected(self):
-        dist = flowcore.StepDistribution(mean=np.zeros(2), var=0.0)
         with pytest.raises(ValueError):
-            flowcore.transition_logpdf(np.zeros(2), dist)
+            flowcore.transition_logpdf(np.zeros((1, 2)), np.zeros((1, 2)), 0.0)
 
 
 class TestKlStep:
     def test_identical_means_zero(self):
-        dist = flowcore.StepDistribution(mean=np.ones(2), var=0.5)
-        assert flowcore.kl_step(dist, dist) == 0.0
+        mean = np.ones((1, 2))
+        assert flowcore.kl_step(mean, mean, 0.5)[0] == 0.0
 
     def test_unit_displacement_value(self):
         # ||(1, 0)||^2 / (2 * 0.5) = 1
-        p = flowcore.StepDistribution(mean=np.array([1.0, 0.0]), var=0.5)
-        q = flowcore.StepDistribution(mean=np.array([0.0, 0.0]), var=0.5)
-        assert abs(flowcore.kl_step(p, q) - 1.0) < 1e-15
+        p = np.array([[1.0, 0.0]])
+        q = np.array([[0.0, 0.0]])
+        assert abs(flowcore.kl_step(p, q, 0.5)[0] - 1.0) < 1e-15
 
     def test_symmetric_under_mean_swap(self, rng):
-        p = flowcore.StepDistribution(mean=rng.standard_normal(3), var=0.3)
-        q = flowcore.StepDistribution(mean=rng.standard_normal(3), var=0.3)
-        assert flowcore.kl_step(p, q) == flowcore.kl_step(q, p)
-
-    def test_variance_mismatch_rejected(self):
-        p = flowcore.StepDistribution(mean=np.zeros(2), var=0.5)
-        q = flowcore.StepDistribution(mean=np.zeros(2), var=0.5 + 1e-6)
-        with pytest.raises(ValueError):
-            flowcore.kl_step(p, q)
+        p = rng.standard_normal((1, 3))
+        q = rng.standard_normal((1, 3))
+        assert flowcore.kl_step(p, q, 0.3)[0] == flowcore.kl_step(q, p, 0.3)[0]
 
 
 class TestFmLoss:

@@ -10,6 +10,11 @@ from flowrl import envsuite, harness, trainer
 from flowrl.records import MetricRecord
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+# the ```json block after "Each `metrics.jsonl` line is one evaluation record:"
+README_METRICS_EXAMPLE = (
+    README.read_text().split("Each `metrics.jsonl` line is one evaluation record:", 1)[1]
+    .split("```json\n", 1)[1].split("```", 1)[0]
+)
 
 TINY_CONFIG = {
     "task_num_modes": 2,
@@ -193,6 +198,17 @@ class TestConfigSchema:
 
 
 class TestRunExperiment:
+    def test_metrics_line_keys_follow_the_readme_example(self, tmp_path):
+        keys = [
+            "schema_version", "step", "mean_reward", "accuracy", "quality_mean",
+            "group_reward_std_mean", "kl_mean", "update_norm",
+        ]
+        assert list(json.loads(README_METRICS_EXAMPLE)) == keys
+        cfg = harness.config_from_dict(dict(TINY_CONFIG, train_steps=0))
+        harness.run_experiment(cfg, tmp_path / "run")
+        line = (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()[0]
+        assert list(json.loads(line)) == keys
+
     def test_run_directory_contents(self, tmp_path):
         cfg = harness.config_from_dict(TINY_CONFIG)
         out = tmp_path / "run"
@@ -323,8 +339,22 @@ class TestCli:
         assert harness.cli(["train", "--config", str(config), "--out-dir", str(out)]) == 0
         assert harness.cli(["dump-curves", "--run-dir", str(out)]) == 0
         rows = (out / "curves.csv").read_text().strip().splitlines()
-        assert rows[0].split(",") == list(harness.CURVE_COLUMNS)
+        assert rows[0] == "step,mean_reward,accuracy,quality_mean,group_reward_std_mean,kl_mean,update_norm"
         assert len(rows) - 1 == len(harness.load_metrics(out))
+
+    def test_dump_curves_of_malformed_metrics_reports_error(self, tmp_path, capsys):
+        good = MetricRecord.from_metrics_json(json.loads(README_METRICS_EXAMPLE)).metrics_json()
+        bad_lines = (
+            {k: v for k, v in good.items() if k != "mean_reward"},
+            [1, 2],
+            dict(good, kl_mean="high"),
+            dict(good, step=None),
+        )
+        for bad in bad_lines:
+            (tmp_path / "metrics.jsonl").write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+            assert harness.cli(["dump-curves", "--run-dir", str(tmp_path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: metrics line"), err
 
     def test_trajectory_dump_pairs_instant_and_terminal_rewards(self, tmp_path):
         config = write_config(tmp_path, TINY_CONFIG)

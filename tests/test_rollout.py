@@ -91,6 +91,22 @@ class TestRolloutGroup:
         for i in range(4):
             assert np.array_equal(small.states[0, i], large.states[0, i])
 
+    @pytest.mark.parametrize("steps", [2, 10])
+    def test_one_network_evaluation_per_timestep(self, setup, monkeypatch, steps):
+        # the velocity at s_T drives the first step, each later one serves a
+        # projection and the next step; the last projection, at tau = 0, is
+        # the identity and needs none
+        calls = []
+        real_mlp = diffnet.mlp
+
+        def counting_mlp(*args, **kwargs):
+            calls.append(args[1].shape[0])
+            return real_mlp(*args, **kwargs)
+
+        monkeypatch.setattr(diffnet, "mlp", counting_mlp)
+        make_group(setup, steps=steps)
+        assert calls == [8] * steps
+
     def test_completes_within_measured_budget(self, setup):
         make_group(setup)  # warm caches before timing
         timings = []
@@ -110,10 +126,9 @@ class TestStoredDensities:
         for states, logp in zip(g.states[0], g.logp_old[0]):
             for j, t in enumerate(range(g.num_steps, 0, -1)):
                 tau = t / g.num_steps
-                mean = flowcore.step_distribution(arch, params, states[j], tau, g.schedule, 2).mean
+                mean, _ = flowcore.step_distribution(arch, params, states[j:j + 1], tau, g.schedule, 2)
                 var = flowcore.sigma(tau, g.schedule) ** 2 * g.schedule.dtau
-                dist = flowcore.StepDistribution(mean=mean, var=var)
-                recomputed = flowcore.transition_logpdf(states[j + 1], dist)
+                recomputed = flowcore.transition_logpdf(states[j + 1:j + 2], mean, var)[0]
                 assert abs(recomputed - logp[j]) <= 1e-12
 
     def test_logp_finite_whenever_noise_active(self, setup):
@@ -169,7 +184,7 @@ class TestTrajectoryValidation:
             num_modes=1, context_count=1, state_dim=1, mode_centers=[[0.0]]
         )
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
-        with pytest.raises(rollout.RolloutError, match="t=10 context=0"):
+        with pytest.raises(flowcore.NonFiniteStep, match="t=10 context=0"):
             rollout.rollout_group(arch, params, [0], 2, sched, task, seeds=[0])
 
     @pytest.mark.filterwarnings("ignore:overflow")
@@ -184,7 +199,7 @@ class TestTrajectoryValidation:
             num_modes=3, context_count=3, state_dim=1, mode_centers=[[0.0], [1.0], [2.0]]
         )
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
-        with pytest.raises(rollout.RolloutError, match="t=10 context=1:"):
+        with pytest.raises(flowcore.NonFiniteStep, match="t=10 context=1:"):
             rollout.rollout_group(
                 arch, params, [0, 1, 2, 1], 2, sched, task, seeds=[0, 1, 2, 3]
             )

@@ -178,11 +178,17 @@ class TestClippedTerm:
         assert np.all(out <= (1.2) * np.abs(advs) + 1e-12)
 
 
+def surrogate(arch, theta, theta_ref, batch, advantages, eps_clip, beta_kl):
+    """The surrogate on the rows of one batch."""
+    rows = trainer.step_rows(arch, theta_ref, batch, advantages)
+    return trainer.surrogate_loss_and_grad(arch, theta, rows, eps_clip, beta_kl)
+
+
 class TestSurrogate:
     def test_on_policy_identity(self, tiny_setup):
         cfg, state, batch = tiny_setup
         advantages = trainer.compute_advantages(batch, cfg)
-        res = trainer.surrogate_loss_and_grad(
+        res = surrogate(
             state.arch, state.theta, state.theta_ref, batch, advantages, cfg.eps_clip, beta_kl=0.0
         )
         # the policy that generated the batch: every recomputed ratio is 1 and
@@ -196,7 +202,7 @@ class TestSurrogate:
         # exceed (1 + eps) |A|; with ratios == 1 it equals |A| exactly
         cfg, state, batch = tiny_setup
         advantages = trainer.compute_advantages(batch, cfg)
-        res = trainer.surrogate_loss_and_grad(
+        res = surrogate(
             state.arch, state.theta, state.theta_ref, batch, advantages, cfg.eps_clip, beta_kl=0.0
         )
         assert abs(res.value) <= (1 + cfg.eps_clip) * np.abs(advantages).mean() + 1e-12
@@ -204,7 +210,7 @@ class TestSurrogate:
     def test_reference_policy_has_zero_kl(self, tiny_setup):
         cfg, state, batch = tiny_setup
         advantages = trainer.compute_advantages(batch, cfg)
-        res = trainer.surrogate_loss_and_grad(
+        res = surrogate(
             state.arch, state.theta_ref.copy(), state.theta_ref, batch, advantages, cfg.eps_clip, cfg.beta_kl
         )
         assert res.kl == 0.0
@@ -212,7 +218,7 @@ class TestSurrogate:
     def test_kl_nonnegative_off_reference(self, tiny_setup):
         cfg, state, batch = tiny_setup
         advantages = trainer.compute_advantages(batch, cfg)
-        res = trainer.surrogate_loss_and_grad(
+        res = surrogate(
             state.arch, state.theta + 0.01, state.theta_ref, batch, advantages, cfg.eps_clip, cfg.beta_kl
         )
         assert res.kl > 0.0
@@ -230,17 +236,18 @@ class TestSurrogate:
         )
         advantages = trainer.compute_advantages(group, cfg)
         theta_ref = diffnet.init_params(arch, 12)
+        rows = trainer.step_rows(arch, theta_ref, group, advantages)
         rng = np.random.default_rng(9)
         # at shift 0.1 a share of the ratios leaves the clip band, so the
         # saturated branch's zero gradient is checked too
         for shift in (0.0, 0.01, 0.1):
             theta_cur = theta + shift * rng.standard_normal(theta.size)
-            res = trainer.surrogate_loss_and_grad(arch, theta_cur, theta_ref, group, advantages, 0.2, 0.01)
+            res = trainer.surrogate_loss_and_grad(arch, theta_cur, rows, 0.2, 0.01)
             if shift == 0.1:
                 assert res.clip_fraction > 0.0
 
             def value_at(t):
-                return trainer.surrogate_loss_and_grad(arch, t, theta_ref, group, advantages, 0.2, 0.01).value
+                return trainer.surrogate_loss_and_grad(arch, t, rows, 0.2, 0.01).value
 
             fd = central_difference(value_at, theta_cur)
             assert max_rel_error(res.grad, fd) < 1e-5
@@ -252,7 +259,7 @@ class TestSurrogate:
         group = rollout.rollout_group(arch, theta, [0], 3, sched, SMALL_TASK, seeds=[1])
         advantages = adv.adae(np.ones((1, 3, 4)), 0.5, np.ones((1, 3, 4)))
         with pytest.raises(ValueError, match="stochastic"):
-            trainer.surrogate_loss_and_grad(arch, theta, theta.copy(), group, advantages, 0.2, 0.01)
+            trainer.step_rows(arch, theta.copy(), group, advantages)
 
 
 def _inject_constant_rewards(batch, value):
@@ -299,7 +306,7 @@ class TestTrainStep:
         for b in range(batch.contexts.shape[0]):
             fields = ("contexts", "states", "logp_old", "instant_rewards")
             group = replace(batch, **{name: getattr(batch, name)[b:b + 1] for name in fields})
-            res = trainer.surrogate_loss_and_grad(
+            res = surrogate(
                 state.arch, state.theta, state.theta_ref, group, advantages[b:b + 1],
                 cfg.eps_clip, cfg.beta_kl,
             )
@@ -314,7 +321,7 @@ class TestNonFiniteGradient:
         poisoned = trainer.compute_advantages(batch, cfg)
         poisoned[1, 0, 3] = np.nan
         theta_before = fresh.theta.copy()
-        res = trainer.surrogate_loss_and_grad(
+        res = surrogate(
             fresh.arch, fresh.theta, fresh.theta_ref, batch, poisoned, cfg.eps_clip, cfg.beta_kl
         )
         assert res.nonfinite_contexts == (int(batch.contexts[1]),)
@@ -333,13 +340,11 @@ class TestInnerEpochs:
         state = trainer.init_state(cfg, pretrained)
         batch = trainer.rollout_batch(state, 1)
         advantages = trainer.compute_advantages(batch, cfg)
-        rows = trainer.step_rows(state.arch, state.theta_ref, batch)
+        rows = trainer.step_rows(state.arch, state.theta_ref, batch, advantages)
         theta, adam = state.theta.copy(), state.adam
         epochs = []
         for _ in range(2):
-            res = trainer.surrogate_loss_and_grad(
-                state.arch, theta, state.theta_ref, batch, advantages, cfg.eps_clip, cfg.beta_kl, rows
-            )
+            res = trainer.surrogate_loss_and_grad(state.arch, theta, rows, cfg.eps_clip, cfg.beta_kl)
             theta, adam = diffnet.adam_update(theta, -res.grad, adam, cfg.lr)
             epochs.append(res)
         surrogate, kl, update_norm = trainer.update_policy(state, batch, advantages, 1)
