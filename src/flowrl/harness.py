@@ -169,9 +169,12 @@ def run_experiment(config: TrainConfig, out_dir, pretrained=None) -> trainer.Run
 def load_metrics(run_dir) -> list[MetricRecord]:
     path = Path(run_dir) / "metrics.jsonl"
     records = []
-    for line in path.read_text().splitlines():
+    for number, line in enumerate(path.read_text().splitlines(), start=1):
         if line.strip():
-            records.append(MetricRecord.from_metrics_json(json.loads(line)))
+            try:
+                records.append(MetricRecord.from_metrics_json(json.loads(line)))
+            except ValueError as exc:  # json.JSONDecodeError is a ValueError
+                raise ValueError(f"{path} line {number}: {exc}") from exc
     return records
 
 
@@ -307,6 +310,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.step < 0:
+        raise ConfigError(f"--step must be >= 0, got {args.step}")
     config = _load_config(args)
     arch, params = diffnet.load_checkpoint(args.checkpoint)
     expected = config.architecture()

@@ -4,10 +4,11 @@ frozen policy and scores every step via one-step terminal projection.
 A batch holds one group per context slot, stored as arrays: the states, the
 log-densities of their transitions and the instant rewards. The terminal
 reward is the last instant reward, because the projection at tau = 0 is the
-identity. Each trajectory draws from its own seed-derived stream (the slot's
-seed sequence spawns one child per group member), so batches regenerate
-bit-identically whatever their size, while every timestep advances all rows
-of the batch at once. Each new state is checked once, as it is made.
+identity. Each slot draws all its noise at once from one generator keyed by
+the slot's seed, member by member, so a trajectory's noise depends neither on
+the batch size nor on the other slots nor on the group members after it,
+while every timestep advances all rows of the batch at once. Each new state
+is checked once, as it is made.
 """
 
 from __future__ import annotations
@@ -56,16 +57,14 @@ class RolloutBatch:
 
 
 def _draw_noise(seed, group_size: int, t_steps: int, d: int, shared_initial_noise: bool):
-    """Initial states (G, D) and step noise (G, T, D) of one slot; each member's
-    generator draws its initial state, then its step noise."""
-    children = np.random.SeedSequence(seed).spawn(group_size + 1)
-    rngs = [np.random.default_rng(c) for c in children[:group_size]]
-    if shared_initial_noise:
-        shared = np.random.default_rng(children[group_size]).standard_normal(d)
-        init = np.tile(shared, (group_size, 1))
-    else:
-        init = np.stack([r.standard_normal(d) for r in rngs])
-    return init, np.stack([r.standard_normal((t_steps, d)) for r in rngs])
+    """Initial states (G, D) and step noise (G, T, D) of one slot, from one
+    (G, T+1, D) draw of the slot's generator: member i starts at
+    ``draws[i, 0]`` (member 0's with ``shared_initial_noise``) and steps with
+    ``draws[i, 1:]``."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    draws = rng.standard_normal((group_size, t_steps + 1, d))
+    init = np.tile(draws[0, 0], (group_size, 1)) if shared_initial_noise else draws[:, 0]
+    return init, draws[:, 1:]
 
 
 def rollout_group(

@@ -143,18 +143,21 @@ def reference_rollout_group(arch, params_old, context, group_size, schedule, tas
     step inside the grid and sigma^2 = a^2 tau' / (1 - tau'), the mean is
     x - [v + sigma^2 / (2 tau') * (x + (1 - tau') v)] / T, the variance
     sigma^2 / T, and the instant reward scores the projection x - tau v at
-    the new state and time. Returns a dict of (G, ...) arrays: noises,
+    the new state and time. The noise comes from one generator keyed by the
+    slot's seed, member after member: each member's initial state, then its
+    T step draws; with ``shared_initial_noise`` every member starts from
+    member 0's initial state. Returns a dict of (G, ...) arrays: noises,
     states, logp_old, instant_rewards, terminal_rewards.
     """
     t_steps, d = schedule.num_steps, arch.state_dim
-    children = np.random.SeedSequence(seed).spawn(group_size + 1)
-    rngs = [np.random.default_rng(c) for c in children[:group_size]]
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    init = np.empty((group_size, d))
+    noises = np.empty((group_size, t_steps, d))
+    for i in range(group_size):
+        init[i] = rng.standard_normal(d)
+        noises[i] = rng.standard_normal((t_steps, d))
     if shared_initial_noise:
-        shared = np.random.default_rng(children[group_size]).standard_normal(d)
-        init = np.tile(shared, (group_size, 1))
-    else:
-        init = np.stack([r.standard_normal(d) for r in rngs])
-    noises = np.stack([r.standard_normal((t_steps, d)) for r in rngs])
+        init[1:] = init[0]
     states = np.empty((t_steps + 1, group_size, d))
     logps = np.empty((t_steps, group_size))
     rewards = np.empty((t_steps, group_size))

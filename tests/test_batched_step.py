@@ -40,7 +40,7 @@ def test_batched_step_matches_per_group_oracle(seed, b, g, t, preset, shared):
     theta_ref = diffnet.init_params(ARCH, seed + 1)
     schedule = flowcore.NoiseSchedule(a=0.7, num_steps=t)
     contexts = rng.integers(0, TASK.context_count, b)
-    # entropy tuples: spawning advances a SeedSequence, so each side builds its own
+    # entropy tuples, as the trainer passes them: each side builds its own generators
     seeds = [(seed, trainer.STREAM_ROLLOUT, 1, slot, int(c)) for slot, c in enumerate(contexts)]
 
     batch = rollout.rollout_group(ARCH, theta_old, contexts, g, schedule, TASK, seeds, shared)

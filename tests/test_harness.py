@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from flowrl import envsuite, harness, trainer
+from flowrl import diffnet, envsuite, harness, trainer
 from flowrl.records import MetricRecord
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -303,6 +303,14 @@ class TestCli:
             assert harness.cli(["eval", "--config", str(config), "--checkpoint", str(ckpt)]) == 1
             assert "checkpoint" in capsys.readouterr().err
 
+    def test_eval_rejects_a_negative_step(self, tmp_path, capsys):
+        ckpt = tmp_path / "params.json"
+        arch = trainer.TrainConfig().architecture()
+        diffnet.save_checkpoint(ckpt, arch, diffnet.init_params(arch, 0))
+        assert harness.cli(["eval", "--checkpoint", str(ckpt), "--step", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert "--step" in err and "-1" in err, err
+
     def test_ablate_writes_four_runs_and_report(self, tmp_path):
         config = write_config(tmp_path, dict(TINY_CONFIG, train_steps=2, eval_every=1))
         out = tmp_path / "ablate"
@@ -350,11 +358,20 @@ class TestCli:
             dict(good, kl_mean="high"),
             dict(good, step=None),
         )
+        path = tmp_path / "metrics.jsonl"
         for bad in bad_lines:
-            (tmp_path / "metrics.jsonl").write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+            path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
             assert harness.cli(["dump-curves", "--run-dir", str(tmp_path)]) == 1
             err = capsys.readouterr().err
-            assert err.startswith("error: metrics line"), err
+            assert err.startswith(f"error: {path} line 2: metrics line"), err
+
+    def test_dump_curves_names_the_file_line_of_broken_json(self, tmp_path, capsys):
+        # a truncated line: the JSON decoder alone would report "line 1" of that line
+        path = tmp_path / "metrics.jsonl"
+        path.write_text(README_METRICS_EXAMPLE.replace("\n", " ") + "\n" + '{"schema_ver' + "\n")
+        assert harness.cli(["dump-curves", "--run-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} line 2: Unterminated string"), err
 
     def test_trajectory_dump_pairs_instant_and_terminal_rewards(self, tmp_path):
         config = write_config(tmp_path, TINY_CONFIG)

@@ -61,7 +61,7 @@ class TestRolloutGroup:
         assert g.logp_old is None
 
     def test_same_seed_sequences_reused_give_the_same_batch(self, setup):
-        # seeds are entropy, not SeedSequence objects that spawning advances
+        # seeds are entropy: each call builds fresh generators from them
         task, arch, params = setup
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
         seeds = [(0, 1, 2), (0, 1, 3)]
@@ -90,6 +90,32 @@ class TestRolloutGroup:
         large = make_group(setup, group_size=8)
         for i in range(4):
             assert np.array_equal(small.states[0, i], large.states[0, i])
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_one_generator_per_slot(self, setup, monkeypatch, shared):
+        task, arch, params = setup
+        made = []
+        real_default_rng = np.random.default_rng
+
+        def counting_default_rng(*args, **kwargs):
+            made.append(args)
+            return real_default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
+        sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
+        rollout.rollout_group(arch, params, [2, 5, 2], 8, sched, task, [(0, 1), (0, 2), (0, 3)], shared)
+        assert len(made) == 3
+
+    def test_slot_noise_does_not_depend_on_the_batch(self, setup):
+        # BLAS may sum the rows of a larger batch in another order, moving
+        # the last bits of the states; the drawn initial states are exact
+        task, arch, params = setup
+        sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
+        seeds = [(0, 1, 0, 4), (0, 1, 1, 2), (0, 1, 2, 7)]
+        batch = rollout.rollout_group(arch, params, [4, 2, 7], 8, sched, task, seeds)
+        alone = rollout.rollout_group(arch, params, [2], 8, sched, task, seeds[1:2])
+        assert np.array_equal(batch.states[1, :, 0], alone.states[0, :, 0])
+        assert np.max(np.abs(batch.states[1] - alone.states[0])) <= 1e-12
 
     @pytest.mark.parametrize("steps", [2, 10])
     def test_one_network_evaluation_per_timestep(self, setup, monkeypatch, steps):
