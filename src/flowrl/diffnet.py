@@ -175,46 +175,46 @@ def forward(arch: Architecture, params: np.ndarray, x, tau, context):
     return out[0] if np.asarray(x).ndim == 1 else out
 
 
-def backward(layers, activations, upstream):
+def backward(layers, activations, upstream, grads):
     """Exact reverse-mode gradient of ``sum_n <upstream_n, out_n>`` from
-    ``unpack``'s layers and the activations ``mlp`` kept with them.
+    ``unpack``'s layers and the activations ``mlp`` kept with them, unchecked.
 
-    Returns ``(param_grad, input_grad)``: ``param_grad`` is flat like the
-    parameter vector; ``input_grad`` has one row per sample in feature space.
+    Each layer's parameter gradient is written into ``grads``, ``unpack``'s
+    (weight, bias) views of the caller's flat gradient vector. Returns the
+    input gradient, one row per sample in feature space.
     """
-    n = activations[0].shape[0]
-    upstream = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
-    out_dim = layers[-1][0].shape[0]
-    if upstream.shape != (n, out_dim):
-        raise ValueError(f"upstream shape {upstream.shape} != {(n, out_dim)}")
     # the output layer is linear; hidden layers are tanh
-    per_layer = [None] * len(layers)
     delta = upstream
     for idx in range(len(layers) - 1, -1, -1):
-        w, _ = layers[idx]
-        per_layer[idx] = (delta.T @ activations[idx], delta.sum(axis=0))
-        delta = delta @ w
+        gw, gb = grads[idx]
+        np.matmul(delta.T, activations[idx], out=gw)
+        delta.sum(axis=0, out=gb)
+        delta = delta @ layers[idx][0]
         if idx > 0:
             delta *= 1.0 - activations[idx] ** 2
-    flat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in per_layer])
-    return flat, delta
+    return delta
 
 
 def grad(arch: Architecture, params: np.ndarray, x, tau, context, upstream):
     """Exact reverse-mode gradient of ``sum_n <upstream_n, forward(params, x_n)>``:
-    ``backward``'s ``(param_grad, input_grad)``, whose leading ``state_dim``
-    input columns are the derivative w.r.t. the state.
+    the flat parameter gradient and ``backward``'s input gradient, whose
+    leading ``state_dim`` columns are the derivative w.r.t. the state.
     """
     single = np.asarray(x).ndim == 1
     layers = unpack(arch, params)
     _, activations = mlp(layers, features(arch, x, tau, context), keep_activations=True)
-    flat, delta = backward(layers, activations, upstream)
+    upstream = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
+    expected = (activations[0].shape[0], arch.output_dim)
+    if upstream.shape != expected:
+        raise ValueError(f"upstream shape {upstream.shape} != {expected}")
+    flat = np.empty(param_count(arch))
+    delta = backward(layers, activations, upstream, unpack(arch, flat))
     return flat, (delta[0] if single else delta)
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators and step counter."""
+    """First/second moment accumulators and step counter, updated in place."""
 
     m: np.ndarray
     v: np.ndarray
@@ -225,23 +225,25 @@ def adam_init(n_params: int) -> AdamState:
     return AdamState(m=np.zeros(n_params), v=np.zeros(n_params), t=0)
 
 
-def adam_update(
-    params: np.ndarray, gradient: np.ndarray, state: AdamState, lr: float
-) -> tuple[np.ndarray, AdamState]:
-    """One adaptive-moment descent step with bias correction.
+def adam_update(params: np.ndarray, gradient: np.ndarray, state: AdamState, lr: float) -> None:
+    """One adaptive-moment descent step with bias correction, in place on
+    ``params`` (so ``unpack``'s views of it stay valid) and on ``state``.
 
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g, then
+    params -= lr m_hat / (sqrt(v_hat) + eps), each operation in the order of
+    the out-of-place formulas, whose results it matches bit for bit.
     Callers maximizing an objective pass the negated gradient.
     """
-    g = np.asarray(gradient, dtype=np.float64)
-    if g.shape != params.shape:
-        raise ValueError(f"gradient shape {g.shape} != params shape {params.shape}")
-    t = state.t + 1
-    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
-    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
-    m_hat = m / (1.0 - ADAM_BETA1 ** t)
-    v_hat = v / (1.0 - ADAM_BETA2 ** t)
-    new_params = params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return new_params, AdamState(m=m, v=v, t=t)
+    if gradient.shape != params.shape:
+        raise ValueError(f"gradient shape {gradient.shape} != params shape {params.shape}")
+    state.t += 1
+    m, v = state.m, state.v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * gradient
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * gradient * gradient
+    m_hat = m / (1.0 - ADAM_BETA1 ** state.t)
+    params -= lr * m_hat / (np.sqrt(v / (1.0 - ADAM_BETA2 ** state.t)) + ADAM_EPS)
 
 
 def save_checkpoint(path, arch: Architecture, params: np.ndarray) -> None:

@@ -104,18 +104,19 @@ def sample_context(task: TaskSpec, rng: np.random.Generator) -> int:
     return int(rng.integers(0, task.context_count))
 
 
-def sample_data(task: TaskSpec, rng: np.random.Generator, n: int | None = None):
-    """Draw from the full data mixture.
+def sample_data(task: TaskSpec, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Draw n rows from the full data mixture.
 
-    Pretraining data deliberately carries no context, so that RL has to move
-    conditional mass toward the designated mode.
+    The modes are drawn by the inverse CDF that ``Generator.choice(p=...)``
+    uses, without its argument checks, so the draws are choice's. Pretraining
+    data deliberately carries no context, so that RL has to move conditional
+    mass toward the designated mode.
     """
-    count = 1 if n is None else int(n)
-    centers = task.centers()
     weights = task.weights()
-    modes = rng.choice(len(centers), size=count, p=weights / weights.sum())
-    x = centers[modes] + math.sqrt(task.mode_var) * rng.standard_normal((count, task.state_dim))
-    return x[0] if n is None else x
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    modes = cdf.searchsorted(rng.random(n), side="right")
+    return task.centers()[modes] + math.sqrt(task.mode_var) * rng.standard_normal((n, task.state_dim))
 
 
 def _logistic(z):

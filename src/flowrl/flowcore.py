@@ -1,6 +1,6 @@
-"""Rectified-flow mathematics: interpolation path, flow-matching loss, the
-Euler ODE sampler, the stochastic sampling step, Gaussian step densities,
-per-step KL.
+"""Rectified-flow mathematics: the flow-matching loss on the straight path
+from data to noise, the Euler ODE sampler, the stochastic sampling step,
+Gaussian step densities, per-step KL.
 
 A stochastic step's transition is an isotropic Gaussian given by its mean
 rows and its variance sigma(tau)^2 * dtau, which the schedule fixes for every
@@ -60,20 +60,6 @@ class NoiseSchedule:
     def tau_grid(self) -> np.ndarray:
         """Descending times tau_T .. tau_1 visited during generation."""
         return np.arange(self.num_steps, 0, -1) / self.num_steps
-
-
-def interpolate(x0, x1, tau):
-    """Linear path (1 - tau) * x0 + tau * x1; tau scalar or per-sample."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    x1 = np.asarray(x1, dtype=np.float64)
-    if x0.shape != x1.shape:
-        raise ValueError(f"shape mismatch {x0.shape} vs {x1.shape}")
-    tau = np.asarray(tau, dtype=np.float64)
-    if np.any(tau < 0.0) or np.any(tau > 1.0):
-        raise ValueError("tau outside [0, 1]")
-    if x0.ndim == 2 and tau.ndim == 1:
-        tau = tau[:, None]
-    return (1.0 - tau) * x0 + tau * x1
 
 
 def sigma(tau: float, schedule: NoiseSchedule) -> float:
@@ -182,25 +168,22 @@ def kl_step(mean_p: np.ndarray, mean_q: np.ndarray, var):
     return ((mean_p - mean_q) ** 2).sum(axis=1) / (2.0 * var)
 
 
-def fm_loss_and_grad(arch: Architecture, params: np.ndarray, x0, x1, tau, context):
-    """Flow-matching loss mean_n ||(x1 - x0) - v(x_tau, tau)||^2 and its gradient.
+def fm_loss_and_grad(arch: Architecture, layers, phi, x0, x1, tau, grads) -> float:
+    """Flow-matching loss mean_n ||(x1 - x0) - v(x_tau, tau)||^2, unchecked,
+    with its gradient written into ``grads`` (``unpack``'s views of a flat
+    vector).
 
-    The regression target is the straight-path velocity x1 - x0 evaluated at
-    the interpolated point; the gradient is exact reverse mode.
+    The regression target is the straight-path velocity x1 - x0 at the point
+    x_tau = (1 - tau) x0 + tau x1 of the (n, d) rows, one tau per row.
+    ``phi`` is the (n, input_dim) feature matrix whose context block the
+    caller has filled; its state and time columns are overwritten here.
     """
-    x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
-    x1 = np.atleast_2d(np.asarray(x1, dtype=np.float64))
-    if x0.shape[0] == 0:
-        raise ValueError("empty batch")
-    xt = interpolate(x0, x1, tau)
-    target = x1 - x0
-    layers = diffnet.unpack(arch, params)
-    v, activations = diffnet.mlp(layers, diffnet.features(arch, xt, tau, context), keep_activations=True)
-    resid = target - v
-    loss = float((resid ** 2).sum(axis=1).mean())
-    upstream = (-2.0 / x0.shape[0]) * resid
-    pgrad, _ = diffnet.backward(layers, activations, upstream)
-    return loss, pgrad
+    tau_col = tau[:, None]
+    diffnet.write_state_time(arch, phi, (1.0 - tau_col) * x0 + tau_col * x1, tau)
+    v, activations = diffnet.mlp(layers, phi, keep_activations=True)
+    resid = (x1 - x0) - v
+    diffnet.backward(layers, activations, (-2.0 / x0.shape[0]) * resid, grads)
+    return float((resid ** 2).sum(axis=1).mean())
 
 
 def sample_terminal_ode(

@@ -157,20 +157,31 @@ def pretrain(config: TrainConfig) -> np.ndarray:
     result. Contexts are fed to the net but carry no information (the data
     ignores them), which leaves the conditional mass for RL to move. Returns
     the trained parameters, from which ``init_state`` and ``run`` start RL.
+
+    The layer views, feature matrix and gradient vector are set up once; each
+    step draws in range, so only its loss is checked.
     """
     arch, task, batch_size = config.architecture(), config.task, config.pretrain_batch
     params = diffnet.init_params(arch, config.seed)
+    layers = diffnet.unpack(arch, params)
+    grad = np.empty_like(params)
+    grads = diffnet.unpack(arch, grad)
+    phi = np.zeros((batch_size, arch.input_dim))
+    one_hot = phi[:, arch.state_dim + diffnet.TIME_FEATURES:]
+    rows = np.arange(batch_size)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, STREAM_PRETRAIN)))
     state = diffnet.adam_init(params.size)
     for step in range(config.pretrain_steps):
-        x0 = envsuite.sample_data(task, rng, n=batch_size)
+        x0 = envsuite.sample_data(task, rng, batch_size)
         x1 = rng.standard_normal(x0.shape)
         tau = rng.uniform(0.0, 1.0, batch_size)
         ctx = rng.integers(0, task.context_count, batch_size)
-        loss, g = flowcore.fm_loss_and_grad(arch, params, x0, x1, tau, ctx)
+        one_hot.fill(0.0)
+        one_hot[rows, ctx] = 1.0
+        loss = flowcore.fm_loss_and_grad(arch, layers, phi, x0, x1, tau, grads)
         if not np.isfinite(loss):
             raise RuntimeError(f"pretraining diverged at step {step}: loss={loss}")
-        params, state = diffnet.adam_update(params, g, state, config.pretrain_lr)
+        diffnet.adam_update(params, grad, state, config.pretrain_lr)
     return params
 
 
@@ -276,7 +287,8 @@ def surrogate_loss_and_grad(
         kappa[:, None] * (x_next - mean) - beta_kl * (mean - ref_means)
     ) / (n_rows * var[:, None])
     upstream = rows["coeff"] * dj_dmean
-    pgrad, _ = diffnet.backward(layers, activations, upstream)
+    pgrad = np.empty_like(theta)
+    diffnet.backward(layers, activations, upstream, diffnet.unpack(arch, pgrad))
     bad_rows = ~np.isfinite(upstream).all(axis=1)
     return SurrogateResult(
         value=float(surrogate_terms.mean() - beta_kl * kl_terms.mean()),
@@ -328,7 +340,7 @@ def update_policy(
     """Apply the configured number of ascent epochs on a rollout batch.
 
     Returns (mean surrogate value, mean KL, update norm) of the applied
-    updates. Replaces the state's current parameters and Adam state.
+    updates. Updates the state's current parameters and Adam state in place.
     A non-finite gradient stops the run before it reaches the parameters.
     """
     cfg = state.config
@@ -343,7 +355,7 @@ def update_policy(
         values.append(res.value)
         kls.append(res.kl)
         # ascent on the surrogate = descent on its negation
-        state.theta, state.adam = diffnet.adam_update(state.theta, -res.grad, state.adam, cfg.lr)
+        diffnet.adam_update(state.theta, -res.grad, state.adam, cfg.lr)
     update_norm = float(np.linalg.norm(state.theta - theta_before))
     return float(np.mean(values)), float(np.mean(kls)), update_norm
 

@@ -9,14 +9,16 @@ group-by-group, timestep-by-timestep path the batched training step
 replaced; the surrogate reference builds on the single-step layers
 (``flowcore.step_distribution``, which gives one timestep's step means and
 their shared variance, ``transition_logpdf``, ``kl_step`` and
-``diffnet.grad``).
+``diffnet.grad``). The flow-matching references are a checked, allocating
+form of the pretraining loop, and ``exact_velocity`` is the closed-form
+field that loop should learn.
 """
 
 import math
 
 import numpy as np
 
-from flowrl import diffnet, envsuite, flowcore
+from flowrl import diffnet, envsuite, flowcore, trainer
 
 
 def central_difference(f, theta, h=1e-6):
@@ -252,3 +254,110 @@ def reference_surrogate(arch, theta, theta_ref, states, logp_old, advantages, co
         arch, theta, np.concatenate(xs), np.concatenate(taus), context, np.concatenate(upstreams)
     )
     return float(terms.mean() - beta_kl * kls.mean()), pgrad
+
+
+def reference_interpolate(x0, x1, tau):
+    """Linear path (1 - tau) * x0 + tau * x1; tau scalar or per-sample."""
+    x0 = np.asarray(x0, dtype=np.float64)
+    x1 = np.asarray(x1, dtype=np.float64)
+    if x0.shape != x1.shape:
+        raise ValueError(f"shape mismatch {x0.shape} vs {x1.shape}")
+    tau = np.asarray(tau, dtype=np.float64)
+    if np.any(tau < 0.0) or np.any(tau > 1.0):
+        raise ValueError("tau outside [0, 1]")
+    if x0.ndim == 2 and tau.ndim == 1:
+        tau = tau[:, None]
+    return (1.0 - tau) * x0 + tau * x1
+
+
+def reference_fm_loss_and_grad(arch, params, x0, x1, tau, context):
+    """Flow-matching loss mean_n ||(x1 - x0) - v(x_tau, tau)||^2 and its flat
+    gradient, with every input checked and every array freshly built."""
+    x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
+    x1 = np.atleast_2d(np.asarray(x1, dtype=np.float64))
+    if x0.shape[0] == 0:
+        raise ValueError("empty batch")
+    xt = reference_interpolate(x0, x1, tau)
+    target = x1 - x0
+    layers = diffnet.unpack(arch, params)
+    v, activations = diffnet.mlp(layers, diffnet.features(arch, xt, tau, context), keep_activations=True)
+    resid = target - v
+    loss = float((resid ** 2).sum(axis=1).mean())
+    upstream = (-2.0 / x0.shape[0]) * resid
+    pgrad = np.empty(diffnet.param_count(arch))
+    diffnet.backward(layers, activations, upstream, diffnet.unpack(arch, pgrad))
+    return loss, pgrad
+
+
+def reference_adam_update(params, gradient, state, lr):
+    """Out-of-place Adam: returns the new parameters and a new state, leaving
+    the arguments untouched."""
+    g = np.asarray(gradient, dtype=np.float64)
+    t = state.t + 1
+    m = diffnet.ADAM_BETA1 * state.m + (1.0 - diffnet.ADAM_BETA1) * g
+    v = diffnet.ADAM_BETA2 * state.v + (1.0 - diffnet.ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - diffnet.ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - diffnet.ADAM_BETA2 ** t)
+    new_params = params - lr * m_hat / (np.sqrt(v_hat) + diffnet.ADAM_EPS)
+    return new_params, diffnet.AdamState(m=m, v=v, t=t)
+
+
+def reference_sample_data(task, rng, n):
+    """n rows of the task's data mixture, the modes drawn by ``Generator.choice``."""
+    centers, weights = task.centers(), task.weights()
+    modes = rng.choice(len(centers), size=n, p=weights / weights.sum())
+    return centers[modes] + math.sqrt(task.mode_var) * rng.standard_normal((n, task.state_dim))
+
+
+def reference_pretrain(config):
+    """Flow-matching pretraining one checked, allocating step at a time, with
+    the draws of ``trainer.pretrain`` in the same order."""
+    arch, task, batch_size = config.architecture(), config.task, config.pretrain_batch
+    params = diffnet.init_params(arch, config.seed)
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, trainer.STREAM_PRETRAIN)))
+    state = diffnet.adam_init(params.size)
+    for step in range(config.pretrain_steps):
+        x0 = reference_sample_data(task, rng, batch_size)
+        x1 = rng.standard_normal(x0.shape)
+        tau = rng.uniform(0.0, 1.0, batch_size)
+        ctx = rng.integers(0, task.context_count, batch_size)
+        loss, g = reference_fm_loss_and_grad(arch, params, x0, x1, tau, ctx)
+        if not np.isfinite(loss):
+            raise RuntimeError(f"pretraining diverged at step {step}: loss={loss}")
+        params, state = reference_adam_update(params, g, state, config.pretrain_lr)
+    return params
+
+
+def fm_kernel_loss_and_grad(arch, params, x0, x1, tau, context):
+    """``flowcore.fm_loss_and_grad`` (the library kernel, not an oracle) on a
+    feature matrix and a flat gradient vector built for this one batch."""
+    tau = np.broadcast_to(np.asarray(tau, dtype=float), (x0.shape[0],))
+    phi = diffnet.feature_matrix(arch, np.zeros_like(x0), tau, context)
+    pgrad = np.empty(diffnet.param_count(arch))
+    loss = flowcore.fm_loss_and_grad(
+        arch, diffnet.unpack(arch, params), phi, x0, x1, tau, diffnet.unpack(arch, pgrad)
+    )
+    return loss, pgrad
+
+
+def exact_velocity(task, x, tau):
+    """Closed-form rectified-flow velocity E[x1 - x0 | x_tau = x] of the
+    task's equal-weight isotropic mixture, at the (n, d) rows x and tau
+    (a scalar, or one per row).
+
+    With x0 = c_m + s z from mode m and x1 ~ N(0, I), x_tau given m is
+    N((1 - tau) c_m, sigma_t^2 I) with sigma_t^2 = (1 - tau)^2 s^2 + tau^2,
+    and x1 - x0 has mean -c_m and per-coordinate covariance
+    tau - (1 - tau) s^2 with x_tau. The field mixes the per-mode regressions
+    by the modes' posterior weights at x.
+    """
+    x = np.asarray(x, dtype=float)
+    tau = np.broadcast_to(np.asarray(tau, dtype=float), (x.shape[0],))[:, None, None]
+    centers, s2 = task.centers()[None, :, :], task.mode_var
+    var_t = (1.0 - tau) ** 2 * s2 + tau ** 2                # (n, 1, 1)
+    diff = x[:, None, :] - (1.0 - tau) * centers            # (n, M, d)
+    log_post = -(diff ** 2).sum(axis=2, keepdims=True) / (2.0 * var_t)
+    post = np.exp(log_post - log_post.max(axis=1, keepdims=True))
+    post /= post.sum(axis=1, keepdims=True)
+    per_mode = -centers + (tau - (1.0 - tau) * s2) / var_t * diff
+    return (post * per_mode).sum(axis=1)

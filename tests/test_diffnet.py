@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from flowrl import diffnet
 
-from _oracles import central_difference, max_rel_error, reference_mlp_forward
+from _oracles import central_difference, max_rel_error, reference_adam_update, reference_mlp_forward
 
 # architectures the gradient/count checks sweep over (all <= 200 params
 # so finite differences stay cheap)
@@ -187,18 +187,20 @@ class TestGrad:
 class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
         params = np.array([1.0, -2.0, 3.0])
+        before = params.copy()
         state = diffnet.adam_init(3)
-        new, state2 = diffnet.adam_update(params, np.zeros(3), state, lr=0.1)
-        assert np.array_equal(new, params)
-        assert state2.t == 1
+        diffnet.adam_update(params, np.zeros(3), state, lr=0.1)
+        assert np.array_equal(params, before)
+        assert state.t == 1
 
     def test_moments_decay_under_zero_gradient(self):
         state = diffnet.adam_init(2)
         state.m[:] = 1.0
         state.v[:] = 1.0
-        _, state2 = diffnet.adam_update(np.zeros(2), np.zeros(2), state, lr=0.1)
-        assert np.all(state2.m < state.m)
-        assert np.all(state2.v < state.v)
+        m_before, v_before = state.m.copy(), state.v.copy()
+        diffnet.adam_update(np.zeros(2), np.zeros(2), state, lr=0.1)
+        assert np.all(state.m < m_before)
+        assert np.all(state.v < v_before)
 
     def test_constant_gradient_step_magnitude_approaches_lr(self):
         # closed-form moment limit: m_hat -> g, v_hat -> g^2, step -> lr
@@ -208,7 +210,7 @@ class TestAdam:
         g = np.array([0.37])
         for _ in range(2000):
             prev = params.copy()
-            params, state = diffnet.adam_update(params, g, state, lr=lr)
+            diffnet.adam_update(params, g, state, lr=lr)
         step = abs(float(params[0] - prev[0]))
         assert abs(step - lr) < 1e-6 * lr + 1e-10
 
@@ -220,11 +222,30 @@ class TestAdam:
             state = diffnet.adam_init(4)
             out = []
             for i in range(10):
-                params, state = diffnet.adam_update(params, g[i], state, lr=0.01)
+                diffnet.adam_update(params, g[i], state, lr=0.01)
                 out.append(params.copy())
             return np.stack(out)
 
         assert np.array_equal(run(), run())
+
+    def test_in_place_update_matches_the_out_of_place_formulas_bitwise(self, rng, small_arch):
+        params = diffnet.init_params(small_arch, 0)
+        layers = diffnet.unpack(small_arch, params)
+        state = diffnet.adam_init(params.size)
+        ref_params, ref_state = params.copy(), diffnet.adam_init(params.size)
+        for _ in range(50):
+            g = rng.standard_normal(params.size) * rng.uniform(1e-6, 10.0)
+            diffnet.adam_update(params, g, state, lr=1e-2)
+            ref_params, ref_state = reference_adam_update(ref_params, g, ref_state, lr=1e-2)
+        assert params.tobytes() == ref_params.tobytes()
+        assert state.m.tobytes() == ref_state.m.tobytes() and state.v.tobytes() == ref_state.v.tobytes()
+        assert state.t == ref_state.t == 50
+        # the layer views taken before the updates see the updated values
+        assert np.array_equal(np.concatenate([np.concatenate([w.ravel(), b]) for w, b in layers]), params)
+
+    def test_gradient_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="gradient shape"):
+            diffnet.adam_update(np.zeros(3), np.zeros(2), diffnet.adam_init(3), lr=0.1)
 
 
 class TestCheckpoint:

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from flowrl import envsuite
 
+from _oracles import reference_sample_data
+
 
 class TestTaskSpec:
     def test_weights_must_sum_to_one(self):
@@ -97,8 +99,20 @@ class TestSampleData:
 
     def test_single_draw_shape(self):
         task = envsuite.TaskSpec()
-        x = envsuite.sample_data(task, np.random.default_rng(2))
-        assert x.shape == (2,)
+        x = envsuite.sample_data(task, np.random.default_rng(2), n=1)
+        assert x.shape == (1, 2)
+
+    @pytest.mark.parametrize("task", [
+        envsuite.TaskSpec(),
+        envsuite.TaskSpec(name="half-plane", state_dim=1, context_count=1),
+        envsuite.TaskSpec(num_modes=3, context_count=3, state_dim=1),
+    ])
+    def test_draws_are_generator_choices(self, task):
+        for n in (1, 7, 128):
+            rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+            got = envsuite.sample_data(task, rng, n)
+            assert got.tobytes() == reference_sample_data(task, ref_rng, n).tobytes()
+            assert rng.random() == ref_rng.random()
 
 
 class TestReward:

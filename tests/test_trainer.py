@@ -1,3 +1,4 @@
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,13 @@ import pytest
 from flowrl import advantage as adv
 from flowrl import diffnet, envsuite, flowcore, rollout, trainer
 
-from _oracles import central_difference, grpo_advantages, max_rel_error
+from _oracles import (
+    central_difference,
+    fm_kernel_loss_and_grad,
+    grpo_advantages,
+    max_rel_error,
+    reference_pretrain,
+)
 
 SMALL_TASK = envsuite.TaskSpec(
     num_modes=2, radius=1.5, mode_var=0.09, context_count=2, state_dim=2,
@@ -97,13 +104,13 @@ class TestPretrain:
             state = diffnet.adam_init(params.size)
             losses = []
             for _ in range(100):
-                x0 = envsuite.sample_data(SMALL_TASK, rng, n=64)
+                x0 = envsuite.sample_data(SMALL_TASK, rng, 64)
                 x1 = rng.standard_normal(x0.shape)
                 tau = rng.uniform(0, 1, 64)
                 ctx = rng.integers(0, 2, 64)
-                loss, g = flowcore.fm_loss_and_grad(arch, params, x0, x1, tau, ctx)
+                loss, g = fm_kernel_loss_and_grad(arch, params, x0, x1, tau, ctx)
                 losses.append(loss)
-                params, state = diffnet.adam_update(params, g, state, 1e-3)
+                diffnet.adam_update(params, g, state, 1e-3)
             drops.append(np.mean(losses[:10]) - np.mean(losses[-10:]))
         assert np.median(drops) > 0
 
@@ -118,6 +125,18 @@ class TestPretrain:
         sched = flowcore.NoiseSchedule(a=0.0, num_steps=10)
         samples = flowcore.sample_terminal_ode(arch, params, sched, 0, 2000, np.random.default_rng(0))
         assert abs(float(samples.mean()) - 0.7) < 0.1
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"task": envsuite.TaskSpec(name="half-plane", state_dim=1, context_count=1)},
+        {"task": envsuite.TaskSpec(name="ring")},
+        {"pretrain_batch": 1},
+    ], ids=["mode-preference-2d", "half-plane-1d-one-context", "ring", "batch-of-one"])
+    def test_matches_the_reference_loop_bitwise(self, overrides):
+        # the reference checks every input, builds every array anew, draws
+        # modes with Generator.choice and updates Adam out of place
+        cfg = trainer.TrainConfig(**{"pretrain_steps": 300, "seed": 3, **overrides})
+        assert trainer.pretrain(cfg).tobytes() == reference_pretrain(cfg).tobytes()
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_aborts_with_diagnostic(self):
@@ -341,11 +360,11 @@ class TestInnerEpochs:
         batch = trainer.rollout_batch(state, 1)
         advantages = trainer.compute_advantages(batch, cfg)
         rows = trainer.step_rows(state.arch, state.theta_ref, batch, advantages)
-        theta, adam = state.theta.copy(), state.adam
+        theta, adam = state.theta.copy(), copy.deepcopy(state.adam)
         epochs = []
         for _ in range(2):
             res = trainer.surrogate_loss_and_grad(state.arch, theta, rows, cfg.eps_clip, cfg.beta_kl)
-            theta, adam = diffnet.adam_update(theta, -res.grad, adam, cfg.lr)
+            diffnet.adam_update(theta, -res.grad, adam, cfg.lr)
             epochs.append(res)
         surrogate, kl, update_norm = trainer.update_policy(state, batch, advantages, 1)
         assert np.array_equal(state.theta, theta)
@@ -356,6 +375,38 @@ class TestInnerEpochs:
         assert update_norm == float(np.linalg.norm(theta - pretrained))
         assert abs(epochs[0].mean_ratio - 1.0) < 1e-10
         assert abs(epochs[1].mean_ratio - 1.0) > 1e-6
+
+
+class TestInPlaceSafety:
+    def test_callers_arrays_are_never_written(self, pretrained, monkeypatch):
+        # Adam writes the state's theta in place: the pretrained input, the
+        # checkpoints handed out and the result must all be separate arrays
+        frozen = pretrained.copy()
+        state = trainer.init_state(small_config(), pretrained)
+        trainer.train_step(state, 1)
+        assert np.array_equal(pretrained, frozen)
+        assert not np.shares_memory(state.theta, pretrained)
+        assert not np.shares_memory(state.theta_ref, state.theta)
+        assert np.array_equal(state.theta_ref, pretrained)
+
+        states, handed = [], []
+        real_init_state = trainer.init_state
+
+        def recording_init_state(*args):
+            states.append(real_init_state(*args))
+            return states[-1]
+
+        monkeypatch.setattr(trainer, "init_state", recording_init_state)
+        cfg = small_config(train_steps=4, checkpoint_every=2)
+        result = trainer.run(cfg, pretrained, on_checkpoint=lambda step, p: handed.append((p, p.copy())))
+        assert np.array_equal(pretrained, frozen)
+        theta = states[0].theta
+        assert not np.shares_memory(result.params, theta) and np.array_equal(result.params, theta)
+        assert len(handed) == 2
+        for params, at_hand_over in handed:
+            assert not np.shares_memory(params, theta)
+            assert np.array_equal(params, at_hand_over)
+        assert not np.array_equal(handed[0][0], handed[1][0])
 
 
 class TestReductionEquivalence:
