@@ -152,36 +152,48 @@ def write_state_time(arch: Architecture, phi: np.ndarray, x: np.ndarray, tau) ->
     phi[:, d + 2] = np.cos(2.0 * np.pi * tau)
 
 
-def mlp(layers, phi: np.ndarray, keep_activations: bool = False):
-    """The network, unchecked, on a prebuilt feature matrix and ``unpack``'s layers.
+def layer_buffers(layers, n: int) -> list[np.ndarray]:
+    """One (n, fan_out) output array per layer of ``unpack``'s layers, for ``mlp``."""
+    return [np.empty((n, w.shape[0])) for w, _ in layers]
 
-    With ``keep_activations`` the result is ``(out, activations)``: the input
-    of every layer, ``phi`` first, from which ``backward`` forms gradients.
+
+def mlp(layers, phi: np.ndarray, hs: list[np.ndarray]) -> np.ndarray:
+    """The network, unchecked, on a prebuilt feature matrix and ``unpack``'s
+    layers, each layer's output written into its ``layer_buffers`` array.
+
+    Returns ``hs[-1]``. The activations ``backward`` reads are
+    ``[phi, *hs[:-1]]``. The next call on the same buffers overwrites the
+    result and the activations, so a caller uses them before that call.
     """
-    hs = [phi]
-    for w, b in layers[:-1]:
-        z = hs[-1] @ w.T
+    h = phi
+    for (w, b), z in zip(layers[:-1], hs):
+        np.matmul(h, w.T, out=z)
         z += b
-        hs.append(np.tanh(z, out=z))  # in place: large batches keep fewer temporaries alive
+        h = np.tanh(z, out=z)
     w, b = layers[-1]
-    out = hs[-1] @ w.T + b
-    return (out, hs) if keep_activations else out
+    out = np.matmul(h, w.T, out=hs[-1])
+    out += b
+    return out
 
 
 def forward(arch: Architecture, params: np.ndarray, x, tau, context):
     """Velocity prediction through ``features`` and ``mlp``. Batch in, batch
     out; single sample in, vector out."""
-    out = mlp(unpack(arch, params), features(arch, x, tau, context))
+    layers = unpack(arch, params)
+    phi = features(arch, x, tau, context)
+    out = mlp(layers, phi, layer_buffers(layers, phi.shape[0]))
     return out[0] if np.asarray(x).ndim == 1 else out
 
 
 def backward(layers, activations, upstream, grads):
     """Exact reverse-mode gradient of ``sum_n <upstream_n, out_n>`` from
-    ``unpack``'s layers and the activations ``mlp`` kept with them, unchecked.
+    ``unpack``'s layers and the activations of the ``mlp`` call, unchecked.
 
     Each layer's parameter gradient is written into ``grads``, ``unpack``'s
     (weight, bias) views of the caller's flat gradient vector. Returns the
-    input gradient, one row per sample in feature space.
+    gradient w.r.t. the first layer's output (its pre-activation when there
+    are hidden layers), one row per sample; it stops there, since only
+    ``grad`` needs the input gradient.
     """
     # the output layer is linear; hidden layers are tanh
     delta = upstream
@@ -189,26 +201,29 @@ def backward(layers, activations, upstream, grads):
         gw, gb = grads[idx]
         np.matmul(delta.T, activations[idx], out=gw)
         delta.sum(axis=0, out=gb)
+        if idx == 0:
+            return delta
         delta = delta @ layers[idx][0]
-        if idx > 0:
-            delta *= 1.0 - activations[idx] ** 2
-    return delta
+        delta *= 1.0 - activations[idx] ** 2
 
 
 def grad(arch: Architecture, params: np.ndarray, x, tau, context, upstream):
     """Exact reverse-mode gradient of ``sum_n <upstream_n, forward(params, x_n)>``:
-    the flat parameter gradient and ``backward``'s input gradient, whose
-    leading ``state_dim`` columns are the derivative w.r.t. the state.
+    the flat parameter gradient and the input gradient, one row per sample in
+    feature space, whose leading ``state_dim`` columns are the derivative
+    w.r.t. the state.
     """
     single = np.asarray(x).ndim == 1
     layers = unpack(arch, params)
-    _, activations = mlp(layers, features(arch, x, tau, context), keep_activations=True)
+    phi = features(arch, x, tau, context)
+    hs = layer_buffers(layers, phi.shape[0])
+    mlp(layers, phi, hs)
     upstream = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
-    expected = (activations[0].shape[0], arch.output_dim)
+    expected = (phi.shape[0], arch.output_dim)
     if upstream.shape != expected:
         raise ValueError(f"upstream shape {upstream.shape} != {expected}")
     flat = np.empty(param_count(arch))
-    delta = backward(layers, activations, upstream, unpack(arch, flat))
+    delta = backward(layers, [phi, *hs[:-1]], upstream, unpack(arch, flat)) @ layers[0][0]
     return flat, (delta[0] if single else delta)
 
 

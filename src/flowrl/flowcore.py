@@ -168,7 +168,7 @@ def kl_step(mean_p: np.ndarray, mean_q: np.ndarray, var):
     return ((mean_p - mean_q) ** 2).sum(axis=1) / (2.0 * var)
 
 
-def fm_loss_and_grad(arch: Architecture, layers, phi, x0, x1, tau, grads) -> float:
+def fm_loss_and_grad(arch: Architecture, layers, phi, hs, x0, x1, tau, grads) -> float:
     """Flow-matching loss mean_n ||(x1 - x0) - v(x_tau, tau)||^2, unchecked,
     with its gradient written into ``grads`` (``unpack``'s views of a flat
     vector).
@@ -176,13 +176,13 @@ def fm_loss_and_grad(arch: Architecture, layers, phi, x0, x1, tau, grads) -> flo
     The regression target is the straight-path velocity x1 - x0 at the point
     x_tau = (1 - tau) x0 + tau x1 of the (n, d) rows, one tau per row.
     ``phi`` is the (n, input_dim) feature matrix whose context block the
-    caller has filled; its state and time columns are overwritten here.
+    caller has filled; its state and time columns are overwritten here, and
+    the network writes into ``hs``, its ``diffnet.layer_buffers`` for n rows.
     """
     tau_col = tau[:, None]
     diffnet.write_state_time(arch, phi, (1.0 - tau_col) * x0 + tau_col * x1, tau)
-    v, activations = diffnet.mlp(layers, phi, keep_activations=True)
-    resid = (x1 - x0) - v
-    diffnet.backward(layers, activations, (-2.0 / x0.shape[0]) * resid, grads)
+    resid = (x1 - x0) - diffnet.mlp(layers, phi, hs)
+    diffnet.backward(layers, [phi, *hs[:-1]], (-2.0 / x0.shape[0]) * resid, grads)
     return float((resid ** 2).sum(axis=1).mean())
 
 
@@ -197,15 +197,20 @@ def sample_terminal_ode(
     """Deterministic generation: integrate the field from noise to n samples
     by Euler steps x - dtau * v.
 
-    The features are built and checked once; each step rewrites their state
-    and time columns. A non-finite state raises ``NonFiniteStep`` naming the
-    step and the context.
+    The features are built and checked once, the network's layer buffers
+    built once; each step rewrites the features' state and time columns. The
+    buffers are allocated before the call's other arrays, and each step
+    writes the new state into the first draw's array, so that successive
+    calls reuse the memory the last one freed instead of raising peak memory.
+    A non-finite state raises ``NonFiniteStep`` naming the step and the
+    context.
     """
     layers = diffnet.unpack(arch, params)
+    hs = diffnet.layer_buffers(layers, n)
     x = rng.standard_normal((n, arch.state_dim))
     phi = diffnet.features(arch, x, 1.0, context)
     for t in range(schedule.num_steps, 0, -1):
         diffnet.write_state_time(arch, phi, x, t / schedule.num_steps)
-        x = euler_update(x, diffnet.mlp(layers, phi), schedule.dtau)
+        x[:] = euler_update(x, diffnet.mlp(layers, phi, hs), schedule.dtau)
         _check_finite(x, f"ODE state at step t={t} context={context}")
     return x

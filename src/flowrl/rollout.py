@@ -116,7 +116,8 @@ def rollout_group(
     x = np.concatenate([init for init, _ in draws])
     states[:, 0] = x
     phi = diffnet.feature_matrix(arch, x, 1.0, row_contexts)
-    v = diffnet.mlp(layers, phi)
+    hs = diffnet.layer_buffers(layers, n)
+    v = diffnet.mlp(layers, phi, hs)  # hs[-1]: each step reads v before the next call rewrites it
     for j, t in enumerate(range(t_steps, 0, -1)):
         x, mean, var = flowcore.sde_update(x, v, t / t_steps, schedule, row_noise[:, j])
         bad = ~np.isfinite(x).all(axis=1)
@@ -130,7 +131,7 @@ def rollout_group(
             break
         tau_next = (t - 1) / t_steps
         diffnet.write_state_time(arch, phi, x, tau_next)
-        v = diffnet.mlp(layers, phi)
+        v = diffnet.mlp(layers, phi, hs)
         rewards[:, j] = envsuite.reward(task, flowcore.euler_update(x, v, tau_next), row_contexts)
     rewards[:, -1] = envsuite.reward(task, x, row_contexts)
 
@@ -157,7 +158,3 @@ def dump_trajectories(batch: RolloutBatch, path) -> None:
                     "logp_old": None if batch.logp_old is None else batch.logp_old[b, i].tolist(),
                 }
                 fh.write(json.dumps(record) + "\n")
-
-
-def load_trajectory_dump(path) -> list[dict]:
-    return [json.loads(line) for line in Path(path).read_text().splitlines() if line.strip()]

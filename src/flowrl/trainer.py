@@ -158,8 +158,8 @@ def pretrain(config: TrainConfig) -> np.ndarray:
     ignores them), which leaves the conditional mass for RL to move. Returns
     the trained parameters, from which ``init_state`` and ``run`` start RL.
 
-    The layer views, feature matrix and gradient vector are set up once; each
-    step draws in range, so only its loss is checked.
+    The layer views, feature matrix, layer buffers and gradient vector are
+    set up once; each step draws in range, so only its loss is checked.
     """
     arch, task, batch_size = config.architecture(), config.task, config.pretrain_batch
     params = diffnet.init_params(arch, config.seed)
@@ -167,6 +167,7 @@ def pretrain(config: TrainConfig) -> np.ndarray:
     grad = np.empty_like(params)
     grads = diffnet.unpack(arch, grad)
     phi = np.zeros((batch_size, arch.input_dim))
+    hs = diffnet.layer_buffers(layers, batch_size)
     one_hot = phi[:, arch.state_dim + diffnet.TIME_FEATURES:]
     rows = np.arange(batch_size)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, STREAM_PRETRAIN)))
@@ -178,7 +179,7 @@ def pretrain(config: TrainConfig) -> np.ndarray:
         ctx = rng.integers(0, task.context_count, batch_size)
         one_hot.fill(0.0)
         one_hot[rows, ctx] = 1.0
-        loss = flowcore.fm_loss_and_grad(arch, layers, phi, x0, x1, tau, grads)
+        loss = flowcore.fm_loss_and_grad(arch, layers, phi, hs, x0, x1, tau, grads)
         if not np.isfinite(loss):
             raise RuntimeError(f"pretraining diverged at step {step}: loss={loss}")
         diffnet.adam_update(params, grad, state, config.pretrain_lr)
@@ -240,7 +241,8 @@ def step_rows(arch: Architecture, theta_ref: np.ndarray, batch: RolloutBatch, ad
     x = batch.states[:, :, :-1].reshape(-1, d)
     context = np.repeat(batch.contexts, g * t)
     phi = diffnet.feature_matrix(arch, x, np.tile(taus, b * g), context)
-    v_ref = diffnet.mlp(diffnet.unpack(arch, theta_ref), phi)
+    layers = diffnet.unpack(arch, theta_ref)
+    v_ref = diffnet.mlp(layers, phi, diffnet.layer_buffers(layers, x.shape[0]))
     return {
         "x": x,
         "x_next": batch.states[:, :, 1:].reshape(-1, d),
@@ -274,7 +276,9 @@ def surrogate_loss_and_grad(
     x_next, ref_means, var, a = rows["x_next"], rows["ref_mean"], rows["var"], rows["advantage"]
     n_rows = x_next.shape[0]
     layers = diffnet.unpack(arch, theta)
-    v, activations = diffnet.mlp(layers, rows["phi"], keep_activations=True)
+    phi = rows["phi"]
+    hs = diffnet.layer_buffers(layers, n_rows)
+    v = diffnet.mlp(layers, phi, hs)
     mean = flowcore.step_mean(rows["x"], v, rows["tau_clamped"], rows["s2"], rows["dtau"])
     ratio = np.exp(flowcore.transition_logpdf(x_next, mean, var) - rows["logp_old"])
     unclipped = ratio * a
@@ -288,7 +292,7 @@ def surrogate_loss_and_grad(
     ) / (n_rows * var[:, None])
     upstream = rows["coeff"] * dj_dmean
     pgrad = np.empty_like(theta)
-    diffnet.backward(layers, activations, upstream, diffnet.unpack(arch, pgrad))
+    diffnet.backward(layers, [phi, *hs[:-1]], upstream, diffnet.unpack(arch, pgrad))
     bad_rows = ~np.isfinite(upstream).all(axis=1)
     return SurrogateResult(
         value=float(surrogate_terms.mean() - beta_kl * kl_terms.mean()),

@@ -11,10 +11,13 @@ replaced; the surrogate reference builds on the single-step layers
 their shared variance, ``transition_logpdf``, ``kl_step`` and
 ``diffnet.grad``). The flow-matching references are a checked, allocating
 form of the pretraining loop, and ``exact_velocity`` is the closed-form
-field that loop should learn.
+field that loop should learn. ``load_trajectory_dump`` reads back a
+``rollout.dump_trajectories`` file.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -280,12 +283,13 @@ def reference_fm_loss_and_grad(arch, params, x0, x1, tau, context):
     xt = reference_interpolate(x0, x1, tau)
     target = x1 - x0
     layers = diffnet.unpack(arch, params)
-    v, activations = diffnet.mlp(layers, diffnet.features(arch, xt, tau, context), keep_activations=True)
-    resid = target - v
+    phi = diffnet.features(arch, xt, tau, context)
+    hs = diffnet.layer_buffers(layers, phi.shape[0])
+    resid = target - diffnet.mlp(layers, phi, hs)
     loss = float((resid ** 2).sum(axis=1).mean())
     upstream = (-2.0 / x0.shape[0]) * resid
     pgrad = np.empty(diffnet.param_count(arch))
-    diffnet.backward(layers, activations, upstream, diffnet.unpack(arch, pgrad))
+    diffnet.backward(layers, [phi, *hs[:-1]], upstream, diffnet.unpack(arch, pgrad))
     return loss, pgrad
 
 
@@ -330,13 +334,14 @@ def reference_pretrain(config):
 
 def fm_kernel_loss_and_grad(arch, params, x0, x1, tau, context):
     """``flowcore.fm_loss_and_grad`` (the library kernel, not an oracle) on a
-    feature matrix and a flat gradient vector built for this one batch."""
+    feature matrix, layer buffers and a flat gradient vector built for this
+    one batch."""
     tau = np.broadcast_to(np.asarray(tau, dtype=float), (x0.shape[0],))
     phi = diffnet.feature_matrix(arch, np.zeros_like(x0), tau, context)
+    layers = diffnet.unpack(arch, params)
+    hs = diffnet.layer_buffers(layers, x0.shape[0])
     pgrad = np.empty(diffnet.param_count(arch))
-    loss = flowcore.fm_loss_and_grad(
-        arch, diffnet.unpack(arch, params), phi, x0, x1, tau, diffnet.unpack(arch, pgrad)
-    )
+    loss = flowcore.fm_loss_and_grad(arch, layers, phi, hs, x0, x1, tau, diffnet.unpack(arch, pgrad))
     return loss, pgrad
 
 
@@ -361,3 +366,8 @@ def exact_velocity(task, x, tau):
     post /= post.sum(axis=1, keepdims=True)
     per_mode = -centers + (tau - (1.0 - tau) * s2) / var_t * diff
     return (post * per_mode).sum(axis=1)
+
+
+def load_trajectory_dump(path):
+    """The records of a ``rollout.dump_trajectories`` file, one dict per line."""
+    return [json.loads(line) for line in Path(path).read_text().splitlines() if line.strip()]

@@ -300,9 +300,10 @@ def test_param_count_formula_property(state_dim, context_count, hidden, seed):
     seed=st.integers(0, 2**16),
 )
 def test_mlp_on_features_matches_forward_property(state_dim, context_count, hidden, n, seed):
-    """The unchecked core on checked features is ``forward`` bit for bit, with
-    and without kept activations, and a feature buffer rewritten in place
-    equals freshly built features."""
+    """The unchecked core on checked features is ``forward`` bit for bit and
+    writes into the caller's layer buffers, a second call on the same buffers
+    returns the same array with the new values, and a feature buffer
+    rewritten in place equals freshly built features."""
     arch = diffnet.for_task(state_dim, context_count, tuple(hidden))
     rng = np.random.default_rng(seed)
     params = rng.standard_normal(diffnet.param_count(arch))
@@ -312,10 +313,17 @@ def test_mlp_on_features_matches_forward_property(state_dim, context_count, hidd
     phi = diffnet.features(arch, x, tau, ctx)
     layers = diffnet.unpack(arch, params)
     want = diffnet.forward(arch, params, x, tau, ctx)
-    assert np.array_equal(diffnet.mlp(layers, phi), want)
-    got, activations = diffnet.mlp(layers, phi, keep_activations=True)
+    hs = diffnet.layer_buffers(layers, n)
+    got = diffnet.mlp(layers, phi, hs)
     assert np.array_equal(got, want)
+    activations = [phi, *hs[:-1]]
+    assert got is hs[-1]
     assert len(activations) == len(layers) and activations[0] is phi
+    x2 = rng.standard_normal((n, state_dim))
+    phi2 = diffnet.features(arch, x2, tau, ctx)
+    again = diffnet.mlp(layers, phi2, hs)
+    assert again is got
+    assert np.array_equal(again, diffnet.forward(arch, params, x2, tau, ctx))
     buffer = diffnet.feature_matrix(arch, rng.standard_normal((n, state_dim)), 1.0, ctx)
     diffnet.write_state_time(arch, buffer, x, tau)
     assert np.array_equal(buffer, phi)

@@ -255,6 +255,20 @@ def test_ode_reduction_property(seed, steps):
     assert np.array_equal(states, reference_euler_states(arch, params, states[:, 0], context, steps))
 
 
+@pytest.mark.parametrize("n", [3, 1024])
+@pytest.mark.parametrize("steps", [2, 10])
+@pytest.mark.parametrize("context", [0, 2])
+def test_ode_sampler_is_the_euler_oracle(n, steps, context):
+    """Evaluation samples are, bit for bit, the last Euler oracle state from
+    the generator's first (n, D) standard-normal draw."""
+    arch = diffnet.for_task(2, 3)
+    params = diffnet.init_params(arch, 11)
+    sched = flowcore.NoiseSchedule(a=0.7, num_steps=steps)
+    got = flowcore.sample_terminal_ode(arch, params, sched, context, n, np.random.default_rng(8))
+    x0 = np.random.default_rng(8).standard_normal((n, arch.state_dim))
+    assert np.array_equal(got, reference_euler_states(arch, params, x0, context, steps)[:, -1])
+
+
 class TestMarginalPreservation:
     @pytest.mark.parametrize("noise_level", [0.1, 0.3, 0.7])
     def test_sde_matches_ode_marginals(self, two_mode_1d, noise_level):
@@ -305,3 +319,27 @@ class TestExactVelocity:
         err = diffnet.forward(arch, params, xt, tau, ctx) - exact_velocity(task, xt, tau)
         # measured 0.0217; the untrained network is at 1.31
         assert float((err ** 2).sum(axis=1).mean()) < 0.05
+
+    @pytest.mark.parametrize(
+        "task",
+        [TASK, envsuite.TaskSpec()],
+        ids=["1d-two-mode", "2d-eight-mode"],
+    )
+    @pytest.mark.parametrize("tau", [0.1, 0.5, 0.9])
+    def test_one_step_projection_is_the_posterior_mean_of_the_data(self, task, tau):
+        """On the exact field the projection x - tau * v* is E[x0 | x_tau]:
+        sum_m w_m (mu_m + ((1 - tau) s^2 / c) d_m), with c = (1 - tau)^2 s^2
+        + tau^2, d_m = x - (1 - tau) mu_m and w_m proportional to
+        exp(-|d_m|^2 / 2c), summed here row by row and mode by mode."""
+        x = 2.0 * np.random.default_rng(5).standard_normal((40, task.state_dim))
+        got = flowcore.euler_update(x, exact_velocity(task, x, tau), tau)
+        s2, centers = task.mode_var, task.centers()
+        c = (1.0 - tau) ** 2 * s2 + tau ** 2
+        want = np.zeros_like(x)
+        for i, row in enumerate(x):
+            d = [row - (1.0 - tau) * mu for mu in centers]
+            logw = [-float(dm @ dm) / (2.0 * c) for dm in d]
+            w = [math.exp(lw - max(logw)) for lw in logw]
+            for wm, mu, dm in zip(w, centers, d):
+                want[i] += wm / sum(w) * (mu + ((1.0 - tau) * s2 / c) * dm)
+        assert np.max(np.abs(got - want)) < 1e-12

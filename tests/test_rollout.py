@@ -5,7 +5,7 @@ import pytest
 
 from flowrl import diffnet, envsuite, flowcore, rollout, trainer
 
-from _oracles import reference_euler_states
+from _oracles import load_trajectory_dump, reference_euler_states
 
 
 @pytest.fixture(scope="module")
@@ -236,7 +236,7 @@ class TestTrajectoryDump:
         g = make_group(setup)
         path = tmp_path / "trajectories.jsonl"
         rollout.dump_trajectories(g, path)
-        rows = rollout.load_trajectory_dump(path)
+        rows = load_trajectory_dump(path)
         assert len(rows) == g.group_size
         for i, row in enumerate(rows):
             assert row["context"] == g.contexts[0]
