@@ -193,20 +193,23 @@ def sample_terminal_ode(
     context,
     n: int,
     rng: np.random.Generator,
+    hs=None,
 ) -> np.ndarray:
     """Deterministic generation: integrate the field from noise to n samples
     by Euler steps x - dtau * v.
 
-    The features are built and checked once, the network's layer buffers
-    built once; each step rewrites the features' state and time columns. The
-    buffers are allocated before the call's other arrays, and each step
-    writes the new state into the first draw's array, so that successive
-    calls reuse the memory the last one freed instead of raising peak memory.
-    A non-finite state raises ``NonFiniteStep`` naming the step and the
-    context.
+    The features are built and checked once; each step rewrites their state
+    and time columns. ``hs`` are the network's ``diffnet.layer_buffers`` for
+    n rows, which a caller sampling several contexts allocates once for all
+    of them; without them the call allocates its own, before its other
+    arrays. Each step writes the new state into the first draw's array, so
+    that successive calls reuse the memory the last one freed instead of
+    raising peak memory. A non-finite state raises ``NonFiniteStep`` naming
+    the step and the context.
     """
     layers = diffnet.unpack(arch, params)
-    hs = diffnet.layer_buffers(layers, n)
+    if hs is None:
+        hs = diffnet.layer_buffers(layers, n)
     x = rng.standard_normal((n, arch.state_dim))
     phi = diffnet.features(arch, x, 1.0, context)
     for t in range(schedule.num_steps, 0, -1):

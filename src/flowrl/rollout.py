@@ -2,13 +2,15 @@
 frozen policy and scores every step via one-step terminal projection.
 
 A batch holds one group per context slot, stored as arrays: the states, the
-log-densities of their transitions and the instant rewards. The terminal
-reward is the last instant reward, because the projection at tau = 0 is the
-identity. Each slot draws all its noise at once from one generator keyed by
-the slot's seed, member by member, so a trajectory's noise depends neither on
-the batch size nor on the other slots nor on the group members after it,
-while every timestep advances all rows of the batch at once. Each new state
-is checked once, as it is made.
+log-densities of their transitions, the instant rewards and the policy's
+network pass at every transition, which the first update epoch reuses. The
+terminal reward is the last instant reward, because the projection at
+tau = 0 is the identity. Each slot draws all its noise at once from one
+generator keyed by the slot's seed, member by member, so a trajectory's
+noise depends neither on the batch size nor on the other slots nor on the
+group members after it, while every timestep advances all rows of the batch
+at once. Each new state is checked once, as it is made; the rewards and
+log-densities are computed after the loop, in one call each.
 """
 
 from __future__ import annotations
@@ -33,6 +35,11 @@ class RolloutBatch:
     runs in generation order s_T .. s_0; ``instant_rewards`` holds R_T .. R_1
     (chronological). ``logp_old`` is None for deterministic (a = 0) rollouts,
     which have no transition density.
+
+    ``phi`` and ``hs`` are the policy's network pass at every transition's
+    (s_t, tau_t): the feature matrix and the ``diffnet.mlp`` layer outputs,
+    ``hs[-1]`` the velocity. ``reshape(-1, width)`` of each gives the
+    transitions in (slot, member, step) order as a view.
     """
 
     contexts: np.ndarray          # (B,)
@@ -40,6 +47,8 @@ class RolloutBatch:
     states: np.ndarray            # (B, G, T+1, D)
     logp_old: np.ndarray | None   # (B, G, T)
     instant_rewards: np.ndarray   # (B, G, T)
+    phi: np.ndarray               # (B, G, T, input_dim)
+    hs: list[np.ndarray]          # one (B, G, T, fan_out) per layer
 
     @property
     def terminal_rewards(self) -> np.ndarray:
@@ -81,18 +90,22 @@ def rollout_group(
 
     ``seeds`` gives one seed per slot, as SeedSequence entropy (an int or a
     tuple of ints). For t = T .. 1 every row of the batch takes one
-    exploration step, records the log-density of its transition, and scores
-    the one-step projection of the new state. ``shared_initial_noise``
-    starts every trajectory of a slot from the same s_T (exploration then
-    comes only from the step noise); the default draws independent initial
-    noise per trajectory.
+    exploration step and keeps its step mean and the one-step projection of
+    the new state. After the loop one ``envsuite.reward`` call scores all
+    B * G * T projections and one ``transition_logpdf`` call gives all the
+    transition log-densities. ``shared_initial_noise`` starts every
+    trajectory of a slot from the same s_T (exploration then comes only from
+    the step noise); the default draws independent initial noise per
+    trajectory.
 
     Inputs are checked here, once, and each new state as it is made: a
     non-finite one raises ``flowcore.NonFiniteStep`` naming the step and the
     contexts of its rows. Each projection's velocity, taken at the new state
     and time, is also the one the next exploration step needs, so a rollout
-    makes T network evaluations; the last step's projection, at tau = 0, is
-    the identity and needs none.
+    makes T network evaluations, one per transition; the last step's
+    projection, at tau = 0, is the identity and needs none. Each step's
+    features and layer outputs are written into time-major (T, B * G, width)
+    buffers and stored, reordered once, as the batch's ``phi`` and ``hs``.
     """
     contexts = np.asarray(contexts, dtype=np.int64)
     if group_size < 2:
@@ -109,39 +122,50 @@ def rollout_group(
     row_noise = np.concatenate([noise for _, noise in draws])
     row_contexts = np.repeat(contexts, group_size)
 
-    states = np.empty((n, t_steps + 1, d))
-    logps = np.empty((n, t_steps)) if schedule.a > 0 else None
-    rewards = np.empty((n, t_steps))
+    # time-major: step j's rows are one contiguous (n, .) block of each buffer
+    states = np.empty((t_steps + 1, n, d))
+    means = np.empty((t_steps, n, d))
+    variances = np.empty(t_steps)
+    projections = np.empty((t_steps, n, d))
+    phi = np.empty((t_steps, n, arch.input_dim))
+    hs = [h.reshape(t_steps, n, -1) for h in diffnet.layer_buffers(layers, t_steps * n)]
 
-    x = np.concatenate([init for init, _ in draws])
-    states[:, 0] = x
-    phi = diffnet.feature_matrix(arch, x, 1.0, row_contexts)
-    hs = diffnet.layer_buffers(layers, n)
-    v = diffnet.mlp(layers, phi, hs)  # hs[-1]: each step reads v before the next call rewrites it
+    x = states[0] = np.concatenate([init for init, _ in draws])
+    phi[:] = diffnet.feature_matrix(arch, x, 1.0, row_contexts)
+    v = diffnet.mlp(layers, phi[0], [h[0] for h in hs])
     for j, t in enumerate(range(t_steps, 0, -1)):
-        x, mean, var = flowcore.sde_update(x, v, t / t_steps, schedule, row_noise[:, j])
+        x, means[j], variances[j] = flowcore.sde_update(x, v, t / t_steps, schedule, row_noise[:, j])
         bad = ~np.isfinite(x).all(axis=1)
         if bad.any():
             names = ",".join(str(c) for c in np.unique(row_contexts[bad]))
             raise flowcore.NonFiniteStep(f"step t={t} context={names}: non-finite SDE state")
-        states[:, j + 1] = x
-        if logps is not None:
-            logps[:, j] = flowcore.transition_logpdf(x, mean, var)
+        states[j + 1] = x
         if t == 1:
             break
         tau_next = (t - 1) / t_steps
-        diffnet.write_state_time(arch, phi, x, tau_next)
-        v = diffnet.mlp(layers, phi, hs)
-        rewards[:, j] = envsuite.reward(task, flowcore.euler_update(x, v, tau_next), row_contexts)
-    rewards[:, -1] = envsuite.reward(task, x, row_contexts)
+        diffnet.write_state_time(arch, phi[j + 1], x, tau_next)
+        v = diffnet.mlp(layers, phi[j + 1], [h[j + 1] for h in hs])
+        projections[j] = flowcore.euler_update(x, v, tau_next)
+    projections[-1] = x
+    rewards = envsuite.reward(task, projections.reshape(-1, d), np.tile(row_contexts, t_steps))
+    logps = None
+    if schedule.a > 0:
+        logps = flowcore.transition_logpdf(
+            states[1:].reshape(-1, d), means.reshape(-1, d), np.repeat(variances, n)
+        )
 
-    shape = (b, group_size)
+    def batch_major(a):
+        """A time-major (T', n, ...) array as a contiguous (B, G, T', ...) copy."""
+        return np.ascontiguousarray(a.swapaxes(0, 1)).reshape(b, group_size, *a.shape[:1], *a.shape[2:])
+
     return RolloutBatch(
         contexts=contexts,
         schedule=schedule,
-        states=states.reshape(*shape, t_steps + 1, d),
-        logp_old=None if logps is None else logps.reshape(*shape, t_steps),
-        instant_rewards=rewards.reshape(*shape, t_steps),
+        states=batch_major(states),
+        logp_old=None if logps is None else batch_major(logps.reshape(t_steps, n)),
+        instant_rewards=batch_major(rewards.reshape(t_steps, n)),
+        phi=batch_major(phi),
+        hs=[batch_major(h) for h in hs],
     )
 
 

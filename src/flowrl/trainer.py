@@ -219,10 +219,11 @@ def step_rows(arch: Architecture, theta_ref: np.ndarray, batch: RolloutBatch, ad
     log-densities, the advantages and the step variances.
 
     The schedule scalars (clamped tau, sigma^2, d mean / d v) are worked out
-    once per timestep and repeated per row as (n, 1) columns. The rollout
-    checked each state as it made it, so ``phi`` is assembled without input
-    checks. A deterministic (a = 0) batch, which has no transition densities,
-    and an advantage table not shaped (B, G, T) like the batch are rejected.
+    once per timestep and repeated per row as (n, 1) columns. ``phi`` is a
+    view of the features the rollout built, in the same row order; the
+    reference policy's pass over it is the one network evaluation made here.
+    A deterministic (a = 0) batch, which has no transition densities, and an
+    advantage table not shaped (B, G, T) like the batch are rejected.
     """
     sched = batch.schedule
     if batch.logp_old is None:
@@ -231,16 +232,15 @@ def step_rows(arch: Architecture, theta_ref: np.ndarray, batch: RolloutBatch, ad
         raise ValueError(f"advantage shape {np.shape(advantages)} != {batch.logp_old.shape}")
     b, g, t = batch.logp_old.shape
     d = batch.states.shape[-1]
-    taus = sched.tau_grid()
     per_step = np.array([
         (sched.clamp(tau), flowcore.sigma(tau, sched) ** 2,
          flowcore.mean_velocity_coeff(tau, sched))
-        for tau in taus
+        for tau in sched.tau_grid()
     ])
     tc, s2, coeff = np.tile(per_step, (b * g, 1)).T[:, :, None]
     x = batch.states[:, :, :-1].reshape(-1, d)
     context = np.repeat(batch.contexts, g * t)
-    phi = diffnet.feature_matrix(arch, x, np.tile(taus, b * g), context)
+    phi = batch.phi.reshape(-1, arch.input_dim)
     layers = diffnet.unpack(arch, theta_ref)
     v_ref = diffnet.mlp(layers, phi, diffnet.layer_buffers(layers, x.shape[0]))
     return {
@@ -260,25 +260,32 @@ def step_rows(arch: Architecture, theta_ref: np.ndarray, batch: RolloutBatch, ad
 
 
 def surrogate_loss_and_grad(
-    arch: Architecture, theta: np.ndarray, rows: dict, eps_clip: float, beta_kl: float
+    arch: Architecture, theta: np.ndarray, rows: dict, eps_clip: float, beta_kl: float, hs=None
 ) -> SurrogateResult:
     """Clipped surrogate objective over the ``step_rows`` of a rollout batch
     and its exact gradient.
 
     Ratios are exp(logp_theta - logp_old) where logp_theta comes from the
-    current policy's step means recomputed at the stored states; advantages
-    and the stored old log-densities are constants. The KL penalty compares
-    the current and reference step means under the shared schedule.
-    Gradients flow only through the current policy's means. Value and
-    gradient are means over all B * G * T rows, i.e. the mean over groups of
-    the per-group objective.
+    current policy's step means at the stored states; advantages and the
+    stored old log-densities are constants. The KL penalty compares the
+    current and reference step means under the shared schedule. Gradients
+    flow only through the current policy's means. Value and gradient are
+    means over all B * G * T rows, i.e. the mean over groups of the
+    per-group objective.
+
+    ``hs``, when the caller has them, are the layer outputs of theta's
+    ``diffnet.mlp`` pass over ``rows["phi"]``, one (n, fan_out) array per
+    layer; they are read, never written. Without them the pass is run here,
+    into buffers of this call.
     """
     x_next, ref_means, var, a = rows["x_next"], rows["ref_mean"], rows["var"], rows["advantage"]
     n_rows = x_next.shape[0]
     layers = diffnet.unpack(arch, theta)
     phi = rows["phi"]
-    hs = diffnet.layer_buffers(layers, n_rows)
-    v = diffnet.mlp(layers, phi, hs)
+    if hs is None:
+        hs = diffnet.layer_buffers(layers, n_rows)
+        diffnet.mlp(layers, phi, hs)
+    v = hs[-1]
     mean = flowcore.step_mean(rows["x"], v, rows["tau_clamped"], rows["s2"], rows["dtau"])
     ratio = np.exp(flowcore.transition_logpdf(x_next, mean, var) - rows["logp_old"])
     unclipped = ratio * a
@@ -346,13 +353,21 @@ def update_policy(
     Returns (mean surrogate value, mean KL, update norm) of the applied
     updates. Updates the state's current parameters and Adam state in place.
     A non-finite gradient stops the run before it reaches the parameters.
+
+    Precondition: the batch was sampled at the state's current theta, as
+    ``rollout_batch`` does; its ``logp_old`` already assumes this. The first
+    epoch therefore reads the batch's network pass instead of running it
+    again; later epochs run theirs into buffers of their own.
     """
     cfg = state.config
     theta_before = state.theta.copy()
     rows = step_rows(state.arch, state.theta_ref, batch, advantages)
+    hs = [h.reshape(-1, h.shape[-1]) for h in batch.hs]
     values, kls = [], []
-    for _ in range(cfg.inner_epochs):
-        res = surrogate_loss_and_grad(state.arch, state.theta, rows, cfg.eps_clip, cfg.beta_kl)
+    for epoch in range(cfg.inner_epochs):
+        res = surrogate_loss_and_grad(
+            state.arch, state.theta, rows, cfg.eps_clip, cfg.beta_kl, hs if epoch == 0 else None
+        )
         if not np.all(np.isfinite(res.grad)):
             contexts = list(res.nonfinite_contexts)
             raise RuntimeError(f"non-finite policy gradient at step {step_index}: contexts {contexts}")
@@ -382,15 +397,24 @@ def train_step(state: TrainState, step_index: int) -> StepRecord:
 
 def evaluate(arch: Architecture, params: np.ndarray, config: TrainConfig, step: int) -> dict:
     """Noise-free policy assessment: ODE samples per context, scored by the
-    task reward, thresholded accuracy, and the mixture-density quality oracle."""
+    task reward, thresholded accuracy, and the mixture-density quality oracle.
+
+    The network's layer buffers are allocated once, first, and shared by
+    every context's sampler; they are released before the samples are
+    scored, so the scoring reuses their memory instead of raising the peak."""
+    hs = diffnet.layer_buffers(diffnet.unpack(arch, params), config.eval_samples)
     task = config.task
     schedule = config.schedule()
-    rewards, qualities = [], []
-    for context in range(task.context_count):
-        rng = np.random.default_rng(np.random.SeedSequence((config.seed, STREAM_EVAL, step, context)))
-        samples = flowcore.sample_terminal_ode(arch, params, schedule, context, config.eval_samples, rng)
-        rewards.append(envsuite.reward(task, samples, context))
-        qualities.append(envsuite.quality(task, samples))
+    samples = [
+        flowcore.sample_terminal_ode(
+            arch, params, schedule, context, config.eval_samples,
+            np.random.default_rng(np.random.SeedSequence((config.seed, STREAM_EVAL, step, context))), hs,
+        )
+        for context in range(task.context_count)
+    ]
+    del hs
+    rewards = [envsuite.reward(task, x, context) for context, x in enumerate(samples)]
+    qualities = [envsuite.quality(task, x) for x in samples]
     r = np.concatenate(rewards)
     q = np.concatenate(qualities)
     return {

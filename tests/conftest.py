@@ -34,3 +34,21 @@ def small_arch():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture()
+def count_calls(monkeypatch):
+    """``count_calls(module, name)`` replaces ``module.name`` for the test by
+    a wrapper and returns the list that gains one entry per call."""
+    def install(module, name):
+        calls = []
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    return install

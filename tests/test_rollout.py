@@ -41,6 +41,11 @@ class TestRolloutGroup:
         assert g.logp_old.shape == (1, 8, 10)
         assert np.all(np.isfinite(g.states))
 
+    def test_one_reward_call_per_rollout(self, setup, count_calls):
+        calls = count_calls(envsuite, "reward")
+        make_group(setup)
+        assert len(calls) == 1
+
     def test_group_size_below_two_rejected(self, setup):
         with pytest.raises(ValueError):
             make_group(setup, group_size=1)

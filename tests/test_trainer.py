@@ -323,13 +323,43 @@ class TestTrainStep:
         cfg, state, batch = tiny_setup
         advantages = trainer.compute_advantages(batch, cfg)
         for b in range(batch.contexts.shape[0]):
-            fields = ("contexts", "states", "logp_old", "instant_rewards")
-            group = replace(batch, **{name: getattr(batch, name)[b:b + 1] for name in fields})
+            fields = ("contexts", "states", "logp_old", "instant_rewards", "phi")
+            group = replace(
+                batch, **{name: getattr(batch, name)[b:b + 1] for name in fields},
+                hs=[h[b:b + 1] for h in batch.hs],
+            )
             res = surrogate(
                 state.arch, state.theta, state.theta_ref, group, advantages[b:b + 1],
                 cfg.eps_clip, cfg.beta_kl,
             )
             assert abs(res.mean_ratio - 1.0) < 1e-10
+
+
+class TestOnePassPerTransition:
+    @pytest.mark.parametrize("inner_epochs", [1, 2])
+    def test_network_calls_per_default_train_step(self, count_calls, inner_epochs):
+        # T in the rollout, one reference pass in step_rows, and one per
+        # inner epoch after the first, which reads the rollout's pass
+        cfg = trainer.TrainConfig(inner_epochs=inner_epochs)
+        state = trainer.init_state(cfg, diffnet.init_params(cfg.architecture(), 0))
+        calls = count_calls(diffnet, "mlp")
+        trainer.train_step(state, 1)
+        assert len(calls) == cfg.sampling_steps + inner_epochs
+
+    def test_stored_pass_is_the_old_policys_pass_over_the_rows(self, tiny_setup):
+        cfg, state, batch = tiny_setup
+        advantages = trainer.compute_advantages(batch, cfg)
+        rows = trainer.step_rows(state.arch, state.theta_ref, batch, advantages)
+        b, g, _ = batch.logp_old.shape
+        taus = np.tile(batch.schedule.tau_grid(), b * g)
+        phi = diffnet.feature_matrix(state.arch, rows["x"], taus, rows["context"])
+        layers = diffnet.unpack(state.arch, state.theta)
+        hs = diffnet.layer_buffers(layers, phi.shape[0])
+        diffnet.mlp(layers, phi, hs)
+        assert np.array_equal(rows["phi"], phi)
+        assert np.shares_memory(rows["phi"], batch.phi)
+        for stored, want in zip(batch.hs, hs, strict=True):
+            assert np.array_equal(stored.reshape(want.shape), want)
 
 
 class TestNonFiniteGradient:
