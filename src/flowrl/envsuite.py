@@ -30,8 +30,8 @@ class TaskSpec:
       the reward peaks on that circle.
 
     ``mode_centers``, when given, replaces the worked-out layout; such a task
-    has no config form. Every task weights its modes equally. ``centers()``
-    and ``weights()`` return read-only arrays worked out once.
+    has no config form. Every task weights its modes equally. ``centers()``,
+    ``weights()`` and ``cdf()`` return read-only arrays worked out once.
     """
 
     name: str = "mode-preference"
@@ -68,9 +68,13 @@ class TaskSpec:
         if self.name == "ring" and self.ring_radius <= 0.0:
             raise ValueError("ring task needs ring_radius > 0")
         weights = np.full(len(centers), 1.0 / len(centers))
-        centers.flags.writeable = weights.flags.writeable = False
+        # the mode CDF exactly as Generator.choice(p=weights) forms it
+        cdf = (weights / weights.sum()).cumsum()
+        cdf /= cdf[-1]
+        centers.flags.writeable = weights.flags.writeable = cdf.flags.writeable = False
         object.__setattr__(self, "_centers", centers)
         object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "_cdf", cdf)
 
     def _layout(self) -> np.ndarray:
         """(M, state_dim) mode centers of the task."""
@@ -98,25 +102,29 @@ class TaskSpec:
     def weights(self) -> np.ndarray:
         return self._weights
 
+    def cdf(self) -> np.ndarray:
+        return self._cdf
+
 
 def sample_context(task: TaskSpec, rng: np.random.Generator) -> int:
     """Uniform draw over the task's conditioning contexts."""
     return int(rng.integers(0, task.context_count))
 
 
-def sample_data(task: TaskSpec, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw n rows from the full data mixture.
+def sample_data(task: TaskSpec, u: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Rows of the full data mixture made from given draws: ``u`` uniform on
+    [0, 1) of any shape, ``z`` standard normal of shape ``u.shape +
+    (state_dim,)``.
 
-    The modes are drawn by the inverse CDF that ``Generator.choice(p=...)``
-    uses, without its argument checks, so the draws are choice's. Pretraining
-    data deliberately carries no context, so that RL has to move conditional
-    mass toward the designated mode.
+    Each row is the center of the mode the inverse CDF picks for its ``u``,
+    plus sqrt(mode_var) times its ``z``. ``Generator.choice(p=weights)``
+    picks a mode from ``rng.random()`` the same way, so ``u = rng.random(n)``
+    followed by ``z = rng.standard_normal((n, state_dim))`` gives the rows of
+    choice's draws. Pretraining data deliberately carries no context, so that
+    RL has to move conditional mass toward the designated mode.
     """
-    weights = task.weights()
-    cdf = (weights / weights.sum()).cumsum()
-    cdf /= cdf[-1]
-    modes = cdf.searchsorted(rng.random(n), side="right")
-    return task.centers()[modes] + math.sqrt(task.mode_var) * rng.standard_normal((n, task.state_dim))
+    modes = task.cdf().searchsorted(u, side="right")
+    return task.centers()[modes] + math.sqrt(task.mode_var) * z
 
 
 def _logistic(z):

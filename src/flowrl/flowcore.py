@@ -14,6 +14,7 @@ fixed so that noise level a = 0 reduces bit-for-bit to the Euler ODE step
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -60,6 +61,22 @@ class NoiseSchedule:
     def tau_grid(self) -> np.ndarray:
         """Descending times tau_T .. tau_1 visited during generation."""
         return np.arange(self.num_steps, 0, -1) / self.num_steps
+
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        """Read-only (5, T) constants of the grid steps, column j for the step
+        from tau = (T - j) / T, in generation order. The rows are the clamped
+        tau, sigma^2, the step variance sigma^2 * dtau, the noise scale
+        sigma * sqrt(dtau) and d(mean)/d(v). Worked out on first use by the
+        scalar functions below, so they are the same floats."""
+        columns = []
+        for tau in self.tau_grid():
+            sig = sigma(tau, self)
+            columns.append((self.clamp(tau), sig ** 2, sig ** 2 * self.dtau,
+                            sig * math.sqrt(self.dtau), mean_velocity_coeff(tau, self)))
+        table = np.array(columns).T.copy()
+        table.flags.writeable = False
+        return table
 
 
 def sigma(tau: float, schedule: NoiseSchedule) -> float:
@@ -123,19 +140,19 @@ def sde_step(
     ODE step exactly.
     """
     noise = np.asarray(noise, dtype=np.float64)
-    x_arr = np.asarray(x, dtype=np.float64)
-    if noise.shape != x_arr.shape:
-        raise ValueError(f"noise shape {noise.shape} != state shape {x_arr.shape}")
-    v = diffnet.forward(arch, params, x, tau, context)
-    return sde_update(x_arr, v, tau, schedule, noise)
+    if noise.shape != np.shape(x):
+        raise ValueError(f"noise shape {noise.shape} != state shape {np.shape(x)}")
+    mean, var = step_distribution(arch, params, x, tau, schedule, context)
+    return mean + sigma(tau, schedule) * math.sqrt(schedule.dtau) * noise, mean, var
 
 
-def sde_update(x: np.ndarray, v: np.ndarray, tau: float, schedule: NoiseSchedule, noise: np.ndarray):
-    """``sde_step`` from the velocity v already predicted at (x, tau), unchecked:
-    a non-finite next state is the caller's to detect."""
-    sig, dtau = sigma(tau, schedule), schedule.dtau
-    mean = step_mean(x, v, schedule.clamp(tau), sig ** 2, dtau)
-    return mean + sig * math.sqrt(dtau) * noise, mean, sig ** 2 * dtau
+def sde_update(x: np.ndarray, v: np.ndarray, t: int, schedule: NoiseSchedule, noise: np.ndarray):
+    """``sde_step`` at the grid time tau = t / T from the velocity v already
+    predicted at (x, tau), with the constants of ``schedule.table``,
+    unchecked: a non-finite next state is the caller's to detect."""
+    tau_clamped, s2, var, noise_scale, _ = schedule.table[:, schedule.num_steps - t]
+    mean = step_mean(x, v, tau_clamped, s2, schedule.dtau)
+    return mean + noise_scale * noise, mean, var
 
 
 def euler_update(x: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
@@ -168,21 +185,23 @@ def kl_step(mean_p: np.ndarray, mean_q: np.ndarray, var):
     return ((mean_p - mean_q) ** 2).sum(axis=1) / (2.0 * var)
 
 
-def fm_loss_and_grad(arch: Architecture, layers, phi, hs, x0, x1, tau, grads) -> float:
-    """Flow-matching loss mean_n ||(x1 - x0) - v(x_tau, tau)||^2, unchecked,
-    with its gradient written into ``grads`` (``unpack``'s views of a flat
-    vector).
+def fm_loss_and_grad(layers, phi, hs, target, grads) -> np.ndarray:
+    """Flow-matching regression of the net on its (n, input_dim) features
+    ``phi`` at the points x_tau = (1 - tau) x0 + tau x1, unchecked: returns
+    the (n, d) residual r = target - v, whose loss mean_n ||r_n||^2
+    ``fm_loss`` forms, and writes that loss's gradient into ``grads``
+    (``unpack``'s views of a flat vector).
 
-    The regression target is the straight-path velocity x1 - x0 at the point
-    x_tau = (1 - tau) x0 + tau x1 of the (n, d) rows, one tau per row.
-    ``phi`` is the (n, input_dim) feature matrix whose context block the
-    caller has filled; its state and time columns are overwritten here, and
-    the network writes into ``hs``, its ``diffnet.layer_buffers`` for n rows.
+    ``target`` is the straight-path velocity x1 - x0 of each row. The network
+    writes into ``hs``, its ``diffnet.layer_buffers`` for n rows.
     """
-    tau_col = tau[:, None]
-    diffnet.write_state_time(arch, phi, (1.0 - tau_col) * x0 + tau_col * x1, tau)
-    resid = (x1 - x0) - diffnet.mlp(layers, phi, hs)
-    diffnet.backward(layers, [phi, *hs[:-1]], (-2.0 / x0.shape[0]) * resid, grads)
+    resid = target - diffnet.mlp(layers, phi, hs)
+    diffnet.backward(layers, [phi, *hs[:-1]], (-2.0 / target.shape[0]) * resid, grads)
+    return resid
+
+
+def fm_loss(resid: np.ndarray) -> float:
+    """The flow-matching loss mean_n ||r_n||^2 of ``fm_loss_and_grad``'s residual."""
     return float((resid ** 2).sum(axis=1).mean())
 
 

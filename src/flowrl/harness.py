@@ -124,12 +124,14 @@ def _config_hash(config: TrainConfig) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def run_experiment(config: TrainConfig, out_dir, pretrained=None) -> trainer.RunResult:
+def run_experiment(config: TrainConfig, out_dir, pretrained=None, pretrained_eval=None) -> trainer.RunResult:
     """Execute a full run into a self-describing directory.
 
     RL starts from ``pretrained``; without it the run pretrains by the
-    config's recipe first. Metrics lines flush as they are produced, so a
-    failed run leaves a partial-but-valid metrics stream behind.
+    config's recipe first. ``pretrained_eval`` is handed to ``trainer.run``
+    as the step-0 evaluation of ``pretrained``. Metrics lines flush as they
+    are produced, so a failed run leaves a partial-but-valid metrics stream
+    behind.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -161,7 +163,9 @@ def run_experiment(config: TrainConfig, out_dir, pretrained=None) -> trainer.Run
         def on_checkpoint(step: int, params) -> None:
             diffnet.save_checkpoint(out / f"checkpoint_step{step}.json", arch, params)
 
-        result = trainer.run(config, pretrained, on_metric=on_metric, on_checkpoint=on_checkpoint)
+        result = trainer.run(
+            config, pretrained, on_metric=on_metric, on_checkpoint=on_checkpoint, pretrained_eval=pretrained_eval
+        )
     diffnet.save_checkpoint(out / "checkpoint_final.json", arch, result.params)
     return result
 
@@ -325,12 +329,14 @@ def _cmd_eval(args) -> int:
 def _cmd_ablate(args) -> int:
     base = _load_config(args)
     out = Path(args.out_dir)
-    # the presets change only tcrm_enabled and k, so all four share one pretraining
+    # the presets change only tcrm_enabled and k, which neither pretraining nor
+    # evaluation reads, so all four share one pretraining and its step-0 evaluation
     pretrained = trainer.pretrain(base)
+    pretrained_eval = trainer.evaluate(base.architecture(), pretrained, base, step=0)
     runs = {}
     for name in PRESET_NAMES:
         config = trainer.apply_preset(base, name)
-        result = run_experiment(config, out / name, pretrained)
+        result = run_experiment(config, out / name, pretrained, pretrained_eval)
         runs[name] = result.metrics
         print(json.dumps({"preset": name, "final": result.metrics[-1].metrics_json()}))
     report = reproduce_phenomena({"vgpo": runs["vgpo"], "flow-grpo": runs["flow-grpo"]})

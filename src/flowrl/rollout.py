@@ -134,7 +134,7 @@ def rollout_group(
     phi[:] = diffnet.feature_matrix(arch, x, 1.0, row_contexts)
     v = diffnet.mlp(layers, phi[0], [h[0] for h in hs])
     for j, t in enumerate(range(t_steps, 0, -1)):
-        x, means[j], variances[j] = flowcore.sde_update(x, v, t / t_steps, schedule, row_noise[:, j])
+        x, means[j], variances[j] = flowcore.sde_update(x, v, t, schedule, row_noise[:, j])
         bad = ~np.isfinite(x).all(axis=1)
         if bad.any():
             names = ",".join(str(c) for c in np.unique(row_contexts[bad]))

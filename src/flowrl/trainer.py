@@ -26,6 +26,9 @@ STREAM_CONTEXT = 1
 STREAM_ROLLOUT = 2
 STREAM_EVAL = 3
 
+# pretraining steps whose theta-independent inputs are built together
+PRETRAIN_CHUNK = 8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -89,12 +92,14 @@ class TrainConfig:
             raise ValueError("eps_std and eps_mean must be > 0")
         if not 0.0 < self.accuracy_threshold < 1.0:
             raise ValueError("accuracy_threshold must be in (0, 1)")
+        # one schedule per config, so its step table is worked out once per run
+        object.__setattr__(self, "_schedule", NoiseSchedule(a=self.noise_level, num_steps=self.sampling_steps))
 
     def architecture(self) -> Architecture:
         return diffnet.for_task(self.task.state_dim, self.task.context_count, self.hidden_dims)
 
     def schedule(self) -> NoiseSchedule:
-        return NoiseSchedule(a=self.noise_level, num_steps=self.sampling_steps)
+        return self._schedule
 
 
 # tcrm/k switch combinations of the ablation grid; flow-grpo is both off
@@ -158,31 +163,51 @@ def pretrain(config: TrainConfig) -> np.ndarray:
     ignores them), which leaves the conditional mass for RL to move. Returns
     the trained parameters, from which ``init_state`` and ``run`` start RL.
 
-    The layer views, feature matrix, layer buffers and gradient vector are
-    set up once; each step draws in range, so only its loss is checked.
+    Each step draws, in this order, the mode uniforms, one (2, n, d) normal
+    block (the data noise, then x1), the times and the contexts. Everything
+    that does not depend on theta (the data rows, the target x1 - x0 and the
+    feature matrix at x_tau) is built for ``PRETRAIN_CHUNK`` steps at a time,
+    into arrays set up once like the layer buffers and the gradient vector.
+    Each step then runs only the network and its gradient, the loss check
+    and Adam: a non-finite loss stops pretraining at the step that produced
+    it, before that step's update.
     """
-    arch, task, batch_size = config.architecture(), config.task, config.pretrain_batch
+    arch, task, n = config.architecture(), config.task, config.pretrain_batch
     params = diffnet.init_params(arch, config.seed)
     layers = diffnet.unpack(arch, params)
     grad = np.empty_like(params)
     grads = diffnet.unpack(arch, grad)
-    phi = np.zeros((batch_size, arch.input_dim))
-    hs = diffnet.layer_buffers(layers, batch_size)
-    one_hot = phi[:, arch.state_dim + diffnet.TIME_FEATURES:]
-    rows = np.arange(batch_size)
+    hs = diffnet.layer_buffers(layers, n)
+    chunk, d = PRETRAIN_CHUNK, arch.state_dim
+    uniforms, taus = np.empty((chunk, n)), np.empty((chunk, n))
+    normals = np.empty((chunk, 2, n, d))
+    contexts = np.empty((chunk, n), dtype=np.int64)
+    targets = np.empty((chunk, n, d))
+    phi = np.zeros((chunk, n, arch.input_dim))
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, STREAM_PRETRAIN)))
     state = diffnet.adam_init(params.size)
-    for step in range(config.pretrain_steps):
-        x0 = envsuite.sample_data(task, rng, batch_size)
-        x1 = rng.standard_normal(x0.shape)
-        tau = rng.uniform(0.0, 1.0, batch_size)
-        ctx = rng.integers(0, task.context_count, batch_size)
+    for start in range(0, config.pretrain_steps, chunk):
+        k = min(chunk, config.pretrain_steps - start)
+        for i in range(k):
+            rng.random(out=uniforms[i])
+            rng.standard_normal(out=normals[i])
+            rng.random(out=taus[i])
+            contexts[i] = rng.integers(0, task.context_count, n)
+        x0 = envsuite.sample_data(task, uniforms[:k], normals[:k, 0])
+        x1 = normals[:k, 1]
+        np.subtract(x1, x0, out=targets[:k])
+        tau = taus[:k, :, None]
+        rows = phi[:k].reshape(k * n, arch.input_dim)
+        diffnet.write_state_time(arch, rows, ((1.0 - tau) * x0 + tau * x1).reshape(k * n, d), taus[:k].ravel())
+        one_hot = rows[:, d + diffnet.TIME_FEATURES:]
         one_hot.fill(0.0)
-        one_hot[rows, ctx] = 1.0
-        loss = flowcore.fm_loss_and_grad(arch, layers, phi, hs, x0, x1, tau, grads)
-        if not np.isfinite(loss):
-            raise RuntimeError(f"pretraining diverged at step {step}: loss={loss}")
-        diffnet.adam_update(params, grad, state, config.pretrain_lr)
+        one_hot[np.arange(k * n), contexts[:k].ravel()] = 1.0
+        for i in range(k):
+            resid = flowcore.fm_loss_and_grad(layers, phi[i], hs, targets[i], grads)
+            # the sum of squares overflows, or is NaN, exactly when the loss is
+            if not np.isfinite(np.vdot(resid, resid)):
+                raise RuntimeError(f"pretraining diverged at step {start + i}: loss={flowcore.fm_loss(resid)}")
+            diffnet.adam_update(params, grad, state, config.pretrain_lr)
     return params
 
 
@@ -218,8 +243,8 @@ def step_rows(arch: Architecture, theta_ref: np.ndarray, batch: RolloutBatch, ad
     matrix ``phi``, the reference policy's step means, the stored old
     log-densities, the advantages and the step variances.
 
-    The schedule scalars (clamped tau, sigma^2, d mean / d v) are worked out
-    once per timestep and repeated per row as (n, 1) columns. ``phi`` is a
+    The schedule's constants (clamped tau, sigma^2, d mean / d v) come from
+    its step table and are repeated per row as (n, 1) columns. ``phi`` is a
     view of the features the rollout built, in the same row order; the
     reference policy's pass over it is the one network evaluation made here.
     A deterministic (a = 0) batch, which has no transition densities, and an
@@ -232,12 +257,10 @@ def step_rows(arch: Architecture, theta_ref: np.ndarray, batch: RolloutBatch, ad
         raise ValueError(f"advantage shape {np.shape(advantages)} != {batch.logp_old.shape}")
     b, g, t = batch.logp_old.shape
     d = batch.states.shape[-1]
-    per_step = np.array([
-        (sched.clamp(tau), flowcore.sigma(tau, sched) ** 2,
-         flowcore.mean_velocity_coeff(tau, sched))
-        for tau in sched.tau_grid()
-    ])
-    tc, s2, coeff = np.tile(per_step, (b * g, 1)).T[:, :, None]
+    # the table's constants per row: row (slot, member, step) takes its step's
+    per_row = np.empty((len(sched.table), b * g, t))
+    per_row[:] = sched.table[:, None, :]
+    tc, s2, var, _, coeff = per_row.reshape(len(sched.table), -1, 1)
     x = batch.states[:, :, :-1].reshape(-1, d)
     context = np.repeat(batch.contexts, g * t)
     phi = batch.phi.reshape(-1, arch.input_dim)
@@ -252,7 +275,7 @@ def step_rows(arch: Architecture, theta_ref: np.ndarray, batch: RolloutBatch, ad
         "s2": s2,
         "coeff": coeff,
         "dtau": sched.dtau,
-        "var": s2[:, 0] * sched.dtau,
+        "var": var[:, 0],
         "ref_mean": flowcore.step_mean(x, v_ref, tc, s2, sched.dtau),
         "logp_old": batch.logp_old.ravel(),
         "advantage": np.ravel(advantages),
@@ -430,13 +453,18 @@ class RunResult:
     params: np.ndarray
 
 
-def run(config: TrainConfig, pretrained: np.ndarray, on_metric=None, on_checkpoint=None) -> RunResult:
+def run(
+    config: TrainConfig, pretrained: np.ndarray, on_metric=None, on_checkpoint=None, pretrained_eval=None
+) -> RunResult:
     """S training steps from the pretrained parameters, with periodic
     deterministic evaluation; ``wallclock_ms`` counts from the start of RL.
 
     ``on_metric(record)`` fires for every evaluation record as it is produced
     (the caller can flush incrementally); ``on_checkpoint(step, params)``
-    fires on the configured cadence.
+    fires on the configured cadence. ``pretrained_eval``, when given, is
+    ``evaluate``'s result for ``pretrained`` at step 0 under this config's
+    evaluation fields, which the step-0 record then reads instead of
+    evaluating again.
     """
     t0 = time.perf_counter()
     state = init_state(config, pretrained)
@@ -444,7 +472,10 @@ def run(config: TrainConfig, pretrained: np.ndarray, on_metric=None, on_checkpoi
     window: list[StepRecord] = []
 
     def emit(step: int) -> None:
-        stats = evaluate(state.arch, state.theta, config, step)
+        if step == 0 and pretrained_eval is not None:
+            stats = pretrained_eval
+        else:
+            stats = evaluate(state.arch, state.theta, config, step)
         record = MetricRecord(
             step=step,
             mean_reward=stats["mean_reward"],

@@ -333,16 +333,17 @@ def reference_pretrain(config):
 
 
 def fm_kernel_loss_and_grad(arch, params, x0, x1, tau, context):
-    """``flowcore.fm_loss_and_grad`` (the library kernel, not an oracle) on a
-    feature matrix, layer buffers and a flat gradient vector built for this
-    one batch."""
+    """``flowcore.fm_loss_and_grad`` and ``fm_loss`` (the library kernel, not
+    an oracle) on a feature matrix at x_tau, layer buffers and a flat gradient
+    vector built for this one batch."""
     tau = np.broadcast_to(np.asarray(tau, dtype=float), (x0.shape[0],))
-    phi = diffnet.feature_matrix(arch, np.zeros_like(x0), tau, context)
+    xt = (1.0 - tau[:, None]) * x0 + tau[:, None] * x1
+    phi = diffnet.feature_matrix(arch, xt, tau, context)
     layers = diffnet.unpack(arch, params)
     hs = diffnet.layer_buffers(layers, x0.shape[0])
     pgrad = np.empty(diffnet.param_count(arch))
-    loss = flowcore.fm_loss_and_grad(arch, layers, phi, hs, x0, x1, tau, diffnet.unpack(arch, pgrad))
-    return loss, pgrad
+    resid = flowcore.fm_loss_and_grad(layers, phi, hs, x1 - x0, diffnet.unpack(arch, pgrad))
+    return flowcore.fm_loss(resid), pgrad
 
 
 def exact_velocity(task, x, tau):

@@ -74,32 +74,37 @@ class TestSampleContext:
         assert a == b
 
 
+def draw_data(task, rng, n):
+    """``sample_data`` on the uniforms and normals of n rows, drawn in that order."""
+    return envsuite.sample_data(task, rng.random(n), rng.standard_normal((n, task.state_dim)))
+
+
 class TestSampleData:
     def test_degenerate_single_mode_concentrates(self):
         task = envsuite.TaskSpec(
             num_modes=1, context_count=1, mode_var=1e-8, mode_centers=[[3.0, 0.0]]
         )
-        x = envsuite.sample_data(task, np.random.default_rng(0), n=100)
+        x = draw_data(task, np.random.default_rng(0), n=100)
         assert np.max(np.abs(x - np.array([3.0, 0.0]))) < 1e-3
 
     def test_two_mode_mean_near_zero(self):
         task = envsuite.TaskSpec(
             num_modes=2, radius=3.0, context_count=2, state_dim=1, mode_var=0.15
         )
-        x = envsuite.sample_data(task, np.random.default_rng(1), n=10000)
+        x = draw_data(task, np.random.default_rng(1), n=10000)
         # var per sample = mode_var + 9; 3-sigma bound on the sample mean
         bound = 3 * math.sqrt((0.15 + 9.0) / 10000)
         assert abs(float(x.mean())) < bound
 
     def test_deterministic_given_seed(self):
         task = envsuite.TaskSpec()
-        a = envsuite.sample_data(task, np.random.default_rng(5), n=32)
-        b = envsuite.sample_data(task, np.random.default_rng(5), n=32)
+        a = draw_data(task, np.random.default_rng(5), n=32)
+        b = draw_data(task, np.random.default_rng(5), n=32)
         assert np.array_equal(a, b)
 
     def test_single_draw_shape(self):
         task = envsuite.TaskSpec()
-        x = envsuite.sample_data(task, np.random.default_rng(2), n=1)
+        x = draw_data(task, np.random.default_rng(2), n=1)
         assert x.shape == (1, 2)
 
     @pytest.mark.parametrize("task", [
@@ -110,7 +115,7 @@ class TestSampleData:
     def test_draws_are_generator_choices(self, task):
         for n in (1, 7, 128):
             rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
-            got = envsuite.sample_data(task, rng, n)
+            got = draw_data(task, rng, n)
             assert got.tobytes() == reference_sample_data(task, ref_rng, n).tobytes()
             assert rng.random() == ref_rng.random()
 

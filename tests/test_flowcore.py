@@ -84,11 +84,11 @@ class TestSigma:
 
 class TestSdeStep:
     def test_hand_evaluated_drift(self):
-        # 1-D, v = 0, x = 1, tau' = 0.5, a = 0.7, dtau = 0.1, noise = 0:
+        # 1-D, v = 0, x = 1, t = 5 of 10 (tau' = 0.5), a = 0.7, dtau = 0.1, noise = 0:
         # sigma^2 = 0.49, mean = 1 - (0.49 / 1.0) * 1 * 0.1 = 0.951
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
         x_next, mean, var = flowcore.sde_update(
-            np.array([1.0]), np.array([0.0]), 0.5, sched, np.array([0.0])
+            np.array([1.0]), np.array([0.0]), 5, sched, np.array([0.0])
         )
         assert abs(mean[0] - 0.951) < 1e-12
         assert np.array_equal(x_next, mean)
@@ -97,7 +97,7 @@ class TestSdeStep:
     def test_hand_evaluated_diffusion(self):
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
         x_next, _, _ = flowcore.sde_update(
-            np.array([1.0]), np.array([0.0]), 0.5, sched, np.array([1.0])
+            np.array([1.0]), np.array([0.0]), 5, sched, np.array([1.0])
         )
         assert abs(x_next[0] - (0.951 + 0.7 * math.sqrt(0.1))) < 1e-12
 
@@ -107,7 +107,7 @@ class TestSdeStep:
         x = rng.standard_normal((5, 2))
         for t in range(10, 0, -1):
             v = rng.standard_normal((5, 2))
-            x_next, _, var = flowcore.sde_update(x, v, t / 10, sched, rng.standard_normal((5, 2)))
+            x_next, _, var = flowcore.sde_update(x, v, t, sched, rng.standard_normal((5, 2)))
             assert np.array_equal(x_next, x - 0.1 * v)
             assert var == 0.0
             x = x_next
@@ -301,8 +301,9 @@ class TestExactVelocity:
         for t in range(sched.num_steps, 0, -1):
             tau = t / sched.num_steps
             noise = rng.standard_normal(x.shape)
-            x, _, _ = flowcore.sde_update(x, exact_velocity(self.TASK, x, tau), tau, sched, noise)
-        data = envsuite.sample_data(self.TASK, np.random.default_rng(4), 20000)
+            x, _, _ = flowcore.sde_update(x, exact_velocity(self.TASK, x, tau), t, sched, noise)
+        data_rng = np.random.default_rng(4)
+        data = envsuite.sample_data(self.TASK, data_rng.random(20000), data_rng.standard_normal((20000, 1)))
         # measured 0.016 (a = 0.1) and 0.018 (a = 0.7); a drift correction
         # s^2 / tau in place of s^2 / (2 tau) gives 0.074 at a = 0.7
         assert wasserstein1_1d(x, data) < 0.05
@@ -311,7 +312,7 @@ class TestExactVelocity:
         task, arch, params = two_mode_1d
         assert task == self.TASK
         rng = np.random.default_rng(99)  # held out: pretraining draws from (seed, STREAM_PRETRAIN)
-        x0 = envsuite.sample_data(task, rng, 2000)
+        x0 = envsuite.sample_data(task, rng.random(2000), rng.standard_normal((2000, task.state_dim)))
         x1 = rng.standard_normal(x0.shape)
         tau = rng.uniform(0.0, 1.0, 2000)
         ctx = rng.integers(0, task.context_count, 2000)

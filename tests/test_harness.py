@@ -341,6 +341,52 @@ class TestCli:
         checkpoints = {(out / p / "checkpoint_pretrained.json").read_bytes() for p in harness.PRESET_NAMES}
         assert len(checkpoints) == 1
 
+    def test_ablate_evaluates_the_pretrained_policy_once(self, tmp_path, monkeypatch):
+        steps = []
+        real_evaluate = trainer.evaluate
+
+        def recording_evaluate(arch, params, config, step):
+            steps.append(step)
+            return real_evaluate(arch, params, config, step)
+
+        monkeypatch.setattr(trainer, "evaluate", recording_evaluate)
+        config = write_config(tmp_path, dict(TINY_CONFIG, train_steps=2, eval_every=1))
+        out = tmp_path / "ablate"
+        assert harness.cli(["ablate", "--config", str(config), "--out-dir", str(out)]) == 0
+        assert steps.count(0) == 1
+        assert steps.count(2) == len(harness.PRESET_NAMES)
+        first_lines = {
+            (out / p / "metrics.jsonl").read_bytes().splitlines()[0] for p in harness.PRESET_NAMES
+        }
+        assert len(first_lines) == 1
+        assert json.loads(first_lines.pop())["step"] == 0
+
+    def test_no_preset_sets_a_field_that_evaluate_reads(self):
+        # sharing one step-0 evaluation is sound only while no preset changes
+        # what evaluate reads; record that by running it on a proxy config
+        class ReadFields:
+            def __init__(self, config):
+                self.config, self.read = config, set()
+
+            def __getattr__(self, name):
+                attr = getattr(type(self.config), name, None)
+                if callable(attr):  # a method: run it on the proxy, so its reads count
+                    return attr.__get__(self)
+                self.read.add(name)
+                return getattr(self.config, name)
+
+        config = trainer.TrainConfig(
+            task=envsuite.TaskSpec(num_modes=2, context_count=2), hidden_dims=(4,), eval_samples=4
+        )
+        proxy = ReadFields(config)
+        arch = config.architecture()
+        trainer.evaluate(arch, diffnet.init_params(arch, 0), proxy, step=0)
+        read = set(proxy.read)
+        if "_schedule" in read:  # the config's one schedule, made from these two fields
+            read |= {"noise_level", "sampling_steps"}
+        assert {"task", "seed", "eval_samples", "accuracy_threshold", "sampling_steps"} <= read
+        assert all(not read & set(overrides) for overrides in trainer.PRESETS.values())
+
     def test_dump_curves_row_per_eval(self, tmp_path):
         config = write_config(tmp_path, TINY_CONFIG)
         out = tmp_path / "run"

@@ -1,4 +1,5 @@
 import copy
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -104,7 +105,7 @@ class TestPretrain:
             state = diffnet.adam_init(params.size)
             losses = []
             for _ in range(100):
-                x0 = envsuite.sample_data(SMALL_TASK, rng, 64)
+                x0 = envsuite.sample_data(SMALL_TASK, rng.random(64), rng.standard_normal((64, 2)))
                 x1 = rng.standard_normal(x0.shape)
                 tau = rng.uniform(0, 1, 64)
                 ctx = rng.integers(0, 2, 64)
@@ -131,7 +132,8 @@ class TestPretrain:
         {"task": envsuite.TaskSpec(name="half-plane", state_dim=1, context_count=1)},
         {"task": envsuite.TaskSpec(name="ring")},
         {"pretrain_batch": 1},
-    ], ids=["mode-preference-2d", "half-plane-1d-one-context", "ring", "batch-of-one"])
+        {"pretrain_steps": 5},
+    ], ids=["mode-preference-2d", "half-plane-1d-one-context", "ring", "batch-of-one", "shorter-than-a-chunk"])
     def test_matches_the_reference_loop_bitwise(self, overrides):
         # the reference checks every input, builds every array anew, draws
         # modes with Generator.choice and updates Adam out of place
@@ -147,6 +149,23 @@ class TestPretrain:
         )
         with pytest.raises(RuntimeError, match="diverged"):
             trainer.pretrain(cfg)
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_divergence_after_the_first_chunk_stops_at_that_step(self, count_calls):
+        # data spread so wide (sd 3e153) that the squared residual of a rare
+        # draw overflows while the residual stays finite; with this seed the
+        # first such draw comes at step 30, inside the fourth chunk of steps
+        task = envsuite.TaskSpec(state_dim=1, context_count=1, mode_centers=[[0.0]], mode_var=1e307)
+        cfg = trainer.TrainConfig(task=task, hidden_dims=(8,), pretrain_steps=40, pretrain_batch=4, seed=0)
+        with pytest.raises(RuntimeError) as want:
+            reference_pretrain(cfg)
+        step = int(re.search(r"diverged at step (\d+):", str(want.value)).group(1))
+        assert step >= trainer.PRETRAIN_CHUNK
+        updates = count_calls(diffnet, "adam_update")
+        with pytest.raises(RuntimeError) as got:
+            trainer.pretrain(cfg)
+        assert str(got.value) == str(want.value)
+        assert len(updates) == step
 
 
 class TestComputeAdvantages:
@@ -459,6 +478,18 @@ class TestReductionEquivalence:
 
 
 class TestEvaluate:
+    def test_evaluation_never_builds_the_schedule_table(self):
+        # a config makes one schedule, whose step table the first rollout
+        # works out and evaluation, which needs no noise, never does
+        cfg = small_config()
+        assert cfg.schedule() is cfg.schedule()
+        arch = cfg.architecture()
+        params = diffnet.init_params(arch, 0)
+        trainer.evaluate(arch, params, cfg, step=0)
+        assert "table" not in vars(cfg.schedule())
+        trainer.rollout_batch(trainer.init_state(cfg, params), 1)
+        assert "table" in vars(cfg.schedule())
+
     def test_non_finite_state_stops_evaluation(self):
         cfg = small_config()
         arch = cfg.architecture()

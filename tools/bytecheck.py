@@ -11,7 +11,9 @@ tree then runs, with its own ``src`` on ``PYTHONPATH`` and
 
 - ``flowrl ablate --seed 1``;
 - ``flowrl train --preset flow-grpo --seed 2`` with ``inner_epochs: 2``;
-- ``flowrl eval`` on that run's final checkpoint.
+- ``flowrl eval`` on that run's final checkpoint;
+- ``flowrl pretrain --seed 4`` on a recipe other than the default: the 1-D
+  half-plane task with one context, 301 steps of batch 5.
 
 Every file the commands write and each command's stdout are compared, except
 ``timing.jsonl``, which holds wallclock times. Exits 0 when every output is
@@ -34,7 +36,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SKIPPED = {"timing.jsonl"}
-CONFIG = {"inner_epochs": 2}
+# config file name -> content
+CONFIGS = {
+    "config.json": {"inner_epochs": 2},
+    "pretrain.json": {
+        "task": "half-plane", "task_state_dim": 1, "task_context_count": 1,
+        "pretrain_steps": 301, "pretrain_batch": 5,
+    },
+}
 COMMANDS = {
     "ablate": ["ablate", "--seed", "1", "--out-dir", "out/ablate"],
     "train": [
@@ -45,6 +54,7 @@ COMMANDS = {
         "eval", "--seed", "2", "--config", "config.json",
         "--checkpoint", "out/train/checkpoint_final.json",
     ],
+    "pretrain": ["pretrain", "--seed", "4", "--config", "pretrain.json", "--out-dir", "out/pretrain"],
 }
 
 
@@ -61,7 +71,8 @@ def run_commands(tree: Path, workdir: Path) -> None:
     """Run ``COMMANDS`` in order with ``tree``'s package, writing every output
     under ``workdir/out``: the commands' files and one ``<name>.stdout`` each."""
     (workdir / "out").mkdir(parents=True)
-    (workdir / "config.json").write_text(json.dumps(CONFIG) + "\n")
+    for name, values in CONFIGS.items():
+        (workdir / name).write_text(json.dumps(values) + "\n")
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     for name, args in COMMANDS.items():
         proc = subprocess.run(
