@@ -127,19 +127,21 @@ def features(arch: Architecture, x, tau, context) -> np.ndarray:
         raise ValueError("non-finite network input")
     if np.any(tau < 0.0) or np.any(tau > 1.0):
         raise ValueError("tau outside [0, 1]")
-    if arch.context_count > 0:
-        if np.any(context < 0) or np.any(context >= arch.context_count):
-            raise ValueError("context index out of range")
+    check_contexts(arch, context)
     return feature_matrix(arch, x, tau, context)
+
+
+def check_contexts(arch: Architecture, context) -> None:
+    """Reject context indices (an int or an array) outside the net's one-hot block."""
+    if arch.context_count > 0 and (np.any(context < 0) or np.any(context >= arch.context_count)):
+        raise ValueError("context index out of range")
 
 
 def feature_matrix(arch: Architecture, x: np.ndarray, tau, context) -> np.ndarray:
     """``features`` without its checks, for validated x (n, state_dim), tau and context."""
-    n = x.shape[0]
-    phi = np.zeros((n, arch.input_dim))
+    phi = np.empty((x.shape[0], arch.input_dim))
     write_state_time(arch, phi, x, tau)
-    if arch.context_count > 0:
-        phi[np.arange(n), arch.state_dim + TIME_FEATURES + context] = 1.0
+    write_context(arch, phi, context)
     return phi
 
 
@@ -150,6 +152,15 @@ def write_state_time(arch: Architecture, phi: np.ndarray, x: np.ndarray, tau) ->
     phi[:, d] = tau
     phi[:, d + 1] = np.sin(2.0 * np.pi * tau)
     phi[:, d + 2] = np.cos(2.0 * np.pi * tau)
+
+
+def write_context(arch: Architecture, phi: np.ndarray, context) -> None:
+    """Overwrite the one-hot context block of ``phi`` in place: row i gets a
+    one in the column of ``context[i]`` (or of one int for every row)."""
+    if arch.context_count > 0:
+        one_hot = phi[:, arch.state_dim + TIME_FEATURES:]
+        one_hot.fill(0.0)
+        one_hot[np.arange(phi.shape[0]), context] = 1.0
 
 
 def layer_buffers(layers, n: int) -> list[np.ndarray]:

@@ -136,15 +136,22 @@ def _logistic(z):
     return out
 
 
-def reward(task: TaskSpec, x, context):
-    """Analytic task reward in [0, 1] for state(s) x under conditioning
-    ``context`` (one int, or one per row of a batch), scored on terminal
-    samples and on projected virtual terminals alike."""
+def _state_rows(task: TaskSpec, x) -> np.ndarray:
+    """A state or a batch of states as (n, state_dim) float rows, checked:
+    a wrong width or a non-finite value raises ValueError."""
     x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x2.shape[1] != task.state_dim:
         raise ValueError(f"state dim {x2.shape[1]} != {task.state_dim}")
     if not np.all(np.isfinite(x2)):
         raise ValueError("non-finite state")
+    return x2
+
+
+def reward(task: TaskSpec, x, context):
+    """Analytic task reward in [0, 1] for state(s) x under conditioning
+    ``context`` (one int, or one per row of a batch), scored on terminal
+    samples and on projected virtual terminals alike."""
+    x2 = _state_rows(task, x)
     s = task.sharpness
     if task.name == "mode-preference":
         ctx = np.broadcast_to(np.asarray(context, dtype=np.int64), (x2.shape[0],))
@@ -165,11 +172,7 @@ def quality(task: TaskSpec, x):
     This plays the role of a held-out quality score: it does not depend on
     the conditioning context, so reward can rise while quality falls.
     """
-    x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x2.shape[1] != task.state_dim:
-        raise ValueError(f"state dim {x2.shape[1]} != {task.state_dim}")
-    if not np.all(np.isfinite(x2)):
-        raise ValueError("non-finite state")
+    x2 = _state_rows(task, x)
     centers = task.centers()
     log_w = np.log(task.weights())
     d = task.state_dim

@@ -27,9 +27,14 @@ class NonFiniteStep(RuntimeError):
     """A sampling step produced non-finite values."""
 
 
-def _check_finite(values: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteStep(f"non-finite {what}")
+def check_states(x: np.ndarray, t: int, contexts, kind: str) -> None:
+    """Raise ``NonFiniteStep`` if a row of the (n, d) states x made by step t
+    of a sampler (``kind``: "ODE" or "SDE") is non-finite, naming the step and
+    the contexts of those rows; ``contexts`` is one per row, or one for all."""
+    bad = ~np.isfinite(x).all(axis=1)
+    if bad.any():
+        names = ",".join(str(c) for c in np.unique(np.broadcast_to(contexts, bad.shape)[bad]))
+        raise NonFiniteStep(f"step t={t} context={names}: non-finite {kind} state")
 
 
 @dataclass(frozen=True)
@@ -149,10 +154,11 @@ def sde_step(
 def sde_update(x: np.ndarray, v: np.ndarray, t: int, schedule: NoiseSchedule, noise: np.ndarray):
     """``sde_step`` at the grid time tau = t / T from the velocity v already
     predicted at (x, tau), with the constants of ``schedule.table``,
-    unchecked: a non-finite next state is the caller's to detect."""
-    tau_clamped, s2, var, noise_scale, _ = schedule.table[:, schedule.num_steps - t]
+    unchecked: a non-finite next state is the caller's to detect. Returns
+    (x_next, mean); the step's variance is the table's row 2."""
+    tau_clamped, s2, _, noise_scale, _ = schedule.table[:, schedule.num_steps - t]
     mean = step_mean(x, v, tau_clamped, s2, schedule.dtau)
-    return mean + noise_scale * noise, mean, var
+    return mean + noise_scale * noise, mean
 
 
 def euler_update(x: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
@@ -206,33 +212,27 @@ def fm_loss(resid: np.ndarray) -> float:
 
 
 def sample_terminal_ode(
-    arch: Architecture,
-    params: np.ndarray,
-    schedule: NoiseSchedule,
-    context,
-    n: int,
-    rng: np.random.Generator,
-    hs=None,
-) -> np.ndarray:
-    """Deterministic generation: integrate the field from noise to n samples
-    by Euler steps x - dtau * v.
+    arch: Architecture, params: np.ndarray, schedule: NoiseSchedule, contexts, n: int, rngs
+) -> list[np.ndarray]:
+    """Deterministic generation: n samples per context, each context's from
+    its generator in ``rngs``, by Euler steps x - dtau * v from noise.
 
-    The features are built and checked once; each step rewrites their state
-    and time columns. ``hs`` are the network's ``diffnet.layer_buffers`` for
-    n rows, which a caller sampling several contexts allocates once for all
-    of them; without them the call allocates its own, before its other
-    arrays. Each step writes the new state into the first draw's array, so
-    that successive calls reuse the memory the last one freed instead of
-    raising peak memory. A non-finite state raises ``NonFiniteStep`` naming
-    the step and the context.
+    The network's layer buffers are allocated first, shared by every context
+    and released on return, so that the caller's scoring reuses their memory
+    instead of raising the peak. Each context's features are built and
+    checked once; each step rewrites their state and time columns and writes
+    the new state into the first draw's array. A non-finite state raises
+    ``NonFiniteStep`` naming the step and the context.
     """
     layers = diffnet.unpack(arch, params)
-    if hs is None:
-        hs = diffnet.layer_buffers(layers, n)
-    x = rng.standard_normal((n, arch.state_dim))
-    phi = diffnet.features(arch, x, 1.0, context)
-    for t in range(schedule.num_steps, 0, -1):
-        diffnet.write_state_time(arch, phi, x, t / schedule.num_steps)
-        x[:] = euler_update(x, diffnet.mlp(layers, phi, hs), schedule.dtau)
-        _check_finite(x, f"ODE state at step t={t} context={context}")
-    return x
+    hs = diffnet.layer_buffers(layers, n)
+    samples = []
+    for context, rng in zip(contexts, rngs):
+        x = rng.standard_normal((n, arch.state_dim))
+        phi = diffnet.features(arch, x, 1.0, context)
+        for t in range(schedule.num_steps, 0, -1):
+            diffnet.write_state_time(arch, phi, x, t / schedule.num_steps)
+            x[:] = euler_update(x, diffnet.mlp(layers, phi, hs), schedule.dtau)
+            check_states(x, t, context, "ODE")
+        samples.append(x)
+    return samples

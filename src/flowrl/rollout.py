@@ -112,8 +112,7 @@ def rollout_group(
         raise ValueError("group_size must be >= 2")
     if contexts.ndim != 1 or contexts.shape[0] < 1 or len(seeds) != contexts.shape[0]:
         raise ValueError("need one seed per context slot")
-    if arch.context_count > 0 and (contexts.min() < 0 or contexts.max() >= arch.context_count):
-        raise ValueError("context index out of range")
+    diffnet.check_contexts(arch, contexts)
     layers = diffnet.unpack(arch, params_old)
     t_steps = schedule.num_steps
     b, d = contexts.shape[0], arch.state_dim
@@ -125,7 +124,6 @@ def rollout_group(
     # time-major: step j's rows are one contiguous (n, .) block of each buffer
     states = np.empty((t_steps + 1, n, d))
     means = np.empty((t_steps, n, d))
-    variances = np.empty(t_steps)
     projections = np.empty((t_steps, n, d))
     phi = np.empty((t_steps, n, arch.input_dim))
     hs = [h.reshape(t_steps, n, -1) for h in diffnet.layer_buffers(layers, t_steps * n)]
@@ -134,11 +132,8 @@ def rollout_group(
     phi[:] = diffnet.feature_matrix(arch, x, 1.0, row_contexts)
     v = diffnet.mlp(layers, phi[0], [h[0] for h in hs])
     for j, t in enumerate(range(t_steps, 0, -1)):
-        x, means[j], variances[j] = flowcore.sde_update(x, v, t, schedule, row_noise[:, j])
-        bad = ~np.isfinite(x).all(axis=1)
-        if bad.any():
-            names = ",".join(str(c) for c in np.unique(row_contexts[bad]))
-            raise flowcore.NonFiniteStep(f"step t={t} context={names}: non-finite SDE state")
+        x, means[j] = flowcore.sde_update(x, v, t, schedule, row_noise[:, j])
+        flowcore.check_states(x, t, row_contexts, "SDE")
         states[j + 1] = x
         if t == 1:
             break
@@ -151,7 +146,7 @@ def rollout_group(
     logps = None
     if schedule.a > 0:
         logps = flowcore.transition_logpdf(
-            states[1:].reshape(-1, d), means.reshape(-1, d), np.repeat(variances, n)
+            states[1:].reshape(-1, d), means.reshape(-1, d), np.repeat(schedule.table[2], n)
         )
 
     def batch_major(a):

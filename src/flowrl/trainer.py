@@ -199,9 +199,7 @@ def pretrain(config: TrainConfig) -> np.ndarray:
         tau = taus[:k, :, None]
         rows = phi[:k].reshape(k * n, arch.input_dim)
         diffnet.write_state_time(arch, rows, ((1.0 - tau) * x0 + tau * x1).reshape(k * n, d), taus[:k].ravel())
-        one_hot = rows[:, d + diffnet.TIME_FEATURES:]
-        one_hot.fill(0.0)
-        one_hot[np.arange(k * n), contexts[:k].ravel()] = 1.0
+        diffnet.write_context(arch, rows, contexts[:k].ravel())
         for i in range(k):
             resid = flowcore.fm_loss_and_grad(layers, phi[i], hs, targets[i], grads)
             # the sum of squares overflows, or is NaN, exactly when the loss is
@@ -422,24 +420,14 @@ def evaluate(arch: Architecture, params: np.ndarray, config: TrainConfig, step: 
     """Noise-free policy assessment: ODE samples per context, scored by the
     task reward, thresholded accuracy, and the mixture-density quality oracle.
 
-    The network's layer buffers are allocated once, first, and shared by
-    every context's sampler; they are released before the samples are
-    scored, so the scoring reuses their memory instead of raising the peak."""
-    hs = diffnet.layer_buffers(diffnet.unpack(arch, params), config.eval_samples)
+    One ``flowcore.sample_terminal_ode`` call samples every context, so the
+    network's layer buffers are allocated once per evaluation."""
     task = config.task
-    schedule = config.schedule()
-    samples = [
-        flowcore.sample_terminal_ode(
-            arch, params, schedule, context, config.eval_samples,
-            np.random.default_rng(np.random.SeedSequence((config.seed, STREAM_EVAL, step, context))), hs,
-        )
-        for context in range(task.context_count)
-    ]
-    del hs
-    rewards = [envsuite.reward(task, x, context) for context, x in enumerate(samples)]
-    qualities = [envsuite.quality(task, x) for x in samples]
-    r = np.concatenate(rewards)
-    q = np.concatenate(qualities)
+    contexts = range(task.context_count)
+    rngs = (np.random.default_rng(np.random.SeedSequence((config.seed, STREAM_EVAL, step, c))) for c in contexts)
+    samples = flowcore.sample_terminal_ode(arch, params, config.schedule(), contexts, config.eval_samples, rngs)
+    r = np.concatenate([envsuite.reward(task, x, c) for c, x in zip(contexts, samples)])
+    q = np.concatenate([envsuite.quality(task, x) for x in samples])
     return {
         "mean_reward": float(r.mean()),
         "accuracy": float((r > config.accuracy_threshold).mean()),

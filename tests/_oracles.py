@@ -6,12 +6,13 @@ with ``reference_mlp_forward`` on hand-built features and take every step
 from the formulas, so they share no sampler code with the library. The
 per-group advantage and surrogate references at the end are the
 group-by-group, timestep-by-timestep path the batched training step
-replaced; the surrogate reference builds on the single-step layers
-(``flowcore.step_distribution``, which gives one timestep's step means and
-their shared variance, ``transition_logpdf``, ``kl_step`` and
-``diffnet.grad``). The flow-matching references are a checked, allocating
-form of the pretraining loop, and ``exact_velocity`` is the closed-form
-field that loop should learn. ``load_trajectory_dump`` reads back a
+replaced; the surrogate reference takes each timestep's step means from
+``reference_velocity`` and ``flowcore.step_mean``, its densities from
+``transition_logpdf`` and ``kl_step``, and its gradient from one
+``diffnet.mlp`` and ``diffnet.backward`` call per timestep. The
+flow-matching references are a checked, allocating form of the pretraining
+loop, and ``exact_velocity`` is the closed-form field that loop should
+learn. ``load_trajectory_dump`` reads back a
 ``rollout.dump_trajectories`` file.
 """
 
@@ -140,6 +141,14 @@ def group_normalize(q, eps_std):
     return np.stack([_population_normalize(q[:, j], eps_std)[0] for j in range(q.shape[1])], axis=1)
 
 
+def _step_constants(schedule, t):
+    """(tau', sigma^2) of the step from tau = t / T: tau' is tau clamped half
+    a step inside the grid and sigma^2 = a^2 tau' / (1 - tau')."""
+    half_step = 0.5 / schedule.num_steps
+    tc = min(max(t / schedule.num_steps, half_step), 1.0 - half_step)
+    return tc, schedule.a ** 2 * tc / (1.0 - tc)
+
+
 def reference_rollout_group(arch, params_old, context, group_size, schedule, task, seed,
                             shared_initial_noise=False):
     """One group of G trajectories, one timestep at a time over G rows.
@@ -167,10 +176,8 @@ def reference_rollout_group(arch, params_old, context, group_size, schedule, tas
     logps = np.empty((t_steps, group_size))
     rewards = np.empty((t_steps, group_size))
     states[0] = x = init
-    half_step = 0.5 / t_steps
     for j, t in enumerate(range(t_steps, 0, -1)):
-        tc = min(max(t / t_steps, half_step), 1.0 - half_step)
-        s2 = schedule.a ** 2 * tc / (1.0 - tc)
+        tc, s2 = _step_constants(schedule, t)
         v = reference_velocity(arch, params_old, x, t / t_steps, context)
         mean = x - (v + s2 / (2.0 * tc) * (x + (1.0 - tc) * v)) / t_steps
         var = s2 / t_steps
@@ -228,18 +235,28 @@ def reference_surrogate(arch, theta, theta_ref, states, logp_old, advantages, co
 
     ``states`` is (G, T+1, D); the gradient is that group's mean over its
     G * T rows, so a batch's gradient is the mean of these over its groups.
+    Each timestep's step means come from ``reference_velocity`` and the step
+    constants of the formulas, and its share of the gradient from one
+    ``diffnet.mlp`` pass and one ``diffnet.backward`` call on its G rows.
     """
     g_size, t_steps = advantages.shape
-    n_rows = g_size * t_steps
-    xs, taus, upstreams = [], [], []
+    n_rows, dtau = g_size * t_steps, 1.0 / t_steps
     terms = np.empty((g_size, t_steps))
     kls = np.empty((g_size, t_steps))
+    layers = diffnet.unpack(arch, theta)
+    hs = diffnet.layer_buffers(layers, g_size)
+    pgrad = np.zeros(diffnet.param_count(arch))
+    step_grad = np.empty_like(pgrad)
     for j, t in enumerate(range(t_steps, 0, -1)):
         tau = t / t_steps
+        tc, s2 = _step_constants(schedule, t)
+        var = s2 * dtau
         x_t = np.ascontiguousarray(states[:, j])
         x_next = np.ascontiguousarray(states[:, j + 1])
-        cur, var = flowcore.step_distribution(arch, theta, x_t, tau, schedule, context)
-        ref, _ = flowcore.step_distribution(arch, theta_ref, x_t, tau, schedule, context)
+        v_cur = reference_velocity(arch, theta, x_t, tau, context)
+        v_ref = reference_velocity(arch, theta_ref, x_t, tau, context)
+        cur = flowcore.step_mean(x_t, v_cur, tc, s2, dtau)
+        ref = flowcore.step_mean(x_t, v_ref, tc, s2, dtau)
         ratio = np.exp(flowcore.transition_logpdf(x_next, cur, var) - logp_old[:, j])
         a_col = advantages[:, j]
         unclipped = ratio * a_col
@@ -250,12 +267,12 @@ def reference_surrogate(arch, theta, theta_ref, states, logp_old, advantages, co
         dj_dmean = (
             kappa[:, None] * (x_next - cur) - beta_kl * (cur - ref)
         ) / (n_rows * var)
-        xs.append(x_t)
-        taus.append(np.full(g_size, tau))
-        upstreams.append(flowcore.mean_velocity_coeff(tau, schedule) * dj_dmean)
-    pgrad, _ = diffnet.grad(
-        arch, theta, np.concatenate(xs), np.concatenate(taus), context, np.concatenate(upstreams)
-    )
+        # d(mean)/d(v) = -dtau * (1 + sigma^2 (1 - tau') / (2 tau'))
+        upstream = -dtau * (1.0 + s2 * (1.0 - tc) / (2.0 * tc)) * dj_dmean
+        phi = reference_features(arch, x_t, tau, context)
+        diffnet.mlp(layers, phi, hs)
+        diffnet.backward(layers, [phi, *hs[:-1]], upstream, diffnet.unpack(arch, step_grad))
+        pgrad += step_grad
     return float(terms.mean() - beta_kl * kls.mean()), pgrad
 
 

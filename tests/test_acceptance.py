@@ -193,7 +193,7 @@ class TestCriterion4MarginalPreservation:
         distances = {}
         for a in (0.1, 0.3, 0.7):
             sched = flowcore.NoiseSchedule(a=a, num_steps=10)
-            ode = flowcore.sample_terminal_ode(arch, params, sched, 0, 10000, np.random.default_rng(41))
+            ode, = flowcore.sample_terminal_ode(arch, params, sched, [0], 10000, [np.random.default_rng(41)])
             seeds = [(42, i) for i in range(1250)]
             sde = rollout.rollout_group(arch, params, [0] * 1250, 8, sched, task, seeds).states[:, :, -1]
             distances[a] = wasserstein1_1d(ode, sde)

@@ -87,16 +87,17 @@ class TestSdeStep:
         # 1-D, v = 0, x = 1, t = 5 of 10 (tau' = 0.5), a = 0.7, dtau = 0.1, noise = 0:
         # sigma^2 = 0.49, mean = 1 - (0.49 / 1.0) * 1 * 0.1 = 0.951
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
-        x_next, mean, var = flowcore.sde_update(
+        x_next, mean = flowcore.sde_update(
             np.array([1.0]), np.array([0.0]), 5, sched, np.array([0.0])
         )
+        var = sched.table[2, 10 - 5]
         assert abs(mean[0] - 0.951) < 1e-12
         assert np.array_equal(x_next, mean)
         assert abs(var - 0.49 * 0.1) < 1e-12
 
     def test_hand_evaluated_diffusion(self):
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
-        x_next, _, _ = flowcore.sde_update(
+        x_next, _ = flowcore.sde_update(
             np.array([1.0]), np.array([0.0]), 5, sched, np.array([1.0])
         )
         assert abs(x_next[0] - (0.951 + 0.7 * math.sqrt(0.1))) < 1e-12
@@ -107,9 +108,9 @@ class TestSdeStep:
         x = rng.standard_normal((5, 2))
         for t in range(10, 0, -1):
             v = rng.standard_normal((5, 2))
-            x_next, _, var = flowcore.sde_update(x, v, t, sched, rng.standard_normal((5, 2)))
+            x_next, _ = flowcore.sde_update(x, v, t, sched, rng.standard_normal((5, 2)))
             assert np.array_equal(x_next, x - 0.1 * v)
-            assert var == 0.0
+            assert sched.table[2, 10 - t] == 0.0
             x = x_next
 
     def test_noise_shape_mismatch_rejected(self, rng):
@@ -264,7 +265,7 @@ def test_ode_sampler_is_the_euler_oracle(n, steps, context):
     arch = diffnet.for_task(2, 3)
     params = diffnet.init_params(arch, 11)
     sched = flowcore.NoiseSchedule(a=0.7, num_steps=steps)
-    got = flowcore.sample_terminal_ode(arch, params, sched, context, n, np.random.default_rng(8))
+    got, = flowcore.sample_terminal_ode(arch, params, sched, [context], n, [np.random.default_rng(8)])
     x0 = np.random.default_rng(8).standard_normal((n, arch.state_dim))
     assert np.array_equal(got, reference_euler_states(arch, params, x0, context, steps)[:, -1])
 
@@ -274,7 +275,7 @@ class TestMarginalPreservation:
     def test_sde_matches_ode_marginals(self, two_mode_1d, noise_level):
         task, arch, params = two_mode_1d
         sched = flowcore.NoiseSchedule(a=noise_level, num_steps=10)
-        ode = flowcore.sample_terminal_ode(arch, params, sched, 0, 10000, np.random.default_rng(1))
+        ode, = flowcore.sample_terminal_ode(arch, params, sched, [0], 10000, [np.random.default_rng(1)])
         seeds = [(2, i) for i in range(1250)]
         sde = rollout.rollout_group(arch, params, [0] * 1250, 8, sched, task, seeds).states[:, :, -1]
         assert wasserstein1_1d(ode, sde) < 0.1
@@ -301,7 +302,7 @@ class TestExactVelocity:
         for t in range(sched.num_steps, 0, -1):
             tau = t / sched.num_steps
             noise = rng.standard_normal(x.shape)
-            x, _, _ = flowcore.sde_update(x, exact_velocity(self.TASK, x, tau), t, sched, noise)
+            x, _ = flowcore.sde_update(x, exact_velocity(self.TASK, x, tau), t, sched, noise)
         data_rng = np.random.default_rng(4)
         data = envsuite.sample_data(self.TASK, data_rng.random(20000), data_rng.standard_normal((20000, 1)))
         # measured 0.016 (a = 0.1) and 0.018 (a = 0.7); a drift correction

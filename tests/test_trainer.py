@@ -124,7 +124,7 @@ class TestPretrain:
         assert arch == diffnet.for_task(1, 1)
         params = trainer.pretrain(cfg)
         sched = flowcore.NoiseSchedule(a=0.0, num_steps=10)
-        samples = flowcore.sample_terminal_ode(arch, params, sched, 0, 2000, np.random.default_rng(0))
+        samples, = flowcore.sample_terminal_ode(arch, params, sched, [0], 2000, [np.random.default_rng(0)])
         assert abs(float(samples.mean()) - 0.7) < 0.1
 
     @pytest.mark.parametrize("overrides", [
@@ -495,8 +495,21 @@ class TestEvaluate:
         arch = cfg.architecture()
         params = diffnet.init_params(arch, 0)
         params[-arch.output_dim:] = np.inf  # output bias: every velocity is inf
-        with pytest.raises(RuntimeError, match="non-finite ODE state at step t=5 context=0"):
+        with pytest.raises(RuntimeError, match="step t=5 context=0: non-finite ODE state"):
             trainer.evaluate(arch, params, cfg, step=0)
+
+    @pytest.mark.parametrize("context_count", [1, 2])
+    def test_layer_buffers_are_allocated_once_per_request(self, count_calls, context_count):
+        # the evaluation sampler shares one set of layer buffers across all
+        # contexts, so peak memory does not grow with the context count
+        cfg = small_config(task=replace(SMALL_TASK, context_count=context_count))
+        arch = cfg.architecture()
+        params = diffnet.init_params(arch, 0)
+        calls = count_calls(diffnet, "layer_buffers")
+        trainer.evaluate(arch, params, cfg, step=0)
+        assert len(calls) == 1
+        trainer.evaluate(arch, params, cfg, step=1)
+        assert len(calls) == 2
 
 
 class TestRun:

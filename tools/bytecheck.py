@@ -10,7 +10,10 @@ tree then runs, with its own ``src`` on ``PYTHONPATH`` and
 ``PYTHONDONTWRITEBYTECODE=1``:
 
 - ``flowrl ablate --seed 1``;
-- ``flowrl train --preset flow-grpo --seed 2`` with ``inner_epochs: 2``;
+- ``flowrl train --preset flow-grpo --seed 2 --dump-trajectories`` with
+  ``inner_epochs: 2``, which also writes one rollout batch under the final
+  policy (states, instant rewards and ``logp_old``) to ``trajectories.jsonl``;
+- ``flowrl dump-curves`` on that run, which writes its ``curves.csv``;
 - ``flowrl eval`` on that run's final checkpoint;
 - ``flowrl pretrain --seed 4`` on a recipe other than the default: the 1-D
   half-plane task with one context, 301 steps of batch 5.
@@ -48,8 +51,9 @@ COMMANDS = {
     "ablate": ["ablate", "--seed", "1", "--out-dir", "out/ablate"],
     "train": [
         "train", "--preset", "flow-grpo", "--seed", "2", "--config", "config.json",
-        "--out-dir", "out/train",
+        "--out-dir", "out/train", "--dump-trajectories",
     ],
+    "dump-curves": ["dump-curves", "--run-dir", "out/train"],
     "eval": [
         "eval", "--seed", "2", "--config", "config.json",
         "--checkpoint", "out/train/checkpoint_final.json",
