@@ -3,9 +3,10 @@
 The network is the only trainable object in the lab: a small tanh MLP that
 maps (state, time, context) features to a velocity vector of the same
 dimension as the state. Parameters live in one flat float64 vector so policy
-snapshots (current / reference) are plain array copies. Gradients are
-hand-written reverse mode, exact for the scalar ``sum_n <upstream_n, out_n>``,
-which is all the training objectives need.
+snapshots (current / reference) are plain array copies. A float32 copy of
+the vector runs the same network in float32; only forward-only evaluation
+does that. Gradients are hand-written reverse mode, exact for the scalar
+``sum_n <upstream_n, out_n>``, which is all the training objectives need.
 """
 
 from __future__ import annotations
@@ -93,8 +94,11 @@ def init_params(arch: Architecture, seed: int) -> np.ndarray:
 
 
 def unpack(arch: Architecture, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Views of the flat vector as per-layer (weight, bias) pairs."""
-    params = np.asarray(params, dtype=np.float64)
+    """Views of the flat vector as per-layer (weight, bias) pairs, float32
+    for a float32 vector and float64 for any other."""
+    params = np.asarray(params)
+    if params.dtype != np.float32:
+        params = params.astype(np.float64, copy=False)
     expected = param_count(arch)
     if params.shape != (expected,):
         raise ValueError(f"expected {expected} parameters, got shape {params.shape}")
@@ -164,13 +168,15 @@ def write_context(arch: Architecture, phi: np.ndarray, context) -> None:
 
 
 def layer_buffers(layers, n: int) -> list[np.ndarray]:
-    """One (n, fan_out) output array per layer of ``unpack``'s layers, for ``mlp``."""
-    return [np.empty((n, w.shape[0])) for w, _ in layers]
+    """One (n, fan_out) output array per layer of ``unpack``'s layers, in
+    their dtype, for ``mlp``."""
+    return [np.empty((n, w.shape[0]), dtype=w.dtype) for w, _ in layers]
 
 
 def mlp(layers, phi: np.ndarray, hs: list[np.ndarray]) -> np.ndarray:
     """The network, unchecked, on a prebuilt feature matrix and ``unpack``'s
     layers, each layer's output written into its ``layer_buffers`` array.
+    It computes in the layers' dtype, which ``phi`` and ``hs`` share.
 
     Returns ``hs[-1]``. The activations ``backward`` reads are
     ``[phi, *hs[:-1]]``. The next call on the same buffers overwrites the
@@ -273,7 +279,13 @@ def adam_update(params: np.ndarray, gradient: np.ndarray, state: AdamState, lr: 
 
 
 def save_checkpoint(path, arch: Architecture, params: np.ndarray) -> None:
-    """Write parameters as JSON: architecture header plus the flat value list.
+    """Write ``checkpoint_text`` of the parameters to ``path``."""
+    Path(path).write_text(checkpoint_text(arch, params))
+
+
+def checkpoint_text(arch: Architecture, params: np.ndarray) -> str:
+    """The parameter checkpoint as JSON text: architecture header plus the
+    flat value list, newline-terminated.
 
     JSON floats use shortest round-trip repr, so doubles survive exactly.
     """
@@ -288,7 +300,7 @@ def save_checkpoint(path, arch: Architecture, params: np.ndarray) -> None:
         },
         "values": np.asarray(params, dtype=np.float64).tolist(),
     }
-    Path(path).write_text(json.dumps(payload) + "\n")
+    return json.dumps(payload) + "\n"
 
 
 def load_checkpoint(path) -> tuple[Architecture, np.ndarray]:

@@ -179,5 +179,9 @@ def quality(task: TaskSpec, x):
     # (n, M) log of w_m * N(x; c_m, var I)
     sq = ((x2[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     log_terms = log_w[None, :] - 0.5 * d * np.log(2.0 * np.pi * task.mode_var) - sq / (2.0 * task.mode_var)
-    out = np.logaddexp.reduce(log_terms, axis=1)
+    # the left fold is the order of np.logaddexp.reduce(axis=1), bit for bit,
+    # without its strided pass over the rows
+    out = log_terms[:, 0].copy()
+    for m in range(1, log_terms.shape[1]):
+        np.logaddexp(out, log_terms[:, m], out=out)
     return float(out[0]) if np.asarray(x).ndim == 1 else out

@@ -30,11 +30,13 @@ class NonFiniteStep(RuntimeError):
 def check_states(x: np.ndarray, t: int, contexts, kind: str) -> None:
     """Raise ``NonFiniteStep`` if a row of the (n, d) states x made by step t
     of a sampler (``kind``: "ODE" or "SDE") is non-finite, naming the step and
-    the contexts of those rows; ``contexts`` is one per row, or one for all."""
+    the contexts of those rows; ``contexts`` is one per row, or one for all.
+    The rows are diagnosed only after one whole-array test has failed."""
+    if np.isfinite(x).all():
+        return
     bad = ~np.isfinite(x).all(axis=1)
-    if bad.any():
-        names = ",".join(str(c) for c in np.unique(np.broadcast_to(contexts, bad.shape)[bad]))
-        raise NonFiniteStep(f"step t={t} context={names}: non-finite {kind} state")
+    names = ",".join(str(c) for c in np.unique(np.broadcast_to(contexts, bad.shape)[bad]))
+    raise NonFiniteStep(f"step t={t} context={names}: non-finite {kind} state")
 
 
 @dataclass(frozen=True)
@@ -215,24 +217,41 @@ def sample_terminal_ode(
     arch: Architecture, params: np.ndarray, schedule: NoiseSchedule, contexts, n: int, rngs
 ) -> list[np.ndarray]:
     """Deterministic generation: n samples per context, each context's from
-    its generator in ``rngs``, by Euler steps x - dtau * v from noise.
+    its generator in ``rngs``, by Euler steps x - dtau * v from noise,
+    computed in float32 and returned as float64 arrays.
 
-    The network's layer buffers are allocated first, shared by every context
-    and released on return, so that the caller's scoring reuses their memory
-    instead of raising the peak. Each context's features are built and
-    checked once; each step rewrites their state and time columns and writes
-    the new state into the first draw's array. A non-finite state raises
-    ``NonFiniteStep`` naming the step and the context.
+    Sampling runs forward-only, so it computes on a float32 copy of the
+    float64 parameters; a parameter that is finite but beyond float32's range
+    raises ValueError. Each context's initial state is its generator's
+    float64 standard-normal draw rounded to float32. One float32 feature
+    matrix and one set of layer buffers serve every context; they are
+    allocated first and released on return, so that the caller's scoring
+    reuses their memory instead of raising the peak. The contexts are checked
+    once, each context's one-hot block is written once and each step rewrites
+    the state and time columns. A non-finite state raises ``NonFiniteStep``
+    naming the step and the context.
     """
-    layers = diffnet.unpack(arch, params)
+    with np.errstate(over="ignore"):
+        params32 = params.astype(np.float32)
+    if (np.isinf(params32) & np.isfinite(params)).any():
+        raise ValueError("parameters exceed the float32 range of the evaluation sampler")
+    contexts = list(contexts)
+    diffnet.check_contexts(arch, np.asarray(contexts))
+    layers = diffnet.unpack(arch, params32)
     hs = diffnet.layer_buffers(layers, n)
+    phi = np.empty((n, arch.input_dim), dtype=np.float32)
+    x = np.empty((n, arch.state_dim), dtype=np.float32)
     samples = []
     for context, rng in zip(contexts, rngs):
-        x = rng.standard_normal((n, arch.state_dim))
-        phi = diffnet.features(arch, x, 1.0, context)
+        sample = rng.standard_normal((n, arch.state_dim))
+        x[:] = sample
+        diffnet.write_context(arch, phi, context)
         for t in range(schedule.num_steps, 0, -1):
             diffnet.write_state_time(arch, phi, x, t / schedule.num_steps)
-            x[:] = euler_update(x, diffnet.mlp(layers, phi, hs), schedule.dtau)
+            v = diffnet.mlp(layers, phi, hs)
+            v *= schedule.dtau
+            x -= v
             check_states(x, t, context, "ODE")
-        samples.append(x)
+        sample[:] = x
+        samples.append(sample)
     return samples

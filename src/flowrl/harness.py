@@ -19,8 +19,10 @@ import hashlib
 import json
 import sys
 import typing
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__, diffnet, rollout, trainer
 from .envsuite import TaskSpec
@@ -124,14 +126,30 @@ def _config_hash(config: TrainConfig) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def run_experiment(config: TrainConfig, out_dir, pretrained=None, pretrained_eval=None) -> trainer.RunResult:
+@dataclass(frozen=True)
+class Pretrained:
+    """A pretrained θ with what every run starting from it reuses: its step-0
+    evaluation and the text of its checkpoint file."""
+
+    params: np.ndarray
+    evaluation: dict
+    checkpoint: str
+
+    @classmethod
+    def from_config(cls, config: TrainConfig) -> Pretrained:
+        """Pretrain by ``config``'s recipe, then evaluate θ at step 0 and
+        encode its checkpoint, once each."""
+        arch, params = config.architecture(), trainer.pretrain(config)
+        return cls(params, trainer.evaluate(arch, params, config, step=0), diffnet.checkpoint_text(arch, params))
+
+
+def run_experiment(config: TrainConfig, out_dir, pretrained: Pretrained | None = None) -> trainer.RunResult:
     """Execute a full run into a self-describing directory.
 
-    RL starts from ``pretrained``; without it the run pretrains by the
-    config's recipe first. ``pretrained_eval`` is handed to ``trainer.run``
-    as the step-0 evaluation of ``pretrained``. Metrics lines flush as they
-    are produced, so a failed run leaves a partial-but-valid metrics stream
-    behind.
+    RL starts from ``pretrained``, whose step-0 evaluation becomes the first
+    metrics line; without it the run pretrains by the config's recipe
+    first. Metrics lines flush as they are produced, so a failed run leaves
+    a partial-but-valid metrics stream behind.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -150,8 +168,8 @@ def run_experiment(config: TrainConfig, out_dir, pretrained=None, pretrained_eva
     )
     arch = config.architecture()
     if pretrained is None:
-        pretrained = trainer.pretrain(config)
-    diffnet.save_checkpoint(out / "checkpoint_pretrained.json", arch, pretrained)
+        pretrained = Pretrained.from_config(config)
+    (out / "checkpoint_pretrained.json").write_text(pretrained.checkpoint)
     with (out / "metrics.jsonl").open("w") as metrics_fh, (out / "timing.jsonl").open("w") as timing_fh:
 
         def on_metric(record: MetricRecord) -> None:
@@ -164,7 +182,11 @@ def run_experiment(config: TrainConfig, out_dir, pretrained=None, pretrained_eva
             diffnet.save_checkpoint(out / f"checkpoint_step{step}.json", arch, params)
 
         result = trainer.run(
-            config, pretrained, on_metric=on_metric, on_checkpoint=on_checkpoint, pretrained_eval=pretrained_eval
+            config,
+            pretrained.params,
+            on_metric=on_metric,
+            on_checkpoint=on_checkpoint,
+            pretrained_eval=pretrained.evaluation,
         )
     diffnet.save_checkpoint(out / "checkpoint_final.json", arch, result.params)
     return result
@@ -292,11 +314,10 @@ def _cmd_pretrain(args) -> int:
     config = _load_config(args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    arch, params = config.architecture(), trainer.pretrain(config)
+    pretrained = Pretrained.from_config(config)
     (out / "config.json").write_text(json.dumps(config_to_dict(config), indent=2) + "\n")
-    diffnet.save_checkpoint(out / "checkpoint_pretrained.json", arch, params)
-    stats = trainer.evaluate(arch, params, config, step=0)
-    print(json.dumps({"pretrained": stats}))
+    (out / "checkpoint_pretrained.json").write_text(pretrained.checkpoint)
+    print(json.dumps({"pretrained": pretrained.evaluation}))
     return 0
 
 
@@ -330,13 +351,13 @@ def _cmd_ablate(args) -> int:
     base = _load_config(args)
     out = Path(args.out_dir)
     # the presets change only tcrm_enabled and k, which neither pretraining nor
-    # evaluation reads, so all four share one pretraining and its step-0 evaluation
-    pretrained = trainer.pretrain(base)
-    pretrained_eval = trainer.evaluate(base.architecture(), pretrained, base, step=0)
+    # evaluation reads, so all four share one pretraining, its step-0
+    # evaluation and its checkpoint text
+    pretrained = Pretrained.from_config(base)
     runs = {}
     for name in PRESET_NAMES:
         config = trainer.apply_preset(base, name)
-        result = run_experiment(config, out / name, pretrained, pretrained_eval)
+        result = run_experiment(config, out / name, pretrained)
         runs[name] = result.metrics
         print(json.dumps({"preset": name, "final": result.metrics[-1].metrics_json()}))
     report = reproduce_phenomena({"vgpo": runs["vgpo"], "flow-grpo": runs["flow-grpo"]})

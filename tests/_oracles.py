@@ -3,12 +3,14 @@
 Everything here is written straight from definitions (loops, explicit sums,
 finite differences). The Euler and rollout references evaluate the network
 with ``reference_mlp_forward`` on hand-built features and take every step
-from the formulas, so they share no sampler code with the library. The
-per-group advantage and surrogate references at the end are the
-group-by-group, timestep-by-timestep path the batched training step
-replaced; the surrogate reference takes each timestep's step means from
-``reference_velocity`` and ``flowcore.step_mean``, its densities from
-``transition_logpdf`` and ``kl_step``, and its gradient from one
+from the formulas, so they share no sampler code with the library; they
+compute in the dtype of the state and parameters they are given, and
+``reference_evaluate`` scores float64 Euler samples as ``trainer.evaluate``
+scores its float32 ones. The per-group advantage and surrogate references
+at the end are the group-by-group, timestep-by-timestep path the batched
+training step replaced; the surrogate reference takes each timestep's step
+means from ``reference_velocity`` and ``flowcore.step_mean``, its densities
+from ``transition_logpdf`` and ``kl_step``, and its gradient from one
 ``diffnet.mlp`` and ``diffnet.backward`` call per timestep. The
 flow-matching references are a checked, allocating form of the pretraining
 loop, and ``exact_velocity`` is the closed-form field that loop should
@@ -44,8 +46,10 @@ def max_rel_error(got, expected, floor=1e-8):
 
 
 def reference_mlp_forward(layer_dims, params, features):
-    """Matrix-by-matrix tanh MLP evaluation from a flat parameter vector."""
-    out = np.asarray(features, dtype=float)
+    """Matrix-by-matrix tanh MLP evaluation from a flat parameter vector, in
+    that vector's dtype."""
+    params = np.asarray(params)
+    out = np.asarray(features, dtype=params.dtype)
     offset = 0
     n_layers = len(layer_dims) - 1
     for idx in range(n_layers):
@@ -76,12 +80,33 @@ def reference_velocity(arch, params, x, tau, context):
 
 def reference_euler_states(arch, params, x, context, t_steps):
     """(n, T+1, D) Euler ODE path s_T .. s_0 of the rows of x:
-    s <- s - (1/T) * v(s, t/T) for t = T .. 1."""
+    s <- s - (1/T) * v(s, t/T) for t = T .. 1, in the dtype of x and params."""
     states = [x]
     for t in range(t_steps, 0, -1):
         x = x - (1.0 / t_steps) * reference_velocity(arch, params, x, t / t_steps, context)
         states.append(x)
     return np.stack(states, axis=1)
+
+
+def reference_evaluate(arch, params, config, step):
+    """``trainer.evaluate``'s three statistics from float64 Euler oracle
+    paths: each context's samples start from the float64 draw of its
+    evaluation generator and are scored by the task reward and the mixture
+    log-density."""
+    task, n = config.task, config.eval_samples
+    rewards, qualities = [], []
+    for c in range(task.context_count):
+        rng = np.random.default_rng(np.random.SeedSequence((config.seed, trainer.STREAM_EVAL, step, c)))
+        x0 = rng.standard_normal((n, task.state_dim))
+        x = reference_euler_states(arch, params, x0, c, config.sampling_steps)[:, -1]
+        rewards.append(envsuite.reward(task, x, c))
+        qualities.append(envsuite.quality(task, x))
+    r, q = np.concatenate(rewards), np.concatenate(qualities)
+    return {
+        "mean_reward": float(r.mean()),
+        "accuracy": float((r > config.accuracy_threshold).mean()),
+        "quality_mean": float(q.mean()),
+    }
 
 
 def gaussian_product_logpdf(x, mean, var):

@@ -35,3 +35,46 @@ def test_file_on_one_side_only(tmp_path):
     a = write_tree(tmp_path / "a", {"x.json": b"1", "extra.json": b"2"})
     b = write_tree(tmp_path / "b", {"x.json": b"1"})
     assert bytecheck.differing(a, b) == ["extra.json"]
+
+
+def test_jsonl_fields_report_their_largest_difference(tmp_path):
+    a = write_tree(tmp_path / "a", {
+        "metrics.jsonl": b'{"step": 0, "r": 0.5, "q": -1.0}\n{"step": 5, "r": 0.75, "q": -2.0}\n',
+    })
+    b = write_tree(tmp_path / "b", {
+        "metrics.jsonl": b'{"step": 0, "r": 0.5005, "q": -1.0}\n{"step": 5, "r": 0.749, "q": -2.0}\n',
+    })
+    parsed = [bytecheck.parse(root / "metrics.jsonl") for root in (a, b)]
+    maxima = bytecheck.field_maxima(*parsed)
+    assert set(maxima) == {"r"}
+    assert abs(maxima["r"] - 1e-3) < 1e-12
+    assert bytecheck.describe(a / "metrics.jsonl", b / "metrics.jsonl") == ["r: max |diff| 0.001"]
+
+
+def test_csv_columns_and_nested_json_lists(tmp_path):
+    a = write_tree(tmp_path / "a", {
+        "curves.csv": b"step,mean_reward\r\n0,0.25\r\n10,0.5\r\n",
+        "ckpt.json": b'{"architecture": {"input_dim": 5}, "values": [0.5, -1.0, 2.0]}\n',
+    })
+    b = write_tree(tmp_path / "b", {
+        "curves.csv": b"step,mean_reward\r\n0,0.25\r\n10,0.5625\r\n",
+        "ckpt.json": b'{"architecture": {"input_dim": 5}, "values": [0.5, -1.25, 2.125]}\n',
+    })
+    assert bytecheck.describe(a / "curves.csv", b / "curves.csv") == ["mean_reward: max |diff| 0.0625"]
+    assert bytecheck.describe(a / "ckpt.json", b / "ckpt.json") == ["values: max |diff| 0.25"]
+
+
+def test_structural_mismatch_and_unparsed_files(tmp_path):
+    a = write_tree(tmp_path / "a", {
+        "m.jsonl": b'{"step": 0}\n{"step": 5}\n',
+        "k.json": b'{"step": 0, "note": "x"}',
+        "out.stdout": b"done in 1 s\n",
+    })
+    b = write_tree(tmp_path / "b", {
+        "m.jsonl": b'{"step": 0}\n',
+        "k.json": b'{"step": 0, "note": "y"}',
+        "out.stdout": b"done in 2 s\n",
+    })
+    assert bytecheck.describe(a / "m.jsonl", b / "m.jsonl") == ["structural mismatch: 2 values against 1"]
+    assert bytecheck.describe(a / "k.json", b / "k.json") == ["structural mismatch: note: 'x' against 'y'"]
+    assert bytecheck.describe(a / "out.stdout", b / "out.stdout") == []

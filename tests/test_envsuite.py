@@ -189,6 +189,20 @@ class TestQuality:
         for v in (0.3, 1.5, -2.2):
             assert envsuite.quality(task, np.array([v])) == envsuite.quality(task, np.array([-v]))
 
+    @pytest.mark.parametrize("num_modes", [1, 2, 8])
+    @pytest.mark.parametrize("state_dim", [1, 2, 3])
+    def test_mode_fold_is_the_logaddexp_reduce_bit_for_bit(self, rng, num_modes, state_dim):
+        centers = 3.0 * rng.standard_normal((num_modes, state_dim))
+        task = envsuite.TaskSpec(
+            num_modes=num_modes, context_count=1, state_dim=state_dim, mode_var=0.15,
+            mode_centers=centers.tolist(),
+        )
+        x = 4.0 * rng.standard_normal((1000, state_dim))
+        sq = ((x[:, None, :] - task.centers()[None, :, :]) ** 2).sum(axis=2)
+        log_terms = (np.log(task.weights())[None, :] - 0.5 * state_dim * np.log(2.0 * np.pi * 0.15)
+                     - sq / (2.0 * 0.15))
+        assert np.array_equal(envsuite.quality(task, x), np.logaddexp.reduce(log_terms, axis=1))
+
     def test_independent_of_context(self):
         # quality has no context argument at all; the oracle cannot be gamed
         # by conditioning

@@ -260,14 +260,43 @@ def test_ode_reduction_property(seed, steps):
 @pytest.mark.parametrize("steps", [2, 10])
 @pytest.mark.parametrize("context", [0, 2])
 def test_ode_sampler_is_the_euler_oracle(n, steps, context):
-    """Evaluation samples are, bit for bit, the last Euler oracle state from
-    the generator's first (n, D) standard-normal draw."""
+    """Evaluation samples are, bit for bit, the last float32 Euler oracle
+    state from the generator's first (n, D) standard-normal draw rounded to
+    float32, handed back as float64."""
     arch = diffnet.for_task(2, 3)
     params = diffnet.init_params(arch, 11)
     sched = flowcore.NoiseSchedule(a=0.7, num_steps=steps)
     got, = flowcore.sample_terminal_ode(arch, params, sched, [context], n, [np.random.default_rng(8)])
-    x0 = np.random.default_rng(8).standard_normal((n, arch.state_dim))
-    assert np.array_equal(got, reference_euler_states(arch, params, x0, context, steps)[:, -1])
+    x0 = np.random.default_rng(8).standard_normal((n, arch.state_dim)).astype(np.float32)
+    want = reference_euler_states(arch, params.astype(np.float32), x0, context, steps)[:, -1]
+    assert got.dtype == np.float64 and want.dtype == np.float32
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_ode_sampler_stays_near_the_float64_oracle(seed):
+    # float32 rounds each operation to a relative 6e-8: on states of order 3,
+    # ten Euler steps of a few roundings each stay inside 1e-5
+    arch = diffnet.for_task(2, 3)
+    params = diffnet.init_params(arch, seed)
+    sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
+    contexts = [0, 1, 2]
+    got = flowcore.sample_terminal_ode(
+        arch, params, sched, contexts, 512, [np.random.default_rng((seed, c)) for c in contexts]
+    )
+    for context, sample in zip(contexts, got):
+        x0 = np.random.default_rng((seed, context)).standard_normal((512, arch.state_dim))
+        want = reference_euler_states(arch, params, x0, context, 10)[:, -1]
+        assert np.max(np.abs(sample - want)) < 1e-5
+
+
+def test_ode_sampler_rejects_parameters_beyond_float32():
+    arch = diffnet.for_task(2, 3)
+    params = diffnet.init_params(arch, 11)
+    params[5] = 1e39  # finite in float64, inf in float32
+    sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
+    with pytest.raises(ValueError, match="float32"):
+        flowcore.sample_terminal_ode(arch, params, sched, [0], 4, [np.random.default_rng(0)])
 
 
 class TestMarginalPreservation:

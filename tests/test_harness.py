@@ -341,6 +341,23 @@ class TestCli:
         checkpoints = {(out / p / "checkpoint_pretrained.json").read_bytes() for p in harness.PRESET_NAMES}
         assert len(checkpoints) == 1
 
+    def test_ablate_encodes_the_pretrained_checkpoint_once(self, tmp_path, monkeypatch):
+        encoded = []
+        real_text = diffnet.checkpoint_text
+
+        def recording_text(arch, params):
+            encoded.append(real_text(arch, params))
+            return encoded[-1]
+
+        monkeypatch.setattr(diffnet, "checkpoint_text", recording_text)
+        config = write_config(tmp_path, dict(TINY_CONFIG, train_steps=1, eval_every=1))
+        out = tmp_path / "ablate"
+        assert harness.cli(["ablate", "--config", str(config), "--out-dir", str(out)]) == 0
+        # one pretrained checkpoint, then one final checkpoint per preset
+        assert len(encoded) == 1 + len(harness.PRESET_NAMES)
+        for preset in harness.PRESET_NAMES:
+            assert (out / preset / "checkpoint_pretrained.json").read_text() == encoded[0]
+
     def test_ablate_evaluates_the_pretrained_policy_once(self, tmp_path, monkeypatch):
         steps = []
         real_evaluate = trainer.evaluate

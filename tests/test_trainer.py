@@ -13,6 +13,7 @@ from _oracles import (
     fm_kernel_loss_and_grad,
     grpo_advantages,
     max_rel_error,
+    reference_evaluate,
     reference_pretrain,
 )
 
@@ -497,6 +498,23 @@ class TestEvaluate:
         params[-arch.output_dim:] = np.inf  # output bias: every velocity is inf
         with pytest.raises(RuntimeError, match="step t=5 context=0: non-finite ODE state"):
             trainer.evaluate(arch, params, cfg, step=0)
+
+    @pytest.mark.parametrize("trained", [False, True], ids=["pretrained", "trained"])
+    def test_float32_statistics_stay_near_the_float64_oracle(self, pretrained, trained):
+        # float32 samples are within about 1e-6 of the float64 path: the
+        # reward (slope below 2 here) moves by less than 1e-5, the log-density
+        # (slope |x - c| / mode_var, a few tens here) by less than 1e-4, and
+        # a sample changes its side of the accuracy threshold only if its
+        # reward lies within 1e-5 of it, which none of these does
+        cfg = small_config(eval_samples=512)
+        params = trainer.run(cfg, pretrained).params if trained else pretrained
+        arch = cfg.architecture()
+        for step in (0, 7):
+            got = trainer.evaluate(arch, params, cfg, step)
+            want = reference_evaluate(arch, params, cfg, step)
+            assert abs(got["mean_reward"] - want["mean_reward"]) < 1e-5
+            assert got["accuracy"] == want["accuracy"]
+            assert abs(got["quality_mean"] - want["quality_mean"]) < 1e-4
 
     @pytest.mark.parametrize("context_count", [1, 2])
     def test_layer_buffers_are_allocated_once_per_request(self, count_calls, context_count):

@@ -21,16 +21,22 @@ tree then runs, with its own ``src`` on ``PYTHONPATH`` and
 Every file the commands write and each command's stdout are compared, except
 ``timing.jsonl``, which holds wallclock times. Exits 0 when every output is
 identical and 1 naming each file that differs or exists on one side only; a
-failed export or command stops it with an error.
+failed export or command stops it with an error. Under each differing file
+that parses as JSON, JSON lines or CSV on both sides it prints the largest
+absolute difference of every numeric field that moved, or the first
+structural mismatch when the two sides differ in shape, so that a deliberate
+numerics change can be measured.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import filecmp
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tarfile
@@ -100,6 +106,88 @@ def differing(a: Path, b: Path) -> list[str]:
     return sorted((in_a ^ in_b) | {f for f in both if not filecmp.cmp(a / f, b / f, shallow=False)})
 
 
+def parse(path: Path):
+    """The content of a JSON, JSON lines or CSV file as nested lists and
+    dicts (a CSV file as one dict per row, keyed by its header), or None
+    when it is none of these."""
+    text = path.read_text()
+    try:
+        return json.loads(text)
+    except ValueError:
+        pass
+    try:
+        return [json.loads(line) for line in text.splitlines() if line.strip()]
+    except ValueError:
+        pass
+    if path.suffix == ".csv":
+        return list(csv.DictReader(io.StringIO(text)))
+    return None
+
+
+def _number(value):
+    """``value`` as a float if it is a JSON number or a numeric CSV cell, else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        return None
+    try:
+        return float(value)
+    except ValueError:
+        return None
+
+
+def _leaves(value, path=""):
+    """(path, leaf) pairs of nested lists and dicts, in order; list indices
+    appear in the path as ``[i]``."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, f"{path}.{key}" if path else str(key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def field_maxima(a, b) -> dict[str, float]:
+    """Largest absolute difference per numeric field between two ``parse``
+    results, for the fields that differ. A field is a leaf path with its
+    list indices dropped, so it spans the lines of a JSON lines file, the
+    rows of a CSV file and the entries of a list. Raises ValueError naming
+    the first place where the two differ in shape, or in a value that is not
+    a number."""
+    leaves_a, leaves_b = list(_leaves(a)), list(_leaves(b))
+    if len(leaves_a) != len(leaves_b):
+        raise ValueError(f"{len(leaves_a)} values against {len(leaves_b)}")
+    maxima: dict[str, float] = {}
+    for (path_a, va), (path_b, vb) in zip(leaves_a, leaves_b):
+        if path_a != path_b:
+            raise ValueError(f"{path_a} against {path_b}")
+        na, nb = _number(va), _number(vb)
+        if na is None or nb is None:
+            if va != vb:
+                raise ValueError(f"{path_a}: {va!r} against {vb!r}")
+            continue
+        if na != nb:
+            field = re.sub(r"\[\d+\]", "", path_a).lstrip(".") or "(value)"
+            maxima[field] = max(maxima.get(field, 0.0), abs(na - nb))
+    return maxima
+
+
+def describe(a: Path, b: Path) -> list[str]:
+    """Report lines for a file present on both sides: ``field_maxima``,
+    one line per field, or the structural mismatch; none when either side
+    does not parse."""
+    parsed_a, parsed_b = parse(a), parse(b)
+    if parsed_a is None or parsed_b is None:
+        return []
+    try:
+        maxima = field_maxima(parsed_a, parsed_b)
+    except ValueError as exc:
+        return [f"structural mismatch: {exc}"]
+    if not maxima:
+        return ["no numeric field differs"]
+    return [f"{field}: max |diff| {value:.3g}" for field, value in maxima.items()]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="git revision to compare this checkout against")
@@ -109,11 +197,16 @@ def main(argv=None) -> int:
         export(args.rev, tmp / "rev-tree")
         run_commands(tmp / "rev-tree", tmp / "rev")
         run_commands(ROOT, tmp / "checkout")
-        diffs = differing(tmp / "rev" / "out", tmp / "checkout" / "out")
-        compared = len(compared_files(tmp / "rev" / "out"))
-    if diffs:
+        rev_out, checkout_out = tmp / "rev" / "out", tmp / "checkout" / "out"
+        diffs = differing(rev_out, checkout_out)
+        compared = len(compared_files(rev_out))
         for name in diffs:
             print(f"differs: {name}")
+            if (rev_out / name).is_file() and (checkout_out / name).is_file():
+                for line in describe(rev_out / name, checkout_out / name):
+                    print(f"    {line}")
+    if diffs:
+        print(f"{len(diffs)} of {compared} files differ against {args.rev} (timing.jsonl not compared)")
         return 1
     print(f"identical: {compared} files against {args.rev} (timing.jsonl not compared)")
     return 0
