@@ -173,15 +173,19 @@ def quality(task: TaskSpec, x):
     the conditioning context, so reward can rise while quality falls.
     """
     x2 = _state_rows(task, x)
-    centers = task.centers()
-    log_w = np.log(task.weights())
     d = task.state_dim
-    # (n, M) log of w_m * N(x; c_m, var I)
-    sq = ((x2[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    log_terms = log_w[None, :] - 0.5 * d * np.log(2.0 * np.pi * task.mode_var) - sq / (2.0 * task.mode_var)
-    # the left fold is the order of np.logaddexp.reduce(axis=1), bit for bit,
-    # without its strided pass over the rows
-    out = log_terms[:, 0].copy()
-    for m in range(1, log_terms.shape[1]):
-        np.logaddexp(out, log_terms[:, m], out=out)
+    norm = 0.5 * d * np.log(2.0 * np.pi * task.mode_var)
+    scale = 2.0 * task.mode_var
+    columns = x2.T.copy()
+    # mode by mode, log of w_m * N(x; c_m, var I) on contiguous (n,) rows,
+    # the squared coordinates summed in order (as ndarray.sum adds fewer than
+    # 8 terms), folded over the modes in the order of np.logaddexp.reduce
+    out = None
+    for center, log_w in zip(task.centers(), np.log(task.weights())):
+        sq = (columns[0] - center[0]) ** 2
+        for k in range(1, d):
+            sq += (columns[k] - center[k]) ** 2
+        sq /= scale
+        term = np.subtract(log_w - norm, sq, out=sq)
+        out = term if out is None else np.logaddexp(out, term, out=out)
     return float(out[0]) if np.asarray(x).ndim == 1 else out

@@ -215,21 +215,25 @@ def fm_loss(resid: np.ndarray) -> float:
 
 def sample_terminal_ode(
     arch: Architecture, params: np.ndarray, schedule: NoiseSchedule, contexts, n: int, rngs
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Deterministic generation: n samples per context, each context's from
     its generator in ``rngs``, by Euler steps x - dtau * v from noise,
-    computed in float32 and returned as float64 arrays.
+    computed in float32 and returned as one float64 (len(contexts), n, d)
+    array, context by context.
 
     Sampling runs forward-only, so it computes on a float32 copy of the
     float64 parameters; a parameter that is finite but beyond float32's range
     raises ValueError. Each context's initial state is its generator's
     float64 standard-normal draw rounded to float32. One float32 feature
-    matrix and one set of layer buffers serve every context; they are
-    allocated first and released on return, so that the caller's scoring
-    reuses their memory instead of raising the peak. The contexts are checked
-    once, each context's one-hot block is written once and each step rewrites
-    the state and time columns. A non-finite state raises ``NonFiniteStep``
-    naming the step and the context.
+    matrix, one set of layer buffers and, per layer, the bias repeated as
+    (n, fan_out) rows for ``diffnet.mlp``'s contiguous bias add serve every
+    context; they are allocated first and released on return, so that the
+    caller's scoring reuses their memory instead of raising the peak. The
+    time features of every step are worked out once, by
+    ``diffnet.time_features``. The contexts are checked once, each context's
+    one-hot block is written once and each step rewrites the state and time
+    columns. A non-finite state raises ``NonFiniteStep`` naming the step and
+    the context.
     """
     with np.errstate(over="ignore"):
         params32 = params.astype(np.float32)
@@ -237,21 +241,27 @@ def sample_terminal_ode(
         raise ValueError("parameters exceed the float32 range of the evaluation sampler")
     contexts = list(contexts)
     diffnet.check_contexts(arch, np.asarray(contexts))
-    layers = diffnet.unpack(arch, params32)
+    layers = [(w, np.tile(b, (n, 1))) for w, b in diffnet.unpack(arch, params32)]
     hs = diffnet.layer_buffers(layers, n)
     phi = np.empty((n, arch.input_dim), dtype=np.float32)
-    x = np.empty((n, arch.state_dim), dtype=np.float32)
-    samples = []
-    for context, rng in zip(contexts, rngs):
-        sample = rng.standard_normal((n, arch.state_dim))
+    d, steps = arch.state_dim, schedule.num_steps
+    times = np.array([diffnet.time_features(t / steps) for t in range(steps, 0, -1)], dtype=np.float32)
+    x = np.empty((n, d), dtype=np.float32)
+    samples = np.empty((len(contexts), n, d))
+    for sample, context, rng in zip(samples, contexts, rngs):
+        rng.standard_normal(out=sample)
         x[:] = sample
         diffnet.write_context(arch, phi, context)
-        for t in range(schedule.num_steps, 0, -1):
-            diffnet.write_state_time(arch, phi, x, t / schedule.num_steps)
+        for t, time in zip(range(steps, 0, -1), times):
+            # the state and time columns, one column at a time: numpy writes
+            # a block of a few strided columns more slowly
+            for k in range(d):
+                phi[:, k] = x[:, k]
+            for k in range(diffnet.TIME_FEATURES):
+                phi[:, d + k] = time[k]
             v = diffnet.mlp(layers, phi, hs)
             v *= schedule.dtau
             x -= v
             check_states(x, t, context, "ODE")
         sample[:] = x
-        samples.append(sample)
     return samples

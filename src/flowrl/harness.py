@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import sys
@@ -372,7 +373,10 @@ def _cmd_dump_curves(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process: parsing reads it
+    and never changes it, so every ``cli`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="flowrl",
         description="Desk-scale RL lab for flow-matching generative policies.",

@@ -421,13 +421,16 @@ def evaluate(arch: Architecture, params: np.ndarray, config: TrainConfig, step: 
     task reward, thresholded accuracy, and the mixture-density quality oracle.
 
     One ``flowcore.sample_terminal_ode`` call samples every context, so the
-    network's layer buffers are allocated once per evaluation."""
-    task = config.task
+    network's layer buffers are allocated once per evaluation, and one
+    ``envsuite.reward`` call, given each row's context, and one
+    ``envsuite.quality`` call score the samples of all the contexts."""
+    task, n = config.task, config.eval_samples
     contexts = range(task.context_count)
     rngs = (np.random.default_rng(np.random.SeedSequence((config.seed, STREAM_EVAL, step, c))) for c in contexts)
-    samples = flowcore.sample_terminal_ode(arch, params, config.schedule(), contexts, config.eval_samples, rngs)
-    r = np.concatenate([envsuite.reward(task, x, c) for c, x in zip(contexts, samples)])
-    q = np.concatenate([envsuite.quality(task, x) for x in samples])
+    samples = flowcore.sample_terminal_ode(arch, params, config.schedule(), contexts, n, rngs)
+    x = samples.reshape(-1, task.state_dim)
+    r = envsuite.reward(task, x, np.repeat(contexts, n))
+    q = envsuite.quality(task, x)
     return {
         "mean_reward": float(r.mean()),
         "accuracy": float((r > config.accuracy_threshold).mean()),

@@ -78,3 +78,16 @@ def test_structural_mismatch_and_unparsed_files(tmp_path):
     assert bytecheck.describe(a / "m.jsonl", b / "m.jsonl") == ["structural mismatch: 2 values against 1"]
     assert bytecheck.describe(a / "k.json", b / "k.json") == ["structural mismatch: note: 'x' against 'y'"]
     assert bytecheck.describe(a / "out.stdout", b / "out.stdout") == []
+
+
+def test_eval_commands_cover_the_benchmark_shape_and_one_pass_scoring():
+    # an eval at sample-eval's 1024 samples per context, and one on a task
+    # with several contexts whose reward ignores them, so that scoring every
+    # context's samples in one call is compared byte for byte
+    named = [
+        (args[0], args[args.index("--config") + 1]) for args in bytecheck.COMMANDS.values() if "--config" in args
+    ]
+    assert {name for _, name in named} <= set(bytecheck.CONFIGS)
+    evals = [bytecheck.CONFIGS[name] for command, name in named if command == "eval"]
+    assert any(c.get("eval_samples") == 1024 for c in evals)
+    assert any(c.get("task") in ("half-plane", "ring") and c.get("task_context_count", 8) > 1 for c in evals)

@@ -327,3 +327,26 @@ def test_mlp_on_features_matches_forward_property(state_dim, context_count, hidd
     buffer = diffnet.feature_matrix(arch, rng.standard_normal((n, state_dim)), 1.0, ctx)
     diffnet.write_state_time(arch, buffer, x, tau)
     assert np.array_equal(buffer, phi)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 7, 1024])
+def test_bias_rows_are_the_broadcast_biases_bit_for_bit(dtype, n):
+    """Layers whose biases are repeated as (n, fan_out) rows, as the
+    evaluation sampler passes them, give ``mlp`` the same outputs and
+    activations as ``unpack``'s (fan_out,) biases."""
+    arch = diffnet.for_task(2, 8)
+    rng = np.random.default_rng(n)
+    # init_params' biases are zeros: draw some, so that the adds are real
+    layers = [
+        (w, rng.standard_normal(b.shape).astype(dtype))
+        for w, b in diffnet.unpack(arch, (3.0 * diffnet.init_params(arch, 4)).astype(dtype))
+    ]
+    rows = [(w, np.tile(b, (n, 1))) for w, b in layers]
+    x, tau, context = rng.standard_normal((n, 2)), rng.uniform(0.0, 1.0, n), rng.integers(0, 8, n)
+    phi = diffnet.feature_matrix(arch, x, tau, context).astype(dtype)
+    want = diffnet.layer_buffers(layers, n)
+    got = diffnet.layer_buffers(rows, n)
+    diffnet.mlp(layers, phi, want)
+    diffnet.mlp(rows, phi, got)
+    assert all(h.dtype == dtype and np.array_equal(h, g) for h, g in zip(want, got))

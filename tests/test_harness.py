@@ -311,6 +311,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert "--step" in err and "-1" in err, err
 
+    def test_the_shared_parser_carries_no_flag_into_the_next_call(self, tmp_path, capsys):
+        # the parser is built once per process and every call parses with it
+        assert harness.build_parser() is harness.build_parser()
+        config = write_config(tmp_path, TINY_CONFIG)
+        ckpt = tmp_path / "params.json"
+        arch = harness.parse_config(config).architecture()
+        diffnet.save_checkpoint(ckpt, arch, diffnet.init_params(arch, 0))
+
+        def evaluate(*flags):
+            assert harness.cli(["eval", "--config", str(config), "--checkpoint", str(ckpt), *flags]) == 0
+            return capsys.readouterr().out
+
+        step0 = evaluate()
+        assert evaluate("--step", "3") != step0
+        assert evaluate() == step0
+        for preset, out in (("flow-grpo", "preset"), (None, "plain")):
+            flags = ["--preset", preset] if preset else []
+            argv = ["train", "--config", str(config), "--out-dir", str(tmp_path / out), *flags]
+            assert harness.cli(argv) == 0
+        plain = harness.config_to_dict(harness.parse_config(config))
+        assert json.loads((tmp_path / "plain" / "config.json").read_text()) == plain
+        assert json.loads((tmp_path / "preset" / "config.json").read_text()) == dict(
+            plain, **trainer.PRESETS["flow-grpo"]
+        )
+
     def test_ablate_writes_four_runs_and_report(self, tmp_path):
         config = write_config(tmp_path, dict(TINY_CONFIG, train_steps=2, eval_every=1))
         out = tmp_path / "ablate"

@@ -529,6 +529,27 @@ class TestEvaluate:
         trainer.evaluate(arch, params, cfg, step=1)
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("name", envsuite.TASK_NAMES)
+    def test_one_scoring_pass_is_per_context_scoring_bit_for_bit(self, name):
+        # the samples of every context, scored by one reward call given each
+        # row's context and one quality call, against one call per context
+        task = envsuite.TaskSpec(name, num_modes=4, context_count=3)
+        cfg = small_config(task=task, eval_samples=64, seed=5)
+        arch = cfg.architecture()
+        params = 3.0 * diffnet.init_params(arch, 2)
+        rngs = [np.random.default_rng(np.random.SeedSequence((5, trainer.STREAM_EVAL, 4, c))) for c in range(3)]
+        samples = flowcore.sample_terminal_ode(arch, params, cfg.schedule(), range(3), 64, rngs)
+        r = np.concatenate([envsuite.reward(task, x, c) for c, x in enumerate(samples)])
+        q = np.concatenate([envsuite.quality(task, x) for x in samples])
+        flat = samples.reshape(-1, 2)
+        assert np.array_equal(envsuite.reward(task, flat, np.repeat(np.arange(3), 64)), r)
+        assert np.array_equal(envsuite.quality(task, flat), q)
+        assert trainer.evaluate(arch, params, cfg, step=4) == {
+            "mean_reward": float(r.mean()),
+            "accuracy": float((r > cfg.accuracy_threshold).mean()),
+            "quality_mean": float(q.mean()),
+        }
+
 
 class TestRun:
     def test_zero_steps_emits_single_pretrained_evaluation(self, pretrained):

@@ -15,8 +15,13 @@ tree then runs, with its own ``src`` on ``PYTHONPATH`` and
   policy (states, instant rewards and ``logp_old``) to ``trajectories.jsonl``;
 - ``flowrl dump-curves`` on that run, which writes its ``curves.csv``;
 - ``flowrl eval`` on that run's final checkpoint;
+- ``flowrl eval`` at the benchmark's shape, 1024 samples per context, on the
+  ablate ``vgpo`` run's final checkpoint;
 - ``flowrl pretrain --seed 4`` on a recipe other than the default: the 1-D
-  half-plane task with one context, 301 steps of batch 5.
+  half-plane task with one context, 301 steps of batch 5;
+- ``flowrl pretrain --seed 5`` and ``flowrl eval`` on the ring task with
+  three contexts, a task whose reward ignores the context, so that scoring
+  the samples of every context in one call is compared too.
 
 Every file the commands write and each command's stdout are compared, except
 ``timing.jsonl``, which holds wallclock times. Exits 0 when every output is
@@ -52,6 +57,8 @@ CONFIGS = {
         "task": "half-plane", "task_state_dim": 1, "task_context_count": 1,
         "pretrain_steps": 301, "pretrain_batch": 5,
     },
+    "eval1024.json": {"eval_samples": 1024},
+    "ring.json": {"task": "ring", "task_context_count": 3, "pretrain_steps": 200, "eval_samples": 64},
 }
 COMMANDS = {
     "ablate": ["ablate", "--seed", "1", "--out-dir", "out/ablate"],
@@ -64,7 +71,16 @@ COMMANDS = {
         "eval", "--seed", "2", "--config", "config.json",
         "--checkpoint", "out/train/checkpoint_final.json",
     ],
+    "eval-1024": [
+        "eval", "--seed", "1", "--config", "eval1024.json", "--step", "5",
+        "--checkpoint", "out/ablate/vgpo/checkpoint_final.json",
+    ],
     "pretrain": ["pretrain", "--seed", "4", "--config", "pretrain.json", "--out-dir", "out/pretrain"],
+    "pretrain-ring": ["pretrain", "--seed", "5", "--config", "ring.json", "--out-dir", "out/ring"],
+    "eval-ring": [
+        "eval", "--seed", "5", "--config", "ring.json", "--step", "2",
+        "--checkpoint", "out/ring/checkpoint_pretrained.json",
+    ],
 }
 
 
