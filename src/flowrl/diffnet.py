@@ -144,7 +144,7 @@ def check_contexts(arch: Architecture, context) -> None:
 def feature_matrix(arch: Architecture, x: np.ndarray, tau, context) -> np.ndarray:
     """``features`` without its checks, for validated x (n, state_dim), tau and context."""
     phi = np.empty((x.shape[0], arch.input_dim))
-    write_state_time(arch, phi, x, tau)
+    write_state_time(arch, phi, x, time_features(tau))
     write_context(arch, phi, context)
     return phi
 
@@ -155,11 +155,18 @@ def time_features(tau):
     return tau, np.sin(2.0 * np.pi * tau), np.cos(2.0 * np.pi * tau)
 
 
-def write_state_time(arch: Architecture, phi: np.ndarray, x: np.ndarray, tau) -> None:
-    """Overwrite the state and time columns of ``phi`` in place, keeping its context block."""
+def write_state_time(arch: Architecture, phi: np.ndarray, x: np.ndarray, time) -> None:
+    """Overwrite the state and time columns of ``phi`` in place, keeping its
+    context block: x (n, state_dim) and ``time``, the ``time_features`` of
+    one time or of one time per row.
+
+    It writes one column at a time: numpy writes a block of a few strided
+    columns more slowly."""
     d = arch.state_dim
-    phi[:, :d] = x
-    phi[:, d], phi[:, d + 1], phi[:, d + 2] = time_features(tau)
+    for k in range(d):
+        phi[:, k] = x[:, k]
+    for k, column in enumerate(time):
+        phi[:, d + k] = column
 
 
 def write_context(arch: Architecture, phi: np.ndarray, context) -> None:

@@ -176,15 +176,12 @@ def quality(task: TaskSpec, x):
     d = task.state_dim
     norm = 0.5 * d * np.log(2.0 * np.pi * task.mode_var)
     scale = 2.0 * task.mode_var
-    columns = x2.T.copy()
-    # mode by mode, log of w_m * N(x; c_m, var I) on contiguous (n,) rows,
-    # the squared coordinates summed in order (as ndarray.sum adds fewer than
-    # 8 terms), folded over the modes in the order of np.logaddexp.reduce
+    # mode by mode, log of w_m * N(x; c_m, var I) as a contiguous (n,) term,
+    # its squared distance a row sum (numpy's pairwise order, for any d), the
+    # terms folded over the modes in the order of np.logaddexp.reduce
     out = None
     for center, log_w in zip(task.centers(), np.log(task.weights())):
-        sq = (columns[0] - center[0]) ** 2
-        for k in range(1, d):
-            sq += (columns[k] - center[k]) ** 2
+        sq = ((x2 - center) ** 2).sum(axis=1)
         sq /= scale
         term = np.subtract(log_w - norm, sq, out=sq)
         out = term if out is None else np.logaddexp(out, term, out=out)

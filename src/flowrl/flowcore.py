@@ -253,12 +253,7 @@ def sample_terminal_ode(
         x[:] = sample
         diffnet.write_context(arch, phi, context)
         for t, time in zip(range(steps, 0, -1), times):
-            # the state and time columns, one column at a time: numpy writes
-            # a block of a few strided columns more slowly
-            for k in range(d):
-                phi[:, k] = x[:, k]
-            for k in range(diffnet.TIME_FEATURES):
-                phi[:, d + k] = time[k]
+            diffnet.write_state_time(arch, phi, x, time)
             v = diffnet.mlp(layers, phi, hs)
             v *= schedule.dtau
             x -= v

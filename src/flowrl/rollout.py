@@ -138,7 +138,7 @@ def rollout_group(
         if t == 1:
             break
         tau_next = (t - 1) / t_steps
-        diffnet.write_state_time(arch, phi[j + 1], x, tau_next)
+        diffnet.write_state_time(arch, phi[j + 1], x, diffnet.time_features(tau_next))
         v = diffnet.mlp(layers, phi[j + 1], [h[j + 1] for h in hs])
         projections[j] = flowcore.euler_update(x, v, tau_next)
     projections[-1] = x

@@ -198,7 +198,9 @@ def pretrain(config: TrainConfig) -> np.ndarray:
         np.subtract(x1, x0, out=targets[:k])
         tau = taus[:k, :, None]
         rows = phi[:k].reshape(k * n, arch.input_dim)
-        diffnet.write_state_time(arch, rows, ((1.0 - tau) * x0 + tau * x1).reshape(k * n, d), taus[:k].ravel())
+        diffnet.write_state_time(
+            arch, rows, ((1.0 - tau) * x0 + tau * x1).reshape(k * n, d), diffnet.time_features(taus[:k].ravel())
+        )
         diffnet.write_context(arch, rows, contexts[:k].ravel())
         for i in range(k):
             resid = flowcore.fm_loss_and_grad(layers, phi[i], hs, targets[i], grads)

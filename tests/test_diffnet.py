@@ -325,7 +325,7 @@ def test_mlp_on_features_matches_forward_property(state_dim, context_count, hidd
     assert again is got
     assert np.array_equal(again, diffnet.forward(arch, params, x2, tau, ctx))
     buffer = diffnet.feature_matrix(arch, rng.standard_normal((n, state_dim)), 1.0, ctx)
-    diffnet.write_state_time(arch, buffer, x, tau)
+    diffnet.write_state_time(arch, buffer, x, diffnet.time_features(tau))
     assert np.array_equal(buffer, phi)
 
 

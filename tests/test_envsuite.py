@@ -190,7 +190,7 @@ class TestQuality:
             assert envsuite.quality(task, np.array([v])) == envsuite.quality(task, np.array([-v]))
 
     @pytest.mark.parametrize("num_modes", [1, 2, 8])
-    @pytest.mark.parametrize("state_dim", [1, 2, 3])
+    @pytest.mark.parametrize("state_dim", [1, 2, 3, 8, 20])
     def test_mode_fold_is_the_logaddexp_reduce_bit_for_bit(self, rng, num_modes, state_dim):
         centers = 3.0 * rng.standard_normal((num_modes, state_dim))
         task = envsuite.TaskSpec(
