@@ -117,8 +117,8 @@ def step_distribution(
 def step_mean(x, v, tau_clamped, s2, dtau: float):
     """Mean of the stochastic step from the predicted velocity v at x.
 
-    ``tau_clamped`` and ``s2`` (sigma^2) are scalars, or (n, 1) columns that
-    give each row of a batch its own time.
+    ``tau_clamped`` and ``s2`` (sigma^2) are scalars, or columns that broadcast
+    against x, e.g. ``NoiseSchedule.table``'s (T, 1) ones for (..., T, d) states.
     """
     drift = v + (s2 / (2.0 * tau_clamped)) * (x + (1.0 - tau_clamped) * v)
     return x - drift * dtau
@@ -177,20 +177,21 @@ def ode_project(arch: Architecture, params: np.ndarray, s, tau: float, context) 
 
 
 def transition_logpdf(x_next: np.ndarray, mean: np.ndarray, var):
-    """(n,) log-densities of the (n, d) rows x_next under isotropic Gaussians
-    with the (n, d) means and variance ``var`` (a scalar, or one per row)."""
+    """Log-densities of the (..., d) states x_next under isotropic Gaussians
+    with the (..., d) means, summed over the last axis; the variance ``var``
+    broadcasts against the leading axes, e.g. a (T, 1) column for (T, n, d)."""
     if np.any(var <= 0.0):
         raise ValueError("deterministic step (variance 0) has no transition density")
-    sq = ((x_next - mean) ** 2).sum(axis=1)
-    return -0.5 * x_next.shape[1] * np.log(2.0 * np.pi * var) - sq / (2.0 * var)
+    sq = ((x_next - mean) ** 2).sum(axis=-1)
+    return -0.5 * x_next.shape[-1] * np.log(2.0 * np.pi * var) - sq / (2.0 * var)
 
 
 def kl_step(mean_p: np.ndarray, mean_q: np.ndarray, var):
-    """(n,) KL between isotropic Gaussian steps with the (n, d) means and one
-    variance ``var`` (a scalar, or one per row): ||mean_p - mean_q||^2 / (2 var)."""
+    """KL ||mean_p - mean_q||^2 / (2 var) between isotropic Gaussian steps with
+    the (..., d) means; ``var`` broadcasts as in ``transition_logpdf``."""
     if np.any(var <= 0.0):
         raise ValueError("KL undefined for zero-variance steps")
-    return ((mean_p - mean_q) ** 2).sum(axis=1) / (2.0 * var)
+    return ((mean_p - mean_q) ** 2).sum(axis=-1) / (2.0 * var)
 
 
 def fm_loss_and_grad(layers, phi, hs, target, grads) -> np.ndarray:

@@ -92,10 +92,11 @@ def rollout_group(
     tuple of ints). For t = T .. 1 every row of the batch takes one
     exploration step and keeps its step mean and the one-step projection of
     the new state. After the loop one ``envsuite.reward`` call scores all
-    B * G * T projections and one ``transition_logpdf`` call gives all the
-    transition log-densities. ``shared_initial_noise`` starts every
-    trajectory of a slot from the same s_T (exploration then comes only from
-    the step noise); the default draws independent initial noise per
+    B * G * T projections and one ``transition_logpdf`` call, on the
+    time-major states and means with the step variance as a (T, 1) column,
+    gives all the transition log-densities. ``shared_initial_noise`` starts
+    every trajectory of a slot from the same s_T (exploration then comes only
+    from the step noise); the default draws independent initial noise per
     trajectory.
 
     Inputs are checked here, once, and each new state as it is made: a
@@ -145,9 +146,7 @@ def rollout_group(
     rewards = envsuite.reward(task, projections.reshape(-1, d), np.tile(row_contexts, t_steps))
     logps = None
     if schedule.a > 0:
-        logps = flowcore.transition_logpdf(
-            states[1:].reshape(-1, d), means.reshape(-1, d), np.repeat(schedule.table[2], n)
-        )
+        logps = flowcore.transition_logpdf(states[1:], means, schedule.table[2][:, None])
 
     def batch_major(a):
         """A time-major (T', n, ...) array as a contiguous (B, G, T', ...) copy."""
@@ -157,7 +156,7 @@ def rollout_group(
         contexts=contexts,
         schedule=schedule,
         states=batch_major(states),
-        logp_old=None if logps is None else batch_major(logps.reshape(t_steps, n)),
+        logp_old=None if logps is None else batch_major(logps),
         instant_rewards=batch_major(rewards.reshape(t_steps, n)),
         phi=batch_major(phi),
         hs=[batch_major(h) for h in hs],

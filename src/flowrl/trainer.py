@@ -126,7 +126,7 @@ class SurrogateResult:
     kl: float
     mean_ratio: float
     clip_fraction: float
-    nonfinite_contexts: tuple[int, ...] = ()  # contexts of rows with a non-finite gradient term
+    nonfinite_contexts: tuple[int, ...] = ()  # contexts of trajectories with a non-finite gradient term
 
 
 @dataclass(frozen=True)
@@ -238,17 +238,17 @@ def clipped_term(ratio, advantages, eps_clip: float):
 
 
 def step_rows(arch: Architecture, theta_ref: np.ndarray, batch: RolloutBatch, advantages) -> dict:
-    """The surrogate's inputs, built and checked once per batch: every
-    (slot, member, step) transition as one row, with the rows' feature
-    matrix ``phi``, the reference policy's step means, the stored old
-    log-densities, the advantages and the step variances.
-
-    The schedule's constants (clamped tau, sigma^2, d mean / d v) come from
-    its step table and are repeated per row as (n, 1) columns. ``phi`` is a
-    view of the features the rollout built, in the same row order; the
-    reference policy's pass over it is the one network evaluation made here.
-    A deterministic (a = 0) batch, which has no transition densities, and an
-    advantage table not shaped (B, G, T) like the batch are rejected.
+    """The surrogate's inputs, built and checked once per batch, as arrays
+    over the B * G trajectories (slot by slot) and their T steps: the states
+    ``x`` and ``x_next`` and the reference policy's step means ``ref_mean``,
+    (B * G, T, d); the old log-densities ``logp_old`` and the ``advantage``,
+    (B * G, T) views; one ``context`` per trajectory; ``phi``, the rollout's
+    features as a flat (B * G * T, input_dim) view; and the batch's
+    ``schedule``, whose (T,) per-step constants broadcast over the
+    trajectories. The reference policy's pass over ``phi`` is the one network
+    evaluation made here. A deterministic (a = 0) batch, which has no
+    transition densities, and an advantage table not shaped (B, G, T) like
+    the batch are rejected.
     """
     sched = batch.schedule
     if batch.logp_old is None:
@@ -256,29 +256,20 @@ def step_rows(arch: Architecture, theta_ref: np.ndarray, batch: RolloutBatch, ad
     if np.shape(advantages) != batch.logp_old.shape:
         raise ValueError(f"advantage shape {np.shape(advantages)} != {batch.logp_old.shape}")
     b, g, t = batch.logp_old.shape
-    d = batch.states.shape[-1]
-    # the table's constants per row: row (slot, member, step) takes its step's
-    per_row = np.empty((len(sched.table), b * g, t))
-    per_row[:] = sched.table[:, None, :]
-    tc, s2, var, _, coeff = per_row.reshape(len(sched.table), -1, 1)
-    x = batch.states[:, :, :-1].reshape(-1, d)
-    context = np.repeat(batch.contexts, g * t)
+    x = batch.states[:, :, :-1].reshape(b * g, t, -1)
     phi = batch.phi.reshape(-1, arch.input_dim)
     layers = diffnet.unpack(arch, theta_ref)
-    v_ref = diffnet.mlp(layers, phi, diffnet.layer_buffers(layers, x.shape[0]))
+    v_ref = diffnet.mlp(layers, phi, diffnet.layer_buffers(layers, phi.shape[0]))
+    tc, s2 = sched.table[:2, :, None]
     return {
         "x": x,
-        "x_next": batch.states[:, :, 1:].reshape(-1, d),
-        "context": context,
+        "x_next": batch.states[:, :, 1:].reshape(x.shape),
+        "context": np.repeat(batch.contexts, g),
         "phi": phi,
-        "tau_clamped": tc,
-        "s2": s2,
-        "coeff": coeff,
-        "dtau": sched.dtau,
-        "var": var[:, 0],
-        "ref_mean": flowcore.step_mean(x, v_ref, tc, s2, sched.dtau),
-        "logp_old": batch.logp_old.ravel(),
-        "advantage": np.ravel(advantages),
+        "schedule": sched,
+        "ref_mean": flowcore.step_mean(x, v_ref.reshape(x.shape), tc, s2, sched.dtau),
+        "logp_old": batch.logp_old.reshape(b * g, t),
+        "advantage": np.reshape(advantages, (b * g, t)),
     }
 
 
@@ -291,46 +282,49 @@ def surrogate_loss_and_grad(
     Ratios are exp(logp_theta - logp_old) where logp_theta comes from the
     current policy's step means at the stored states; advantages and the
     stored old log-densities are constants. The KL penalty compares the
-    current and reference step means under the shared schedule. Gradients
-    flow only through the current policy's means. Value and gradient are
-    means over all B * G * T rows, i.e. the mean over groups of the
+    current and reference step means under the shared schedule, whose
+    table's (T, 1) columns broadcast over the trajectories. Gradients flow
+    only through the current policy's means. Value and gradient are means
+    over all B * G * T transitions, i.e. the mean over groups of the
     per-group objective.
 
     ``hs``, when the caller has them, are the layer outputs of theta's
-    ``diffnet.mlp`` pass over ``rows["phi"]``, one (n, fan_out) array per
-    layer; they are read, never written. Without them the pass is run here,
-    into buffers of this call.
+    ``diffnet.mlp`` pass over ``rows["phi"]``, one (B * G * T, fan_out)
+    array per layer; they are read, never written. Without them the pass is
+    run here, into buffers of this call. Non-finite gradient terms are found
+    by one whole-array test; only then are their trajectories' contexts named.
     """
-    x_next, ref_means, var, a = rows["x_next"], rows["ref_mean"], rows["var"], rows["advantage"]
-    n_rows = x_next.shape[0]
+    x_next, ref_means, a, sched = rows["x_next"], rows["ref_mean"], rows["advantage"], rows["schedule"]
+    tc, s2, var, _, coeff = sched.table[:, :, None]
+    n_rows = a.size
     layers = diffnet.unpack(arch, theta)
     phi = rows["phi"]
     if hs is None:
         hs = diffnet.layer_buffers(layers, n_rows)
         diffnet.mlp(layers, phi, hs)
-    v = hs[-1]
-    mean = flowcore.step_mean(rows["x"], v, rows["tau_clamped"], rows["s2"], rows["dtau"])
-    ratio = np.exp(flowcore.transition_logpdf(x_next, mean, var) - rows["logp_old"])
+    mean = flowcore.step_mean(rows["x"], hs[-1].reshape(x_next.shape), tc, s2, sched.dtau)
+    ratio = np.exp(flowcore.transition_logpdf(x_next, mean, var[:, 0]) - rows["logp_old"])
     unclipped = ratio * a
     surrogate_terms = clipped_term(ratio, a, eps_clip)
-    kl_terms = flowcore.kl_step(mean, ref_means, var)
+    kl_terms = flowcore.kl_step(mean, ref_means, var[:, 0])
     # d(objective)/d(mean): the unclipped branch contributes A*r*dlogp/dmean,
     # the saturated clip branch contributes nothing; a NaN term stays NaN
     kappa = np.where(surrogate_terms < unclipped, 0.0, unclipped)
-    dj_dmean = (
-        kappa[:, None] * (x_next - mean) - beta_kl * (mean - ref_means)
-    ) / (n_rows * var[:, None])
-    upstream = rows["coeff"] * dj_dmean
+    dj_dmean = (kappa[..., None] * (x_next - mean) - beta_kl * (mean - ref_means)) / (n_rows * var)
+    upstream = coeff * dj_dmean
     pgrad = np.empty_like(theta)
-    diffnet.backward(layers, [phi, *hs[:-1]], upstream, diffnet.unpack(arch, pgrad))
-    bad_rows = ~np.isfinite(upstream).all(axis=1)
+    diffnet.backward(layers, [phi, *hs[:-1]], upstream.reshape(n_rows, -1), diffnet.unpack(arch, pgrad))
+    nonfinite_contexts = ()
+    if not np.isfinite(upstream).all():
+        bad = ~np.isfinite(upstream).all(axis=(1, 2))
+        nonfinite_contexts = tuple(np.unique(rows["context"][bad]).tolist())
     return SurrogateResult(
         value=float(surrogate_terms.mean() - beta_kl * kl_terms.mean()),
         grad=pgrad,
         kl=float(kl_terms.mean()),
         mean_ratio=float(ratio.mean()),
         clip_fraction=float((ratio < 1.0 - eps_clip).mean() + (ratio > 1.0 + eps_clip).mean()),
-        nonfinite_contexts=tuple(np.unique(rows["context"][bad_rows]).tolist()),
+        nonfinite_contexts=nonfinite_contexts,
     )
 
 

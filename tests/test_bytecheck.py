@@ -91,3 +91,19 @@ def test_eval_commands_cover_the_benchmark_shape_and_one_pass_scoring():
     evals = [bytecheck.CONFIGS[name] for command, name in named if command == "eval"]
     assert any(c.get("eval_samples") == 1024 for c in evals)
     assert any(c.get("task") in ("half-plane", "ring") and c.get("task_context_count", 8) > 1 for c in evals)
+
+
+def test_a_train_run_covers_a_wide_state_and_several_update_epochs():
+    # the update's per-step constants broadcast over (trajectory, step)
+    # arrays, and its sums run over the state's last axis: one run at d = 8,
+    # a non-default group, batch and step count, and more than two epochs
+    trains = [
+        bytecheck.CONFIGS[args[args.index("--config") + 1]]
+        for args in bytecheck.COMMANDS.values()
+        if args[0] == "train" and "--dump-trajectories" in args
+    ]
+    assert any(
+        c.get("task_state_dim", 2) >= 8 and c.get("inner_epochs", 1) >= 3
+        and c.get("group_size", 8) != 8 and c.get("sampling_steps", 10) != 10
+        for c in trains
+    )

@@ -151,6 +151,12 @@ class TestOdeProject:
         assert abs(float(projected.mean()) - center) < 0.1
 
 
+def time_major_steps(rng, d, t_steps=7, n=5):
+    """Two (T, n, d) state arrays and a (T, 1) variance column, one value per step."""
+    var = flowcore.NoiseSchedule(a=0.7, num_steps=t_steps).table[2][:, None]
+    return rng.standard_normal((t_steps, n, d)), rng.standard_normal((t_steps, n, d)), var
+
+
 class TestTransitionLogpdf:
     def test_mode_value(self):
         got = flowcore.transition_logpdf(np.zeros((1, 2)), np.zeros((1, 2)), 1.0)
@@ -176,6 +182,14 @@ class TestTransitionLogpdf:
         with pytest.raises(ValueError):
             flowcore.transition_logpdf(np.zeros((1, 2)), np.zeros((1, 2)), 0.0)
 
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    def test_time_major_call_equals_flat_rows(self, rng, d):
+        x, mean, var = time_major_steps(rng, d)
+        got = flowcore.transition_logpdf(x, mean, var)
+        want = flowcore.transition_logpdf(x.reshape(-1, d), mean.reshape(-1, d), np.repeat(var, x.shape[1]))
+        assert got.shape == x.shape[:2]
+        assert np.array_equal(got.ravel(), want)
+
 
 class TestKlStep:
     def test_identical_means_zero(self):
@@ -192,6 +206,14 @@ class TestKlStep:
         p = rng.standard_normal((1, 3))
         q = rng.standard_normal((1, 3))
         assert flowcore.kl_step(p, q, 0.3)[0] == flowcore.kl_step(q, p, 0.3)[0]
+
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    def test_time_major_call_equals_flat_rows(self, rng, d):
+        p, q, var = time_major_steps(rng, d)
+        got = flowcore.kl_step(p, q, var)
+        want = flowcore.kl_step(p.reshape(-1, d), q.reshape(-1, d), np.repeat(var, p.shape[1]))
+        assert got.shape == p.shape[:2]
+        assert np.array_equal(got.ravel(), want)
 
 
 class TestFmLoss:

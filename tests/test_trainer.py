@@ -370,9 +370,9 @@ class TestOnePassPerTransition:
         cfg, state, batch = tiny_setup
         advantages = trainer.compute_advantages(batch, cfg)
         rows = trainer.step_rows(state.arch, state.theta_ref, batch, advantages)
-        b, g, _ = batch.logp_old.shape
-        taus = np.tile(batch.schedule.tau_grid(), b * g)
-        phi = diffnet.feature_matrix(state.arch, rows["x"], taus, rows["context"])
+        trajectories, t, d = rows["x"].shape
+        taus = np.tile(batch.schedule.tau_grid(), trajectories)
+        phi = diffnet.feature_matrix(state.arch, rows["x"].reshape(-1, d), taus, np.repeat(rows["context"], t))
         layers = diffnet.unpack(state.arch, state.theta)
         hs = diffnet.layer_buffers(layers, phi.shape[0])
         diffnet.mlp(layers, phi, hs)
@@ -396,6 +396,25 @@ class TestNonFiniteGradient:
         assert res.nonfinite_contexts == (int(batch.contexts[1]),)
         with pytest.raises(RuntimeError, match=rf"step 5: contexts \[{batch.contexts[1]}\]"):
             trainer.update_policy(fresh, batch, poisoned, 5)
+        assert np.array_equal(fresh.theta, theta_before)
+        assert fresh.adam.t == 0
+
+    def test_two_poisoned_slots_name_both_contexts_sorted(self, tiny_setup, pretrained):
+        cfg, _, _ = tiny_setup
+        fresh = trainer.init_state(cfg, pretrained)
+        batch = trainer.rollout_batch(fresh, 3)
+        # the larger context comes first, so the names must be sorted
+        assert batch.contexts.tolist() == [1, 0]
+        poisoned = trainer.compute_advantages(batch, cfg)
+        poisoned[0, 1, 0] = np.nan
+        poisoned[1, 3, -1] = np.nan
+        theta_before = fresh.theta.copy()
+        res = surrogate(
+            fresh.arch, fresh.theta, fresh.theta_ref, batch, poisoned, cfg.eps_clip, cfg.beta_kl
+        )
+        assert res.nonfinite_contexts == (0, 1)
+        with pytest.raises(RuntimeError, match=r"step 3: contexts \[0, 1\]"):
+            trainer.update_policy(fresh, batch, poisoned, 3)
         assert np.array_equal(fresh.theta, theta_before)
         assert fresh.adam.t == 0
 

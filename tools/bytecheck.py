@@ -21,7 +21,13 @@ tree then runs, with its own ``src`` on ``PYTHONPATH`` and
   half-plane task with one context, 301 steps of batch 5;
 - ``flowrl pretrain --seed 5`` and ``flowrl eval`` on the ring task with
   three contexts, a task whose reward ignores the context, so that scoring
-  the samples of every context in one call is compared too.
+  the samples of every context in one call is compared too;
+- ``flowrl train --seed 3 --dump-trajectories`` on the 8-dimensional
+  half-plane task with two contexts, ``group_size: 3``, ``batch_contexts:
+  2``, ``sampling_steps: 7`` and ``inner_epochs: 3``, so that the policy
+  update's per-step constants, broadcast over trajectories of a shape
+  other than the default's, and its sums over an 8-wide last axis are
+  compared too.
 
 Every file the commands write and each command's stdout are compared, except
 ``timing.jsonl``, which holds wallclock times. Exits 0 when every output is
@@ -59,6 +65,10 @@ CONFIGS = {
     },
     "eval1024.json": {"eval_samples": 1024},
     "ring.json": {"task": "ring", "task_context_count": 3, "pretrain_steps": 200, "eval_samples": 64},
+    "half-plane8.json": {
+        "task": "half-plane", "task_state_dim": 8, "task_context_count": 2,
+        "group_size": 3, "batch_contexts": 2, "sampling_steps": 7, "inner_epochs": 3,
+    },
 }
 COMMANDS = {
     "ablate": ["ablate", "--seed", "1", "--out-dir", "out/ablate"],
@@ -80,6 +90,10 @@ COMMANDS = {
     "eval-ring": [
         "eval", "--seed", "5", "--config", "ring.json", "--step", "2",
         "--checkpoint", "out/ring/checkpoint_pretrained.json",
+    ],
+    "train-half-plane8": [
+        "train", "--seed", "3", "--config", "half-plane8.json", "--out-dir", "out/half-plane8",
+        "--dump-trajectories",
     ],
 }
 
