@@ -180,7 +180,7 @@ def write_context(arch: Architecture, phi: np.ndarray, context) -> None:
 
 def layer_buffers(layers, n: int) -> list[np.ndarray]:
     """One (n, fan_out) output array per layer of ``unpack``'s layers, in
-    their dtype, for ``mlp``."""
+    their dtype, for ``mlp`` and ``backward``."""
     return [np.empty((n, w.shape[0]), dtype=w.dtype) for w, _ in layers]
 
 
@@ -218,7 +218,7 @@ def forward(arch: Architecture, params: np.ndarray, x, tau, context):
     return out[0] if np.asarray(x).ndim == 1 else out
 
 
-def backward(layers, activations, upstream, grads):
+def backward(layers, activations, upstream, grads, deltas, squares):
     """Exact reverse-mode gradient of ``sum_n <upstream_n, out_n>`` from
     ``unpack``'s layers and the activations of the ``mlp`` call, unchecked.
 
@@ -227,6 +227,15 @@ def backward(layers, activations, upstream, grads):
     gradient w.r.t. the first layer's output (its pre-activation when there
     are hidden layers), one row per sample; it stops there, since only
     ``grad`` needs the input gradient.
+
+    ``deltas`` and ``squares`` are caller-owned ``layer_buffers`` lists for
+    the n rows: for each hidden layer i, ``delta @ W`` is written into
+    ``deltas[i]`` and the tanh derivative 1 - h_i^2 into ``squares[i]``; the
+    output layer's entries are never touched. The returned gradient is
+    ``deltas[0]`` (``upstream`` for a net without hidden layers), so the next
+    call on the same buffers overwrites it. ``squares`` may be the ``hs`` of
+    the ``mlp`` call itself: each activation is read for the last time before
+    its derivative is written over it.
     """
     # the output layer is linear; hidden layers are tanh
     delta = upstream
@@ -236,8 +245,9 @@ def backward(layers, activations, upstream, grads):
         delta.sum(axis=0, out=gb)
         if idx == 0:
             return delta
-        delta = delta @ layers[idx][0]
-        delta *= 1.0 - activations[idx] ** 2
+        delta = np.matmul(delta, layers[idx][0], out=deltas[idx - 1])
+        square = np.multiply(activations[idx], activations[idx], out=squares[idx - 1])
+        delta *= np.subtract(1.0, square, out=square)
 
 
 def grad(arch: Architecture, params: np.ndarray, x, tau, context, upstream):
@@ -256,7 +266,8 @@ def grad(arch: Architecture, params: np.ndarray, x, tau, context, upstream):
     if upstream.shape != expected:
         raise ValueError(f"upstream shape {upstream.shape} != {expected}")
     flat = np.empty(param_count(arch))
-    delta = backward(layers, [phi, *hs[:-1]], upstream, unpack(arch, flat)) @ layers[0][0]
+    deltas = layer_buffers(layers, phi.shape[0])
+    delta = backward(layers, [phi, *hs[:-1]], upstream, unpack(arch, flat), deltas, hs) @ layers[0][0]
     return flat, (delta[0] if single else delta)
 
 

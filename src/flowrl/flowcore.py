@@ -194,18 +194,20 @@ def kl_step(mean_p: np.ndarray, mean_q: np.ndarray, var):
     return ((mean_p - mean_q) ** 2).sum(axis=-1) / (2.0 * var)
 
 
-def fm_loss_and_grad(layers, phi, hs, target, grads) -> np.ndarray:
+def fm_loss_and_grad(layers, phi, hs, target, grads, deltas) -> np.ndarray:
     """Flow-matching regression of the net on its (n, input_dim) features
     ``phi`` at the points x_tau = (1 - tau) x0 + tau x1, unchecked: returns
     the (n, d) residual r = target - v, whose loss mean_n ||r_n||^2
     ``fm_loss`` forms, and writes that loss's gradient into ``grads``
     (``unpack``'s views of a flat vector).
 
-    ``target`` is the straight-path velocity x1 - x0 of each row. The network
-    writes into ``hs``, its ``diffnet.layer_buffers`` for n rows.
+    ``target`` is the straight-path velocity x1 - x0 of each row. ``hs`` and
+    ``deltas`` are ``diffnet.layer_buffers`` for n rows: the network writes
+    into ``hs``, and ``diffnet.backward`` its deltas into ``deltas`` and its
+    tanh derivatives over the spent activations in ``hs``.
     """
     resid = target - diffnet.mlp(layers, phi, hs)
-    diffnet.backward(layers, [phi, *hs[:-1]], (-2.0 / target.shape[0]) * resid, grads)
+    diffnet.backward(layers, [phi, *hs[:-1]], (-2.0 / target.shape[0]) * resid, grads, deltas, hs)
     return resid
 
 

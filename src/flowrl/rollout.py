@@ -40,6 +40,10 @@ class RolloutBatch:
     (s_t, tau_t): the feature matrix and the ``diffnet.mlp`` layer outputs,
     ``hs[-1]`` the velocity. ``reshape(-1, width)`` of each gives the
     transitions in (slot, member, step) order as a view.
+
+    The arrays are those of the ``RolloutBuffers`` the batch was made on, so
+    the next ``rollout_group`` call on the same buffers overwrites them: a
+    caller that keeps a batch past that call keeps a copy.
     """
 
     contexts: np.ndarray          # (B,)
@@ -65,6 +69,48 @@ class RolloutBatch:
         return self.states.shape[2] - 1
 
 
+@dataclass
+class RolloutBuffers:
+    """Every array ``rollout_group`` writes one (B, G, T) batch into, made
+    once by ``make_buffers`` and rewritten by each call.
+
+    The time-major arrays hold the loop's work: step j's B * G rows are one
+    contiguous block of each. Once a call has copied them into ``batch``,
+    the batch-major arrays the returned ``RolloutBatch`` holds (keyed by its
+    field names), they hold nothing that is read again before the next call,
+    so a caller may use them as scratch space in between.
+    """
+
+    states: np.ndarray          # (T+1, B*G, D)
+    means: np.ndarray           # (T, B*G, D)
+    projections: np.ndarray     # (T, B*G, D)
+    phi: np.ndarray             # (T, B*G, input_dim)
+    hs: list[np.ndarray]        # one (T, B*G, fan_out) per layer
+    batch: dict                 # states, logp_old, instant_rewards, phi, hs: (B, G, T', ...)
+
+
+def make_buffers(arch: Architecture, batch_contexts: int, group_size: int, num_steps: int) -> RolloutBuffers:
+    """``RolloutBuffers`` for batches of ``batch_contexts`` slots of
+    ``group_size`` trajectories with ``num_steps`` transitions each."""
+    b, g, t, d = batch_contexts, group_size, num_steps, arch.state_dim
+    n = b * g
+    widths = arch.layer_dims[1:]
+    return RolloutBuffers(
+        states=np.empty((t + 1, n, d)),
+        means=np.empty((t, n, d)),
+        projections=np.empty((t, n, d)),
+        phi=np.empty((t, n, arch.input_dim)),
+        hs=[np.empty((t, n, w)) for w in widths],
+        batch={
+            "states": np.empty((b, g, t + 1, d)),
+            "logp_old": np.empty((b, g, t)),
+            "instant_rewards": np.empty((b, g, t)),
+            "phi": np.empty((b, g, t, arch.input_dim)),
+            "hs": [np.empty((b, g, t, w)) for w in widths],
+        },
+    )
+
+
 def _draw_noise(seed, group_size: int, t_steps: int, d: int, shared_initial_noise: bool):
     """Initial states (G, D) and step noise (G, T, D) of one slot, from one
     (G, T+1, D) draw of the slot's generator: member i starts at
@@ -85,6 +131,7 @@ def rollout_group(
     task: TaskSpec,
     seeds,
     shared_initial_noise: bool = False,
+    buffers: RolloutBuffers | None = None,
 ) -> RolloutBatch:
     """Sample G stochastic trajectories per context slot under a frozen policy.
 
@@ -104,9 +151,15 @@ def rollout_group(
     contexts of its rows. Each projection's velocity, taken at the new state
     and time, is also the one the next exploration step needs, so a rollout
     makes T network evaluations, one per transition; the last step's
-    projection, at tau = 0, is the identity and needs none. Each step's
-    features and layer outputs are written into time-major (T, B * G, width)
-    buffers and stored, reordered once, as the batch's ``phi`` and ``hs``.
+    projection, at tau = 0, is the identity and needs none.
+
+    Everything is written into ``buffers``, the caller's ``RolloutBuffers``
+    for this (B, G, T) shape, or into ones made for this call: each step's
+    states, features and layer outputs into the time-major arrays, which are
+    then copied, reordered, into the batch-major arrays the returned batch
+    holds. A batch made on the caller's buffers lives until the next call
+    on them. Every call rewrites the one-hot context block of the features,
+    since each batch has contexts of its own.
     """
     contexts = np.asarray(contexts, dtype=np.int64)
     if group_size < 2:
@@ -118,17 +171,16 @@ def rollout_group(
     t_steps = schedule.num_steps
     b, d = contexts.shape[0], arch.state_dim
     n = b * group_size
+    if buffers is None:
+        buffers = make_buffers(arch, b, group_size, t_steps)
+    elif buffers.batch["phi"].shape != (b, group_size, t_steps, arch.input_dim):
+        raise ValueError(f"rollout buffers of another shape for a ({b}, {group_size}, {t_steps}) batch")
     draws = [_draw_noise(s, group_size, t_steps, d, shared_initial_noise) for s in seeds]
     row_noise = np.concatenate([noise for _, noise in draws])
     row_contexts = np.repeat(contexts, group_size)
 
-    # time-major: step j's rows are one contiguous (n, .) block of each buffer
-    states = np.empty((t_steps + 1, n, d))
-    means = np.empty((t_steps, n, d))
-    projections = np.empty((t_steps, n, d))
-    phi = np.empty((t_steps, n, arch.input_dim))
-    hs = [h.reshape(t_steps, n, -1) for h in diffnet.layer_buffers(layers, t_steps * n)]
-
+    states, means, projections = buffers.states, buffers.means, buffers.projections
+    phi, hs = buffers.phi, buffers.hs
     x = states[0] = np.concatenate([init for init, _ in draws])
     phi[:] = diffnet.feature_matrix(arch, x, 1.0, row_contexts)
     v = diffnet.mlp(layers, phi[0], [h[0] for h in hs])
@@ -148,18 +200,20 @@ def rollout_group(
     if schedule.a > 0:
         logps = flowcore.transition_logpdf(states[1:], means, schedule.table[2][:, None])
 
-    def batch_major(a):
-        """A time-major (T', n, ...) array as a contiguous (B, G, T', ...) copy."""
-        return np.ascontiguousarray(a.swapaxes(0, 1)).reshape(b, group_size, *a.shape[:1], *a.shape[2:])
+    def batch_major(a, out):
+        """Copy a time-major (T', n, ...) array into its (B, G, T', ...) buffer."""
+        np.copyto(out.reshape(n, *out.shape[2:]), a.swapaxes(0, 1))
+        return out
 
+    out = buffers.batch
     return RolloutBatch(
         contexts=contexts,
         schedule=schedule,
-        states=batch_major(states),
-        logp_old=None if logps is None else batch_major(logps),
-        instant_rewards=batch_major(rewards.reshape(t_steps, n)),
-        phi=batch_major(phi),
-        hs=[batch_major(h) for h in hs],
+        states=batch_major(states, out["states"]),
+        logp_old=None if logps is None else batch_major(logps, out["logp_old"]),
+        instant_rewards=batch_major(rewards.reshape(t_steps, n), out["instant_rewards"]),
+        phi=batch_major(phi, out["phi"]),
+        hs=[batch_major(h, o) for h, o in zip(hs, out["hs"])],
     )
 
 

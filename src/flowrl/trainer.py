@@ -145,13 +145,23 @@ class StepRecord:
 class TrainState:
     """The current parameters, which also generate each step's rollouts (the
     surrogate's old log-densities are stored in the batch), and the fixed
-    reference parameters of the KL penalty."""
+    reference parameters of the KL penalty.
+
+    It also owns the run's training-step arrays, made once by ``init_state``
+    for the config's (batch_contexts, group_size, sampling_steps) shape:
+    ``buffers``, which every ``rollout_batch`` writes its batch into, and
+    ``scratch``, one ``diffnet.layer_buffers`` set over the batch's
+    B * G * T transitions for the update. A batch made on a state's buffers
+    is overwritten by that state's next ``rollout_batch``.
+    """
 
     config: TrainConfig
     arch: Architecture
     theta: np.ndarray
     theta_ref: np.ndarray
     adam: AdamState
+    buffers: rollout.RolloutBuffers
+    scratch: list[np.ndarray]
 
 
 def pretrain(config: TrainConfig) -> np.ndarray:
@@ -167,7 +177,8 @@ def pretrain(config: TrainConfig) -> np.ndarray:
     block (the data noise, then x1), the times and the contexts. Everything
     that does not depend on theta (the data rows, the target x1 - x0 and the
     feature matrix at x_tau) is built for ``PRETRAIN_CHUNK`` steps at a time,
-    into arrays set up once like the layer buffers and the gradient vector.
+    into arrays set up once like the gradient vector and the layer buffers of
+    the network and of ``diffnet.backward``.
     Each step then runs only the network and its gradient, the loss check
     and Adam: a non-finite loss stops pretraining at the step that produced
     it, before that step's update.
@@ -177,7 +188,7 @@ def pretrain(config: TrainConfig) -> np.ndarray:
     layers = diffnet.unpack(arch, params)
     grad = np.empty_like(params)
     grads = diffnet.unpack(arch, grad)
-    hs = diffnet.layer_buffers(layers, n)
+    hs, deltas = diffnet.layer_buffers(layers, n), diffnet.layer_buffers(layers, n)
     chunk, d = PRETRAIN_CHUNK, arch.state_dim
     uniforms, taus = np.empty((chunk, n)), np.empty((chunk, n))
     normals = np.empty((chunk, 2, n, d))
@@ -203,7 +214,7 @@ def pretrain(config: TrainConfig) -> np.ndarray:
         )
         diffnet.write_context(arch, rows, contexts[:k].ravel())
         for i in range(k):
-            resid = flowcore.fm_loss_and_grad(layers, phi[i], hs, targets[i], grads)
+            resid = flowcore.fm_loss_and_grad(layers, phi[i], hs, targets[i], grads, deltas)
             # the sum of squares overflows, or is NaN, exactly when the loss is
             if not np.isfinite(np.vdot(resid, resid)):
                 raise RuntimeError(f"pretraining diverged at step {start + i}: loss={flowcore.fm_loss(resid)}")
@@ -237,7 +248,7 @@ def clipped_term(ratio, advantages, eps_clip: float):
     return np.minimum(ratio * advantages, np.clip(ratio, 1.0 - eps_clip, 1.0 + eps_clip) * advantages)
 
 
-def step_rows(arch: Architecture, theta_ref: np.ndarray, batch: RolloutBatch, advantages) -> dict:
+def step_rows(arch: Architecture, theta_ref: np.ndarray, batch: RolloutBatch, advantages, deltas=None) -> dict:
     """The surrogate's inputs, built and checked once per batch, as arrays
     over the B * G trajectories (slot by slot) and their T steps: the states
     ``x`` and ``x_next`` and the reference policy's step means ``ref_mean``,
@@ -249,6 +260,13 @@ def step_rows(arch: Architecture, theta_ref: np.ndarray, batch: RolloutBatch, ad
     evaluation made here. A deterministic (a = 0) batch, which has no
     transition densities, and an advantage table not shaped (B, G, T) like
     the batch are rejected.
+
+    The reference pass writes into ``deltas``, one (B * G * T, fan_out)
+    array per layer that the caller owns, or into ones made here. It is
+    spent once ``ref_mean`` is formed, so the rows keep the arrays as
+    ``deltas``, into which each ``surrogate_loss_and_grad`` call on the rows
+    writes ``diffnet.backward``'s deltas. The rows are views of the batch
+    and of ``deltas``, so they live as long as both stay unwritten.
     """
     sched = batch.schedule
     if batch.logp_old is None:
@@ -259,7 +277,9 @@ def step_rows(arch: Architecture, theta_ref: np.ndarray, batch: RolloutBatch, ad
     x = batch.states[:, :, :-1].reshape(b * g, t, -1)
     phi = batch.phi.reshape(-1, arch.input_dim)
     layers = diffnet.unpack(arch, theta_ref)
-    v_ref = diffnet.mlp(layers, phi, diffnet.layer_buffers(layers, phi.shape[0]))
+    if deltas is None:
+        deltas = diffnet.layer_buffers(layers, phi.shape[0])
+    v_ref = diffnet.mlp(layers, phi, deltas)
     tc, s2 = sched.table[:2, :, None]
     return {
         "x": x,
@@ -270,11 +290,13 @@ def step_rows(arch: Architecture, theta_ref: np.ndarray, batch: RolloutBatch, ad
         "ref_mean": flowcore.step_mean(x, v_ref.reshape(x.shape), tc, s2, sched.dtau),
         "logp_old": batch.logp_old.reshape(b * g, t),
         "advantage": np.reshape(advantages, (b * g, t)),
+        "deltas": deltas,
     }
 
 
 def surrogate_loss_and_grad(
-    arch: Architecture, theta: np.ndarray, rows: dict, eps_clip: float, beta_kl: float, hs=None
+    arch: Architecture, theta: np.ndarray, rows: dict, eps_clip: float, beta_kl: float, hs=None,
+    scratch=None,
 ) -> SurrogateResult:
     """Clipped surrogate objective over the ``step_rows`` of a rollout batch
     and its exact gradient.
@@ -290,17 +312,22 @@ def surrogate_loss_and_grad(
 
     ``hs``, when the caller has them, are the layer outputs of theta's
     ``diffnet.mlp`` pass over ``rows["phi"]``, one (B * G * T, fan_out)
-    array per layer; they are read, never written. Without them the pass is
-    run here, into buffers of this call. Non-finite gradient terms are found
-    by one whole-array test; only then are their trajectories' contexts named.
+    array per layer; they are read, never written. ``scratch`` is a caller's
+    ``diffnet.layer_buffers`` set for the B * G * T rows, or one made here:
+    without ``hs`` the pass runs into it, and ``diffnet.backward`` writes its
+    tanh derivatives into it and its deltas into ``rows["deltas"]``.
+    Non-finite gradient terms are found by one whole-array test; only then
+    are their trajectories' contexts named.
     """
     x_next, ref_means, a, sched = rows["x_next"], rows["ref_mean"], rows["advantage"], rows["schedule"]
     tc, s2, var, _, coeff = sched.table[:, :, None]
     n_rows = a.size
     layers = diffnet.unpack(arch, theta)
     phi = rows["phi"]
+    if scratch is None:
+        scratch = diffnet.layer_buffers(layers, n_rows)
     if hs is None:
-        hs = diffnet.layer_buffers(layers, n_rows)
+        hs = scratch
         diffnet.mlp(layers, phi, hs)
     mean = flowcore.step_mean(rows["x"], hs[-1].reshape(x_next.shape), tc, s2, sched.dtau)
     ratio = np.exp(flowcore.transition_logpdf(x_next, mean, var[:, 0]) - rows["logp_old"])
@@ -313,7 +340,9 @@ def surrogate_loss_and_grad(
     dj_dmean = (kappa[..., None] * (x_next - mean) - beta_kl * (mean - ref_means)) / (n_rows * var)
     upstream = coeff * dj_dmean
     pgrad = np.empty_like(theta)
-    diffnet.backward(layers, [phi, *hs[:-1]], upstream.reshape(n_rows, -1), diffnet.unpack(arch, pgrad))
+    diffnet.backward(
+        layers, [phi, *hs[:-1]], upstream.reshape(n_rows, -1), diffnet.unpack(arch, pgrad), rows["deltas"], scratch
+    )
     nonfinite_contexts = ()
     if not np.isfinite(upstream).all():
         bad = ~np.isfinite(upstream).all(axis=(1, 2))
@@ -330,19 +359,25 @@ def surrogate_loss_and_grad(
 
 def init_state(config: TrainConfig, pretrained: np.ndarray) -> TrainState:
     """RL state starting from the pretrained parameters, which are also the
-    reference policy. Both are copies, so the caller's array never changes."""
+    reference policy. Both are copies, so the caller's array never changes.
+    The state's training-step arrays are made here, once per run."""
     theta = np.array(pretrained, dtype=np.float64)
+    arch = config.architecture()
+    b, g, t = config.batch_contexts, config.group_size, config.sampling_steps
     return TrainState(
         config=config,
-        arch=config.architecture(),
+        arch=arch,
         theta=theta,
         theta_ref=theta.copy(),
         adam=diffnet.adam_init(theta.size),
+        buffers=rollout.make_buffers(arch, b, g, t),
+        scratch=diffnet.layer_buffers(diffnet.unpack(arch, theta), b * g * t),
     )
 
 
 def rollout_batch(state: TrainState, step_index: int) -> RolloutBatch:
-    """Sample the step's context batch and one rollout group per context."""
+    """Sample the step's context batch and one rollout group per context,
+    into the state's buffers: the batch lives until the state's next call."""
     cfg = state.config
     ctx_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, STREAM_CONTEXT, step_index)))
     contexts = [envsuite.sample_context(cfg.task, ctx_rng) for _ in range(cfg.batch_contexts)]
@@ -356,6 +391,7 @@ def rollout_batch(state: TrainState, step_index: int) -> RolloutBatch:
         cfg.task,
         seeds,
         shared_initial_noise=cfg.shared_initial_noise,
+        buffers=state.buffers,
     )
 
 
@@ -371,19 +407,23 @@ def update_policy(
     updates. Updates the state's current parameters and Adam state in place.
     A non-finite gradient stops the run before it reaches the parameters.
 
-    Precondition: the batch was sampled at the state's current theta, as
-    ``rollout_batch`` does; its ``logp_old`` already assumes this. The first
-    epoch therefore reads the batch's network pass instead of running it
-    again; later epochs run theirs into buffers of their own.
+    Precondition: the batch has the state's shape and was sampled at the
+    state's current theta, as ``rollout_batch`` does; its ``logp_old``
+    already assumes this. The first epoch therefore reads the batch's network
+    pass instead of running it again; later epochs run theirs into the
+    state's ``scratch``. The reference pass and ``backward``'s deltas use the
+    state's time-major rollout layer buffers, which hold nothing once the
+    batch is made; the batch itself is only read.
     """
     cfg = state.config
     theta_before = state.theta.copy()
-    rows = step_rows(state.arch, state.theta_ref, batch, advantages)
+    spare = [h.reshape(-1, h.shape[-1]) for h in state.buffers.hs]
+    rows = step_rows(state.arch, state.theta_ref, batch, advantages, spare)
     hs = [h.reshape(-1, h.shape[-1]) for h in batch.hs]
     values, kls = [], []
     for epoch in range(cfg.inner_epochs):
         res = surrogate_loss_and_grad(
-            state.arch, state.theta, rows, cfg.eps_clip, cfg.beta_kl, hs if epoch == 0 else None
+            state.arch, state.theta, rows, cfg.eps_clip, cfg.beta_kl, hs if epoch == 0 else None, state.scratch
         )
         if not np.all(np.isfinite(res.grad)):
             contexts = list(res.nonfinite_contexts)

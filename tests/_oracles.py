@@ -269,7 +269,7 @@ def reference_surrogate(arch, theta, theta_ref, states, logp_old, advantages, co
     terms = np.empty((g_size, t_steps))
     kls = np.empty((g_size, t_steps))
     layers = diffnet.unpack(arch, theta)
-    hs = diffnet.layer_buffers(layers, g_size)
+    hs, deltas, squares = (diffnet.layer_buffers(layers, g_size) for _ in range(3))
     pgrad = np.zeros(diffnet.param_count(arch))
     step_grad = np.empty_like(pgrad)
     for j, t in enumerate(range(t_steps, 0, -1)):
@@ -296,7 +296,7 @@ def reference_surrogate(arch, theta, theta_ref, states, logp_old, advantages, co
         upstream = -dtau * (1.0 + s2 * (1.0 - tc) / (2.0 * tc)) * dj_dmean
         phi = reference_features(arch, x_t, tau, context)
         diffnet.mlp(layers, phi, hs)
-        diffnet.backward(layers, [phi, *hs[:-1]], upstream, diffnet.unpack(arch, step_grad))
+        diffnet.backward(layers, [phi, *hs[:-1]], upstream, diffnet.unpack(arch, step_grad), deltas, squares)
         pgrad += step_grad
     return float(terms.mean() - beta_kl * kls.mean()), pgrad
 
@@ -331,7 +331,8 @@ def reference_fm_loss_and_grad(arch, params, x0, x1, tau, context):
     loss = float((resid ** 2).sum(axis=1).mean())
     upstream = (-2.0 / x0.shape[0]) * resid
     pgrad = np.empty(diffnet.param_count(arch))
-    diffnet.backward(layers, [phi, *hs[:-1]], upstream, diffnet.unpack(arch, pgrad))
+    deltas, squares = diffnet.layer_buffers(layers, phi.shape[0]), diffnet.layer_buffers(layers, phi.shape[0])
+    diffnet.backward(layers, [phi, *hs[:-1]], upstream, diffnet.unpack(arch, pgrad), deltas, squares)
     return loss, pgrad
 
 
@@ -382,9 +383,9 @@ def fm_kernel_loss_and_grad(arch, params, x0, x1, tau, context):
     xt = (1.0 - tau[:, None]) * x0 + tau[:, None] * x1
     phi = diffnet.feature_matrix(arch, xt, tau, context)
     layers = diffnet.unpack(arch, params)
-    hs = diffnet.layer_buffers(layers, x0.shape[0])
+    hs, deltas = diffnet.layer_buffers(layers, x0.shape[0]), diffnet.layer_buffers(layers, x0.shape[0])
     pgrad = np.empty(diffnet.param_count(arch))
-    resid = flowcore.fm_loss_and_grad(layers, phi, hs, x1 - x0, diffnet.unpack(arch, pgrad))
+    resid = flowcore.fm_loss_and_grad(layers, phi, hs, x1 - x0, diffnet.unpack(arch, pgrad), deltas)
     return flowcore.fm_loss(resid), pgrad
 
 

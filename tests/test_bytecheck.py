@@ -107,3 +107,20 @@ def test_a_train_run_covers_a_wide_state_and_several_update_epochs():
         and c.get("group_size", 8) != 8 and c.get("sampling_steps", 10) != 10
         for c in trains
     )
+
+
+def test_a_train_run_covers_uneven_layer_widths_and_a_shared_start():
+    # the run's training-step buffers, one per layer width, and backward's
+    # deltas in them: a net whose hidden widths all differ, two update
+    # epochs (the later one runs its pass into the run's scratch) and
+    # rollouts whose trajectories share their initial state
+    trains = [
+        bytecheck.CONFIGS[args[args.index("--config") + 1]]
+        for args in bytecheck.COMMANDS.values()
+        if args[0] == "train" and "--dump-trajectories" in args
+    ]
+    assert any(
+        len(set(c.get("hidden_dims", ()))) >= 3
+        and c.get("shared_initial_noise") and c.get("inner_epochs", 1) >= 2
+        for c in trains
+    )

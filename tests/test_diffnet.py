@@ -183,6 +183,37 @@ class TestGrad:
         with pytest.raises(ValueError):
             diffnet.grad(arch, params, x, tau, ctx, np.zeros((3, arch.output_dim + 1)))
 
+    @pytest.mark.parametrize("hidden", [(), (5,), (6, 9, 4)])
+    def test_backward_into_buffers_is_the_allocating_pass_bit_for_bit(self, rng, hidden):
+        # deltas and tanh derivatives written into the caller's buffers,
+        # separate or over the spent activations, against the expressions
+        # delta @ W * (1 - h ** 2) allocated afresh at every layer
+        arch = diffnet.for_task(2, 3, hidden)
+        n = 7
+        params = rng.standard_normal(diffnet.param_count(arch))
+        layers = diffnet.unpack(arch, params)
+        x, tau, ctx = random_inputs(arch, rng, n=n)
+        phi = diffnet.features(arch, x, tau, ctx)
+        hs = diffnet.layer_buffers(layers, n)
+        diffnet.mlp(layers, phi, hs)
+        activations = [phi, *hs[:-1]]
+        upstream = rng.standard_normal((n, arch.output_dim))
+        want, delta = [], upstream
+        for idx in range(len(layers) - 1, -1, -1):
+            want[:0] = [(delta.T @ activations[idx]).ravel(), delta.sum(axis=0)]
+            if idx:
+                delta = (delta @ layers[idx][0]) * (1.0 - activations[idx] ** 2)
+        want = np.concatenate(want)
+        deltas, squares = diffnet.layer_buffers(layers, n), diffnet.layer_buffers(layers, n)
+        got = np.empty_like(params)
+        first = diffnet.backward(layers, activations, upstream, diffnet.unpack(arch, got), deltas, squares)
+        assert np.array_equal(got, want)
+        assert np.array_equal(first, delta)
+        assert first is (deltas[0] if hidden else upstream)
+        spent = np.empty_like(params)
+        diffnet.backward(layers, activations, upstream, diffnet.unpack(arch, spent), deltas, hs)
+        assert np.array_equal(spent, want)
+
 
 class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):

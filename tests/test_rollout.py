@@ -122,6 +122,31 @@ class TestRolloutGroup:
         assert np.array_equal(batch.states[1, :, 0], alone.states[0, :, 0])
         assert np.max(np.abs(batch.states[1] - alone.states[0])) <= 1e-12
 
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_batches_on_reused_buffers_equal_batches_on_fresh_ones(self, setup, shared):
+        # three batches of other contexts and seeds written over one set of
+        # buffers, each against the same call on buffers of its own
+        task, arch, params = setup
+        sched = flowcore.NoiseSchedule(a=0.7, num_steps=6)
+        buffers = rollout.make_buffers(arch, 2, 4, 6)
+        for i, contexts in enumerate(([2, 5], [0, 0], [7, 1])):
+            seeds = [(i, 0), (i, 1)]
+            got = rollout.rollout_group(arch, params, contexts, 4, sched, task, seeds, shared, buffers)
+            want = rollout.rollout_group(arch, params, contexts, 4, sched, task, seeds, shared)
+            assert got.states is buffers.batch["states"] and got.hs[-1] is buffers.batch["hs"][-1]
+            for name in ("contexts", "states", "logp_old", "instant_rewards", "phi"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert all(np.array_equal(h, w) for h, w in zip(got.hs, want.hs, strict=True))
+
+    def test_buffers_of_another_shape_are_rejected(self, setup):
+        task, arch, params = setup
+        sched = flowcore.NoiseSchedule(a=0.7, num_steps=6)
+        for b, g, t in ((1, 4, 6), (2, 3, 6), (2, 4, 5)):
+            with pytest.raises(ValueError, match=r"rollout buffers of another shape for a \(2, 4, 6\) batch"):
+                rollout.rollout_group(
+                    arch, params, [2, 5], 4, sched, task, [0, 1], buffers=rollout.make_buffers(arch, b, g, t)
+                )
+
     @pytest.mark.parametrize("steps", [2, 10])
     def test_one_network_evaluation_per_timestep(self, setup, monkeypatch, steps):
         # the velocity at s_T drives the first step, each later one serves a

@@ -1,5 +1,6 @@
 import copy
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -444,6 +445,63 @@ class TestInnerEpochs:
         assert update_norm == float(np.linalg.norm(theta - pretrained))
         assert abs(epochs[0].mean_ratio - 1.0) < 1e-10
         assert abs(epochs[1].mean_ratio - 1.0) > 1e-6
+
+
+BATCH_FIELDS = ("contexts", "states", "logp_old", "instant_rewards", "phi")
+
+
+class TestStepBuffers:
+    def test_a_steady_default_step_allocates_under_half_the_per_step_arrays(self):
+        # the tracemalloc peak above the starting level during a second
+        # default step on the same state: 973 KB while the rollout, the
+        # reference pass and backward allocated their arrays in every step,
+        # about 300 KB (parameter-sized Adam and norm temporaries) on the
+        # run's own buffers
+        cfg = trainer.TrainConfig()
+        state = trainer.init_state(cfg, diffnet.init_params(cfg.architecture(), 0))
+        trainer.train_step(state, 1)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            trainer.train_step(state, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 480 * 1024
+
+    @pytest.mark.parametrize("inner_epochs", [1, 2])
+    @pytest.mark.parametrize("hidden_dims", [(8,), (24, 40, 16)], ids=["one-layer", "uneven"])
+    def test_reused_buffers_carry_nothing_between_steps(self, inner_epochs, hidden_dims):
+        # one state steps on its own buffers; the other rolls out every step
+        # into fresh buffers and updates on fresh scratch, sharing its
+        # theta and Adam state with the state it was made from
+        cfg = small_config(inner_epochs=inner_epochs, hidden_dims=hidden_dims, pretrain_steps=100)
+        pretrained = trainer.pretrain(cfg)
+        own, other = trainer.init_state(cfg, pretrained), trainer.init_state(cfg, pretrained)
+        contexts = []
+        for step in range(1, 4):
+            made = trainer.init_state(cfg, other.theta)
+            fresh = replace(other, buffers=made.buffers, scratch=made.scratch)
+            want = trainer.rollout_batch(fresh, step)
+            trainer.update_policy(fresh, want, trainer.compute_advantages(want, cfg), step)
+            batch = trainer.rollout_batch(own, step)
+            assert np.shares_memory(batch.hs[0], own.buffers.batch["hs"][0])
+            trainer.update_policy(own, batch, trainer.compute_advantages(batch, cfg), step)
+            assert np.array_equal(own.theta, other.theta)
+            for name in BATCH_FIELDS:
+                assert np.array_equal(getattr(batch, name), getattr(want, name)), name
+            assert all(np.array_equal(h, w) for h, w in zip(batch.hs, want.hs, strict=True))
+            contexts.append(batch.contexts.tolist())
+        # step 2 rewrites a one-hot block that step 1 filled for other contexts
+        assert contexts[1] != contexts[0]
+
+    def test_the_next_batch_overwrites_a_batch_made_on_the_same_buffers(self, pretrained):
+        state = trainer.init_state(small_config(), pretrained)
+        first = trainer.rollout_batch(state, 1)
+        kept = first.states.copy()
+        second = trainer.rollout_batch(state, 2)
+        assert second.states is first.states
+        assert not np.array_equal(first.states, kept)
 
 
 class TestInPlaceSafety:

@@ -27,7 +27,11 @@ tree then runs, with its own ``src`` on ``PYTHONPATH`` and
   2``, ``sampling_steps: 7`` and ``inner_epochs: 3``, so that the policy
   update's per-step constants, broadcast over trajectories of a shape
   other than the default's, and its sums over an 8-wide last axis are
-  compared too.
+  compared too;
+- ``flowrl train --seed 6 --dump-trajectories`` with ``hidden_dims: [24,
+  40, 16]``, ``shared_initial_noise: true``, ``inner_epochs: 2`` and 200
+  training steps, so that the run's training-step buffers, whose layer
+  widths differ here, and the shared-start rollout are compared too.
 
 Every file the commands write and each command's stdout are compared, except
 ``timing.jsonl``, which holds wallclock times. Exits 0 when every output is
@@ -69,6 +73,9 @@ CONFIGS = {
         "task": "half-plane", "task_state_dim": 8, "task_context_count": 2,
         "group_size": 3, "batch_contexts": 2, "sampling_steps": 7, "inner_epochs": 3,
     },
+    "uneven.json": {
+        "hidden_dims": [24, 40, 16], "shared_initial_noise": True, "inner_epochs": 2, "train_steps": 200,
+    },
 }
 COMMANDS = {
     "ablate": ["ablate", "--seed", "1", "--out-dir", "out/ablate"],
@@ -94,6 +101,9 @@ COMMANDS = {
     "train-half-plane8": [
         "train", "--seed", "3", "--config", "half-plane8.json", "--out-dir", "out/half-plane8",
         "--dump-trajectories",
+    ],
+    "train-uneven": [
+        "train", "--seed", "6", "--config", "uneven.json", "--out-dir", "out/uneven", "--dump-trajectories",
     ],
 }
 
