@@ -205,18 +205,15 @@ def load_metrics(run_dir) -> list[MetricRecord]:
     return records
 
 
-CURVE_COLUMNS = METRIC_FIELDS
-
-
 def dump_curves(run_dir, out_path=None) -> Path:
     """Export the evaluation series as CSV, one row per evaluation step."""
     records = load_metrics(run_dir)
     out = Path(out_path) if out_path is not None else Path(run_dir) / "curves.csv"
     with out.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CURVE_COLUMNS)
+        writer.writerow(METRIC_FIELDS)
         for rec in records:
-            writer.writerow([getattr(rec, col) for col in CURVE_COLUMNS])
+            writer.writerow([getattr(rec, col) for col in METRIC_FIELDS])
     return out
 
 

@@ -41,9 +41,10 @@ class RolloutBatch:
     ``hs[-1]`` the velocity. ``reshape(-1, width)`` of each gives the
     transitions in (slot, member, step) order as a view.
 
-    The arrays are those of the ``RolloutBuffers`` the batch was made on, so
-    the next ``rollout_group`` call on the same buffers overwrites them: a
-    caller that keeps a batch past that call keeps a copy.
+    The arrays are those of the ``RolloutBuffers`` the batch was made on,
+    whose docstring says how long they live: ``trainer.update_policy``
+    spends ``hs``, and the next ``rollout_group`` call on the same buffers
+    overwrites the rest.
     """
 
     contexts: np.ndarray          # (B,)
@@ -72,13 +73,26 @@ class RolloutBatch:
 @dataclass
 class RolloutBuffers:
     """Every array ``rollout_group`` writes one (B, G, T) batch into, made
-    once by ``make_buffers`` and rewritten by each call.
+    once by ``make_buffers``: the only per-transition arrays a training
+    step keeps.
 
-    The time-major arrays hold the loop's work: step j's B * G rows are one
-    contiguous block of each. Once a call has copied them into ``batch``,
-    the batch-major arrays the returned ``RolloutBatch`` holds (keyed by its
-    field names), they hold nothing that is read again before the next call,
-    so a caller may use them as scratch space in between.
+    The time-major arrays hold the loop's work, step j's B * G rows one
+    contiguous block of each; ``batch`` holds the returned batch's
+    batch-major arrays, keyed by its field names. A training step spends
+    them in this order:
+
+    1. ``rollout_group`` fills the time-major arrays, then copies them,
+       reordered, into ``batch``; they hold nothing that is read again.
+    2. ``trainer.step_rows`` runs the reference pass into the time-major
+       ``hs``; every ``diffnet.backward`` of the update writes its deltas
+       over them.
+    3. The first ``trainer.update_policy`` epoch reads the rollout's pass
+       in the batch's ``hs``; its ``backward`` writes tanh derivatives over
+       them, so each later epoch first runs its own pass into them.
+
+    The rest of the batch is only read, until the next ``rollout_group``
+    call on the same buffers overwrites every array: a caller that keeps a
+    batch past that call keeps a copy.
     """
 
     states: np.ndarray          # (T+1, B*G, D)
@@ -154,12 +168,10 @@ def rollout_group(
     projection, at tau = 0, is the identity and needs none.
 
     Everything is written into ``buffers``, the caller's ``RolloutBuffers``
-    for this (B, G, T) shape, or into ones made for this call: each step's
-    states, features and layer outputs into the time-major arrays, which are
-    then copied, reordered, into the batch-major arrays the returned batch
-    holds. A batch made on the caller's buffers lives until the next call
-    on them. Every call rewrites the one-hot context block of the features,
-    since each batch has contexts of its own.
+    for this (B, G, T) shape, or into ones made for this call; their
+    docstring says how long the returned batch lives. Every call rewrites
+    the one-hot context block of the features, since each batch has
+    contexts of its own.
     """
     contexts = np.asarray(contexts, dtype=np.int64)
     if group_size < 2:

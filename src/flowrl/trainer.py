@@ -144,16 +144,9 @@ class StepRecord:
 @dataclass
 class TrainState:
     """The current parameters, which also generate each step's rollouts (the
-    surrogate's old log-densities are stored in the batch), and the fixed
-    reference parameters of the KL penalty.
-
-    It also owns the run's training-step arrays, made once by ``init_state``
-    for the config's (batch_contexts, group_size, sampling_steps) shape:
-    ``buffers``, which every ``rollout_batch`` writes its batch into, and
-    ``scratch``, one ``diffnet.layer_buffers`` set over the batch's
-    B * G * T transitions for the update. A batch made on a state's buffers
-    is overwritten by that state's next ``rollout_batch``.
-    """
+    surrogate's old log-densities are stored in the batch), the fixed
+    reference parameters of the KL penalty, and ``buffers``, the run's
+    training-step arrays, which ``rollout.RolloutBuffers`` describes."""
 
     config: TrainConfig
     arch: Architecture
@@ -161,7 +154,6 @@ class TrainState:
     theta_ref: np.ndarray
     adam: AdamState
     buffers: rollout.RolloutBuffers
-    scratch: list[np.ndarray]
 
 
 def pretrain(config: TrainConfig) -> np.ndarray:
@@ -262,11 +254,8 @@ def step_rows(arch: Architecture, theta_ref: np.ndarray, batch: RolloutBatch, ad
     the batch are rejected.
 
     The reference pass writes into ``deltas``, one (B * G * T, fan_out)
-    array per layer that the caller owns, or into ones made here. It is
-    spent once ``ref_mean`` is formed, so the rows keep the arrays as
-    ``deltas``, into which each ``surrogate_loss_and_grad`` call on the rows
-    writes ``diffnet.backward``'s deltas. The rows are views of the batch
-    and of ``deltas``, so they live as long as both stay unwritten.
+    array per layer, the caller's or made here, which the rows keep for
+    ``diffnet.backward``; ``rollout.RolloutBuffers`` says how long they live.
     """
     sched = batch.schedule
     if batch.logp_old is None:
@@ -295,8 +284,7 @@ def step_rows(arch: Architecture, theta_ref: np.ndarray, batch: RolloutBatch, ad
 
 
 def surrogate_loss_and_grad(
-    arch: Architecture, theta: np.ndarray, rows: dict, eps_clip: float, beta_kl: float, hs=None,
-    scratch=None,
+    arch: Architecture, theta: np.ndarray, rows: dict, eps_clip: float, beta_kl: float, hs=None
 ) -> SurrogateResult:
     """Clipped surrogate objective over the ``step_rows`` of a rollout batch
     and its exact gradient.
@@ -312,10 +300,10 @@ def surrogate_loss_and_grad(
 
     ``hs``, when the caller has them, are the layer outputs of theta's
     ``diffnet.mlp`` pass over ``rows["phi"]``, one (B * G * T, fan_out)
-    array per layer; they are read, never written. ``scratch`` is a caller's
-    ``diffnet.layer_buffers`` set for the B * G * T rows, or one made here:
-    without ``hs`` the pass runs into it, and ``diffnet.backward`` writes its
-    tanh derivatives into it and its deltas into ``rows["deltas"]``.
+    array per layer; without them the pass runs into arrays made here.
+    ``diffnet.backward`` writes its deltas into ``rows["deltas"]`` and its
+    tanh derivatives over ``hs``, so the call spends the pass
+    (``rollout.RolloutBuffers`` gives the order in a training step).
     Non-finite gradient terms are found by one whole-array test; only then
     are their trajectories' contexts named.
     """
@@ -324,10 +312,8 @@ def surrogate_loss_and_grad(
     n_rows = a.size
     layers = diffnet.unpack(arch, theta)
     phi = rows["phi"]
-    if scratch is None:
-        scratch = diffnet.layer_buffers(layers, n_rows)
     if hs is None:
-        hs = scratch
+        hs = diffnet.layer_buffers(layers, n_rows)
         diffnet.mlp(layers, phi, hs)
     mean = flowcore.step_mean(rows["x"], hs[-1].reshape(x_next.shape), tc, s2, sched.dtau)
     ratio = np.exp(flowcore.transition_logpdf(x_next, mean, var[:, 0]) - rows["logp_old"])
@@ -341,7 +327,7 @@ def surrogate_loss_and_grad(
     upstream = coeff * dj_dmean
     pgrad = np.empty_like(theta)
     diffnet.backward(
-        layers, [phi, *hs[:-1]], upstream.reshape(n_rows, -1), diffnet.unpack(arch, pgrad), rows["deltas"], scratch
+        layers, [phi, *hs[:-1]], upstream.reshape(n_rows, -1), diffnet.unpack(arch, pgrad), rows["deltas"], hs
     )
     nonfinite_contexts = ()
     if not np.isfinite(upstream).all():
@@ -371,7 +357,6 @@ def init_state(config: TrainConfig, pretrained: np.ndarray) -> TrainState:
         theta_ref=theta.copy(),
         adam=diffnet.adam_init(theta.size),
         buffers=rollout.make_buffers(arch, b, g, t),
-        scratch=diffnet.layer_buffers(diffnet.unpack(arch, theta), b * g * t),
     )
 
 
@@ -410,10 +395,8 @@ def update_policy(
     Precondition: the batch has the state's shape and was sampled at the
     state's current theta, as ``rollout_batch`` does; its ``logp_old``
     already assumes this. The first epoch therefore reads the batch's network
-    pass instead of running it again; later epochs run theirs into the
-    state's ``scratch``. The reference pass and ``backward``'s deltas use the
-    state's time-major rollout layer buffers, which hold nothing once the
-    batch is made; the batch itself is only read.
+    pass instead of running it again; each later epoch runs its own into
+    the arrays ``rollout.RolloutBuffers`` names.
     """
     cfg = state.config
     theta_before = state.theta.copy()
@@ -422,9 +405,9 @@ def update_policy(
     hs = [h.reshape(-1, h.shape[-1]) for h in batch.hs]
     values, kls = [], []
     for epoch in range(cfg.inner_epochs):
-        res = surrogate_loss_and_grad(
-            state.arch, state.theta, rows, cfg.eps_clip, cfg.beta_kl, hs if epoch == 0 else None, state.scratch
-        )
+        if epoch:
+            diffnet.mlp(diffnet.unpack(state.arch, state.theta), rows["phi"], hs)
+        res = surrogate_loss_and_grad(state.arch, state.theta, rows, cfg.eps_clip, cfg.beta_kl, hs)
         if not np.all(np.isfinite(res.grad)):
             contexts = list(res.nonfinite_contexts)
             raise RuntimeError(f"non-finite policy gradient at step {step_index}: contexts {contexts}")

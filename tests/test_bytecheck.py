@@ -112,7 +112,7 @@ def test_a_train_run_covers_a_wide_state_and_several_update_epochs():
 def test_a_train_run_covers_uneven_layer_widths_and_a_shared_start():
     # the run's training-step buffers, one per layer width, and backward's
     # deltas in them: a net whose hidden widths all differ, two update
-    # epochs (the later one runs its pass into the run's scratch) and
+    # epochs (the later one runs its pass into arrays the first one spent) and
     # rollouts whose trajectories share their initial state
     trains = [
         bytecheck.CONFIGS[args[args.index("--config") + 1]]

@@ -421,24 +421,26 @@ class TestNonFiniteGradient:
 
 
 class TestInnerEpochs:
-    def test_two_epochs_are_two_ascent_steps_on_the_same_rows(self, pretrained):
+    @pytest.mark.parametrize("inner_epochs", [2, 3])
+    def test_epochs_are_ascent_steps_on_the_same_rows(self, pretrained, inner_epochs):
         # the first epoch evaluates the policy that generated the batch, where
-        # every ratio is 1; only the second sees a moved policy, the one place
-        # the clip band can act
-        cfg = small_config(inner_epochs=2)
+        # every ratio is 1; only later ones see a moved policy, the one place
+        # the clip band can act. With three epochs the third runs its pass
+        # into arrays the second epoch's backward has written over
+        cfg = small_config(inner_epochs=inner_epochs)
         state = trainer.init_state(cfg, pretrained)
         batch = trainer.rollout_batch(state, 1)
         advantages = trainer.compute_advantages(batch, cfg)
         rows = trainer.step_rows(state.arch, state.theta_ref, batch, advantages)
         theta, adam = state.theta.copy(), copy.deepcopy(state.adam)
         epochs = []
-        for _ in range(2):
+        for _ in range(inner_epochs):
             res = trainer.surrogate_loss_and_grad(state.arch, theta, rows, cfg.eps_clip, cfg.beta_kl)
             diffnet.adam_update(theta, -res.grad, adam, cfg.lr)
             epochs.append(res)
         surrogate, kl, update_norm = trainer.update_policy(state, batch, advantages, 1)
         assert np.array_equal(state.theta, theta)
-        assert state.adam.t == adam.t == 2
+        assert state.adam.t == adam.t == inner_epochs
         assert np.array_equal(state.adam.m, adam.m) and np.array_equal(state.adam.v, adam.v)
         assert surrogate == float(np.mean([res.value for res in epochs]))
         assert kl == float(np.mean([res.kl for res in epochs]))
@@ -469,19 +471,40 @@ class TestStepBuffers:
             tracemalloc.stop()
         assert peak - start < 480 * 1024
 
+    @pytest.mark.parametrize("hidden_dims", [(64, 64), (24, 40, 16)], ids=["default", "uneven"])
+    def test_a_run_allocates_only_its_parameters_and_rollout_buffers(self, hidden_dims):
+        # theta, theta_ref, Adam's m and v and the make_buffers arrays, with
+        # 16 KB for the small objects around them: 337 KB over at the default
+        # shape while the state kept a layer-buffer set of its own
+        cfg = trainer.TrainConfig(hidden_dims=hidden_dims)
+        arch = cfg.architecture()
+        pretrained = diffnet.init_params(arch, 0)
+        made = rollout.make_buffers(arch, cfg.batch_contexts, cfg.group_size, cfg.sampling_steps)
+        arrays = [made.states, made.means, made.projections, made.phi, *made.hs]
+        arrays += [a for name, a in made.batch.items() if name != "hs"] + made.batch["hs"]
+        expected = 4 * pretrained.nbytes + sum(a.nbytes for a in arrays)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            trainer.init_state(cfg, pretrained)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert expected <= peak - start < expected + 16 * 1024
+
     @pytest.mark.parametrize("inner_epochs", [1, 2])
     @pytest.mark.parametrize("hidden_dims", [(8,), (24, 40, 16)], ids=["one-layer", "uneven"])
     def test_reused_buffers_carry_nothing_between_steps(self, inner_epochs, hidden_dims):
-        # one state steps on its own buffers; the other rolls out every step
-        # into fresh buffers and updates on fresh scratch, sharing its
-        # theta and Adam state with the state it was made from
+        # one state steps on its own buffers; the other rolls out and updates
+        # every step on fresh buffers, sharing its theta and Adam state with
+        # the state it was made from
         cfg = small_config(inner_epochs=inner_epochs, hidden_dims=hidden_dims, pretrain_steps=100)
         pretrained = trainer.pretrain(cfg)
         own, other = trainer.init_state(cfg, pretrained), trainer.init_state(cfg, pretrained)
         contexts = []
         for step in range(1, 4):
             made = trainer.init_state(cfg, other.theta)
-            fresh = replace(other, buffers=made.buffers, scratch=made.scratch)
+            fresh = replace(other, buffers=made.buffers)
             want = trainer.rollout_batch(fresh, step)
             trainer.update_policy(fresh, want, trainer.compute_advantages(want, cfg), step)
             batch = trainer.rollout_batch(own, step)
