@@ -347,6 +347,9 @@ def load_checkpoint(path) -> tuple[Architecture, np.ndarray]:
             hidden_dims=tuple(int(h) for h in head["hidden_dims"]),
             output_dim=int(head["output_dim"]),
         )
+        # float64 conversion would also take strings and booleans
+        if not set(map(type, payload["values"])) <= {int, float}:
+            raise ValueError("checkpoint values must be JSON numbers")
         params = np.asarray(payload["values"], dtype=np.float64)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed checkpoint {path}: {exc!r}") from exc

@@ -83,9 +83,9 @@ class RolloutBuffers:
 
     1. ``rollout_group`` fills the time-major arrays, then copies them,
        reordered, into ``batch``; they hold nothing that is read again.
-    2. ``trainer.step_rows`` runs the reference pass into the time-major
-       ``hs``; every ``diffnet.backward`` of the update writes its deltas
-       over them.
+    2. ``trainer.reference_means`` runs the reference pass into the
+       time-major ``hs``; every ``diffnet.backward`` of the update writes
+       its deltas over them.
     3. The first ``trainer.update_policy`` epoch reads the rollout's pass
        in the batch's ``hs``; its ``backward`` writes tanh derivatives over
        them, so each later epoch first runs its own pass into them.

@@ -92,11 +92,14 @@ class TrainConfig:
             raise ValueError("eps_std and eps_mean must be > 0")
         if not 0.0 < self.accuracy_threshold < 1.0:
             raise ValueError("accuracy_threshold must be in (0, 1)")
-        # one schedule per config, so its step table is worked out once per run
+        # one schedule per config, so its step table is worked out once per run,
+        # and one architecture, so its layer widths are checked before a run starts
         object.__setattr__(self, "_schedule", NoiseSchedule(a=self.noise_level, num_steps=self.sampling_steps))
+        arch = diffnet.for_task(self.task.state_dim, self.task.context_count, self.hidden_dims)
+        object.__setattr__(self, "_arch", arch)
 
     def architecture(self) -> Architecture:
-        return diffnet.for_task(self.task.state_dim, self.task.context_count, self.hidden_dims)
+        return self._arch
 
     def schedule(self) -> NoiseSchedule:
         return self._schedule
@@ -240,99 +243,79 @@ def clipped_term(ratio, advantages, eps_clip: float):
     return np.minimum(ratio * advantages, np.clip(ratio, 1.0 - eps_clip, 1.0 + eps_clip) * advantages)
 
 
-def step_rows(arch: Architecture, theta_ref: np.ndarray, batch: RolloutBatch, advantages, deltas=None) -> dict:
-    """The surrogate's inputs, built and checked once per batch, as arrays
-    over the B * G trajectories (slot by slot) and their T steps: the states
-    ``x`` and ``x_next`` and the reference policy's step means ``ref_mean``,
-    (B * G, T, d); the old log-densities ``logp_old`` and the ``advantage``,
-    (B * G, T) views; one ``context`` per trajectory; ``phi``, the rollout's
-    features as a flat (B * G * T, input_dim) view; and the batch's
-    ``schedule``, whose (T,) per-step constants broadcast over the
-    trajectories. The reference policy's pass over ``phi`` is the one network
-    evaluation made here. A deterministic (a = 0) batch, which has no
-    transition densities, and an advantage table not shaped (B, G, T) like
-    the batch are rejected.
+def reference_means(arch: Architecture, theta_ref: np.ndarray, batch: RolloutBatch, hs=None) -> np.ndarray:
+    """The reference policy's (B, G, T, d) step means at the batch's states,
+    from its one ``diffnet.mlp`` pass over ``batch.phi``. The pass writes
+    into ``hs``, one (B * G * T, fan_out) array per layer, the caller's or
+    made here; ``rollout.RolloutBuffers`` says how long the caller's live."""
+    layers = diffnet.unpack(arch, theta_ref)
+    phi = batch.phi.reshape(-1, arch.input_dim)
+    v_ref = diffnet.mlp(layers, phi, diffnet.layer_buffers(layers, phi.shape[0]) if hs is None else hs)
+    x, sched = batch.states[:, :, :-1], batch.schedule
+    tc, s2 = sched.table[:2, :, None]
+    return flowcore.step_mean(x, v_ref.reshape(x.shape), tc, s2, sched.dtau)
 
-    The reference pass writes into ``deltas``, one (B * G * T, fan_out)
-    array per layer, the caller's or made here, which the rows keep for
-    ``diffnet.backward``; ``rollout.RolloutBuffers`` says how long they live.
+
+def surrogate_loss_and_grad(
+    arch: Architecture, theta: np.ndarray, batch: RolloutBatch, advantages, ref_mean: np.ndarray,
+    eps_clip: float, beta_kl: float, hs=None, deltas=None,
+) -> SurrogateResult:
+    """Clipped surrogate objective over a rollout batch and its exact gradient.
+
+    Ratios are exp(logp_theta - logp_old) where logp_theta comes from the
+    current policy's step means at the stored states; the (B, G, T)
+    ``advantages`` and the stored old log-densities are constants. The KL
+    penalty compares the current step means with ``ref_mean``, the
+    ``reference_means`` of the batch, under the batch's schedule, whose
+    table's (T, 1) columns broadcast over the slots and group members.
+    Gradients flow only through the current policy's means. Value and
+    gradient are means over all B * G * T transitions, i.e. the mean over
+    groups of the per-group objective. A deterministic (a = 0) batch, which
+    has no transition densities, and advantages or reference means not
+    shaped like the batch's transitions are rejected.
+
+    ``hs``, when the caller has them, are the layer outputs of theta's
+    ``diffnet.mlp`` pass over ``batch.phi``, one (B * G * T, fan_out) array
+    per layer, and ``deltas`` arrays of the same shapes; without them the
+    pass and ``diffnet.backward`` run into arrays made here. ``backward``
+    writes its deltas into ``deltas`` and its tanh derivatives over ``hs``,
+    so the call spends the pass (``rollout.RolloutBuffers`` gives the order
+    in a training step). Non-finite gradient terms are found by one
+    whole-array test; only then are their slots' contexts named.
     """
-    sched = batch.schedule
     if batch.logp_old is None:
         raise ValueError("policy optimization requires stochastic rollouts (a > 0)")
     if np.shape(advantages) != batch.logp_old.shape:
         raise ValueError(f"advantage shape {np.shape(advantages)} != {batch.logp_old.shape}")
-    b, g, t = batch.logp_old.shape
-    x = batch.states[:, :, :-1].reshape(b * g, t, -1)
-    phi = batch.phi.reshape(-1, arch.input_dim)
-    layers = diffnet.unpack(arch, theta_ref)
-    if deltas is None:
-        deltas = diffnet.layer_buffers(layers, phi.shape[0])
-    v_ref = diffnet.mlp(layers, phi, deltas)
-    tc, s2 = sched.table[:2, :, None]
-    return {
-        "x": x,
-        "x_next": batch.states[:, :, 1:].reshape(x.shape),
-        "context": np.repeat(batch.contexts, g),
-        "phi": phi,
-        "schedule": sched,
-        "ref_mean": flowcore.step_mean(x, v_ref.reshape(x.shape), tc, s2, sched.dtau),
-        "logp_old": batch.logp_old.reshape(b * g, t),
-        "advantage": np.reshape(advantages, (b * g, t)),
-        "deltas": deltas,
-    }
-
-
-def surrogate_loss_and_grad(
-    arch: Architecture, theta: np.ndarray, rows: dict, eps_clip: float, beta_kl: float, hs=None
-) -> SurrogateResult:
-    """Clipped surrogate objective over the ``step_rows`` of a rollout batch
-    and its exact gradient.
-
-    Ratios are exp(logp_theta - logp_old) where logp_theta comes from the
-    current policy's step means at the stored states; advantages and the
-    stored old log-densities are constants. The KL penalty compares the
-    current and reference step means under the shared schedule, whose
-    table's (T, 1) columns broadcast over the trajectories. Gradients flow
-    only through the current policy's means. Value and gradient are means
-    over all B * G * T transitions, i.e. the mean over groups of the
-    per-group objective.
-
-    ``hs``, when the caller has them, are the layer outputs of theta's
-    ``diffnet.mlp`` pass over ``rows["phi"]``, one (B * G * T, fan_out)
-    array per layer; without them the pass runs into arrays made here.
-    ``diffnet.backward`` writes its deltas into ``rows["deltas"]`` and its
-    tanh derivatives over ``hs``, so the call spends the pass
-    (``rollout.RolloutBuffers`` gives the order in a training step).
-    Non-finite gradient terms are found by one whole-array test; only then
-    are their trajectories' contexts named.
-    """
-    x_next, ref_means, a, sched = rows["x_next"], rows["ref_mean"], rows["advantage"], rows["schedule"]
+    x, x_next, sched = batch.states[:, :, :-1], batch.states[:, :, 1:], batch.schedule
+    if np.shape(ref_mean) != x.shape:
+        raise ValueError(f"reference mean shape {np.shape(ref_mean)} != {x.shape}")
     tc, s2, var, _, coeff = sched.table[:, :, None]
-    n_rows = a.size
+    n_rows = batch.logp_old.size
     layers = diffnet.unpack(arch, theta)
-    phi = rows["phi"]
+    phi = batch.phi.reshape(-1, arch.input_dim)
     if hs is None:
         hs = diffnet.layer_buffers(layers, n_rows)
         diffnet.mlp(layers, phi, hs)
-    mean = flowcore.step_mean(rows["x"], hs[-1].reshape(x_next.shape), tc, s2, sched.dtau)
-    ratio = np.exp(flowcore.transition_logpdf(x_next, mean, var[:, 0]) - rows["logp_old"])
-    unclipped = ratio * a
-    surrogate_terms = clipped_term(ratio, a, eps_clip)
-    kl_terms = flowcore.kl_step(mean, ref_means, var[:, 0])
+    deltas = diffnet.layer_buffers(layers, n_rows) if deltas is None else deltas
+    mean = flowcore.step_mean(x, hs[-1].reshape(x.shape), tc, s2, sched.dtau)
+    ratio = np.exp(flowcore.transition_logpdf(x_next, mean, var[:, 0]) - batch.logp_old)
+    unclipped = ratio * advantages
+    surrogate_terms = clipped_term(ratio, advantages, eps_clip)
+    kl_terms = flowcore.kl_step(mean, ref_mean, var[:, 0])
     # d(objective)/d(mean): the unclipped branch contributes A*r*dlogp/dmean,
     # the saturated clip branch contributes nothing; a NaN term stays NaN
     kappa = np.where(surrogate_terms < unclipped, 0.0, unclipped)
-    dj_dmean = (kappa[..., None] * (x_next - mean) - beta_kl * (mean - ref_means)) / (n_rows * var)
+    dj_dmean = (kappa[..., None] * (x_next - mean) - beta_kl * (mean - ref_mean)) / (n_rows * var)
     upstream = coeff * dj_dmean
     pgrad = np.empty_like(theta)
     diffnet.backward(
-        layers, [phi, *hs[:-1]], upstream.reshape(n_rows, -1), diffnet.unpack(arch, pgrad), rows["deltas"], hs
+        layers, [phi, *hs[:-1]], upstream.reshape(n_rows, -1), diffnet.unpack(arch, pgrad), deltas, hs
     )
     nonfinite_contexts = ()
     if not np.isfinite(upstream).all():
-        bad = ~np.isfinite(upstream).all(axis=(1, 2))
-        nonfinite_contexts = tuple(np.unique(rows["context"][bad]).tolist())
+        bad = ~np.isfinite(upstream).all(axis=(1, 2, 3))
+        nonfinite_contexts = tuple(np.unique(batch.contexts[bad]).tolist())
     return SurrogateResult(
         value=float(surrogate_terms.mean() - beta_kl * kl_terms.mean()),
         grad=pgrad,
@@ -398,16 +381,18 @@ def update_policy(
     pass instead of running it again; each later epoch runs its own into
     the arrays ``rollout.RolloutBuffers`` names.
     """
-    cfg = state.config
+    cfg, arch = state.config, state.arch
     theta_before = state.theta.copy()
-    spare = [h.reshape(-1, h.shape[-1]) for h in state.buffers.hs]
-    rows = step_rows(state.arch, state.theta_ref, batch, advantages, spare)
+    deltas = [h.reshape(-1, h.shape[-1]) for h in state.buffers.hs]
+    ref_mean = reference_means(arch, state.theta_ref, batch, deltas)
     hs = [h.reshape(-1, h.shape[-1]) for h in batch.hs]
     values, kls = [], []
     for epoch in range(cfg.inner_epochs):
         if epoch:
-            diffnet.mlp(diffnet.unpack(state.arch, state.theta), rows["phi"], hs)
-        res = surrogate_loss_and_grad(state.arch, state.theta, rows, cfg.eps_clip, cfg.beta_kl, hs)
+            diffnet.mlp(diffnet.unpack(arch, state.theta), batch.phi.reshape(-1, arch.input_dim), hs)
+        res = surrogate_loss_and_grad(
+            arch, state.theta, batch, advantages, ref_mean, cfg.eps_clip, cfg.beta_kl, hs, deltas
+        )
         if not np.all(np.isfinite(res.grad)):
             contexts = list(res.nonfinite_contexts)
             raise RuntimeError(f"non-finite policy gradient at step {step_index}: contexts {contexts}")

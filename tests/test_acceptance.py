@@ -140,10 +140,11 @@ class TestCriterion2GradientChecks:
         cfg = trainer.TrainConfig(task=task, hidden_dims=(6,), sampling_steps=4, group_size=3)
         advantages = trainer.compute_advantages(group, cfg)
         theta_ref = diffnet.init_params(arch_s, 12)
-        rows = trainer.step_rows(arch_s, theta_ref, group, advantages)
-        res = trainer.surrogate_loss_and_grad(arch_s, theta_s.copy(), rows, 0.2, 0.01)
+        ref_mean = trainer.reference_means(arch_s, theta_ref, group)
+        res = trainer.surrogate_loss_and_grad(arch_s, theta_s.copy(), group, advantages, ref_mean, 0.2, 0.01)
         fd_s = central_difference(
-            lambda t: trainer.surrogate_loss_and_grad(arch_s, t, rows, 0.2, 0.01).value, theta_s
+            lambda t: trainer.surrogate_loss_and_grad(arch_s, t, group, advantages, ref_mean, 0.2, 0.01).value,
+            theta_s,
         )
         errors["surrogate"] = max_rel_error(res.grad, fd_s)
 

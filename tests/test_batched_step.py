@@ -68,8 +68,8 @@ def test_batched_step_matches_per_group_oracle(seed, b, g, t, preset, shared):
         )
         assert close(advantages[slot], want)
 
-    rows = trainer.step_rows(ARCH, theta_ref, batch, advantages)
-    res = trainer.surrogate_loss_and_grad(ARCH, theta, rows, 0.2, 0.01)
+    ref_mean = trainer.reference_means(ARCH, theta_ref, batch)
+    res = trainer.surrogate_loss_and_grad(ARCH, theta, batch, advantages, ref_mean, 0.2, 0.01)
     per_group = [
         reference_surrogate(
             ARCH, theta, theta_ref, batch.states[slot], batch.logp_old[slot], advantages[slot],

@@ -124,3 +124,18 @@ def test_a_train_run_covers_uneven_layer_widths_and_a_shared_start():
         and c.get("shared_initial_noise") and c.get("inner_epochs", 1) >= 2
         for c in trains
     )
+
+
+def test_a_train_run_covers_the_smallest_shapes():
+    # one slot of two members over two steps, with two update epochs: the
+    # update's broadcasts and reductions on axes of length 1 and 2
+    trains = [
+        bytecheck.CONFIGS[args[args.index("--config") + 1]]
+        for args in bytecheck.COMMANDS.values()
+        if args[0] == "train" and "--dump-trajectories" in args
+    ]
+    assert any(
+        (c.get("batch_contexts", 4), c.get("group_size", 8), c.get("sampling_steps", 10)) == (1, 2, 2)
+        and c.get("inner_epochs", 1) >= 2
+        for c in trains
+    )

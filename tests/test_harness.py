@@ -52,14 +52,16 @@ class TestParseConfig:
 
     def test_zero_noise_level_rejected_before_the_run_starts(self, tmp_path, capsys):
         # policy optimization needs stochastic rollouts: the config fails at
-        # parse time, before pretraining or any run file
-        with pytest.raises(harness.ConfigError, match="noise_level"):
-            harness.config_from_dict({"noise_level": 0.0})
-        config = write_config(tmp_path, {"noise_level": 0.0, "pretrain_steps": 200, "train_steps": 5})
-        out = tmp_path / "out"
-        assert harness.cli(["train", "--config", str(config), "--out-dir", str(out)]) == 1
-        assert "noise_level" in capsys.readouterr().err
-        assert not out.exists()
+        # parse time, before pretraining or any run file; so do hidden widths
+        # below 1, which the architecture rejects
+        for bad, key in (({"noise_level": 0.0}, "noise_level"), ({"hidden_dims": [0]}, "hidden layer widths")):
+            with pytest.raises(harness.ConfigError, match=key):
+                harness.config_from_dict(bad)
+            config = write_config(tmp_path, {**bad, "pretrain_steps": 200, "train_steps": 5})
+            out = tmp_path / "out"
+            assert harness.cli(["train", "--config", str(config), "--out-dir", str(out)]) == 1
+            assert key in capsys.readouterr().err
+            assert not out.exists()
 
     def test_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path, {"grou_size": 8})
@@ -280,10 +282,18 @@ class TestCli:
         assert harness.cli(["not-a-command"]) != 0
 
     def test_missing_config_file_reports_error(self, tmp_path, capsys):
-        code = harness.cli(["train", "--config", str(tmp_path / "nope.json"),
-                            "--out-dir", str(tmp_path / "out")])
-        assert code == 1
-        assert "error" in capsys.readouterr().err
+        # and the other OS errors: a checkpoint that is a directory, an
+        # output directory that is a file
+        config = write_config(tmp_path, TINY_CONFIG)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        for argv in (
+            ["train", "--config", str(tmp_path / "nope.json"), "--out-dir", str(tmp_path / "out")],
+            ["eval", "--config", str(config), "--checkpoint", str(tmp_path)],
+            ["pretrain", "--config", str(config), "--out-dir", str(taken)],
+        ):
+            assert harness.cli(argv) == 1
+            assert "error:" in capsys.readouterr().err
 
     def test_pretrain_then_eval(self, tmp_path, capsys):
         config = write_config(tmp_path, TINY_CONFIG)
@@ -298,7 +308,15 @@ class TestCli:
     def test_eval_of_malformed_checkpoint_reports_error(self, tmp_path, capsys):
         config = write_config(tmp_path, TINY_CONFIG)
         ckpt = tmp_path / "bad.json"
-        for content in ([], {"format": "flowrl-params", "version": 1, "values": []}):
+        arch = harness.parse_config(config).architecture()
+        good = json.loads(diffnet.checkpoint_text(arch, diffnet.init_params(arch, 0)))
+        # strings and booleans of the right count would convert to floats
+        for content in (
+            [],
+            {"format": "flowrl-params", "version": 1, "values": []},
+            dict(good, values=[str(v) for v in good["values"]]),
+            dict(good, values=[True] * len(good["values"])),
+        ):
             ckpt.write_text(json.dumps(content))
             assert harness.cli(["eval", "--config", str(config), "--checkpoint", str(ckpt)]) == 1
             assert "checkpoint" in capsys.readouterr().err

@@ -219,9 +219,9 @@ class TestClippedTerm:
 
 
 def surrogate(arch, theta, theta_ref, batch, advantages, eps_clip, beta_kl):
-    """The surrogate on the rows of one batch."""
-    rows = trainer.step_rows(arch, theta_ref, batch, advantages)
-    return trainer.surrogate_loss_and_grad(arch, theta, rows, eps_clip, beta_kl)
+    """The surrogate on one batch, against theta_ref's step means."""
+    ref_mean = trainer.reference_means(arch, theta_ref, batch)
+    return trainer.surrogate_loss_and_grad(arch, theta, batch, advantages, ref_mean, eps_clip, beta_kl)
 
 
 class TestSurrogate:
@@ -276,18 +276,18 @@ class TestSurrogate:
         )
         advantages = trainer.compute_advantages(group, cfg)
         theta_ref = diffnet.init_params(arch, 12)
-        rows = trainer.step_rows(arch, theta_ref, group, advantages)
+        ref_mean = trainer.reference_means(arch, theta_ref, group)
         rng = np.random.default_rng(9)
         # at shift 0.1 a share of the ratios leaves the clip band, so the
         # saturated branch's zero gradient is checked too
         for shift in (0.0, 0.01, 0.1):
             theta_cur = theta + shift * rng.standard_normal(theta.size)
-            res = trainer.surrogate_loss_and_grad(arch, theta_cur, rows, 0.2, 0.01)
+            res = trainer.surrogate_loss_and_grad(arch, theta_cur, group, advantages, ref_mean, 0.2, 0.01)
             if shift == 0.1:
                 assert res.clip_fraction > 0.0
 
             def value_at(t):
-                return trainer.surrogate_loss_and_grad(arch, t, rows, 0.2, 0.01).value
+                return trainer.surrogate_loss_and_grad(arch, t, group, advantages, ref_mean, 0.2, 0.01).value
 
             fd = central_difference(value_at, theta_cur)
             assert max_rel_error(res.grad, fd) < 1e-5
@@ -298,8 +298,19 @@ class TestSurrogate:
         sched = flowcore.NoiseSchedule(a=0.0, num_steps=4)
         group = rollout.rollout_group(arch, theta, [0], 3, sched, SMALL_TASK, seeds=[1])
         advantages = adv.adae(np.ones((1, 3, 4)), 0.5, np.ones((1, 3, 4)))
+        ref_mean = trainer.reference_means(arch, theta, group)
         with pytest.raises(ValueError, match="stochastic"):
-            trainer.step_rows(arch, theta.copy(), group, advantages)
+            trainer.surrogate_loss_and_grad(arch, theta.copy(), group, advantages, ref_mean, 0.2, 0.01)
+
+    def test_inputs_not_shaped_like_the_batch_rejected(self, tiny_setup):
+        cfg, state, batch = tiny_setup
+        advantages = trainer.compute_advantages(batch, cfg)
+        ref_mean = trainer.reference_means(state.arch, state.theta_ref, batch)
+        assert ref_mean.shape == batch.states[:, :, :-1].shape
+        with pytest.raises(ValueError, match=r"advantage shape \(2, 4, 4\) != \(2, 4, 5\)"):
+            trainer.surrogate_loss_and_grad(state.arch, state.theta, batch, advantages[..., 1:], ref_mean, 0.2, 0.01)
+        with pytest.raises(ValueError, match=r"reference mean shape \(1, 4, 5, 2\) != \(2, 4, 5, 2\)"):
+            trainer.surrogate_loss_and_grad(state.arch, state.theta, batch, advantages, ref_mean[:1], 0.2, 0.01)
 
 
 def _inject_constant_rewards(batch, value):
@@ -359,7 +370,7 @@ class TestTrainStep:
 class TestOnePassPerTransition:
     @pytest.mark.parametrize("inner_epochs", [1, 2])
     def test_network_calls_per_default_train_step(self, count_calls, inner_epochs):
-        # T in the rollout, one reference pass in step_rows, and one per
+        # T in the rollout, one reference pass in reference_means, and one per
         # inner epoch after the first, which reads the rollout's pass
         cfg = trainer.TrainConfig(inner_epochs=inner_epochs)
         state = trainer.init_state(cfg, diffnet.init_params(cfg.architecture(), 0))
@@ -370,15 +381,18 @@ class TestOnePassPerTransition:
     def test_stored_pass_is_the_old_policys_pass_over_the_rows(self, tiny_setup):
         cfg, state, batch = tiny_setup
         advantages = trainer.compute_advantages(batch, cfg)
-        rows = trainer.step_rows(state.arch, state.theta_ref, batch, advantages)
-        trajectories, t, d = rows["x"].shape
-        taus = np.tile(batch.schedule.tau_grid(), trajectories)
-        phi = diffnet.feature_matrix(state.arch, rows["x"].reshape(-1, d), taus, np.repeat(rows["context"], t))
+        b, g, t, d = batch.states[:, :, :-1].shape
+        taus = np.tile(batch.schedule.tau_grid(), b * g)
+        x = batch.states[:, :, :-1].reshape(-1, d)
+        phi = diffnet.feature_matrix(state.arch, x, taus, np.repeat(batch.contexts, g * t))
         layers = diffnet.unpack(state.arch, state.theta)
         hs = diffnet.layer_buffers(layers, phi.shape[0])
         diffnet.mlp(layers, phi, hs)
-        assert np.array_equal(rows["phi"], phi)
-        assert np.shares_memory(rows["phi"], batch.phi)
+        # the surrogate and the reference pass read the features through this
+        # reshape, which is a view: the rows are the batch's, not a copy
+        rows = batch.phi.reshape(-1, state.arch.input_dim)
+        assert np.array_equal(rows, phi)
+        assert np.shares_memory(rows, batch.phi)
         for stored, want in zip(batch.hs, hs, strict=True):
             assert np.array_equal(stored.reshape(want.shape), want)
 
@@ -431,11 +445,13 @@ class TestInnerEpochs:
         state = trainer.init_state(cfg, pretrained)
         batch = trainer.rollout_batch(state, 1)
         advantages = trainer.compute_advantages(batch, cfg)
-        rows = trainer.step_rows(state.arch, state.theta_ref, batch, advantages)
+        ref_mean = trainer.reference_means(state.arch, state.theta_ref, batch)
         theta, adam = state.theta.copy(), copy.deepcopy(state.adam)
         epochs = []
         for _ in range(inner_epochs):
-            res = trainer.surrogate_loss_and_grad(state.arch, theta, rows, cfg.eps_clip, cfg.beta_kl)
+            res = trainer.surrogate_loss_and_grad(
+                state.arch, theta, batch, advantages, ref_mean, cfg.eps_clip, cfg.beta_kl
+            )
             diffnet.adam_update(theta, -res.grad, adam, cfg.lr)
             epochs.append(res)
         surrogate, kl, update_norm = trainer.update_policy(state, batch, advantages, 1)

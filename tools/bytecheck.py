@@ -31,7 +31,11 @@ tree then runs, with its own ``src`` on ``PYTHONPATH`` and
 - ``flowrl train --seed 6 --dump-trajectories`` with ``hidden_dims: [24,
   40, 16]``, ``shared_initial_noise: true``, ``inner_epochs: 2`` and 200
   training steps, so that the run's training-step buffers, whose layer
-  widths differ here, and the shared-start rollout are compared too.
+  widths differ here, and the shared-start rollout are compared too;
+- ``flowrl train --seed 7 --dump-trajectories`` at the smallest shapes:
+  ``batch_contexts: 1``, ``group_size: 2``, ``sampling_steps: 2`` and
+  ``inner_epochs: 2``, so that the update's (B, G, T) broadcasts and
+  reductions meet axes of length 1 and 2.
 
 Every file the commands write and each command's stdout are compared, except
 ``timing.jsonl``, which holds wallclock times. Exits 0 when every output is
@@ -76,6 +80,10 @@ CONFIGS = {
     "uneven.json": {
         "hidden_dims": [24, 40, 16], "shared_initial_noise": True, "inner_epochs": 2, "train_steps": 200,
     },
+    "minimal.json": {
+        "batch_contexts": 1, "group_size": 2, "sampling_steps": 2, "inner_epochs": 2, "train_steps": 60,
+        "pretrain_steps": 200, "eval_every": 20, "eval_samples": 32,
+    },
 }
 COMMANDS = {
     "ablate": ["ablate", "--seed", "1", "--out-dir", "out/ablate"],
@@ -104,6 +112,9 @@ COMMANDS = {
     ],
     "train-uneven": [
         "train", "--seed", "6", "--config", "uneven.json", "--out-dir", "out/uneven", "--dump-trajectories",
+    ],
+    "train-minimal": [
+        "train", "--seed", "7", "--config", "minimal.json", "--out-dir", "out/minimal", "--dump-trajectories",
     ],
 }
 
