@@ -7,6 +7,9 @@ Conventions: tables are (..., G, T): group members on axis -2, timesteps on
 axis -1 in generation order (step T first, step 1 last), and any leading axes
 index independent groups. A column is one timestep of one group. Group
 statistics use the population standard deviation (divide by G).
+
+The formulas run unchecked: ``TrainConfig`` checks gamma, k, eps_std,
+eps_mean and G >= 2, and ``trainer.compute_advantages`` builds the tables.
 """
 
 from __future__ import annotations
@@ -31,15 +34,10 @@ def cumulative_values(instant_rewards, gamma: float):
     accumulates gamma^k R_{t-k} over the remaining steps, i.e. a right-to-left
     scan Q_1 = R_1, Q_t = R_t + gamma * Q_{t-1}.
     """
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError("gamma must be in [0, 1)")
-    r = np.asarray(instant_rewards, dtype=np.float64)
-    if r.shape[-1] == 0:
-        raise ValueError("empty reward sequence")
-    q = np.empty_like(r)
-    q[..., -1] = r[..., -1]
-    for j in range(r.shape[-1] - 2, -1, -1):
-        q[..., j] = r[..., j] + gamma * q[..., j + 1]
+    q = np.empty_like(instant_rewards)
+    q[..., -1] = instant_rewards[..., -1]
+    for j in range(q.shape[-1] - 2, -1, -1):
+        q[..., j] = instant_rewards[..., j] + gamma * q[..., j + 1]
     return q
 
 
@@ -49,9 +47,6 @@ def value_weights(q, eps_mean: float = DEFAULT_EPS_MEAN):
     If a trajectory's temporal mean falls below ``eps_mean`` its weights are
     all one (no information to reweight with).
     """
-    if eps_mean <= 0.0:
-        raise ValueError("eps_mean must be > 0")
-    q = np.asarray(q, dtype=np.float64)
     mean_t = q.mean(axis=-1, keepdims=True)
     safe = np.where(mean_t < eps_mean, 1.0, mean_t)
     return np.where(mean_t < eps_mean, 1.0, q / safe)
@@ -67,14 +62,6 @@ def adae(q, k: float, omega, eps_std: float = DEFAULT_EPS_STD) -> np.ndarray:
     and unit weights it is plain group normalization (Q - mean) / std, zero
     on constant columns.
     """
-    q = np.asarray(q, dtype=np.float64)
-    omega = np.asarray(omega, dtype=np.float64)
-    if q.ndim < 2 or q.shape[-2] < 2:
-        raise ValueError("need a (..., G, T) table with G >= 2")
-    if omega.shape != q.shape:
-        raise ValueError(f"omega shape {omega.shape} != {q.shape}")
-    if k < 0.0 or eps_std <= 0.0:
-        raise ValueError("need k >= 0 and eps_std > 0")
     m, s = _group_stats(q)
     relative = ((1.0 + k * s) * q - m) / np.maximum(s, eps_std)
     return omega * np.where(s < eps_std, k * q, relative)

@@ -342,16 +342,16 @@ def load_checkpoint(path) -> tuple[Architecture, np.ndarray]:
         head = payload["architecture"]
         if head["activation"] != ACTIVATION:
             raise ValueError(f"unsupported activation {head['activation']!r}")
-        arch = Architecture(
-            input_dim=int(head["input_dim"]),
-            hidden_dims=tuple(int(h) for h in head["hidden_dims"]),
-            output_dim=int(head["output_dim"]),
-        )
+        dims = (head["input_dim"], *head["hidden_dims"], head["output_dim"])
+        # int() would also take 13.9, "13" and booleans
+        if type(head["hidden_dims"]) is not list or any(type(w) is not int for w in dims):
+            raise ValueError("checkpoint layer widths must be JSON integers")
+        arch = Architecture(input_dim=dims[0], hidden_dims=dims[1:-1], output_dim=dims[-1])
         # float64 conversion would also take strings and booleans
         if not set(map(type, payload["values"])) <= {int, float}:
             raise ValueError("checkpoint values must be JSON numbers")
         params = np.asarray(payload["values"], dtype=np.float64)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed checkpoint {path}: {exc!r}") from exc
     if params.shape != (param_count(arch),):
         raise ValueError("checkpoint value count does not match its architecture header")

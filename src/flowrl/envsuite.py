@@ -150,14 +150,13 @@ def _state_rows(task: TaskSpec, x) -> np.ndarray:
 def reward(task: TaskSpec, x, context):
     """Analytic task reward in [0, 1] for state(s) x under conditioning
     ``context`` (one int, or one per row of a batch), scored on terminal
-    samples and on projected virtual terminals alike."""
+    samples and on projected virtual terminals alike. The state rows are
+    checked, since the rollout's one-step projections meet no other check;
+    the contexts are not, since they enter through ``diffnet.check_contexts``."""
     x2 = _state_rows(task, x)
     s = task.sharpness
     if task.name == "mode-preference":
-        ctx = np.broadcast_to(np.asarray(context, dtype=np.int64), (x2.shape[0],))
-        if np.any(ctx < 0) or np.any(ctx >= task.context_count):
-            raise ValueError("context index out of range")
-        center = task.centers()[ctx]
+        center = task.centers()[context]
         r = np.exp(-s * ((x2 - center) ** 2).sum(axis=1))
     elif task.name == "half-plane":
         r = _logistic(s * x2[:, 0])
@@ -170,9 +169,10 @@ def quality(task: TaskSpec, x):
     """Exact log-density of x under the task's full mixture.
 
     This plays the role of a held-out quality score: it does not depend on
-    the conditioning context, so reward can rise while quality falls.
+    the conditioning context, so reward can rise while quality falls. x is
+    read unchecked: ``evaluate`` passes the rows ``reward`` has just checked.
     """
-    x2 = _state_rows(task, x)
+    x2 = np.atleast_2d(x)
     d = task.state_dim
     norm = 0.5 * d * np.log(2.0 * np.pi * task.mode_var)
     scale = 2.0 * task.mode_var

@@ -52,10 +52,13 @@ class NoiseSchedule:
     num_steps: int = 10
 
     def __post_init__(self) -> None:
-        if self.a < 0.0:
-            raise ValueError("noise level a must be >= 0")
+        if not 0.0 <= self.a < math.inf:
+            raise ValueError(f"noise level a must be finite and >= 0, got {self.a}")
         if self.num_steps < 2:
             raise ValueError("need at least 2 sampling steps")
+        # the densities divide by the table's variances; the last is the least
+        if self.a > 0.0 and sigma(1.0 / self.num_steps, self) ** 2 * self.dtau == 0.0:
+            raise ValueError(f"noise level a={self.a} is too small: its step variance underflows to 0")
 
     @property
     def dtau(self) -> float:
@@ -179,18 +182,15 @@ def ode_project(arch: Architecture, params: np.ndarray, s, tau: float, context) 
 def transition_logpdf(x_next: np.ndarray, mean: np.ndarray, var):
     """Log-densities of the (..., d) states x_next under isotropic Gaussians
     with the (..., d) means, summed over the last axis; the variance ``var``
-    broadcasts against the leading axes, e.g. a (T, 1) column for (T, n, d)."""
-    if np.any(var <= 0.0):
-        raise ValueError("deterministic step (variance 0) has no transition density")
+    broadcasts against the leading axes, e.g. a (T, 1) column for (T, n, d);
+    ``NoiseSchedule`` makes it positive, so it is not checked here."""
     sq = ((x_next - mean) ** 2).sum(axis=-1)
     return -0.5 * x_next.shape[-1] * np.log(2.0 * np.pi * var) - sq / (2.0 * var)
 
 
 def kl_step(mean_p: np.ndarray, mean_q: np.ndarray, var):
     """KL ||mean_p - mean_q||^2 / (2 var) between isotropic Gaussian steps with
-    the (..., d) means; ``var`` broadcasts as in ``transition_logpdf``."""
-    if np.any(var <= 0.0):
-        raise ValueError("KL undefined for zero-variance steps")
+    the (..., d) means; ``var`` broadcasts, unchecked, as in ``transition_logpdf``."""
     return ((mean_p - mean_q) ** 2).sum(axis=-1) / (2.0 * var)
 
 

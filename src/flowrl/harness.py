@@ -62,8 +62,9 @@ def _coerce(key: str, kind: type, value):
             raise ConfigError(f"key {key!r}: expected an integer, got {value!r}")
         return value
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"key {key!r}: expected a number, got {value!r}")
+        # json also reads NaN, Infinity and integers beyond the float range
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"key {key!r}: expected a finite number, got {value!r}")
         return float(value)
     if kind is str:
         if not isinstance(value, str):

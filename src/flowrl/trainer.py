@@ -238,8 +238,6 @@ def compute_advantages(batch: RolloutBatch, config: TrainConfig) -> np.ndarray:
 
 def clipped_term(ratio, advantages, eps_clip: float):
     """Element-wise pessimistic surrogate min(r*A, clip(r, 1-eps, 1+eps)*A)."""
-    ratio = np.asarray(ratio, dtype=np.float64)
-    advantages = np.asarray(advantages, dtype=np.float64)
     return np.minimum(ratio * advantages, np.clip(ratio, 1.0 - eps_clip, 1.0 + eps_clip) * advantages)
 
 

@@ -49,12 +49,6 @@ class TestCumulativeValues:
             got = adv.cumulative_values(r, gamma)
             assert np.max(np.abs(got - discounted_sum(r, gamma))) < 1e-12
 
-    def test_gamma_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            adv.cumulative_values(np.ones(3), 1.0)
-        with pytest.raises(ValueError):
-            adv.cumulative_values(np.ones(3), -0.1)
-
     def test_bounded_when_rewards_in_unit_interval(self, rng):
         gamma = 0.9
         r = rng.uniform(0, 1, (8, 10))
@@ -64,6 +58,15 @@ class TestCumulativeValues:
             t = 10 - j
             assert np.all(q[:, j] >= 0.0)
             assert np.all(q[:, j] <= (1 - gamma ** t) / (1 - gamma) + 1e-12)
+
+
+def test_suite_fails_on_the_warnings_of_unchecked_inputs():
+    # the formulas do not check their inputs (TrainConfig does), so the
+    # suite turns numpy's RuntimeWarning into an error: an eps_std of 0
+    # divides 0 by 0 on a constant column
+    q = np.full((4, 3), 0.8)
+    with pytest.raises(RuntimeWarning):
+        adv.adae(q, 0.5, np.ones_like(q), eps_std=0.0)
 
 
 class TestValueWeights:
@@ -109,10 +112,6 @@ class TestGrpoTerminalAdvantage:
             col = table[:, j]
             assert abs(col.mean()) < 1e-10
             assert abs(col.std() - 1.0) < 1e-10
-
-    def test_needs_group_of_two(self):
-        with pytest.raises(ValueError):
-            terminal_table(np.array([1.0]), num_steps=2)
 
 
 class TestGroupRelative:

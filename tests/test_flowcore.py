@@ -178,9 +178,24 @@ class TestTransitionLogpdf:
             want = gaussian_product_logpdf(x, mean, var)
             assert abs(got[0] - want) < 1e-12
 
-    def test_zero_variance_rejected(self):
-        with pytest.raises(ValueError):
-            flowcore.transition_logpdf(np.zeros((1, 2)), np.zeros((1, 2)), 0.0)
+    def test_schedule_without_a_positive_step_variance_rejected(self):
+        # the densities divide by the table's variances unchecked, so a noise
+        # level whose variance underflows to 0, or is not finite, fails here
+        for a in (1e-170, math.nan, math.inf):
+            with pytest.raises(ValueError, match="noise level"):
+                flowcore.NoiseSchedule(a=a, num_steps=10)
+        # around the underflow, a schedule is accepted exactly when every
+        # variance of its table is positive
+        for steps in (2, 10, 37):
+            accepted = 0
+            for a in np.geomspace(1e-165, 1e-158, 200):
+                try:
+                    sched = flowcore.NoiseSchedule(a=float(a), num_steps=steps)
+                except ValueError:
+                    continue
+                accepted += 1
+                assert sched.table[2].all()
+            assert 0 < accepted < 200
 
     @pytest.mark.parametrize("d", [1, 2, 8])
     def test_time_major_call_equals_flat_rows(self, rng, d):

@@ -52,9 +52,14 @@ class TestParseConfig:
 
     def test_zero_noise_level_rejected_before_the_run_starts(self, tmp_path, capsys):
         # policy optimization needs stochastic rollouts: the config fails at
-        # parse time, before pretraining or any run file; so do hidden widths
-        # below 1, which the architecture rejects
-        for bad, key in (({"noise_level": 0.0}, "noise_level"), ({"hidden_dims": [0]}, "hidden layer widths")):
+        # parse time, before pretraining or any run file; so do a noise level
+        # whose step variance underflows to 0, which the schedule rejects, and
+        # hidden widths below 1, which the architecture rejects
+        for bad, key in (
+            ({"noise_level": 0.0}, "noise_level"),
+            ({"noise_level": 1e-170}, "noise level"),
+            ({"hidden_dims": [0]}, "hidden layer widths"),
+        ):
             with pytest.raises(harness.ConfigError, match=key):
                 harness.config_from_dict(bad)
             config = write_config(tmp_path, {**bad, "pretrain_steps": 200, "train_steps": 5})
@@ -62,6 +67,23 @@ class TestParseConfig:
             assert harness.cli(["train", "--config", str(config), "--out-dir", str(out)]) == 1
             assert key in capsys.readouterr().err
             assert not out.exists()
+
+    def test_non_finite_numbers_rejected_before_the_run_starts(self, tmp_path, capsys):
+        # json reads NaN and Infinity; a one-sided range check lets them through
+        float_keys = [key for key, (_, kind) in harness._TASK_KEYS.items() if kind is float]
+        float_keys += [key for key, kind in harness._TRAIN_KEYS.items() if kind is float]
+        assert {"task_radius", "task_sharpness", "k", "lr", "noise_level"} <= set(float_keys)
+        for key in float_keys:
+            for value in ("NaN", "Infinity", "-Infinity", "1" + "0" * 400):
+                path = tmp_path / "config.json"
+                path.write_text(f'{{"{key}": {value}}}')
+                with pytest.raises(harness.ConfigError, match=key):
+                    harness.parse_config(path)
+        path.write_text('{"k": NaN, "pretrain_steps": 200, "train_steps": 5}')
+        out = tmp_path / "out"
+        assert harness.cli(["train", "--config", str(path), "--out-dir", str(out)]) == 1
+        assert "'k'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path, {"grou_size": 8})
@@ -316,6 +338,13 @@ class TestCli:
             {"format": "flowrl-params", "version": 1, "values": []},
             dict(good, values=[str(v) for v in good["values"]]),
             dict(good, values=[True] * len(good["values"])),
+            # int() would read these widths as the header's own
+            dict(good, architecture=dict(good["architecture"], input_dim=arch.input_dim + 0.9)),
+            dict(good, architecture=dict(good["architecture"], input_dim=str(arch.input_dim))),
+            dict(good, architecture=dict(good["architecture"], hidden_dims=[8.0])),
+            dict(good, architecture=dict(good["architecture"], hidden_dims="8")),
+            # an integer beyond float range
+            dict(good, values=[10**400] + good["values"][1:]),
         ):
             ckpt.write_text(json.dumps(content))
             assert harness.cli(["eval", "--config", str(config), "--checkpoint", str(ckpt)]) == 1

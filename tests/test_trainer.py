@@ -77,6 +77,10 @@ class TestTrainConfig:
             trainer.TrainConfig(beta_kl=-0.01)
         with pytest.raises(ValueError):
             trainer.TrainConfig(k=-0.1)
+        # the advantage formulas run unchecked on these fields
+        for bad in ({"gamma": 1.0}, {"gamma": -0.1}, {"group_size": 1}, {"eps_std": 0.0}, {"eps_mean": 0.0}):
+            with pytest.raises(ValueError):
+                trainer.TrainConfig(**bad)
 
     def test_presets(self):
         base = trainer.TrainConfig()
