@@ -52,19 +52,19 @@ class TaskSpec:
         if self.mode_centers is not None:
             centers = tuple(tuple(float(v) for v in c) for c in self.mode_centers)
             object.__setattr__(self, "mode_centers", centers)
+        if not (-math.inf < self.radius < math.inf and -math.inf < self.ring_radius < math.inf):
+            raise ValueError("radius and ring_radius must be finite")
         centers = self._layout()
         if len(centers) == 0:
             raise ValueError("need at least one mode")
         if centers.shape[1] != self.state_dim:
             raise ValueError("mode center dimension != state_dim")
-        if self.mode_var <= 0.0:
-            raise ValueError("mode_var must be > 0")
+        if not (0.0 < self.mode_var < math.inf and 0.0 < self.sharpness < math.inf):
+            raise ValueError("mode_var and sharpness must be finite and > 0")
         if self.context_count < 1:
             raise ValueError("context_count must be >= 1")
         if self.name == "mode-preference" and self.context_count > len(centers):
             raise ValueError("mode-preference needs context_count <= number of modes")
-        if self.sharpness <= 0.0:
-            raise ValueError("sharpness must be > 0")
         if self.name == "ring" and self.ring_radius <= 0.0:
             raise ValueError("ring task needs ring_radius > 0")
         weights = np.full(len(centers), 1.0 / len(centers))

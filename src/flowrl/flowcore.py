@@ -56,9 +56,13 @@ class NoiseSchedule:
             raise ValueError(f"noise level a must be finite and >= 0, got {self.a}")
         if self.num_steps < 2:
             raise ValueError("need at least 2 sampling steps")
-        # the densities divide by the table's variances; the last is the least
-        if self.a > 0.0 and sigma(1.0 / self.num_steps, self) ** 2 * self.dtau == 0.0:
+        # the densities divide by the table's variances: the last step's is the
+        # least, the first's the largest (s * s never raises, unlike s ** 2)
+        last, first = sigma(1.0 / self.num_steps, self), sigma(1.0, self)
+        if self.a > 0.0 and last * last * self.dtau == 0.0:
             raise ValueError(f"noise level a={self.a} is too small: its step variance underflows to 0")
+        if not first * first * self.dtau < math.inf:
+            raise ValueError(f"noise level a={self.a} is too large: its step variance overflows")
 
     @property
     def dtau(self) -> float:

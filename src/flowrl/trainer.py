@@ -7,6 +7,7 @@ Every random draw derives from the run seed through tagged seed sequences
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -72,24 +73,22 @@ class TrainConfig:
             raise ValueError("batch_contexts and inner_epochs must be >= 1")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must be in [0, 1)")
-        if self.k < 0.0:
-            raise ValueError("k must be >= 0")
-        if self.noise_level <= 0.0:
-            raise ValueError("noise_level must be > 0: policy optimization needs stochastic rollouts")
-        if self.eps_clip <= 0.0:
-            raise ValueError("eps_clip must be > 0")
-        if self.beta_kl < 0.0:
-            raise ValueError("beta_kl must be >= 0")
-        if self.lr <= 0.0 or self.pretrain_lr <= 0.0:
-            raise ValueError("learning rates must be > 0")
+        if not (0.0 <= self.k < math.inf and 0.0 <= self.beta_kl < math.inf):
+            raise ValueError("k and beta_kl must be finite and >= 0")
+        if not 0.0 < self.noise_level < math.inf:
+            raise ValueError("noise_level must be finite and > 0: policy optimization needs stochastic rollouts")
+        if not 0.0 < self.eps_clip < math.inf:
+            raise ValueError("eps_clip must be finite and > 0")
+        if not (0.0 < self.lr < math.inf and 0.0 < self.pretrain_lr < math.inf):
+            raise ValueError("lr and pretrain_lr must be finite and > 0")
         if self.pretrain_batch < 1 or self.eval_samples < 1 or self.eval_every < 1:
             raise ValueError("pretrain_batch, eval_samples, eval_every must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0 (0 disables)")
-        if self.eps_std <= 0.0 or self.eps_mean <= 0.0:
-            raise ValueError("eps_std and eps_mean must be > 0")
+        if not (0.0 < self.eps_std < math.inf and 0.0 < self.eps_mean < math.inf):
+            raise ValueError("eps_std and eps_mean must be finite and > 0")
         if not 0.0 < self.accuracy_threshold < 1.0:
             raise ValueError("accuracy_threshold must be in (0, 1)")
         # one schedule per config, so its step table is worked out once per run,
@@ -425,7 +424,8 @@ def evaluate(arch: Architecture, params: np.ndarray, config: TrainConfig, step: 
     One ``flowcore.sample_terminal_ode`` call samples every context, so the
     network's layer buffers are allocated once per evaluation, and one
     ``envsuite.reward`` call, given each row's context, and one
-    ``envsuite.quality`` call score the samples of all the contexts."""
+    ``envsuite.quality`` call score the samples of all the contexts. Every
+    evaluation written or printed is made here: a non-finite statistic raises."""
     task, n = config.task, config.eval_samples
     contexts = range(task.context_count)
     rngs = (np.random.default_rng(np.random.SeedSequence((config.seed, STREAM_EVAL, step, c))) for c in contexts)
@@ -433,11 +433,15 @@ def evaluate(arch: Architecture, params: np.ndarray, config: TrainConfig, step: 
     x = samples.reshape(-1, task.state_dim)
     r = envsuite.reward(task, x, np.repeat(contexts, n))
     q = envsuite.quality(task, x)
-    return {
+    stats = {
         "mean_reward": float(r.mean()),
         "accuracy": float((r > config.accuracy_threshold).mean()),
         "quality_mean": float(q.mean()),
     }
+    for name, value in stats.items():
+        if not math.isfinite(value):
+            raise ValueError(f"evaluation at step {step}: {name} is {value}, not finite")
+    return stats
 
 
 @dataclass

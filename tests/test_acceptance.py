@@ -1,12 +1,11 @@
 """Acceptance suite: every criterion prints one PASS/FAIL line.
 
-The training-efficacy criteria share one 5-seed training matrix (vgpo and
-flow-grpo presets, 500 steps each) built once per session.
+The training-efficacy criteria share one training matrix built once per
+session: `flowrl ablate` for each of 5 seeds, four presets of 500 steps each.
 """
 
 import json
 import statistics
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,17 +35,21 @@ def report(number: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 @pytest.fixture(scope="session")
-def training_matrix():
-    """Metric series for (preset, seed) over 500 training steps; both presets
-    of a seed start from one pretraining, as they do under `flowrl ablate`."""
-    matrix = {}
-    base = trainer.TrainConfig(train_steps=EFFICACY_STEPS)
+def training_matrix(tmp_path_factory):
+    """Each seed's `flowrl ablate` run: the metric series keyed (preset,
+    seed) and the phenomena report keyed by seed."""
+    root = tmp_path_factory.mktemp("matrix")
+    config = root / "config.json"
+    config.write_text(json.dumps({"train_steps": EFFICACY_STEPS}))
+    series, reports = {}, {}
     for seed in SEEDS:
-        pretrained = trainer.pretrain(replace(base, seed=seed))
-        for preset in ("vgpo", "flow-grpo"):
-            config = replace(trainer.apply_preset(base, preset), seed=seed)
-            matrix[(preset, seed)] = trainer.run(config, pretrained).metrics
-    return matrix
+        out = root / str(seed)
+        argv = ["ablate", "--config", str(config), "--seed", str(seed), "--out-dir", str(out)]
+        assert harness.cli(argv) == 0
+        for preset in harness.PRESET_NAMES:
+            series[(preset, seed)] = harness.load_metrics(out / preset)
+        reports[seed] = json.loads((out / "phenomena_report.json").read_text())
+    return series, reports
 
 
 class TestCriterion1EquationOracles:
@@ -246,44 +249,34 @@ class TestCriterion6StagnationContrast:
         assert ok
 
 
-def _median_improvement(matrix, preset):
-    return statistics.median(
-        matrix[(preset, seed)][-1].mean_reward - matrix[(preset, seed)][0].mean_reward
-        for seed in SEEDS
-    )
+def _median_final_and_gain(series, preset):
+    runs = [series[(preset, seed)] for seed in SEEDS]
+    return (statistics.median(r[-1].mean_reward for r in runs),
+            statistics.median(r[-1].mean_reward - r[0].mean_reward for r in runs))
 
 
 @pytest.mark.slow
 class TestCriterion7TrainingEfficacy:
     def test_vgpo_matches_or_beats_baseline_and_both_learn(self, training_matrix):
-        vgpo_final = statistics.median(
-            training_matrix[("vgpo", s)][-1].mean_reward for s in SEEDS
-        )
-        grpo_final = statistics.median(
-            training_matrix[("flow-grpo", s)][-1].mean_reward for s in SEEDS
-        )
-        vgpo_gain = _median_improvement(training_matrix, "vgpo")
-        grpo_gain = _median_improvement(training_matrix, "flow-grpo")
+        series, _ = training_matrix
+        vgpo_final, vgpo_gain = _median_final_and_gain(series, "vgpo")
+        grpo_final, grpo_gain = _median_final_and_gain(series, "flow-grpo")
         ok = vgpo_final >= grpo_final and vgpo_gain >= 0.2 and grpo_gain >= 0.2
         report(7, "training efficacy at step 500 (median of 5 seeds)", ok,
                f"vgpo {vgpo_final:.3f} (+{vgpo_gain:.3f}), flow-grpo {grpo_final:.3f} (+{grpo_gain:.3f})")
+        # the paper's ablation of VGPO's two parts, printed without a gate
+        for preset in ("tcrm-only", "adae-only"):
+            final, gain = _median_final_and_gain(series, preset)
+            print(f"  {preset} {final:.3f} (+{gain:.3f})")
         assert ok
 
 
 @pytest.mark.slow
 class TestCriterion8ConvergenceSpeed:
     def test_dense_rewards_reach_threshold_no_later(self, training_matrix):
-        steps = {"vgpo": [], "flow-grpo": []}
-        for seed in SEEDS:
-            pair = {
-                "vgpo": training_matrix[("vgpo", seed)],
-                "flow-grpo": training_matrix[("flow-grpo", seed)],
-            }
-            rep = harness.reproduce_phenomena(pair)["steps_to_threshold"]
-            steps["vgpo"].append(rep["vgpo"])
-            steps["flow-grpo"].append(rep["flow-grpo"])
-        vgpo_median = statistics.median(steps["vgpo"])
-        grpo_median = statistics.median(steps["flow-grpo"])
+        _, reports = training_matrix
+        vgpo_median = statistics.median(reports[s]["steps_to_threshold"]["vgpo"] for s in SEEDS)
+        grpo_median = statistics.median(reports[s]["steps_to_threshold"]["flow-grpo"] for s in SEEDS)
         ok = vgpo_median <= grpo_median
         report(8, "convergence speed to 80% of final reward", ok,
                f"vgpo median {vgpo_median}, flow-grpo median {grpo_median}")
@@ -293,14 +286,11 @@ class TestCriterion8ConvergenceSpeed:
 @pytest.mark.slow
 class TestCriterion9RewardHackingMonitor:
     def test_quality_drop_at_matched_reward(self, training_matrix):
+        _, reports = training_matrix
         drops = {"vgpo": [], "flow-grpo": []}
         print("\n  seed  matched_r  vgpo_drop  flow-grpo_drop")
         for seed in SEEDS:
-            pair = {
-                "vgpo": training_matrix[("vgpo", seed)],
-                "flow-grpo": training_matrix[("flow-grpo", seed)],
-            }
-            rep = harness.reproduce_phenomena(pair)["reward_hacking"]
+            rep = reports[seed]["reward_hacking"]
             v = rep["runs"]["vgpo"]["quality_drop"]
             g = rep["runs"]["flow-grpo"]["quality_drop"]
             drops["vgpo"].append(v)

@@ -180,10 +180,13 @@ class TestTransitionLogpdf:
 
     def test_schedule_without_a_positive_step_variance_rejected(self):
         # the densities divide by the table's variances unchecked, so a noise
-        # level whose variance underflows to 0, or is not finite, fails here
-        for a in (1e-170, math.nan, math.inf):
+        # level whose variance underflows to 0, overflows, or is not finite,
+        # fails here
+        for a in (1e-170, 1e200, math.nan, math.inf):
             with pytest.raises(ValueError, match="noise level"):
                 flowcore.NoiseSchedule(a=a, num_steps=10)
+        # the first step's variance at a = 1e150 is 1.9e300, finite: accepted
+        assert np.isfinite(flowcore.NoiseSchedule(a=1e150, num_steps=10).table).all()
         # around the underflow, a schedule is accepted exactly when every
         # variance of its table is positive
         for steps in (2, 10, 37):

@@ -1,10 +1,13 @@
 import dataclasses
 import json
+import math
 import re
 import typing
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flowrl import diffnet, envsuite, harness, trainer
 from flowrl.records import MetricRecord
@@ -53,11 +56,12 @@ class TestParseConfig:
     def test_zero_noise_level_rejected_before_the_run_starts(self, tmp_path, capsys):
         # policy optimization needs stochastic rollouts: the config fails at
         # parse time, before pretraining or any run file; so do a noise level
-        # whose step variance underflows to 0, which the schedule rejects, and
-        # hidden widths below 1, which the architecture rejects
+        # whose step variance underflows to 0 or overflows, which the schedule
+        # rejects, and hidden widths below 1, which the architecture rejects
         for bad, key in (
             ({"noise_level": 0.0}, "noise_level"),
             ({"noise_level": 1e-170}, "noise level"),
+            ({"noise_level": 1e200}, "noise level"),
             ({"hidden_dims": [0]}, "hidden layer widths"),
         ):
             with pytest.raises(harness.ConfigError, match=key):
@@ -219,6 +223,80 @@ class TestConfigSchema:
         block = text.split("```jsonc\n", 1)[1].split("```", 1)[0]
         parsed = json.loads(re.sub(r"//.*", "", block))
         assert list(parsed.items()) == list(harness.config_to_dict(trainer.TrainConfig()).items())
+
+
+# keys that size an array or a loop: a huge value asks for memory, not for a
+# check, so they draw only small integers
+SIZE_KEYS = {
+    "task_state_dim", "task_num_modes", "task_context_count", "hidden_dims", "group_size",
+    "sampling_steps", "batch_contexts", "pretrain_batch", "eval_samples",
+}
+BOUNDARY_NUMBERS = [0, -0.0, 5e-324, -5e-324, 1e300, -1e300, math.nan, math.inf, -math.inf]
+WRONG_TYPES = [True, False, "x", None, [], [1.5], ["x"]]
+
+
+def boundary_values(key):
+    if key in SIZE_KEYS:
+        small = st.integers(-2, 64)
+        return small | st.lists(small, max_size=3) | st.sampled_from(BOUNDARY_NUMBERS + WRONG_TYPES)
+    return st.sampled_from(BOUNDARY_NUMBERS + [10**400] + WRONG_TYPES)
+
+
+@pytest.mark.parametrize("key", [*harness._TASK_KEYS, *harness._TRAIN_KEYS])
+@given(data=st.data())
+def test_a_boundary_value_builds_a_config_or_raises_config_error(key, data):
+    assert SIZE_KEYS <= {*harness._TASK_KEYS, *harness._TRAIN_KEYS}
+    value = data.draw(boundary_values(key), label=key)
+    try:
+        config = harness.config_from_dict({key: value})
+    except harness.ConfigError:
+        return
+    assert isinstance(config, trainer.TrainConfig)
+
+
+# a tiny run: 2 pretraining steps, 2 training steps, 8 evaluation samples
+TINY_RUN = {"pretrain_steps": 2, "train_steps": 2, "eval_samples": 8}
+
+
+def assert_one_error_line(capsys, text):
+    """The command printed nothing but one error line containing ``text``."""
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1 and err[0].startswith("error:") and text in err[0], captured
+
+
+class TestValuesThatFailOnceUsed:
+    # values that parse but overflow once a run uses them: the numpy
+    # warnings are expected, and the command stops with one error line
+    @pytest.mark.parametrize("key, value, message", [
+        ("noise_level", 1e150, "non-finite SDE state"),
+        ("lr", 1e300, "non-finite policy gradient"),
+        ("task_radius", 1e300, "pretraining diverged"),
+    ])
+    def test_train_stops_with_a_message(self, tmp_path, capsys, key, value, message):
+        config = write_config(tmp_path, dict(TINY_RUN, **{key: value}))
+        with pytest.warns(RuntimeWarning):
+            code = harness.cli(["train", "--config", str(config), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert_one_error_line(capsys, message)
+
+    def test_non_finite_evaluation_is_not_written(self, tmp_path, capsys):
+        # the quality oracle's log-density overflows at a subnormal mode
+        # variance; no command writes or prints the -inf it evaluates to
+        good = write_config(tmp_path, TINY_RUN, name="good.json")
+        bad = write_config(tmp_path, dict(TINY_RUN, task_mode_var=1e-320), name="bad.json")
+        assert harness.cli(["pretrain", "--config", str(good), "--out-dir", str(tmp_path / "pre")]) == 0
+        capsys.readouterr()
+        checkpoint = str(tmp_path / "pre" / "checkpoint_pretrained.json")
+        for argv in (
+            ["train", "--config", str(bad), "--out-dir", str(tmp_path / "train")],
+            ["pretrain", "--config", str(bad), "--out-dir", str(tmp_path / "pretrain")],
+            ["eval", "--config", str(bad), "--checkpoint", checkpoint],
+        ):
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                assert harness.cli(argv) == 1
+            assert_one_error_line(capsys, "quality_mean is -inf, not finite")
+        assert not (tmp_path / "train" / "metrics.jsonl").exists()
 
 
 class TestRunExperiment:

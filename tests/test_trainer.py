@@ -1,6 +1,8 @@
 import copy
+import math
 import re
 import tracemalloc
+import typing
 from dataclasses import replace
 
 import numpy as np
@@ -81,6 +83,14 @@ class TestTrainConfig:
         for bad in ({"gamma": 1.0}, {"gamma": -0.1}, {"group_size": 1}, {"eps_std": 0.0}, {"eps_mean": 0.0}):
             with pytest.raises(ValueError):
                 trainer.TrainConfig(**bad)
+        # configs built in Python meet no parser: every float field of both
+        # classes rejects NaN and +-inf itself, naming the field
+        for cls in (trainer.TrainConfig, envsuite.TaskSpec):
+            for name, hint in typing.get_type_hints(cls).items():
+                if hint is float:
+                    for value in (math.nan, math.inf, -math.inf):
+                        with pytest.raises(ValueError, match=name):
+                            cls(**{name: value})
 
     def test_presets(self):
         base = trainer.TrainConfig()
