@@ -178,6 +178,12 @@ def write_context(arch: Architecture, phi: np.ndarray, context) -> None:
         one_hot[np.arange(phi.shape[0]), context] = 1.0
 
 
+def first_layer_blocks(arch: Architecture, w: np.ndarray):
+    """Views of the first layer's weight ``w``: its state, time and context columns."""
+    d = arch.state_dim
+    return w[:, :d], w[:, d:d + TIME_FEATURES], w[:, d + TIME_FEATURES:]
+
+
 def layer_buffers(layers, n: int) -> list[np.ndarray]:
     """One (n, fan_out) output array per layer of ``unpack``'s layers, in
     their dtype, for ``mlp`` and ``backward``."""
@@ -187,7 +193,9 @@ def layer_buffers(layers, n: int) -> list[np.ndarray]:
 def mlp(layers, phi: np.ndarray, hs: list[np.ndarray]) -> np.ndarray:
     """The network, unchecked, on a prebuilt feature matrix and ``unpack``'s
     layers, each layer's output written into its ``layer_buffers`` array.
-    It computes in the layers' dtype, which ``phi`` and ``hs`` share.
+    It computes in the layers' dtype, which ``phi`` and ``hs`` share. A weight
+    may be ``unpack``'s view or a Fortran-ordered copy: either memory order
+    gives the same sums up to BLAS rounding.
 
     A layer's bias is ``unpack``'s (fan_out,) vector, which ``z += b``
     broadcasts over the rows, or that vector repeated as (n, fan_out) rows,

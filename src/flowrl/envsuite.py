@@ -51,6 +51,8 @@ class TaskSpec:
             raise ValueError("state_dim must be >= 1")
         if self.mode_centers is not None:
             centers = tuple(tuple(float(v) for v in c) for c in self.mode_centers)
+            if not all(math.isfinite(v) for c in centers for v in c):
+                raise ValueError("mode_centers must be finite")
             object.__setattr__(self, "mode_centers", centers)
         if not (-math.inf < self.radius < math.inf and -math.inf < self.ring_radius < math.inf):
             raise ValueError("radius and ring_radius must be finite")
@@ -147,6 +149,19 @@ def _state_rows(task: TaskSpec, x) -> np.ndarray:
     return x2
 
 
+def squared_distance(x2: np.ndarray, center) -> np.ndarray:
+    """((x2 - center) ** 2).sum(axis=1) bit for bit, for a (d,) center or one
+    per row: below 8 terms numpy's row sum adds them in order, as this fold
+    over the columns does without a row reduction; from 8 on it pairs them."""
+    if x2.shape[1] >= 8:
+        return ((x2 - center) ** 2).sum(axis=1)
+    sq, diff = np.zeros(len(x2)), np.empty(len(x2))
+    for k in range(x2.shape[1]):
+        np.subtract(x2[:, k], center[..., k], out=diff)
+        sq += np.multiply(diff, diff, out=diff)
+    return sq
+
+
 def reward(task: TaskSpec, x, context):
     """Analytic task reward in [0, 1] for state(s) x under conditioning
     ``context`` (one int, or one per row of a batch), scored on terminal
@@ -157,7 +172,7 @@ def reward(task: TaskSpec, x, context):
     s = task.sharpness
     if task.name == "mode-preference":
         center = task.centers()[context]
-        r = np.exp(-s * ((x2 - center) ** 2).sum(axis=1))
+        r = np.exp(-s * squared_distance(x2, center))
     elif task.name == "half-plane":
         r = _logistic(s * x2[:, 0])
     else:  # ring
@@ -177,11 +192,10 @@ def quality(task: TaskSpec, x):
     norm = 0.5 * d * np.log(2.0 * np.pi * task.mode_var)
     scale = 2.0 * task.mode_var
     # mode by mode, log of w_m * N(x; c_m, var I) as a contiguous (n,) term,
-    # its squared distance a row sum (numpy's pairwise order, for any d), the
-    # terms folded over the modes in the order of np.logaddexp.reduce
+    # the terms folded over the modes in the order of np.logaddexp.reduce
     out = None
     for center, log_w in zip(task.centers(), np.log(task.weights())):
-        sq = ((x2 - center) ** 2).sum(axis=1)
+        sq = squared_distance(x2, center)
         sq /= scale
         term = np.subtract(log_w - norm, sq, out=sq)
         out = term if out is None else np.logaddexp(out, term, out=out)

@@ -224,23 +224,18 @@ def sample_terminal_ode(
     arch: Architecture, params: np.ndarray, schedule: NoiseSchedule, contexts, n: int, rngs
 ) -> np.ndarray:
     """Deterministic generation: n samples per context, each context's from
-    its generator in ``rngs``, by Euler steps x - dtau * v from noise,
-    computed in float32 and returned as one float64 (len(contexts), n, d)
-    array, context by context.
+    its generator's float64 normal draw rounded to float32, by Euler steps
+    x - dtau * v on a float32 copy of the parameters (one beyond float32's
+    range raises ValueError), returned as one float64 (len(contexts), n, d)
+    array. A non-finite state raises ``NonFiniteStep`` naming step and context.
 
-    Sampling runs forward-only, so it computes on a float32 copy of the
-    float64 parameters; a parameter that is finite but beyond float32's range
-    raises ValueError. Each context's initial state is its generator's
-    float64 standard-normal draw rounded to float32. One float32 feature
-    matrix, one set of layer buffers and, per layer, the bias repeated as
-    (n, fan_out) rows for ``diffnet.mlp``'s contiguous bias add serve every
-    context; they are allocated first and released on return, so that the
-    caller's scoring reuses their memory instead of raising the peak. The
-    time features of every step are worked out once, by
-    ``diffnet.time_features``. The contexts are checked once, each context's
-    one-hot block is written once and each step rewrites the state and time
-    columns. A non-finite state raises ``NonFiniteStep`` naming the step and
-    the context.
+    No feature matrix is built: within one step and one context the time and
+    one-hot features are constants, so the first layer runs on the rows
+    [x, 1] against a (d + 1, fan_out) block, the state columns of its weight
+    over the row ``time_features(tau) @ W_time.T + W_context[:, c] + b``.
+    The later layers get Fortran-ordered weights, so that each product is a
+    plain GEMM, and biases as (n, fan_out) rows. These and one set of layer
+    buffers serve every context and are freed on return, for scoring to reuse.
     """
     with np.errstate(over="ignore"):
         params32 = params.astype(np.float32)
@@ -248,20 +243,28 @@ def sample_terminal_ode(
         raise ValueError("parameters exceed the float32 range of the evaluation sampler")
     contexts = list(contexts)
     diffnet.check_contexts(arch, np.asarray(contexts))
-    layers = [(w, np.tile(b, (n, 1))) for w, b in diffnet.unpack(arch, params32)]
-    hs = diffnet.layer_buffers(layers, n)
-    phi = np.empty((n, arch.input_dim), dtype=np.float32)
+    (w0, b0), *later = diffnet.unpack(arch, params32)
+    w_state, w_time, w_context = diffnet.first_layer_blocks(arch, w0)
+    later = [(np.asfortranarray(w), np.tile(b, (n, 1))) for w, b in later]
+    hs = diffnet.layer_buffers([(w0, b0), *later], n)
     d, steps = arch.state_dim, schedule.num_steps
     times = np.array([diffnet.time_features(t / steps) for t in range(steps, 0, -1)], dtype=np.float32)
-    x = np.empty((n, d), dtype=np.float32)
+    time_rows = times @ w_time.T + b0
+    blocks = np.empty((steps, d + 1, w0.shape[0]), dtype=np.float32)
+    blocks[:, :d] = w_state.T
+    # column-major, so that the state's (n, d) view steps through memory
+    # column by column, not in strided rows of d
+    x_one = np.ones((n, d + 1), dtype=np.float32, order="F")
+    x = x_one[:, :d]
     samples = np.empty((len(contexts), n, d))
     for sample, context, rng in zip(samples, contexts, rngs):
         rng.standard_normal(out=sample)
         x[:] = sample
-        diffnet.write_context(arch, phi, context)
-        for t, time in zip(range(steps, 0, -1), times):
-            diffnet.write_state_time(arch, phi, x, time)
-            v = diffnet.mlp(layers, phi, hs)
+        np.add(time_rows, w_context[:, context] if arch.context_count else 0.0, out=blocks[:, d])
+        for t, block in zip(range(steps, 0, -1), blocks):
+            v = np.matmul(x_one, block, out=hs[0])
+            if later:
+                v = diffnet.mlp(later, np.tanh(v, out=v), hs[1:])
             v *= schedule.dtau
             x -= v
             check_states(x, t, context, "ODE")

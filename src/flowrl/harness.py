@@ -156,18 +156,9 @@ def run_experiment(config: TrainConfig, out_dir, pretrained: Pretrained | None =
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(json.dumps(config_to_dict(config), indent=2) + "\n")
-    (out / "meta.json").write_text(
-        json.dumps(
-            {
-                "seed": config.seed,
-                "config_sha256": _config_hash(config),
-                "package_version": __version__,
-                "schema_version": SCHEMA_VERSION,
-            },
-            indent=2,
-        )
-        + "\n"
-    )
+    meta = {"seed": config.seed, "config_sha256": _config_hash(config),
+            "package_version": __version__, "schema_version": SCHEMA_VERSION}
+    (out / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
     arch = config.architecture()
     if pretrained is None:
         pretrained = Pretrained.from_config(config)

@@ -128,7 +128,7 @@ class SurrogateResult:
     kl: float
     mean_ratio: float
     clip_fraction: float
-    nonfinite_contexts: tuple[int, ...] = ()  # contexts of trajectories with a non-finite gradient term
+    nonfinite_contexts: tuple[int, ...] = ()  # contexts of slots with a non-finite backward row
 
 
 @dataclass(frozen=True)
@@ -277,8 +277,9 @@ def surrogate_loss_and_grad(
     pass and ``diffnet.backward`` run into arrays made here. ``backward``
     writes its deltas into ``deltas`` and its tanh derivatives over ``hs``,
     so the call spends the pass (``rollout.RolloutBuffers`` gives the order
-    in a training step). Non-finite gradient terms are found by one
-    whole-array test; only then are their slots' contexts named.
+    in a training step). A non-finite gradient is found by one whole-array
+    test; only then are the contexts named of the slots with a non-finite
+    row of the upstream or of a hidden layer's delta.
     """
     if batch.logp_old is None:
         raise ValueError("policy optimization requires stochastic rollouts (a > 0)")
@@ -310,8 +311,10 @@ def surrogate_loss_and_grad(
         layers, [phi, *hs[:-1]], upstream.reshape(n_rows, -1), diffnet.unpack(arch, pgrad), deltas, hs
     )
     nonfinite_contexts = ()
-    if not np.isfinite(upstream).all():
-        bad = ~np.isfinite(upstream).all(axis=(1, 2, 3))
+    if not np.isfinite(pgrad).all():
+        rows = [upstream.reshape(n_rows, -1), *deltas[:len(layers) - 1]]
+        finite = np.logical_and.reduce([np.isfinite(r).all(axis=1) for r in rows])
+        bad = ~finite.reshape(len(batch.contexts), -1).all(axis=1)
         nonfinite_contexts = tuple(np.unique(batch.contexts[bad]).tolist())
     return SurrogateResult(
         value=float(surrogate_terms.mean() - beta_kl * kl_terms.mean()),
@@ -391,8 +394,10 @@ def update_policy(
             arch, state.theta, batch, advantages, ref_mean, cfg.eps_clip, cfg.beta_kl, hs, deltas
         )
         if not np.all(np.isfinite(res.grad)):
-            contexts = list(res.nonfinite_contexts)
-            raise RuntimeError(f"non-finite policy gradient at step {step_index}: contexts {contexts}")
+            where = f"contexts {list(res.nonfinite_contexts)}" if res.nonfinite_contexts else (
+                "every backward row is finite, a sum over rows overflows; "
+                f"largest |theta| {abs(state.theta).max():.3g}")
+            raise RuntimeError(f"non-finite policy gradient at step {step_index}: {where}")
         values.append(res.value)
         kls.append(res.kl)
         # ascent on the surrogate = descent on its negation

@@ -93,6 +93,20 @@ def test_eval_commands_cover_the_benchmark_shape_and_one_pass_scoring():
     assert any(c.get("task") in ("half-plane", "ring") and c.get("task_context_count", 8) > 1 for c in evals)
 
 
+def test_an_eval_covers_a_net_without_hidden_layers_on_a_1d_task():
+    # the evaluation sampler folds the time and context features into the
+    # first layer, which is the output layer when there are no hidden ones
+    evals = [
+        bytecheck.CONFIGS[args[args.index("--config") + 1]]
+        for args in bytecheck.COMMANDS.values()
+        if args[0] == "eval"
+    ]
+    assert any(
+        c.get("hidden_dims") == [] and c.get("task_state_dim") == 1 and c.get("task_context_count") == 1
+        for c in evals
+    )
+
+
 def test_a_train_run_covers_a_wide_state_and_several_update_epochs():
     # the update's per-step constants broadcast over (trajectory, step)
     # arrays, and its sums run over the state's last axis: one run at d = 8,

@@ -36,6 +36,12 @@ class TestTaskSpec:
         with pytest.raises(ValueError, match="dimension"):
             envsuite.TaskSpec(mode_centers=((0.0,), (1.0,)), context_count=1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_explicit_centers_must_be_finite(self, bad):
+        # a non-finite center would only surface as a NaN pretraining loss
+        with pytest.raises(ValueError, match="finite"):
+            envsuite.TaskSpec(mode_centers=((bad, 0.0), (1.0, 0.0)), context_count=1)
+
     def test_cached_arrays_are_read_only(self):
         task = envsuite.TaskSpec()
         with pytest.raises(ValueError):
@@ -157,6 +163,22 @@ class TestReward:
         off_ring = np.array([3.0, 0.0])
         assert envsuite.reward(task, on_ring, 0) == 1.0
         assert abs(envsuite.reward(task, off_ring, 0) - math.exp(-1.0)) < 1e-15
+
+    @pytest.mark.parametrize("state_dim", [1, 2, 3, 7])
+    def test_column_fold_is_the_row_sum_bit_for_bit(self, rng, state_dim):
+        # below 8 terms numpy's row sum adds them in order, as the fold does,
+        # for one center and for one center per row
+        x = 4.0 * rng.standard_normal((1000, state_dim))
+        center = 3.0 * rng.standard_normal(state_dim)
+        centers = 3.0 * rng.standard_normal((1000, state_dim))
+        assert np.array_equal(envsuite.squared_distance(x, center), ((x - center) ** 2).sum(axis=1))
+        assert np.array_equal(envsuite.squared_distance(x, centers), ((x - centers) ** 2).sum(axis=1))
+        task = envsuite.TaskSpec(
+            num_modes=3, context_count=3, state_dim=state_dim, mode_centers=centers[:3].tolist()
+        )
+        contexts = rng.integers(0, 3, size=1000)
+        want = np.exp(-task.sharpness * ((x - task.centers()[contexts]) ** 2).sum(axis=1))
+        assert np.array_equal(envsuite.reward(task, x, contexts), want)
 
     def test_non_finite_state_rejected(self):
         task = envsuite.TaskSpec()

@@ -259,10 +259,12 @@ TINY_RUN = {"pretrain_steps": 2, "train_steps": 2, "eval_samples": 8}
 
 
 def assert_one_error_line(capsys, text):
-    """The command printed nothing but one error line containing ``text``."""
+    """The command printed nothing but one error line containing ``text``;
+    returns that line."""
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert captured.out == "" and len(err) == 1 and err[0].startswith("error:") and text in err[0], captured
+    return err[0]
 
 
 class TestValuesThatFailOnceUsed:
@@ -278,7 +280,8 @@ class TestValuesThatFailOnceUsed:
         with pytest.warns(RuntimeWarning):
             code = harness.cli(["train", "--config", str(config), "--out-dir", str(tmp_path / "out")])
         assert code == 1
-        assert_one_error_line(capsys, message)
+        # the line says where the run failed, never with an empty list
+        assert "[]" not in assert_one_error_line(capsys, message)
 
     def test_non_finite_evaluation_is_not_written(self, tmp_path, capsys):
         # the quality oracle's log-density overflows at a subnormal mode

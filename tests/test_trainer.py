@@ -428,6 +428,24 @@ class TestNonFiniteGradient:
         assert np.array_equal(fresh.theta, theta_before)
         assert fresh.adam.t == 0
 
+    def test_overflow_in_a_sum_over_rows_is_named(self, tiny_setup, pretrained, monkeypatch):
+        # every backward row finite, the gradient not: no context to name,
+        # so the message says so and gives the largest |theta|
+        cfg, _, _ = tiny_setup
+        fresh = trainer.init_state(cfg, pretrained)
+        batch = trainer.rollout_batch(fresh, 2)
+        real = trainer.surrogate_loss_and_grad
+
+        def overflowing(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.grad[0] = np.inf
+            return res
+
+        monkeypatch.setattr(trainer, "surrogate_loss_and_grad", overflowing)
+        largest = f"{np.abs(fresh.theta).max():.3g}"
+        with pytest.raises(RuntimeError, match=rf"step 2: every backward row is finite.*\|theta\| {largest}$"):
+            trainer.update_policy(fresh, batch, trainer.compute_advantages(batch, cfg), 2)
+
     def test_two_poisoned_slots_name_both_contexts_sorted(self, tiny_setup, pretrained):
         cfg, _, _ = tiny_setup
         fresh = trainer.init_state(cfg, pretrained)
@@ -658,6 +676,15 @@ class TestEvaluate:
         assert len(calls) == 1
         trainer.evaluate(arch, params, cfg, step=1)
         assert len(calls) == 2
+
+    def test_no_feature_matrix_is_built(self, count_calls):
+        # the evaluation sampler folds the time and context features into the
+        # first layer: no feature matrix is made or rewritten
+        cfg = small_config()
+        arch = cfg.architecture()
+        calls = [count_calls(diffnet, name) for name in ("write_state_time", "write_context", "feature_matrix")]
+        trainer.evaluate(arch, diffnet.init_params(arch, 0), cfg, step=0)
+        assert calls == [[], [], []]
 
     @pytest.mark.parametrize("name", envsuite.TASK_NAMES)
     def test_one_scoring_pass_is_per_context_scoring_bit_for_bit(self, name):

@@ -22,6 +22,10 @@ tree then runs, with its own ``src`` on ``PYTHONPATH`` and
 - ``flowrl pretrain --seed 5`` and ``flowrl eval`` on the ring task with
   three contexts, a task whose reward ignores the context, so that scoring
   the samples of every context in one call is compared too;
+- ``flowrl pretrain --seed 8`` and ``flowrl eval`` on the 1-D half-plane
+  task with one context and ``hidden_dims: []``, so that the evaluation
+  sampler's folded first layer is compared where it is also the output
+  layer;
 - ``flowrl train --seed 3 --dump-trajectories`` on the 8-dimensional
   half-plane task with two contexts, ``group_size: 3``, ``batch_contexts:
   2``, ``sampling_steps: 7`` and ``inner_epochs: 3``, so that the policy
@@ -73,6 +77,10 @@ CONFIGS = {
     },
     "eval1024.json": {"eval_samples": 1024},
     "ring.json": {"task": "ring", "task_context_count": 3, "pretrain_steps": 200, "eval_samples": 64},
+    "linear1d.json": {
+        "task": "half-plane", "task_state_dim": 1, "task_context_count": 1, "hidden_dims": [],
+        "pretrain_steps": 200, "eval_samples": 256,
+    },
     "half-plane8.json": {
         "task": "half-plane", "task_state_dim": 8, "task_context_count": 2,
         "group_size": 3, "batch_contexts": 2, "sampling_steps": 7, "inner_epochs": 3,
@@ -105,6 +113,11 @@ COMMANDS = {
     "eval-ring": [
         "eval", "--seed", "5", "--config", "ring.json", "--step", "2",
         "--checkpoint", "out/ring/checkpoint_pretrained.json",
+    ],
+    "pretrain-linear": ["pretrain", "--seed", "8", "--config", "linear1d.json", "--out-dir", "out/linear"],
+    "eval-linear": [
+        "eval", "--seed", "8", "--config", "linear1d.json", "--step", "3",
+        "--checkpoint", "out/linear/checkpoint_pretrained.json",
     ],
     "train-half-plane8": [
         "train", "--seed", "3", "--config", "half-plane8.json", "--out-dir", "out/half-plane8",
