@@ -132,21 +132,16 @@ def features(arch: Architecture, x, tau, context) -> np.ndarray:
     if np.any(tau < 0.0) or np.any(tau > 1.0):
         raise ValueError("tau outside [0, 1]")
     check_contexts(arch, context)
-    return feature_matrix(arch, x, tau, context)
+    phi = np.empty((n, arch.input_dim))
+    write_state_time(arch, phi, x, time_features(tau))
+    write_context(arch, phi, context)
+    return phi
 
 
 def check_contexts(arch: Architecture, context) -> None:
     """Reject context indices (an int or an array) outside the net's one-hot block."""
     if arch.context_count > 0 and (np.any(context < 0) or np.any(context >= arch.context_count)):
         raise ValueError("context index out of range")
-
-
-def feature_matrix(arch: Architecture, x: np.ndarray, tau, context) -> np.ndarray:
-    """``features`` without its checks, for validated x (n, state_dim), tau and context."""
-    phi = np.empty((x.shape[0], arch.input_dim))
-    write_state_time(arch, phi, x, time_features(tau))
-    write_context(arch, phi, context)
-    return phi
 
 
 def time_features(tau):

@@ -138,17 +138,6 @@ def _logistic(z):
     return out
 
 
-def _state_rows(task: TaskSpec, x) -> np.ndarray:
-    """A state or a batch of states as (n, state_dim) float rows, checked:
-    a wrong width or a non-finite value raises ValueError."""
-    x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x2.shape[1] != task.state_dim:
-        raise ValueError(f"state dim {x2.shape[1]} != {task.state_dim}")
-    if not np.all(np.isfinite(x2)):
-        raise ValueError("non-finite state")
-    return x2
-
-
 def squared_distance(x2: np.ndarray, center) -> np.ndarray:
     """((x2 - center) ** 2).sum(axis=1) bit for bit, for a (d,) center or one
     per row: below 8 terms numpy's row sum adds them in order, as this fold
@@ -165,10 +154,11 @@ def squared_distance(x2: np.ndarray, center) -> np.ndarray:
 def reward(task: TaskSpec, x, context):
     """Analytic task reward in [0, 1] for state(s) x under conditioning
     ``context`` (one int, or one per row of a batch), scored on terminal
-    samples and on projected virtual terminals alike. The state rows are
-    checked, since the rollout's one-step projections meet no other check;
-    the contexts are not, since they enter through ``diffnet.check_contexts``."""
-    x2 = _state_rows(task, x)
+    samples and on projected virtual terminals alike. Like ``quality`` it
+    runs unchecked: the rollout checks its projections and the evaluation
+    sampler its samples as they are made, and the contexts enter through
+    ``diffnet.check_contexts``."""
+    x2 = np.atleast_2d(x)
     s = task.sharpness
     if task.name == "mode-preference":
         center = task.centers()[context]
@@ -185,7 +175,7 @@ def quality(task: TaskSpec, x):
 
     This plays the role of a held-out quality score: it does not depend on
     the conditioning context, so reward can rise while quality falls. x is
-    read unchecked: ``evaluate`` passes the rows ``reward`` has just checked.
+    read unchecked: ``evaluate`` passes the samples its sampler has checked.
     """
     x2 = np.atleast_2d(x)
     d = task.state_dim

@@ -29,8 +29,9 @@ class NonFiniteStep(RuntimeError):
 
 def check_states(x: np.ndarray, t: int, contexts, kind: str) -> None:
     """Raise ``NonFiniteStep`` if a row of the (n, d) states x made by step t
-    of a sampler (``kind``: "ODE" or "SDE") is non-finite, naming the step and
-    the contexts of those rows; ``contexts`` is one per row, or one for all.
+    of a sampler (``kind``: "ODE" or "SDE"), or of their projections
+    ("projected"), is non-finite, naming the step and the contexts of those
+    rows; ``contexts`` is one per row, or one for all.
     The rows are diagnosed only after one whole-array test has failed."""
     if np.isfinite(x).all():
         return

@@ -9,8 +9,8 @@ tau = 0 is the identity. Each slot draws all its noise at once from one
 generator keyed by the slot's seed, member by member, so a trajectory's
 noise depends neither on the batch size nor on the other slots nor on the
 group members after it, while every timestep advances all rows of the batch
-at once. Each new state is checked once, as it is made; the rewards and
-log-densities are computed after the loop, in one call each.
+at once. Each state and projection is checked as it is made; the rewards
+and log-densities are computed after the loop, in one call each.
 """
 
 from __future__ import annotations
@@ -150,34 +150,28 @@ def rollout_group(
     """Sample G stochastic trajectories per context slot under a frozen policy.
 
     ``seeds`` gives one seed per slot, as SeedSequence entropy (an int or a
-    tuple of ints). For t = T .. 1 every row of the batch takes one
-    exploration step and keeps its step mean and the one-step projection of
-    the new state. After the loop one ``envsuite.reward`` call scores all
-    B * G * T projections and one ``transition_logpdf`` call, on the
-    time-major states and means with the step variance as a (T, 1) column,
-    gives all the transition log-densities. ``shared_initial_noise`` starts
-    every trajectory of a slot from the same s_T (exploration then comes only
-    from the step noise); the default draws independent initial noise per
-    trajectory.
+    tuple of ints). For t = T .. 1 one network pass at every row's (s_t, t/T)
+    gives the velocity v of the exploration step to s_{t-1}, whose mean is
+    kept, and, for t < T, of the projection s_t - (t/T) v: T passes in all,
+    since s_0 is its own projection. After the loop one ``envsuite.reward``
+    call scores all B * G * T projections and one ``transition_logpdf`` call,
+    with the step variance as a (T, 1) column, gives every log-density.
+    ``shared_initial_noise`` starts every trajectory of a slot from the same
+    s_T (exploration then comes only from the step noise).
 
-    Inputs are checked here, once, and each new state as it is made: a
-    non-finite one raises ``flowcore.NonFiniteStep`` naming the step and the
-    contexts of its rows. Each projection's velocity, taken at the new state
-    and time, is also the one the next exploration step needs, so a rollout
-    makes T network evaluations, one per transition; the last step's
-    projection, at tau = 0, is the identity and needs none.
+    Each new state, then each projection, is checked as it is made: a
+    non-finite one raises ``flowcore.NonFiniteStep`` naming the step that
+    made the state and the contexts of its rows. Of the inputs, only those
+    that would otherwise pass silently are checked: the contexts (a negative
+    one selects the last one-hot column) and the shape of ``buffers`` (a
+    longer T leaves stale steps in the batch). Too few or too many seeds fail
+    at the first write into the buffers; ``TrainConfig`` checks G >= 2.
 
     Everything is written into ``buffers``, the caller's ``RolloutBuffers``
     for this (B, G, T) shape, or into ones made for this call; their
-    docstring says how long the returned batch lives. Every call rewrites
-    the one-hot context block of the features, since each batch has
-    contexts of its own.
+    docstring says how long the returned batch lives.
     """
     contexts = np.asarray(contexts, dtype=np.int64)
-    if group_size < 2:
-        raise ValueError("group_size must be >= 2")
-    if contexts.ndim != 1 or contexts.shape[0] < 1 or len(seeds) != contexts.shape[0]:
-        raise ValueError("need one seed per context slot")
     diffnet.check_contexts(arch, contexts)
     layers = diffnet.unpack(arch, params_old)
     t_steps = schedule.num_steps
@@ -190,24 +184,25 @@ def rollout_group(
     draws = [_draw_noise(s, group_size, t_steps, d, shared_initial_noise) for s in seeds]
     row_noise = np.concatenate([noise for _, noise in draws])
     row_contexts = np.repeat(contexts, group_size)
+    step_contexts = np.tile(row_contexts, t_steps)
 
     states, means, projections = buffers.states, buffers.means, buffers.projections
     phi, hs = buffers.phi, buffers.hs
-    x = states[0] = np.concatenate([init for init, _ in draws])
-    phi[:] = diffnet.feature_matrix(arch, x, 1.0, row_contexts)
-    v = diffnet.mlp(layers, phi[0], [h[0] for h in hs])
+    diffnet.write_context(arch, phi.reshape(-1, arch.input_dim), step_contexts)
+    # out= takes only the exact (B*G, D) shape: one seed per slot
+    x = np.concatenate([init for init, _ in draws], out=states[0])
     for j, t in enumerate(range(t_steps, 0, -1)):
-        x, means[j] = flowcore.sde_update(x, v, t, schedule, row_noise[:, j])
-        flowcore.check_states(x, t, row_contexts, "SDE")
-        states[j + 1] = x
-        if t == 1:
-            break
-        tau_next = (t - 1) / t_steps
-        diffnet.write_state_time(arch, phi[j + 1], x, diffnet.time_features(tau_next))
-        v = diffnet.mlp(layers, phi[j + 1], [h[j + 1] for h in hs])
-        projections[j] = flowcore.euler_update(x, v, tau_next)
+        tau = t / t_steps
+        diffnet.write_state_time(arch, phi[j], x, diffnet.time_features(tau))
+        v = diffnet.mlp(layers, phi[j], [h[j] for h in hs])
+        states[j + 1], means[j] = flowcore.sde_update(x, v, t, schedule, row_noise[:, j])
+        flowcore.check_states(states[j + 1], t, row_contexts, "SDE")
+        if j > 0:
+            projections[j - 1] = flowcore.euler_update(x, v, tau)
+            flowcore.check_states(projections[j - 1], t + 1, row_contexts, "projected")
+        x = states[j + 1]
     projections[-1] = x
-    rewards = envsuite.reward(task, projections.reshape(-1, d), np.tile(row_contexts, t_steps))
+    rewards = envsuite.reward(task, projections.reshape(-1, d), step_contexts)
     logps = None
     if schedule.a > 0:
         logps = flowcore.transition_logpdf(states[1:], means, schedule.table[2][:, None])

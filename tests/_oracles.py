@@ -381,7 +381,7 @@ def fm_kernel_loss_and_grad(arch, params, x0, x1, tau, context):
     vector built for this one batch."""
     tau = np.broadcast_to(np.asarray(tau, dtype=float), (x0.shape[0],))
     xt = (1.0 - tau[:, None]) * x0 + tau[:, None] * x1
-    phi = diffnet.feature_matrix(arch, xt, tau, context)
+    phi = diffnet.features(arch, xt, tau, context)
     layers = diffnet.unpack(arch, params)
     hs, deltas = diffnet.layer_buffers(layers, x0.shape[0]), diffnet.layer_buffers(layers, x0.shape[0])
     pgrad = np.empty(diffnet.param_count(arch))

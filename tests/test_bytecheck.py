@@ -153,3 +153,20 @@ def test_a_train_run_covers_the_smallest_shapes():
         and c.get("inner_epochs", 1) >= 2
         for c in trains
     )
+
+
+def test_train_runs_cover_the_ring_reward_and_the_1d_mode_reward():
+    # the rollout scores its projections with every branch of the reward:
+    # the ring's, which ignores the context, and mode-preference's column
+    # fold at d = 1 over several contexts
+    trains = [
+        bytecheck.CONFIGS[args[args.index("--config") + 1]]
+        for args in bytecheck.COMMANDS.values()
+        if args[0] == "train" and "--dump-trajectories" in args
+    ]
+    assert any(c.get("task") == "ring" and c.get("task_context_count", 8) > 1 for c in trains)
+    assert any(
+        c.get("task", "mode-preference") == "mode-preference" and c.get("task_state_dim") == 1
+        and c.get("task_context_count", 8) > 1
+        for c in trains
+    )

@@ -355,7 +355,7 @@ def test_mlp_on_features_matches_forward_property(state_dim, context_count, hidd
     again = diffnet.mlp(layers, phi2, hs)
     assert again is got
     assert np.array_equal(again, diffnet.forward(arch, params, x2, tau, ctx))
-    buffer = diffnet.feature_matrix(arch, rng.standard_normal((n, state_dim)), 1.0, ctx)
+    buffer = diffnet.features(arch, rng.standard_normal((n, state_dim)), 1.0, ctx)
     diffnet.write_state_time(arch, buffer, x, diffnet.time_features(tau))
     assert np.array_equal(buffer, phi)
 
@@ -375,7 +375,7 @@ def test_bias_rows_are_the_broadcast_biases_bit_for_bit(dtype, n):
     ]
     rows = [(w, np.tile(b, (n, 1))) for w, b in layers]
     x, tau, context = rng.standard_normal((n, 2)), rng.uniform(0.0, 1.0, n), rng.integers(0, 8, n)
-    phi = diffnet.feature_matrix(arch, x, tau, context).astype(dtype)
+    phi = diffnet.features(arch, x, tau, context).astype(dtype)
     want = diffnet.layer_buffers(layers, n)
     got = diffnet.layer_buffers(rows, n)
     diffnet.mlp(layers, phi, want)

@@ -180,11 +180,6 @@ class TestReward:
         want = np.exp(-task.sharpness * ((x - task.centers()[contexts]) ** 2).sum(axis=1))
         assert np.array_equal(envsuite.reward(task, x, contexts), want)
 
-    def test_non_finite_state_rejected(self):
-        task = envsuite.TaskSpec()
-        with pytest.raises(ValueError):
-            envsuite.reward(task, np.array([np.nan, 0.0]), 0)
-
 
 class TestQuality:
     def test_two_mode_closed_form(self):

@@ -46,10 +46,6 @@ class TestRolloutGroup:
         make_group(setup)
         assert len(calls) == 1
 
-    def test_group_size_below_two_rejected(self, setup):
-        with pytest.raises(ValueError):
-            make_group(setup, group_size=1)
-
     def test_deterministic_dynamics_shared_noise_collapses_group(self, setup):
         g = make_group(setup, a=0.0, shared=True)
         base = g.states[0, 0]
@@ -89,6 +85,16 @@ class TestRolloutGroup:
         for contexts in ([0, arch.context_count], [-1]):
             with pytest.raises(ValueError, match="context index out of range"):
                 rollout.rollout_group(arch, params, contexts, 4, sched, task, seeds=[0] * len(contexts))
+
+    def test_a_seed_count_other_than_the_slot_count_is_rejected(self, setup):
+        # no check of its own: the first write into the buffers takes only
+        # one initial state per row of the (B * G) batch
+        task, arch, params = setup
+        sched = flowcore.NoiseSchedule(a=0.7, num_steps=6)
+        for seeds in ([0], [0, 1, 2]):
+            for buffers in (None, rollout.make_buffers(arch, 2, 4, 6)):
+                with pytest.raises(ValueError):
+                    rollout.rollout_group(arch, params, [2, 5], 4, sched, task, seeds, buffers=buffers)
 
     def test_per_trajectory_streams_do_not_depend_on_group_size(self, setup):
         small = make_group(setup, group_size=4)
@@ -259,6 +265,28 @@ class TestTrajectoryValidation:
             rollout.rollout_group(
                 arch, params, [0, 1, 2, 1], 2, sched, task, seeds=[0, 1, 2, 3]
             )
+
+
+    def test_non_finite_projection_aborts_with_diagnostic(self, setup, monkeypatch):
+        # the third projection, of the states step t=8 made, turns non-finite
+        # in slot 1's rows while every state stays finite: the rollout stops
+        # there, before the reward, naming that step and slot 1's context
+        task, arch, params = setup
+        taus = []
+        real_euler_update = flowcore.euler_update
+
+        def euler_update(x, v, h):
+            taus.append(h)
+            out = real_euler_update(x, v, h)
+            if len(taus) == 3:
+                out[4:] = np.nan
+            return out
+
+        monkeypatch.setattr(flowcore, "euler_update", euler_update)
+        sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
+        with pytest.raises(flowcore.NonFiniteStep, match=r"^step t=8 context=5: non-finite projected state$"):
+            rollout.rollout_group(arch, params, [2, 5], 4, sched, task, seeds=[0, 1])
+        assert taus == [0.9, 0.8, 0.7]
 
 
 class TestTrajectoryDump:

@@ -25,6 +25,12 @@ SMALL_TASK = envsuite.TaskSpec(
     mode_centers=[[1.5, 0.0], [-1.5, 0.0]],
 )
 
+# tasks on which an evaluation's samples are moved far from every mode
+FAR_TASKS = {
+    "far-mode-preference": SMALL_TASK,
+    "far-half-plane-8d": envsuite.TaskSpec("half-plane", state_dim=8, context_count=2),
+}
+
 
 def small_config(**overrides):
     defaults = dict(
@@ -398,7 +404,7 @@ class TestOnePassPerTransition:
         b, g, t, d = batch.states[:, :, :-1].shape
         taus = np.tile(batch.schedule.tau_grid(), b * g)
         x = batch.states[:, :, :-1].reshape(-1, d)
-        phi = diffnet.feature_matrix(state.arch, x, taus, np.repeat(batch.contexts, g * t))
+        phi = diffnet.features(state.arch, x, taus, np.repeat(batch.contexts, g * t))
         layers = diffnet.unpack(state.arch, state.theta)
         hs = diffnet.layer_buffers(layers, phi.shape[0])
         diffnet.mlp(layers, phi, hs)
@@ -647,22 +653,35 @@ class TestEvaluate:
         with pytest.raises(RuntimeError, match="step t=5 context=0: non-finite ODE state"):
             trainer.evaluate(arch, params, cfg, step=0)
 
-    @pytest.mark.parametrize("trained", [False, True], ids=["pretrained", "trained"])
-    def test_float32_statistics_stay_near_the_float64_oracle(self, pretrained, trained):
+    @pytest.mark.parametrize("case", ["pretrained", "trained", *FAR_TASKS])
+    def test_float32_statistics_stay_near_the_float64_oracle(self, pretrained, case):
         # float32 samples are within about 1e-6 of the float64 path: the
-        # reward (slope below 2 here) moves by less than 1e-5, the log-density
-        # (slope |x - c| / mode_var, a few tens here) by less than 1e-4, and
-        # a sample changes its side of the accuracy threshold only if its
-        # reward lies within 1e-5 of it, which none of these does
-        cfg = small_config(eval_samples=512)
-        params = trainer.run(cfg, pretrained).params if trained else pretrained
+        # reward (slope below 2 here) moves by less than 1e-5, and a sample
+        # changes its side of the accuracy threshold only if its reward lies
+        # within 1e-5 of it, which none of these does. The log-density (slope
+        # |x - c| / mode_var) moves by less than 1e-4 near the modes, where
+        # the slope is a few tens; for samples that an output bias moves
+        # about 20, then 60, from every mode it moves by up to about 1e-3,
+        # a relative 1e-7
+        cfg = small_config(task=FAR_TASKS.get(case, SMALL_TASK), eval_samples=512)
         arch = cfg.architecture()
-        for step in (0, 7):
-            got = trainer.evaluate(arch, params, cfg, step)
-            want = reference_evaluate(arch, params, cfg, step)
-            assert abs(got["mean_reward"] - want["mean_reward"]) < 1e-5
-            assert got["accuracy"] == want["accuracy"]
-            assert abs(got["quality_mean"] - want["quality_mean"]) < 1e-4
+        if case in FAR_TASKS:
+            thetas = [diffnet.init_params(arch, 0), diffnet.init_params(arch, 0)]
+            for theta, shift in zip(thetas, (20.0, 60.0)):
+                theta[-arch.output_dim:] = -shift / math.sqrt(arch.output_dim)
+        else:
+            thetas = [trainer.run(cfg, pretrained).params if case == "trained" else pretrained]
+        for params in thetas:
+            for step in (0, 7):
+                got = trainer.evaluate(arch, params, cfg, step)
+                want = reference_evaluate(arch, params, cfg, step)
+                assert abs(got["mean_reward"] - want["mean_reward"]) < 1e-5
+                assert got["accuracy"] == want["accuracy"]
+                quality_error = abs(got["quality_mean"] - want["quality_mean"])
+                if case in FAR_TASKS:
+                    assert quality_error < 1e-6 * abs(want["quality_mean"])
+                else:
+                    assert quality_error < 1e-4
 
     @pytest.mark.parametrize("context_count", [1, 2])
     def test_layer_buffers_are_allocated_once_per_request(self, count_calls, context_count):
@@ -677,12 +696,12 @@ class TestEvaluate:
         trainer.evaluate(arch, params, cfg, step=1)
         assert len(calls) == 2
 
-    def test_no_feature_matrix_is_built(self, count_calls):
+    def test_the_sampler_writes_no_features(self, count_calls):
         # the evaluation sampler folds the time and context features into the
         # first layer: no feature matrix is made or rewritten
         cfg = small_config()
         arch = cfg.architecture()
-        calls = [count_calls(diffnet, name) for name in ("write_state_time", "write_context", "feature_matrix")]
+        calls = [count_calls(diffnet, name) for name in ("features", "write_state_time", "write_context")]
         trainer.evaluate(arch, diffnet.init_params(arch, 0), cfg, step=0)
         assert calls == [[], [], []]
 

@@ -39,7 +39,12 @@ tree then runs, with its own ``src`` on ``PYTHONPATH`` and
 - ``flowrl train --seed 7 --dump-trajectories`` at the smallest shapes:
   ``batch_contexts: 1``, ``group_size: 2``, ``sampling_steps: 2`` and
   ``inner_epochs: 2``, so that the update's (B, G, T) broadcasts and
-  reductions meet axes of length 1 and 2.
+  reductions meet axes of length 1 and 2;
+- ``flowrl train --seed 9 --dump-trajectories`` on the ring task with three
+  contexts, and ``flowrl train --seed 10 --dump-trajectories`` on the 1-D
+  mode-preference task with three modes and three contexts, 40 training
+  steps each, so that the reward's ring branch and its 1-D column fold score
+  the rollout's projections too.
 
 Every file the commands write and each command's stdout are compared, except
 ``timing.jsonl``, which holds wallclock times. Exits 0 when every output is
@@ -92,6 +97,14 @@ CONFIGS = {
         "batch_contexts": 1, "group_size": 2, "sampling_steps": 2, "inner_epochs": 2, "train_steps": 60,
         "pretrain_steps": 200, "eval_every": 20, "eval_samples": 32,
     },
+    "ring-train.json": {
+        "task": "ring", "task_context_count": 3, "train_steps": 40, "pretrain_steps": 200,
+        "eval_every": 20, "eval_samples": 32,
+    },
+    "mode1d.json": {
+        "task": "mode-preference", "task_state_dim": 1, "task_num_modes": 3, "task_context_count": 3,
+        "train_steps": 40, "pretrain_steps": 200, "eval_every": 20, "eval_samples": 32,
+    },
 }
 COMMANDS = {
     "ablate": ["ablate", "--seed", "1", "--out-dir", "out/ablate"],
@@ -128,6 +141,12 @@ COMMANDS = {
     ],
     "train-minimal": [
         "train", "--seed", "7", "--config", "minimal.json", "--out-dir", "out/minimal", "--dump-trajectories",
+    ],
+    "train-ring": [
+        "train", "--seed", "9", "--config", "ring-train.json", "--out-dir", "out/ring-train", "--dump-trajectories",
+    ],
+    "train-mode1d": [
+        "train", "--seed", "10", "--config", "mode1d.json", "--out-dir", "out/mode1d", "--dump-trajectories",
     ],
 }
 
