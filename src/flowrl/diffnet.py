@@ -197,9 +197,9 @@ def mlp(layers, phi: np.ndarray, hs: list[np.ndarray]) -> np.ndarray:
     which it adds as one contiguous array: the same sums, faster for a
     caller that runs many passes over n rows.
 
-    Returns ``hs[-1]``. The activations ``backward`` reads are
-    ``[phi, *hs[:-1]]``. The next call on the same buffers overwrites the
-    result and the activations, so a caller uses them before that call.
+    Returns ``hs[-1]``. The next call on the same buffers overwrites the
+    result and the hidden outputs, and ``backward`` spends them, so a caller
+    uses them before either.
     """
     h = phi
     for (w, b), z in zip(layers[:-1], hs):
@@ -221,9 +221,10 @@ def forward(arch: Architecture, params: np.ndarray, x, tau, context):
     return out[0] if np.asarray(x).ndim == 1 else out
 
 
-def backward(layers, activations, upstream, grads, deltas, squares):
+def backward(layers, phi, hs, upstream, grads, deltas):
     """Exact reverse-mode gradient of ``sum_n <upstream_n, out_n>`` from
-    ``unpack``'s layers and the activations of the ``mlp`` call, unchecked.
+    ``unpack``'s layers and the ``mlp`` pass that wrote ``hs`` from ``phi``,
+    unchecked.
 
     Each layer's parameter gradient is written into ``grads``, ``unpack``'s
     (weight, bias) views of the caller's flat gradient vector. Returns the
@@ -231,26 +232,28 @@ def backward(layers, activations, upstream, grads, deltas, squares):
     are hidden layers), one row per sample; it stops there, since only
     ``grad`` needs the input gradient.
 
-    ``deltas`` and ``squares`` are caller-owned ``layer_buffers`` lists for
-    the n rows: for each hidden layer i, ``delta @ W`` is written into
-    ``deltas[i]`` and the tanh derivative 1 - h_i^2 into ``squares[i]``; the
-    output layer's entries are never touched. The returned gradient is
+    ``deltas`` is a caller-owned ``layer_buffers`` list for the n rows: for
+    each hidden layer i, ``delta @ W`` is written into ``deltas[i]``; the
+    output layer's entry is never touched. The returned gradient is
     ``deltas[0]`` (``upstream`` for a net without hidden layers), so the next
-    call on the same buffers overwrites it. ``squares`` may be the ``hs`` of
-    the ``mlp`` call itself: each activation is read for the last time before
-    its derivative is written over it.
+    call on the same buffers overwrites it.
+
+    The call spends the pass: each hidden output ``hs[i]`` is read for the
+    last time, then its tanh derivative 1 - h_i^2 is written over it. A
+    caller that differentiates again first runs ``mlp`` again; ``phi`` and
+    ``hs[-1]`` are only read.
     """
     # the output layer is linear; hidden layers are tanh
     delta = upstream
     for idx in range(len(layers) - 1, -1, -1):
         gw, gb = grads[idx]
-        np.matmul(delta.T, activations[idx], out=gw)
+        h = hs[idx - 1] if idx else phi
+        np.matmul(delta.T, h, out=gw)
         delta.sum(axis=0, out=gb)
         if idx == 0:
             return delta
         delta = np.matmul(delta, layers[idx][0], out=deltas[idx - 1])
-        square = np.multiply(activations[idx], activations[idx], out=squares[idx - 1])
-        delta *= np.subtract(1.0, square, out=square)
+        delta *= np.subtract(1.0, np.multiply(h, h, out=h), out=h)
 
 
 def grad(arch: Architecture, params: np.ndarray, x, tau, context, upstream):
@@ -270,7 +273,7 @@ def grad(arch: Architecture, params: np.ndarray, x, tau, context, upstream):
         raise ValueError(f"upstream shape {upstream.shape} != {expected}")
     flat = np.empty(param_count(arch))
     deltas = layer_buffers(layers, phi.shape[0])
-    delta = backward(layers, [phi, *hs[:-1]], upstream, unpack(arch, flat), deltas, hs) @ layers[0][0]
+    delta = backward(layers, phi, hs, upstream, unpack(arch, flat), deltas) @ layers[0][0]
     return flat, (delta[0] if single else delta)
 
 

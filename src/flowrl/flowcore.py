@@ -207,12 +207,11 @@ def fm_loss_and_grad(layers, phi, hs, target, grads, deltas) -> np.ndarray:
     (``unpack``'s views of a flat vector).
 
     ``target`` is the straight-path velocity x1 - x0 of each row. ``hs`` and
-    ``deltas`` are ``diffnet.layer_buffers`` for n rows: the network writes
-    into ``hs``, and ``diffnet.backward`` its deltas into ``deltas`` and its
-    tanh derivatives over the spent activations in ``hs``.
+    ``deltas`` are ``diffnet.layer_buffers`` for n rows: the network's pass
+    writes into ``hs``, and ``diffnet.backward`` spends it.
     """
     resid = target - diffnet.mlp(layers, phi, hs)
-    diffnet.backward(layers, [phi, *hs[:-1]], (-2.0 / target.shape[0]) * resid, grads, deltas, hs)
+    diffnet.backward(layers, phi, hs, (-2.0 / target.shape[0]) * resid, grads, deltas)
     return resid
 
 

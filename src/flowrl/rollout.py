@@ -87,8 +87,8 @@ class RolloutBuffers:
        time-major ``hs``; every ``diffnet.backward`` of the update writes
        its deltas over them.
     3. The first ``trainer.update_policy`` epoch reads the rollout's pass
-       in the batch's ``hs``; its ``backward`` writes tanh derivatives over
-       them, so each later epoch first runs its own pass into them.
+       in the batch's ``hs``, and its ``backward`` spends that pass, as
+       ``diffnet.backward`` states; each later epoch first runs its own.
 
     The rest of the batch is only read, until the next ``rollout_group``
     call on the same buffers overwrites every array: a caller that keeps a

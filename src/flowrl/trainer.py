@@ -240,14 +240,14 @@ def clipped_term(ratio, advantages, eps_clip: float):
     return np.minimum(ratio * advantages, np.clip(ratio, 1.0 - eps_clip, 1.0 + eps_clip) * advantages)
 
 
-def reference_means(arch: Architecture, theta_ref: np.ndarray, batch: RolloutBatch, hs=None) -> np.ndarray:
+def reference_means(arch: Architecture, theta_ref: np.ndarray, batch: RolloutBatch, hs) -> np.ndarray:
     """The reference policy's (B, G, T, d) step means at the batch's states,
-    from its one ``diffnet.mlp`` pass over ``batch.phi``. The pass writes
-    into ``hs``, one (B * G * T, fan_out) array per layer, the caller's or
-    made here; ``rollout.RolloutBuffers`` says how long the caller's live."""
+    from its one ``diffnet.mlp`` pass over ``batch.phi`` into the caller's
+    ``hs``, one (B * G * T, fan_out) array per layer. ``diffnet.backward``
+    states how a pass is spent, and ``rollout.RolloutBuffers`` how long a
+    training step's arrays live."""
     layers = diffnet.unpack(arch, theta_ref)
-    phi = batch.phi.reshape(-1, arch.input_dim)
-    v_ref = diffnet.mlp(layers, phi, diffnet.layer_buffers(layers, phi.shape[0]) if hs is None else hs)
+    v_ref = diffnet.mlp(layers, batch.phi.reshape(-1, arch.input_dim), hs)
     x, sched = batch.states[:, :, :-1], batch.schedule
     tc, s2 = sched.table[:2, :, None]
     return flowcore.step_mean(x, v_ref.reshape(x.shape), tc, s2, sched.dtau)
@@ -255,7 +255,7 @@ def reference_means(arch: Architecture, theta_ref: np.ndarray, batch: RolloutBat
 
 def surrogate_loss_and_grad(
     arch: Architecture, theta: np.ndarray, batch: RolloutBatch, advantages, ref_mean: np.ndarray,
-    eps_clip: float, beta_kl: float, hs=None, deltas=None,
+    eps_clip: float, beta_kl: float, hs, deltas,
 ) -> SurrogateResult:
     """Clipped surrogate objective over a rollout batch and its exact gradient.
 
@@ -271,15 +271,13 @@ def surrogate_loss_and_grad(
     has no transition densities, and advantages or reference means not
     shaped like the batch's transitions are rejected.
 
-    ``hs``, when the caller has them, are the layer outputs of theta's
-    ``diffnet.mlp`` pass over ``batch.phi``, one (B * G * T, fan_out) array
-    per layer, and ``deltas`` arrays of the same shapes; without them the
-    pass and ``diffnet.backward`` run into arrays made here. ``backward``
-    writes its deltas into ``deltas`` and its tanh derivatives over ``hs``,
-    so the call spends the pass (``rollout.RolloutBuffers`` gives the order
-    in a training step). A non-finite gradient is found by one whole-array
-    test; only then are the contexts named of the slots with a non-finite
-    row of the upstream or of a hidden layer's delta.
+    ``hs`` are the layer outputs of the caller's ``diffnet.mlp`` pass of
+    theta over ``batch.phi``, one (B * G * T, fan_out) array per layer, and
+    ``deltas`` arrays of the same shapes for ``diffnet.backward``, which
+    spends the pass (``rollout.RolloutBuffers`` gives the order in a
+    training step). A non-finite gradient is found by one whole-array test;
+    only then are the contexts named of the slots with a non-finite row of
+    the upstream or of a hidden layer's delta.
     """
     if batch.logp_old is None:
         raise ValueError("policy optimization requires stochastic rollouts (a > 0)")
@@ -291,11 +289,6 @@ def surrogate_loss_and_grad(
     tc, s2, var, _, coeff = sched.table[:, :, None]
     n_rows = batch.logp_old.size
     layers = diffnet.unpack(arch, theta)
-    phi = batch.phi.reshape(-1, arch.input_dim)
-    if hs is None:
-        hs = diffnet.layer_buffers(layers, n_rows)
-        diffnet.mlp(layers, phi, hs)
-    deltas = diffnet.layer_buffers(layers, n_rows) if deltas is None else deltas
     mean = flowcore.step_mean(x, hs[-1].reshape(x.shape), tc, s2, sched.dtau)
     ratio = np.exp(flowcore.transition_logpdf(x_next, mean, var[:, 0]) - batch.logp_old)
     unclipped = ratio * advantages
@@ -305,21 +298,20 @@ def surrogate_loss_and_grad(
     # the saturated clip branch contributes nothing; a NaN term stays NaN
     kappa = np.where(surrogate_terms < unclipped, 0.0, unclipped)
     dj_dmean = (kappa[..., None] * (x_next - mean) - beta_kl * (mean - ref_mean)) / (n_rows * var)
-    upstream = coeff * dj_dmean
+    upstream = (coeff * dj_dmean).reshape(n_rows, -1)
     pgrad = np.empty_like(theta)
-    diffnet.backward(
-        layers, [phi, *hs[:-1]], upstream.reshape(n_rows, -1), diffnet.unpack(arch, pgrad), deltas, hs
-    )
+    diffnet.backward(layers, batch.phi.reshape(n_rows, -1), hs, upstream, diffnet.unpack(arch, pgrad), deltas)
     nonfinite_contexts = ()
     if not np.isfinite(pgrad).all():
-        rows = [upstream.reshape(n_rows, -1), *deltas[:len(layers) - 1]]
+        rows = [upstream, *deltas[:len(layers) - 1]]
         finite = np.logical_and.reduce([np.isfinite(r).all(axis=1) for r in rows])
         bad = ~finite.reshape(len(batch.contexts), -1).all(axis=1)
         nonfinite_contexts = tuple(np.unique(batch.contexts[bad]).tolist())
+    kl = kl_terms.mean()
     return SurrogateResult(
-        value=float(surrogate_terms.mean() - beta_kl * kl_terms.mean()),
+        value=float(surrogate_terms.mean() - beta_kl * kl),
         grad=pgrad,
-        kl=float(kl_terms.mean()),
+        kl=float(kl),
         mean_ratio=float(ratio.mean()),
         clip_fraction=float((ratio < 1.0 - eps_clip).mean() + (ratio > 1.0 + eps_clip).mean()),
         nonfinite_contexts=nonfinite_contexts,

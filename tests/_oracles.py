@@ -11,11 +11,12 @@ at the end are the group-by-group, timestep-by-timestep path the batched
 training step replaced; the surrogate reference takes each timestep's step
 means from ``reference_velocity`` and ``flowcore.step_mean``, its densities
 from ``transition_logpdf`` and ``kl_step``, and its gradient from one
-``diffnet.mlp`` and ``diffnet.backward`` call per timestep. The
-flow-matching references are a checked, allocating form of the pretraining
-loop, and ``exact_velocity`` is the closed-form field that loop should
-learn. ``load_trajectory_dump`` reads back a
-``rollout.dump_trajectories`` file.
+``diffnet.mlp`` and ``diffnet.backward`` call per timestep;
+``reference_means_at`` and ``surrogate_at`` run the library's two update
+kernels on arrays built for one call. The flow-matching references are a
+checked, allocating form of the pretraining loop, and ``exact_velocity`` is
+the closed-form field that loop should learn. ``load_trajectory_dump`` reads
+back a ``rollout.dump_trajectories`` file.
 """
 
 import json
@@ -269,7 +270,7 @@ def reference_surrogate(arch, theta, theta_ref, states, logp_old, advantages, co
     terms = np.empty((g_size, t_steps))
     kls = np.empty((g_size, t_steps))
     layers = diffnet.unpack(arch, theta)
-    hs, deltas, squares = (diffnet.layer_buffers(layers, g_size) for _ in range(3))
+    hs, deltas = diffnet.layer_buffers(layers, g_size), diffnet.layer_buffers(layers, g_size)
     pgrad = np.zeros(diffnet.param_count(arch))
     step_grad = np.empty_like(pgrad)
     for j, t in enumerate(range(t_steps, 0, -1)):
@@ -296,9 +297,29 @@ def reference_surrogate(arch, theta, theta_ref, states, logp_old, advantages, co
         upstream = -dtau * (1.0 + s2 * (1.0 - tc) / (2.0 * tc)) * dj_dmean
         phi = reference_features(arch, x_t, tau, context)
         diffnet.mlp(layers, phi, hs)
-        diffnet.backward(layers, [phi, *hs[:-1]], upstream, diffnet.unpack(arch, step_grad), deltas, squares)
+        diffnet.backward(layers, phi, hs, upstream, diffnet.unpack(arch, step_grad), deltas)
         pgrad += step_grad
     return float(terms.mean() - beta_kl * kls.mean()), pgrad
+
+
+def reference_means_at(arch, theta_ref, batch):
+    """``trainer.reference_means`` (the library kernel, not an oracle) with
+    its pass run into layer buffers built for this one call."""
+    hs = diffnet.layer_buffers(diffnet.unpack(arch, theta_ref), batch.phi.size // arch.input_dim)
+    return trainer.reference_means(arch, theta_ref, batch, hs)
+
+
+def surrogate_at(arch, theta, batch, advantages, ref_mean, eps_clip, beta_kl):
+    """``trainer.surrogate_loss_and_grad`` (the library kernel, not an
+    oracle) at theta: theta's pass over ``batch.phi`` runs into layer buffers
+    built for this one call, which the surrogate then spends, so every call,
+    at any theta, differentiates a pass of its own and leaves the batch's
+    arrays as they were."""
+    layers = diffnet.unpack(arch, theta)
+    phi = batch.phi.reshape(-1, arch.input_dim)
+    hs, deltas = diffnet.layer_buffers(layers, phi.shape[0]), diffnet.layer_buffers(layers, phi.shape[0])
+    diffnet.mlp(layers, phi, hs)
+    return trainer.surrogate_loss_and_grad(arch, theta, batch, advantages, ref_mean, eps_clip, beta_kl, hs, deltas)
 
 
 def reference_interpolate(x0, x1, tau):
@@ -331,8 +352,8 @@ def reference_fm_loss_and_grad(arch, params, x0, x1, tau, context):
     loss = float((resid ** 2).sum(axis=1).mean())
     upstream = (-2.0 / x0.shape[0]) * resid
     pgrad = np.empty(diffnet.param_count(arch))
-    deltas, squares = diffnet.layer_buffers(layers, phi.shape[0]), diffnet.layer_buffers(layers, phi.shape[0])
-    diffnet.backward(layers, [phi, *hs[:-1]], upstream, diffnet.unpack(arch, pgrad), deltas, squares)
+    deltas = diffnet.layer_buffers(layers, phi.shape[0])
+    diffnet.backward(layers, phi, hs, upstream, diffnet.unpack(arch, pgrad), deltas)
     return loss, pgrad
 
 

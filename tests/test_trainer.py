@@ -17,7 +17,9 @@ from _oracles import (
     grpo_advantages,
     max_rel_error,
     reference_evaluate,
+    reference_means_at,
     reference_pretrain,
+    surrogate_at,
 )
 
 SMALL_TASK = envsuite.TaskSpec(
@@ -240,8 +242,7 @@ class TestClippedTerm:
 
 def surrogate(arch, theta, theta_ref, batch, advantages, eps_clip, beta_kl):
     """The surrogate on one batch, against theta_ref's step means."""
-    ref_mean = trainer.reference_means(arch, theta_ref, batch)
-    return trainer.surrogate_loss_and_grad(arch, theta, batch, advantages, ref_mean, eps_clip, beta_kl)
+    return surrogate_at(arch, theta, batch, advantages, reference_means_at(arch, theta_ref, batch), eps_clip, beta_kl)
 
 
 class TestSurrogate:
@@ -296,18 +297,18 @@ class TestSurrogate:
         )
         advantages = trainer.compute_advantages(group, cfg)
         theta_ref = diffnet.init_params(arch, 12)
-        ref_mean = trainer.reference_means(arch, theta_ref, group)
+        ref_mean = reference_means_at(arch, theta_ref, group)
         rng = np.random.default_rng(9)
         # at shift 0.1 a share of the ratios leaves the clip band, so the
         # saturated branch's zero gradient is checked too
         for shift in (0.0, 0.01, 0.1):
             theta_cur = theta + shift * rng.standard_normal(theta.size)
-            res = trainer.surrogate_loss_and_grad(arch, theta_cur, group, advantages, ref_mean, 0.2, 0.01)
+            res = surrogate_at(arch, theta_cur, group, advantages, ref_mean, 0.2, 0.01)
             if shift == 0.1:
                 assert res.clip_fraction > 0.0
 
             def value_at(t):
-                return trainer.surrogate_loss_and_grad(arch, t, group, advantages, ref_mean, 0.2, 0.01).value
+                return surrogate_at(arch, t, group, advantages, ref_mean, 0.2, 0.01).value
 
             fd = central_difference(value_at, theta_cur)
             assert max_rel_error(res.grad, fd) < 1e-5
@@ -318,19 +319,19 @@ class TestSurrogate:
         sched = flowcore.NoiseSchedule(a=0.0, num_steps=4)
         group = rollout.rollout_group(arch, theta, [0], 3, sched, SMALL_TASK, seeds=[1])
         advantages = adv.adae(np.ones((1, 3, 4)), 0.5, np.ones((1, 3, 4)))
-        ref_mean = trainer.reference_means(arch, theta, group)
+        ref_mean = reference_means_at(arch, theta, group)
         with pytest.raises(ValueError, match="stochastic"):
-            trainer.surrogate_loss_and_grad(arch, theta.copy(), group, advantages, ref_mean, 0.2, 0.01)
+            surrogate_at(arch, theta.copy(), group, advantages, ref_mean, 0.2, 0.01)
 
     def test_inputs_not_shaped_like_the_batch_rejected(self, tiny_setup):
         cfg, state, batch = tiny_setup
         advantages = trainer.compute_advantages(batch, cfg)
-        ref_mean = trainer.reference_means(state.arch, state.theta_ref, batch)
+        ref_mean = reference_means_at(state.arch, state.theta_ref, batch)
         assert ref_mean.shape == batch.states[:, :, :-1].shape
         with pytest.raises(ValueError, match=r"advantage shape \(2, 4, 4\) != \(2, 4, 5\)"):
-            trainer.surrogate_loss_and_grad(state.arch, state.theta, batch, advantages[..., 1:], ref_mean, 0.2, 0.01)
+            surrogate_at(state.arch, state.theta, batch, advantages[..., 1:], ref_mean, 0.2, 0.01)
         with pytest.raises(ValueError, match=r"reference mean shape \(1, 4, 5, 2\) != \(2, 4, 5, 2\)"):
-            trainer.surrogate_loss_and_grad(state.arch, state.theta, batch, advantages, ref_mean[:1], 0.2, 0.01)
+            surrogate_at(state.arch, state.theta, batch, advantages, ref_mean[:1], 0.2, 0.01)
 
 
 def _inject_constant_rewards(batch, value):
@@ -483,13 +484,11 @@ class TestInnerEpochs:
         state = trainer.init_state(cfg, pretrained)
         batch = trainer.rollout_batch(state, 1)
         advantages = trainer.compute_advantages(batch, cfg)
-        ref_mean = trainer.reference_means(state.arch, state.theta_ref, batch)
+        ref_mean = reference_means_at(state.arch, state.theta_ref, batch)
         theta, adam = state.theta.copy(), copy.deepcopy(state.adam)
         epochs = []
         for _ in range(inner_epochs):
-            res = trainer.surrogate_loss_and_grad(
-                state.arch, theta, batch, advantages, ref_mean, cfg.eps_clip, cfg.beta_kl
-            )
+            res = surrogate_at(state.arch, theta, batch, advantages, ref_mean, cfg.eps_clip, cfg.beta_kl)
             diffnet.adam_update(theta, -res.grad, adam, cfg.lr)
             epochs.append(res)
         surrogate, kl, update_norm = trainer.update_policy(state, batch, advantages, 1)

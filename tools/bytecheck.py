@@ -5,9 +5,10 @@ Run from anywhere inside the repository::
 
     python3 tools/bytecheck.py HEAD~
 
-``REV`` is exported with ``git archive`` into a temporary directory. Each
-tree then runs, with its own ``src`` on ``PYTHONPATH`` and
-``PYTHONDONTWRITEBYTECODE=1``:
+``REV`` is exported with ``git archive`` into a temporary directory. The
+two trees then run at once, one worker thread each, and each runs its
+commands in order, with its own ``src`` on ``PYTHONPATH``,
+``PYTHONDONTWRITEBYTECODE=1`` and ``OPENBLAS_NUM_THREADS=1``:
 
 - ``flowrl ablate --seed 1``;
 - ``flowrl train --preset flow-grpo --seed 2 --dump-trajectories`` with
@@ -46,6 +47,11 @@ tree then runs, with its own ``src`` on ``PYTHONPATH`` and
   steps each, so that the reward's ring branch and its 1-D column fold score
   the rollout's projections too.
 
+Every ``flowrl`` child is single-threaded in BLAS because two children with
+threaded BLAS on two cores run slower together than one after the other:
+an idle BLAS worker spins on the core the other tree needs. Both sides get
+the same setting, and no output byte depends on the BLAS thread count.
+
 Every file the commands write and each command's stdout are compared, except
 ``timing.jsonl``, which holds wallclock times. Exits 0 when every output is
 identical and 1 naming each file that differs or exists on one side only; a
@@ -69,6 +75,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -166,7 +173,7 @@ def run_commands(tree: Path, workdir: Path) -> None:
     (workdir / "out").mkdir(parents=True)
     for name, values in CONFIGS.items():
         (workdir / name).write_text(json.dumps(values) + "\n")
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1")
     for name, args in COMMANDS.items():
         proc = subprocess.run(
             [sys.executable, "-m", "flowrl", *args], cwd=workdir, env=env, capture_output=True
@@ -278,8 +285,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bytecheck-") as tmp:
         tmp = Path(tmp)
         export(args.rev, tmp / "rev-tree")
-        run_commands(tmp / "rev-tree", tmp / "rev")
-        run_commands(ROOT, tmp / "checkout")
+        with ThreadPoolExecutor(2) as pool:
+            # list() reads both results, so a failed command on either side raises here
+            list(pool.map(run_commands, (tmp / "rev-tree", ROOT), (tmp / "rev", tmp / "checkout")))
         rev_out, checkout_out = tmp / "rev" / "out", tmp / "checkout" / "out"
         diffs = differing(rev_out, checkout_out)
         compared = len(compared_files(rev_out))
