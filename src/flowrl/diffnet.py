@@ -297,10 +297,9 @@ def adam_update(params: np.ndarray, gradient: np.ndarray, state: AdamState, lr: 
     m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g, then
     params -= lr m_hat / (sqrt(v_hat) + eps), each operation in the order of
     the out-of-place formulas, whose results it matches bit for bit.
-    Callers maximizing an objective pass the negated gradient.
+    Callers maximizing an objective pass the negated gradient, shaped like
+    ``params``: like ``mlp`` and ``backward``, it runs unchecked.
     """
-    if gradient.shape != params.shape:
-        raise ValueError(f"gradient shape {gradient.shape} != params shape {params.shape}")
     state.t += 1
     m, v = state.m, state.v
     m *= ADAM_BETA1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, fields
 
 SCHEMA_VERSION = 1
@@ -27,12 +28,6 @@ class MetricRecord:
     update_norm: float
     wallclock_ms: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.accuracy <= 1.0:
-            raise ValueError("accuracy must be in [0, 1]")
-        if self.wallclock_ms < 0.0:
-            raise ValueError("wallclock_ms must be >= 0")
-
     def metrics_json(self) -> dict:
         """Deterministic fields for the metrics stream: the schema version,
         then ``METRIC_FIELDS``."""
@@ -43,7 +38,8 @@ class MetricRecord:
 
     @classmethod
     def from_metrics_json(cls, payload) -> "MetricRecord":
-        """Read one ``metrics_json`` line; any other content raises ValueError."""
+        """Read one ``metrics_json`` line; any other content, a non-finite
+        number or an accuracy outside [0, 1] raises ValueError naming the field."""
         if not isinstance(payload, dict):
             raise ValueError(f"metrics line is not a JSON object: {payload!r}")
         if payload.get("schema_version") != SCHEMA_VERSION:
@@ -53,9 +49,12 @@ class MetricRecord:
             if name not in payload:
                 raise ValueError(f"metrics line lacks {name!r}")
             value, kind = payload[name], int if name == "step" else (int, float)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"metrics line: {name}={value!r} is not a number")
+            # json also reads NaN, Infinity and integers beyond the float range
+            if isinstance(value, bool) or not isinstance(value, kind) or not abs(value) <= sys.float_info.max:
+                raise ValueError(f"metrics line: {name}={value!r} is not a finite number")
             values[name] = value if name == "step" else float(value)
+        if not 0.0 <= values["accuracy"] <= 1.0:
+            raise ValueError(f"metrics line: accuracy={values['accuracy']!r} is outside [0, 1]")
         return cls(**values, wallclock_ms=0.0)  # the metrics stream carries no wallclock
 
 

@@ -128,7 +128,7 @@ class SurrogateResult:
     kl: float
     mean_ratio: float
     clip_fraction: float
-    nonfinite_contexts: tuple[int, ...] = ()  # contexts of slots with a non-finite backward row
+    nonfinite_contexts: tuple[int, ...] | None  # None for a finite gradient
 
 
 @dataclass(frozen=True)
@@ -275,9 +275,9 @@ def surrogate_loss_and_grad(
     theta over ``batch.phi``, one (B * G * T, fan_out) array per layer, and
     ``deltas`` arrays of the same shapes for ``diffnet.backward``, which
     spends the pass (``rollout.RolloutBuffers`` gives the order in a
-    training step). A non-finite gradient is found by one whole-array test;
-    only then are the contexts named of the slots with a non-finite row of
-    the upstream or of a hidden layer's delta.
+    training step). One whole-array test of the gradient sets the result's
+    ``nonfinite_contexts``: None if it is finite, else the contexts of the
+    slots with a non-finite row of the upstream or of a hidden layer's delta.
     """
     if batch.logp_old is None:
         raise ValueError("policy optimization requires stochastic rollouts (a > 0)")
@@ -301,7 +301,7 @@ def surrogate_loss_and_grad(
     upstream = (coeff * dj_dmean).reshape(n_rows, -1)
     pgrad = np.empty_like(theta)
     diffnet.backward(layers, batch.phi.reshape(n_rows, -1), hs, upstream, diffnet.unpack(arch, pgrad), deltas)
-    nonfinite_contexts = ()
+    nonfinite_contexts = None
     if not np.isfinite(pgrad).all():
         rows = [upstream, *deltas[:len(layers) - 1]]
         finite = np.logical_and.reduce([np.isfinite(r).all(axis=1) for r in rows])
@@ -365,7 +365,7 @@ def update_policy(
 
     Returns (mean surrogate value, mean KL, update norm) of the applied
     updates. Updates the state's current parameters and Adam state in place.
-    A non-finite gradient stops the run before it reaches the parameters.
+    A gradient the surrogate finds non-finite stops the run before the update.
 
     Precondition: the batch has the state's shape and was sampled at the
     state's current theta, as ``rollout_batch`` does; its ``logp_old``
@@ -385,7 +385,7 @@ def update_policy(
         res = surrogate_loss_and_grad(
             arch, state.theta, batch, advantages, ref_mean, cfg.eps_clip, cfg.beta_kl, hs, deltas
         )
-        if not np.all(np.isfinite(res.grad)):
+        if res.nonfinite_contexts is not None:
             where = f"contexts {list(res.nonfinite_contexts)}" if res.nonfinite_contexts else (
                 "every backward row is finite, a sum over rows overflows; "
                 f"largest |theta| {abs(state.theta).max():.3g}")
@@ -470,16 +470,9 @@ def run(
             stats = pretrained_eval
         else:
             stats = evaluate(state.arch, state.theta, config, step)
-        record = MetricRecord(
-            step=step,
-            mean_reward=stats["mean_reward"],
-            accuracy=stats["accuracy"],
-            quality_mean=stats["quality_mean"],
-            group_reward_std_mean=float(np.mean([s.group_reward_std_mean for s in window])) if window else 0.0,
-            kl_mean=float(np.mean([s.kl_mean for s in window])) if window else 0.0,
-            update_norm=float(np.mean([s.update_norm for s in window])) if window else 0.0,
-            wallclock_ms=(time.perf_counter() - t0) * 1e3,
-        )
+        means = {name: float(np.mean([getattr(s, name) for s in window])) if window else 0.0
+                 for name in ("group_reward_std_mean", "kl_mean", "update_norm")}
+        record = MetricRecord(step=step, **stats, **means, wallclock_ms=(time.perf_counter() - t0) * 1e3)
         window.clear()
         records.append(record)
         if on_metric is not None:

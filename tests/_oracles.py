@@ -15,8 +15,9 @@ from ``transition_logpdf`` and ``kl_step``, and its gradient from one
 ``reference_means_at`` and ``surrogate_at`` run the library's two update
 kernels on arrays built for one call. The flow-matching references are a
 checked, allocating form of the pretraining loop, and ``exact_velocity`` is
-the closed-form field that loop should learn. ``load_trajectory_dump`` reads
-back a ``rollout.dump_trajectories`` file.
+the closed-form field that loop should learn; ``mc_value`` estimates, by
+continuing the SDE on such a field, the value that a dense reward stands in
+for. ``load_trajectory_dump`` reads back a ``rollout.dump_trajectories`` file.
 """
 
 import json
@@ -431,6 +432,20 @@ def exact_velocity(task, x, tau):
     post /= post.sum(axis=1, keepdims=True)
     per_mode = -centers + (tau - (1.0 - tau) * s2) / var_t * diff
     return (post * per_mode).sum(axis=1)
+
+
+def mc_value(task, field, s, t, schedule, K, rng, context=0):
+    """Monte-Carlo value V(s_t) = E[R(s_0) | s_t] of each (n, d) row of s at
+    the grid time t / T: K continuations of the row by ``flowcore.sde_update``
+    on the velocity ``field(x, tau)`` down to tau = 0, each draw from ``rng``,
+    and the mean of their ``envsuite.reward`` under ``context``. It is the
+    ideal dense value that TCRM's projected reward R(x - tau v) stands in for,
+    as GAE's critic estimates V(s_t) (Schulman et al., arXiv 1506.02438)."""
+    x = np.repeat(np.asarray(s, dtype=float), K, axis=0)
+    for step in range(t, 0, -1):
+        noise = rng.standard_normal(x.shape)
+        x, _ = flowcore.sde_update(x, field(x, step / schedule.num_steps), step, schedule, noise)
+    return envsuite.reward(task, x, context).reshape(-1, K).mean(axis=1)
 
 
 def load_trajectory_dump(path):

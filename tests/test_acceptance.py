@@ -2,7 +2,9 @@
 
 The training-efficacy criteria share one training matrix built once per
 session: `flowrl ablate` for each of 5 seeds, four presets of 500 steps each,
-run as `python -m flowrl` child processes two at a time.
+run as `python -m flowrl` child processes two at a time. The default-length
+report runs the same matrix at the default 1000 steps and prints, ungated,
+what the criteria's step 500 does not see.
 """
 
 import json
@@ -34,6 +36,8 @@ from _oracles import (
 
 SEEDS = (1, 2, 3, 4, 5)
 EFFICACY_STEPS = 500
+# the default train_steps, where vgpo's reward drifts down after its peak
+REPORT_STEPS = trainer.TrainConfig().train_steps
 # two children on the two cores the suite is sized for, each single-threaded:
 # a threaded BLAS product in one child would idle-spin a core the other needs
 MATRIX_WORKERS = 2
@@ -45,15 +49,14 @@ def report(number: int, name: str, ok: bool, detail: str = "") -> None:
     print(f"\nACCEPTANCE {number:2d} {name}: {status}{suffix}")
 
 
-@pytest.fixture(scope="session")
-def training_matrix(tmp_path_factory):
-    """Each seed's `flowrl ablate` run: the metric series keyed (preset,
-    seed) and the phenomena report keyed by seed. The runs are child
-    processes of the imported package, ``MATRIX_WORKERS`` at a time; their
-    output bytes do not depend on the BLAS thread count."""
-    root = tmp_path_factory.mktemp("matrix")
+def ablate_matrix(root, train_steps):
+    """Each seed's `flowrl ablate` run at ``train_steps`` under ``root``: the
+    metric series keyed (preset, seed) and the phenomena report keyed by
+    seed. The runs are child processes of the imported package,
+    ``MATRIX_WORKERS`` at a time; their output bytes do not depend on the
+    BLAS thread count."""
     config = root / "config.json"
-    config.write_text(json.dumps({"train_steps": EFFICACY_STEPS}))
+    config.write_text(json.dumps({"train_steps": train_steps}))
     src = str(Path(harness.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
@@ -72,6 +75,18 @@ def training_matrix(tmp_path_factory):
             series[(preset, seed)] = harness.load_metrics(out / preset)
         reports[seed] = json.loads((out / "phenomena_report.json").read_text())
     return series, reports
+
+
+@pytest.fixture(scope="session")
+def training_matrix(tmp_path_factory):
+    """The criteria's matrix: every seed's presets at ``EFFICACY_STEPS``."""
+    return ablate_matrix(tmp_path_factory.mktemp("matrix"), EFFICACY_STEPS)
+
+
+@pytest.fixture(scope="session")
+def default_length_matrix(tmp_path_factory):
+    """The same matrix at the default run length, ``REPORT_STEPS``."""
+    return ablate_matrix(tmp_path_factory.mktemp("default-length"), REPORT_STEPS)
 
 
 class TestCriterion1EquationOracles:
@@ -323,6 +338,31 @@ class TestCriterion9RewardHackingMonitor:
         report(9, "reward-hacking monitor (quality drop at matched reward)", ok,
                f"vgpo median {vgpo_median:.3f} <= flow-grpo median {grpo_median:.3f}: {ok}")
         assert ok
+
+
+@pytest.mark.slow
+class TestDefaultLengthReport:
+    def test_report_reward_kl_and_quality_at_the_default_length(self, default_length_matrix):
+        # report only, no gate: the reward at the criteria's step and at the
+        # end, the peak, the mean over the last quarter of the run, and the
+        # KL and quality at the end, per seed and as the median of 5 seeds
+        series, _ = default_length_matrix
+        half, quarter = REPORT_STEPS // 2, 3 * REPORT_STEPS // 4
+        print(f"\n  preset     seed  r@{half}  r@{REPORT_STEPS}  peak   r>{quarter}  kl@{REPORT_STEPS}  quality@{REPORT_STEPS}")
+        for preset in harness.PRESET_NAMES:
+            rows = []
+            for seed in SEEDS:
+                records = series[(preset, seed)]
+                at = {r.step: r for r in records}
+                assert records[-1].step == REPORT_STEPS
+                rows.append((
+                    at[half].mean_reward, at[REPORT_STEPS].mean_reward, max(r.mean_reward for r in records),
+                    statistics.mean(r.mean_reward for r in records if r.step > quarter),
+                    at[REPORT_STEPS].kl_mean, at[REPORT_STEPS].quality_mean,
+                ))
+            for seed, row in [*zip(SEEDS, rows), ("median", [statistics.median(c) for c in zip(*rows)])]:
+                print(f"  {preset:<10} {seed:>6}  {row[0]:5.3f}  {row[1]:6.3f}  {row[2]:5.3f}  {row[3]:6.3f}"
+                      f"  {row[4]:7.2f}  {row[5]:+11.2f}")
 
 
 class TestCriterion10Determinism:

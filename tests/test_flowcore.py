@@ -13,6 +13,7 @@ from _oracles import (
     fm_kernel_loss_and_grad,
     gaussian_product_logpdf,
     max_rel_error,
+    mc_value,
     reference_euler_states,
     reference_fm_loss_and_grad,
     reference_interpolate,
@@ -439,3 +440,41 @@ class TestExactVelocity:
             for wm, mu, dm in zip(w, centers, d):
                 want[i] += wm / sum(w) * (mu + ((1.0 - tau) * s2 / c) * dm)
         assert np.max(np.abs(got - want)) < 1e-12
+
+
+class TestDenseRewardFidelity:
+    """Claim (i), network-free: on the exact field, the projected reward
+    R(s_t - tau v) that TCRM assigns to step t tracks the Monte-Carlo value
+    V(s_t) = E[R(s_0) | s_t] of the policy's own SDE, the better the nearer
+    tau is to 0. Default task and schedule, context 0; 400 rollouts, each V
+    from 128 continuations. Measured (tau: corr, mean(R_proj - V)):
+    0.9: 0.631, -0.095; 0.7: 0.865, -0.045; 0.5: 0.985, -0.007;
+    0.2: 0.9998, +0.003. A projection one grid step early or late reads
+    corr 0.98 at tau = 0.2; a flipped sign of the drift's noise correction
+    reads corr 0.78 at tau = 0.5."""
+
+    def test_projected_reward_tracks_the_monte_carlo_value(self):
+        task, sched, context = envsuite.TaskSpec(), flowcore.NoiseSchedule(a=0.7, num_steps=10), 0
+        T = sched.num_steps
+
+        def field(x, tau):
+            return exact_velocity(task, x, tau)
+
+        rng = np.random.default_rng(0)
+        x, states = rng.standard_normal((400, task.state_dim)), {}
+        for t in range(T, 0, -1):
+            x, _ = flowcore.sde_update(x, field(x, t / T), t, sched, rng.standard_normal(x.shape))
+            states[t - 1] = x
+        mc_rng = np.random.default_rng(1)
+        corr, bias = {}, {}
+        for t in (9, 7, 5, 2):
+            s, tau = states[t], t / T
+            r_proj = envsuite.reward(task, flowcore.euler_update(s, field(s, tau), tau), context)
+            value = mc_value(task, field, s, t, sched, 128, mc_rng, context)
+            corr[tau], bias[tau] = np.corrcoef(r_proj, value)[0, 1], float((r_proj - value).mean())
+        print("\n  tau  corr(R_proj, V)  mean(R_proj - V)")
+        for tau in corr:
+            print(f"  {tau:.1f}  {corr[tau]:15.4f}  {bias[tau]:+16.4f}")
+        assert corr[0.5] >= 0.95 and corr[0.2] >= 0.99
+        assert abs(bias[0.9]) > abs(bias[0.7]) > max(abs(bias[0.5]), abs(bias[0.2]))
+        assert abs(bias[0.2]) < 0.01

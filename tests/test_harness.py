@@ -607,6 +607,49 @@ class TestCli:
             assert row["instant_rewards"][-1] == row["terminal_reward"]
 
 
+# values a metrics line can hold as JSON that are no finite float, and
+# accuracies outside [0, 1]; json.dumps writes NaN and Infinity as json reads them
+BAD_METRIC_VALUES = [
+    pytest.param("mean_reward", math.nan, id="nan"),
+    pytest.param("quality_mean", math.inf, id="inf"),
+    pytest.param("quality_mean", -math.inf, id="-inf"),
+    pytest.param("kl_mean", 10 ** 400, id="401-digit-integer"),
+    pytest.param("accuracy", 1.5, id="accuracy-above-1"),
+    pytest.param("accuracy", -0.25, id="accuracy-below-0"),
+]
+
+
+def write_metrics_with(run_dir, name, value):
+    """A metrics stream whose second line sets ``name`` to ``value``; returns its path."""
+    good = MetricRecord.from_metrics_json(json.loads(README_METRICS_EXAMPLE)).metrics_json()
+    path = run_dir / "metrics.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, **{name: value})) + "\n")
+    return path
+
+
+class TestMetricsReader:
+    @pytest.mark.parametrize("name, value", BAD_METRIC_VALUES)
+    def test_load_metrics_names_the_path_line_and_field(self, tmp_path, name, value):
+        path = write_metrics_with(tmp_path, name, value)
+        with pytest.raises(ValueError) as exc:
+            harness.load_metrics(tmp_path)
+        assert str(exc.value).startswith(f"{path} line 2: metrics line: {name}="), exc.value
+
+    @pytest.mark.parametrize("name, value", BAD_METRIC_VALUES)
+    def test_dump_curves_stops_with_one_error_line(self, tmp_path, capsys, name, value):
+        # NaN was written to curves.csv as nan, and the long integer was an
+        # OverflowError traceback
+        path = write_metrics_with(tmp_path, name, value)
+        assert harness.cli(["dump-curves", "--run-dir", str(tmp_path)]) == 1
+        assert_one_error_line(capsys, f"{path} line 2: metrics line: {name}=")
+        assert not (tmp_path / "curves.csv").exists()
+
+    @pytest.mark.parametrize("value", [0, 1, 0.0, 1.0, 1e-300])
+    def test_accuracy_bounds_and_integers_are_read(self, tmp_path, value):
+        write_metrics_with(tmp_path, "accuracy", value)
+        assert harness.load_metrics(tmp_path)[1].accuracy == value
+
+
 def _record(step, reward, std, quality=0.0):
     return MetricRecord(
         step=step, mean_reward=reward, accuracy=0.0, quality_mean=quality,

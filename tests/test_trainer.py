@@ -419,6 +419,15 @@ class TestOnePassPerTransition:
 
 
 class TestNonFiniteGradient:
+    def test_a_finite_gradient_names_no_contexts(self, tiny_setup, pretrained):
+        cfg, _, _ = tiny_setup
+        fresh = trainer.init_state(cfg, pretrained)
+        batch = trainer.rollout_batch(fresh, 4)
+        advantages = trainer.compute_advantages(batch, cfg)
+        res = surrogate(fresh.arch, fresh.theta, fresh.theta_ref, batch, advantages, cfg.eps_clip, cfg.beta_kl)
+        assert np.isfinite(res.grad).all()
+        assert res.nonfinite_contexts is None
+
     def test_nan_advantage_stops_the_update(self, tiny_setup, pretrained):
         cfg, _, _ = tiny_setup
         fresh = trainer.init_state(cfg, pretrained)
@@ -437,18 +446,20 @@ class TestNonFiniteGradient:
 
     def test_overflow_in_a_sum_over_rows_is_named(self, tiny_setup, pretrained, monkeypatch):
         # every backward row finite, the gradient not: no context to name,
-        # so the message says so and gives the largest |theta|
+        # so the message says so and gives the largest |theta|. The output
+        # bias gradient, a sum over rows, is made to overflow inside backward,
+        # so the surrogate's own whole-array test finds it
         cfg, _, _ = tiny_setup
         fresh = trainer.init_state(cfg, pretrained)
         batch = trainer.rollout_batch(fresh, 2)
-        real = trainer.surrogate_loss_and_grad
+        real = diffnet.backward
 
-        def overflowing(*args, **kwargs):
-            res = real(*args, **kwargs)
-            res.grad[0] = np.inf
-            return res
+        def overflowing(layers, phi, hs, upstream, grads, deltas):
+            delta = real(layers, phi, hs, upstream, grads, deltas)
+            grads[-1][1][0] = np.inf
+            return delta
 
-        monkeypatch.setattr(trainer, "surrogate_loss_and_grad", overflowing)
+        monkeypatch.setattr(diffnet, "backward", overflowing)
         largest = f"{np.abs(fresh.theta).max():.3g}"
         with pytest.raises(RuntimeError, match=rf"step 2: every backward row is finite.*\|theta\| {largest}$"):
             trainer.update_policy(fresh, batch, trainer.compute_advantages(batch, cfg), 2)
