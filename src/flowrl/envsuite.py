@@ -155,9 +155,9 @@ def reward(task: TaskSpec, x, context):
     """Analytic task reward in [0, 1] for state(s) x under conditioning
     ``context`` (one int, or one per row of a batch), scored on terminal
     samples and on projected virtual terminals alike. Like ``quality`` it
-    runs unchecked: the rollout checks its projections and the evaluation
-    sampler its samples as they are made, and the contexts enter through
-    ``diffnet.check_contexts``."""
+    runs unchecked: ``trainer.instant_rewards`` checks its projections and
+    the evaluation sampler its samples as they are made, and the contexts
+    enter through ``diffnet.check_contexts``."""
     x2 = np.atleast_2d(x)
     s = task.sharpness
     if task.name == "mode-preference":

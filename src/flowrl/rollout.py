@@ -1,16 +1,14 @@
-"""Denoising-MDP executor: samples groups of stochastic trajectories under a
-frozen policy and scores every step via one-step terminal projection.
+"""Denoising-MDP executor: samples groups of stochastic trajectories under a frozen policy.
 
 A batch holds one group per context slot, stored as arrays: the states, the
-log-densities of their transitions, the instant rewards and the policy's
-network pass at every transition, which the first update epoch reuses. The
-terminal reward is the last instant reward, because the projection at
-tau = 0 is the identity. Each slot draws all its noise at once from one
-generator keyed by the slot's seed, member by member, so a trajectory's
-noise depends neither on the batch size nor on the other slots nor on the
-group members after it, while every timestep advances all rows of the batch
-at once. Each state and projection is checked as it is made; the rewards
-and log-densities are computed after the loop, in one call each.
+log-densities of their transitions and the policy's network pass at every
+transition, whose velocity rows ``trainer.instant_rewards`` projects and
+which the first update epoch reuses. Each slot draws all its noise at once
+from one generator keyed by the slot's seed, member by member, so a
+trajectory's noise depends neither on the batch size nor on the other slots
+nor on the group members after it, while every timestep advances all rows
+of the batch at once. Each state is checked as it is made; the
+log-densities are computed after the loop, in one call.
 """
 
 from __future__ import annotations
@@ -21,9 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import diffnet, envsuite, flowcore
+from . import diffnet, flowcore
 from .diffnet import Architecture
-from .envsuite import TaskSpec
 from .flowcore import NoiseSchedule
 
 
@@ -32,9 +29,8 @@ class RolloutBatch:
     """B groups of G trajectories, one group per context slot.
 
     Axes are slot, group member, timestep and state dimension. ``states``
-    runs in generation order s_T .. s_0; ``instant_rewards`` holds R_T .. R_1
-    (chronological). ``logp_old`` is None for deterministic (a = 0) rollouts,
-    which have no transition density.
+    runs in generation order s_T .. s_0. ``logp_old`` is None for
+    deterministic (a = 0) rollouts, which have no transition density.
 
     ``phi`` and ``hs`` are the policy's network pass at every transition's
     (s_t, tau_t): the feature matrix and the ``diffnet.mlp`` layer outputs,
@@ -51,15 +47,8 @@ class RolloutBatch:
     schedule: NoiseSchedule
     states: np.ndarray            # (B, G, T+1, D)
     logp_old: np.ndarray | None   # (B, G, T)
-    instant_rewards: np.ndarray   # (B, G, T)
     phi: np.ndarray               # (B, G, T, input_dim)
     hs: list[np.ndarray]          # one (B, G, T, fan_out) per layer
-
-    @property
-    def terminal_rewards(self) -> np.ndarray:
-        """(B, G) view of R_1, the reward of s_0: the projection at tau = 0
-        is the identity."""
-        return self.instant_rewards[..., -1]
 
     @property
     def group_size(self) -> int:
@@ -83,10 +72,11 @@ class RolloutBuffers:
 
     1. ``rollout_group`` fills the time-major arrays, then copies them,
        reordered, into ``batch``; they hold nothing that is read again.
-    2. ``trainer.reference_means`` runs the reference pass into the
+    2. ``trainer.instant_rewards`` reads the velocity rows of the batch's ``hs``.
+    3. ``trainer.reference_means`` runs the reference pass into the
        time-major ``hs``; every ``diffnet.backward`` of the update writes
        its deltas over them.
-    3. The first ``trainer.update_policy`` epoch reads the rollout's pass
+    4. The first ``trainer.update_policy`` epoch reads the rollout's pass
        in the batch's ``hs``, and its ``backward`` spends that pass, as
        ``diffnet.backward`` states; each later epoch first runs its own.
 
@@ -97,10 +87,9 @@ class RolloutBuffers:
 
     states: np.ndarray          # (T+1, B*G, D)
     means: np.ndarray           # (T, B*G, D)
-    projections: np.ndarray     # (T, B*G, D)
     phi: np.ndarray             # (T, B*G, input_dim)
     hs: list[np.ndarray]        # one (T, B*G, fan_out) per layer
-    batch: dict                 # states, logp_old, instant_rewards, phi, hs: (B, G, T', ...)
+    batch: dict                 # states, logp_old, phi, hs: (B, G, T', ...)
 
 
 def make_buffers(arch: Architecture, batch_contexts: int, group_size: int, num_steps: int) -> RolloutBuffers:
@@ -112,13 +101,11 @@ def make_buffers(arch: Architecture, batch_contexts: int, group_size: int, num_s
     return RolloutBuffers(
         states=np.empty((t + 1, n, d)),
         means=np.empty((t, n, d)),
-        projections=np.empty((t, n, d)),
         phi=np.empty((t, n, arch.input_dim)),
         hs=[np.empty((t, n, w)) for w in widths],
         batch={
             "states": np.empty((b, g, t + 1, d)),
             "logp_old": np.empty((b, g, t)),
-            "instant_rewards": np.empty((b, g, t)),
             "phi": np.empty((b, g, t, arch.input_dim)),
             "hs": [np.empty((b, g, t, w)) for w in widths],
         },
@@ -142,7 +129,6 @@ def rollout_group(
     contexts,
     group_size: int,
     schedule: NoiseSchedule,
-    task: TaskSpec,
     seeds,
     shared_initial_noise: bool = False,
     buffers: RolloutBuffers | None = None,
@@ -152,20 +138,18 @@ def rollout_group(
     ``seeds`` gives one seed per slot, as SeedSequence entropy (an int or a
     tuple of ints). For t = T .. 1 one network pass at every row's (s_t, t/T)
     gives the velocity v of the exploration step to s_{t-1}, whose mean is
-    kept, and, for t < T, of the projection s_t - (t/T) v: T passes in all,
-    since s_0 is its own projection. After the loop one ``envsuite.reward``
-    call scores all B * G * T projections and one ``transition_logpdf`` call,
-    with the step variance as a (T, 1) column, gives every log-density.
+    kept. After the loop one ``transition_logpdf`` call, with the step
+    variance as a (T, 1) column, gives every log-density.
     ``shared_initial_noise`` starts every trajectory of a slot from the same
     s_T (exploration then comes only from the step noise).
 
-    Each new state, then each projection, is checked as it is made: a
-    non-finite one raises ``flowcore.NonFiniteStep`` naming the step that
-    made the state and the contexts of its rows. Of the inputs, only those
-    that would otherwise pass silently are checked: the contexts (a negative
-    one selects the last one-hot column) and the shape of ``buffers`` (a
-    longer T leaves stale steps in the batch). Too few or too many seeds fail
-    at the first write into the buffers; ``TrainConfig`` checks G >= 2.
+    Each new state is checked as it is made: a non-finite one raises
+    ``flowcore.NonFiniteStep`` naming the step and the contexts of its rows.
+    Of the inputs, only those that would otherwise pass silently are
+    checked: the contexts (a negative one selects the last one-hot column)
+    and the shape of ``buffers`` (a longer T leaves stale steps in the
+    batch). Too few or too many seeds fail at the first write into the
+    buffers; ``TrainConfig`` checks G >= 2.
 
     Everything is written into ``buffers``, the caller's ``RolloutBuffers``
     for this (B, G, T) shape, or into ones made for this call; their
@@ -184,25 +168,17 @@ def rollout_group(
     draws = [_draw_noise(s, group_size, t_steps, d, shared_initial_noise) for s in seeds]
     row_noise = np.concatenate([noise for _, noise in draws])
     row_contexts = np.repeat(contexts, group_size)
-    step_contexts = np.tile(row_contexts, t_steps)
 
-    states, means, projections = buffers.states, buffers.means, buffers.projections
-    phi, hs = buffers.phi, buffers.hs
-    diffnet.write_context(arch, phi.reshape(-1, arch.input_dim), step_contexts)
+    states, means, phi, hs = buffers.states, buffers.means, buffers.phi, buffers.hs
+    diffnet.write_context(arch, phi.reshape(-1, arch.input_dim), np.tile(row_contexts, t_steps))
     # out= takes only the exact (B*G, D) shape: one seed per slot
     x = np.concatenate([init for init, _ in draws], out=states[0])
     for j, t in enumerate(range(t_steps, 0, -1)):
-        tau = t / t_steps
-        diffnet.write_state_time(arch, phi[j], x, diffnet.time_features(tau))
+        diffnet.write_state_time(arch, phi[j], x, diffnet.time_features(t / t_steps))
         v = diffnet.mlp(layers, phi[j], [h[j] for h in hs])
         states[j + 1], means[j] = flowcore.sde_update(x, v, t, schedule, row_noise[:, j])
         flowcore.check_states(states[j + 1], t, row_contexts, "SDE")
-        if j > 0:
-            projections[j - 1] = flowcore.euler_update(x, v, tau)
-            flowcore.check_states(projections[j - 1], t + 1, row_contexts, "projected")
         x = states[j + 1]
-    projections[-1] = x
-    rewards = envsuite.reward(task, projections.reshape(-1, d), step_contexts)
     logps = None
     if schedule.a > 0:
         logps = flowcore.transition_logpdf(states[1:], means, schedule.table[2][:, None])
@@ -218,22 +194,22 @@ def rollout_group(
         schedule=schedule,
         states=batch_major(states, out["states"]),
         logp_old=None if logps is None else batch_major(logps, out["logp_old"]),
-        instant_rewards=batch_major(rewards.reshape(t_steps, n), out["instant_rewards"]),
         phi=batch_major(phi, out["phi"]),
         hs=[batch_major(h, o) for h, o in zip(hs, out["hs"])],
     )
 
 
-def dump_trajectories(batch: RolloutBatch, path) -> None:
-    """Write one JSON-lines record per trajectory (debugging / oracle tests)."""
+def dump_trajectories(batch: RolloutBatch, rewards: np.ndarray, path) -> None:
+    """Write one JSON-lines record per trajectory (debugging / oracle tests),
+    with its row of the (B, G, T) ``trainer.instant_rewards`` table."""
     with Path(path).open("w") as fh:
         for b, context in enumerate(batch.contexts.tolist()):
             for i in range(batch.group_size):
                 record = {
                     "context": context,
                     "states": batch.states[b, i].tolist(),
-                    "instant_rewards": batch.instant_rewards[b, i].tolist(),
-                    "terminal_reward": float(batch.terminal_rewards[b, i]),
+                    "instant_rewards": rewards[b, i].tolist(),
+                    "terminal_reward": float(rewards[b, i, -1]),
                     "logp_old": None if batch.logp_old is None else batch.logp_old[b, i].tolist(),
                 }
                 fh.write(json.dumps(record) + "\n")

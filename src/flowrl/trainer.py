@@ -216,21 +216,39 @@ def pretrain(config: TrainConfig) -> np.ndarray:
     return params
 
 
-def compute_advantages(batch: RolloutBatch, config: TrainConfig) -> np.ndarray:
-    """(B, G, T) advantage table of a rollout batch: the adaptive dual
-    estimator on per-step values.
+def instant_rewards(task: TaskSpec, batch: RolloutBatch, velocity: np.ndarray) -> np.ndarray:
+    """(B, G, T) dense rewards R_T .. R_1: the task reward of each state's
+    projection s_t - tau_t v to tau = 0, v the (B, G, T, d) ``velocity`` at
+    each transition's (s_t, tau_t), e.g. the rollout's ``batch.hs[-1]``; s_0
+    is its own projection. A non-finite projection raises ``NonFiniteStep``
+    naming the step that made the state and its rows' contexts, diagnosed
+    column by column only after one whole-array test fails. One
+    ``envsuite.reward`` call scores all rows."""
+    b, g, t, d = velocity.shape
+    tau = batch.schedule.tau_grid()[1:, None]
+    proj = flowcore.euler_update(batch.states[:, :, 1:-1], velocity[:, :, 1:], tau)
+    if not np.isfinite(proj).all():
+        for j in range(t - 1):
+            flowcore.check_states(proj[:, :, j].reshape(-1, d), t - j, np.repeat(batch.contexts, g), "projected")
+    proj = np.concatenate([proj, batch.states[:, :, -1:]], axis=2)
+    return envsuite.reward(task, proj.reshape(-1, d), np.repeat(batch.contexts, g * t)).reshape(b, g, t)
 
-    With tcrm enabled the values are the discounted cumulative instant
-    rewards, weighted by ``value_weights``; otherwise they are the terminal
-    rewards broadcast over the timesteps, with unit weights. With tcrm off
-    and k = 0 this is GRPO's group-normalized terminal reward (the flow-grpo
-    preset).
+
+def compute_advantages(rewards: np.ndarray, config: TrainConfig) -> np.ndarray:
+    """(B, G, T) advantage table of a batch's ``instant_rewards``: the
+    adaptive dual estimator on per-step values.
+
+    With tcrm enabled the values are the discounted cumulative rewards,
+    weighted by ``value_weights``; otherwise they are the terminal rewards,
+    the last column, broadcast over the timesteps, with unit weights. With
+    tcrm off and k = 0 this is GRPO's group-normalized terminal reward (the
+    flow-grpo preset).
     """
     if config.tcrm_enabled:
-        q = adv.cumulative_values(batch.instant_rewards, config.gamma)
+        q = adv.cumulative_values(rewards, config.gamma)
         omega = adv.value_weights(q, config.eps_mean)
     else:
-        q = np.repeat(batch.terminal_rewards[..., None], batch.num_steps, axis=-1)
+        q = np.repeat(rewards[..., -1:], rewards.shape[-1], axis=-1)
         omega = np.ones_like(q)
     return adv.adae(q, config.k, omega, config.eps_std)
 
@@ -348,7 +366,6 @@ def rollout_batch(state: TrainState, step_index: int) -> RolloutBatch:
         contexts,
         cfg.group_size,
         cfg.schedule(),
-        cfg.task,
         seeds,
         shared_initial_noise=cfg.shared_initial_noise,
         buffers=state.buffers,
@@ -399,11 +416,12 @@ def update_policy(
 
 
 def train_step(state: TrainState, step_index: int) -> StepRecord:
-    """One outer optimization step: rollouts, advantages, update."""
+    """One outer optimization step: rollouts, dense rewards, advantages, update."""
     batch = rollout_batch(state, step_index)
-    advantages = compute_advantages(batch, state.config)
+    rewards = instant_rewards(state.config.task, batch, batch.hs[-1])
+    advantages = compute_advantages(rewards, state.config)
     surrogate, kl_mean, update_norm = update_policy(state, batch, advantages, step_index)
-    terminal = batch.terminal_rewards
+    terminal = rewards[..., -1]
     return StepRecord(
         step=step_index,
         mean_terminal_reward=float(terminal.mean()),

@@ -13,7 +13,8 @@ means from ``reference_velocity`` and ``flowcore.step_mean``, its densities
 from ``transition_logpdf`` and ``kl_step``, and its gradient from one
 ``diffnet.mlp`` and ``diffnet.backward`` call per timestep;
 ``reference_means_at`` and ``surrogate_at`` run the library's two update
-kernels on arrays built for one call. The flow-matching references are a
+kernels on arrays built for one call, and ``reference_velocity_at`` returns
+the velocity rows of the reference pass. The flow-matching references are a
 checked, allocating form of the pretraining loop, and ``exact_velocity`` is
 the closed-form field that loop should learn; ``mc_value`` estimates, by
 continuing the SDE on such a field, the value that a dense reward stands in
@@ -308,6 +309,14 @@ def reference_means_at(arch, theta_ref, batch):
     its pass run into layer buffers built for this one call."""
     hs = diffnet.layer_buffers(diffnet.unpack(arch, theta_ref), batch.phi.size // arch.input_dim)
     return trainer.reference_means(arch, theta_ref, batch, hs)
+
+
+def reference_velocity_at(arch, theta_ref, batch):
+    """The (B, G, T, d) velocity rows of ``trainer.reference_means``'s pass
+    of theta_ref over the batch, run into layer buffers of its own."""
+    hs = diffnet.layer_buffers(diffnet.unpack(arch, theta_ref), batch.phi.size // arch.input_dim)
+    trainer.reference_means(arch, theta_ref, batch, hs)
+    return hs[-1].reshape(batch.hs[-1].shape)
 
 
 def surrogate_at(arch, theta, batch, advantages, ref_mean, eps_clip, beta_kl):

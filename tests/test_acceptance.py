@@ -1,10 +1,11 @@
 """Acceptance suite: every criterion prints one PASS/FAIL line.
 
-The training-efficacy criteria share one training matrix built once per
-session: `flowrl ablate` for each of 5 seeds, four presets of 500 steps each,
-run as `python -m flowrl` child processes two at a time. The default-length
-report runs the same matrix at the default 1000 steps and prints, ungated,
-what the criteria's step 500 does not see.
+One training matrix is built once per session: `flowrl ablate` for each of 5
+seeds, four presets of the default 1000 steps each, run as `python -m flowrl`
+child processes two at a time. The training-efficacy criteria read its
+series up to step 500; the default-length report prints, ungated, what they
+do not see, and the dense-reward fidelity report reads vgpo's parameters at
+step 600.
 """
 
 import json
@@ -28,8 +29,11 @@ from _oracles import (
     group_normalize,
     grpo_advantages,
     max_rel_error,
+    mc_value,
     reference_euler_states,
     reference_means_at,
+    reference_velocity,
+    reference_velocity_at,
     surrogate_at,
     wasserstein1_1d,
 )
@@ -38,6 +42,8 @@ SEEDS = (1, 2, 3, 4, 5)
 EFFICACY_STEPS = 500
 # the default train_steps, where vgpo's reward drifts down after its peak
 REPORT_STEPS = trainer.TrainConfig().train_steps
+# the fidelity report's thetas: vgpo's checkpoints of these seeds at this step, in its drift
+FIDELITY_SEEDS, FIDELITY_STEP = (1, 3), 600
 # two children on the two cores the suite is sized for, each single-threaded:
 # a threaded BLAS product in one child would idle-spin a core the other needs
 MATRIX_WORKERS = 2
@@ -49,14 +55,14 @@ def report(number: int, name: str, ok: bool, detail: str = "") -> None:
     print(f"\nACCEPTANCE {number:2d} {name}: {status}{suffix}")
 
 
-def ablate_matrix(root, train_steps):
-    """Each seed's `flowrl ablate` run at ``train_steps`` under ``root``: the
-    metric series keyed (preset, seed) and the phenomena report keyed by
-    seed. The runs are child processes of the imported package,
-    ``MATRIX_WORKERS`` at a time; their output bytes do not depend on the
-    BLAS thread count."""
+def ablate_matrix(root):
+    """Each seed's `flowrl ablate` run at ``REPORT_STEPS`` under ``root``: the
+    metric series keyed (preset, seed), and per seed vgpo's pretrained
+    parameters and its checkpoint at ``FIDELITY_STEP``. The runs are child
+    processes of the imported package, ``MATRIX_WORKERS`` at a time; their
+    output bytes do not depend on the BLAS thread count."""
     config = root / "config.json"
-    config.write_text(json.dumps({"train_steps": train_steps}))
+    config.write_text(json.dumps({"train_steps": REPORT_STEPS, "checkpoint_every": FIDELITY_STEP}))
     src = str(Path(harness.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
@@ -67,26 +73,34 @@ def ablate_matrix(root, train_steps):
 
     with ThreadPoolExecutor(MATRIX_WORKERS) as pool:
         procs = list(pool.map(ablate, SEEDS))
-    series, reports = {}, {}
+    series, thetas = {}, {}
     for seed, proc in zip(SEEDS, procs):
         assert proc.returncode == 0, f"flowrl ablate --seed {seed} exited {proc.returncode}:\n{proc.stderr}"
         out = root / str(seed)
         for preset in harness.PRESET_NAMES:
             series[(preset, seed)] = harness.load_metrics(out / preset)
-        reports[seed] = json.loads((out / "phenomena_report.json").read_text())
-    return series, reports
-
-
-@pytest.fixture(scope="session")
-def training_matrix(tmp_path_factory):
-    """The criteria's matrix: every seed's presets at ``EFFICACY_STEPS``."""
-    return ablate_matrix(tmp_path_factory.mktemp("matrix"), EFFICACY_STEPS)
+        names = ("checkpoint_pretrained.json", f"checkpoint_step{FIDELITY_STEP}.json")
+        thetas[seed] = tuple(diffnet.load_checkpoint(out / "vgpo" / name)[1] for name in names)
+    return series, thetas
 
 
 @pytest.fixture(scope="session")
 def default_length_matrix(tmp_path_factory):
-    """The same matrix at the default run length, ``REPORT_STEPS``."""
-    return ablate_matrix(tmp_path_factory.mktemp("default-length"), REPORT_STEPS)
+    """The matrix at the default run length, ``REPORT_STEPS``."""
+    return ablate_matrix(tmp_path_factory.mktemp("default-length"))
+
+
+def at_efficacy_steps(matrix):
+    """The criteria's view of the matrix: every series cut at
+    ``EFFICACY_STEPS`` and each seed's phenomena report rebuilt from its cut
+    vgpo and flow-grpo series. Every draw is keyed by (seed, stream, step),
+    so a cut series is the series of a run of ``EFFICACY_STEPS`` steps."""
+    series = {key: [r for r in records if r.step <= EFFICACY_STEPS] for key, records in matrix[0].items()}
+    reports = {
+        seed: harness.reproduce_phenomena({preset: series[(preset, seed)] for preset in ("vgpo", "flow-grpo")})
+        for seed in SEEDS
+    }
+    return series, reports
 
 
 class TestCriterion1EquationOracles:
@@ -176,9 +190,9 @@ class TestCriterion2GradientChecks:
         assert diffnet.param_count(arch_s) <= 200
         theta_s = diffnet.init_params(arch_s, 5)
         schedule = flowcore.NoiseSchedule(a=0.7, num_steps=4)
-        group = rollout.rollout_group(arch_s, theta_s, [1], 3, schedule, task, seeds=[(7, 0)])
+        group = rollout.rollout_group(arch_s, theta_s, [1], 3, schedule, seeds=[(7, 0)])
         cfg = trainer.TrainConfig(task=task, hidden_dims=(6,), sampling_steps=4, group_size=3)
-        advantages = trainer.compute_advantages(group, cfg)
+        advantages = trainer.compute_advantages(trainer.instant_rewards(task, group, group.hs[-1]), cfg)
         theta_ref = diffnet.init_params(arch_s, 12)
         ref_mean = reference_means_at(arch_s, theta_ref, group)
         res = surrogate_at(arch_s, theta_s.copy(), group, advantages, ref_mean, 0.2, 0.01)
@@ -204,7 +218,7 @@ class TestCriterion3SamplerReductions:
         sched0 = flowcore.NoiseSchedule(a=0.0, num_steps=10)
         bitwise_ok = True
         for i in range(20):
-            group = rollout.rollout_group(arch, params, [i % 8], 8, sched0, task, seeds=[(30, i)])
+            group = rollout.rollout_group(arch, params, [i % 8], 8, sched0, seeds=[(30, i)])
             states = group.states[0]
             euler = reference_euler_states(arch, params, states[:, 0], i % 8, 10)
             bitwise_ok = bitwise_ok and bool(np.array_equal(euler, states))
@@ -214,9 +228,9 @@ class TestCriterion3SamplerReductions:
         exact = 0
         total = 0
         for i in range(125):
-            group = rollout.rollout_group(arch, params, [i % 8], 8, sched, task, seeds=[(31, i)])
+            group = rollout.rollout_group(arch, params, [i % 8], 8, sched, seeds=[(31, i)])
             terminals = envsuite.reward(task, group.states[0, :, -1], i % 8)
-            for instant, terminal in zip(group.instant_rewards[0], terminals):
+            for instant, terminal in zip(trainer.instant_rewards(task, group, group.hs[-1])[0], terminals):
                 total += 1
                 exact += instant[-1] == terminal
         ok = bitwise_ok and exact == total == 1000
@@ -229,13 +243,13 @@ class TestCriterion4MarginalPreservation:
     def test_wasserstein_ode_vs_sde(self, two_mode_1d):
         # 10000 evaluation ODE samples against the terminal states of 1250
         # rollout groups of 8
-        task, arch, params = two_mode_1d
+        _, arch, params = two_mode_1d
         distances = {}
         for a in (0.1, 0.3, 0.7):
             sched = flowcore.NoiseSchedule(a=a, num_steps=10)
             ode, = flowcore.sample_terminal_ode(arch, params, sched, [0], 10000, [np.random.default_rng(41)])
             seeds = [(42, i) for i in range(1250)]
-            sde = rollout.rollout_group(arch, params, [0] * 1250, 8, sched, task, seeds).states[:, :, -1]
+            sde = rollout.rollout_group(arch, params, [0] * 1250, 8, sched, seeds).states[:, :, -1]
             distances[a] = wasserstein1_1d(ode, sde)
         ok = all(d < 0.1 for d in distances.values())
         report(4, "marginal preservation (W1 ODE vs SDE < 0.1)", ok,
@@ -255,9 +269,8 @@ class TestCriterion5ReductionEquivalence:
         worst = 0.0
         for step in range(1, 51):
             batch = trainer.rollout_batch(state_a, step)
-            advantages = np.stack(
-                [grpo_advantages(r, batch.num_steps, cfg.eps_std) for r in batch.terminal_rewards]
-            )
+            terminal = trainer.instant_rewards(cfg.task, batch, batch.hs[-1])[..., -1]
+            advantages = np.stack([grpo_advantages(r, batch.num_steps, cfg.eps_std) for r in terminal])
             trainer.update_policy(state_a, batch, advantages, step)
             trainer.train_step(state_b, step)
             worst = max(worst, float(np.max(np.abs(state_a.theta - state_b.theta))))
@@ -275,9 +288,8 @@ class TestCriterion6StagnationContrast:
         for name, cfg in (("flow-grpo", cfg_grpo), ("vgpo", cfg_vgpo)):
             state = trainer.init_state(cfg, pretrained)
             batch = trainer.rollout_batch(state, 1)
-            batch.instant_rewards[...] = 0.8
-            batch.terminal_rewards[...] = 0.8
-            advantages = trainer.compute_advantages(batch, cfg)
+            # every instant and terminal reward 0.8
+            advantages = trainer.compute_advantages(np.full(batch.logp_old.shape, 0.8), cfg)
             _, _, norms[name] = trainer.update_policy(state, batch, advantages, 1)
         ok = norms["flow-grpo"] == 0.0 and norms["vgpo"] >= 1e-6
         report(6, "stagnation contrast on uniform sub-maximal rewards", ok,
@@ -293,8 +305,8 @@ def _median_final_and_gain(series, preset):
 
 @pytest.mark.slow
 class TestCriterion7TrainingEfficacy:
-    def test_vgpo_matches_or_beats_baseline_and_both_learn(self, training_matrix):
-        series, _ = training_matrix
+    def test_vgpo_matches_or_beats_baseline_and_both_learn(self, default_length_matrix):
+        series, _ = at_efficacy_steps(default_length_matrix)
         vgpo_final, vgpo_gain = _median_final_and_gain(series, "vgpo")
         grpo_final, grpo_gain = _median_final_and_gain(series, "flow-grpo")
         ok = vgpo_final >= grpo_final and vgpo_gain >= 0.2 and grpo_gain >= 0.2
@@ -309,8 +321,8 @@ class TestCriterion7TrainingEfficacy:
 
 @pytest.mark.slow
 class TestCriterion8ConvergenceSpeed:
-    def test_dense_rewards_reach_threshold_no_later(self, training_matrix):
-        _, reports = training_matrix
+    def test_dense_rewards_reach_threshold_no_later(self, default_length_matrix):
+        _, reports = at_efficacy_steps(default_length_matrix)
         vgpo_median = statistics.median(reports[s]["steps_to_threshold"]["vgpo"] for s in SEEDS)
         grpo_median = statistics.median(reports[s]["steps_to_threshold"]["flow-grpo"] for s in SEEDS)
         ok = vgpo_median <= grpo_median
@@ -321,8 +333,8 @@ class TestCriterion8ConvergenceSpeed:
 
 @pytest.mark.slow
 class TestCriterion9RewardHackingMonitor:
-    def test_quality_drop_at_matched_reward(self, training_matrix):
-        _, reports = training_matrix
+    def test_quality_drop_at_matched_reward(self, default_length_matrix):
+        _, reports = at_efficacy_steps(default_length_matrix)
         drops = {"vgpo": [], "flow-grpo": []}
         print("\n  seed  matched_r  vgpo_drop  flow-grpo_drop")
         for seed in SEEDS:
@@ -363,6 +375,40 @@ class TestDefaultLengthReport:
             for seed, row in [*zip(SEEDS, rows), ("median", [statistics.median(c) for c in zip(*rows)])]:
                 print(f"  {preset:<10} {seed:>6}  {row[0]:5.3f}  {row[1]:6.3f}  {row[2]:5.3f}  {row[3]:6.3f}"
                       f"  {row[4]:7.2f}  {row[5]:+11.2f}")
+
+
+@pytest.mark.slow
+class TestDenseRewardFidelityReport:
+    def test_report_policy_and_reference_projections_against_the_monte_carlo_value(self, default_length_matrix):
+        # report only, no gate: per seed, 400 rollouts of theta's SDE on
+        # context 0 at vgpo's theta after FIDELITY_STEP steps, with V(s_t)
+        # from 128 continuations of that same SDE, against R_proj projected
+        # by theta's own velocity (the rollout's pass) and by theta_ref's (the
+        # reference pass), both scored by trainer.instant_rewards
+        cfg = trainer.TrainConfig()
+        task, arch, sched, t_steps = cfg.task, cfg.architecture(), cfg.schedule(), cfg.sampling_steps
+        print(f"\n  seed  tau  mean V  policy bias  policy corr  reference bias  reference corr  (step {FIDELITY_STEP})")
+        for seed in FIDELITY_SEEDS:
+            theta_ref, theta = default_length_matrix[1][seed]
+            batch = rollout.rollout_group(arch, theta, [0] * 50, 8, sched, [(seed, slot) for slot in range(50)])
+            projections = (
+                trainer.instant_rewards(task, batch, batch.hs[-1]),
+                trainer.instant_rewards(task, batch, reference_velocity_at(arch, theta_ref, batch)),
+            )
+
+            def field(x, tau):
+                return reference_velocity(arch, theta, x, tau, 0)
+
+            mc_rng = np.random.default_rng(seed)
+            for t in (9, 7, 5, 2):
+                s = batch.states[:, :, t_steps - t].reshape(-1, task.state_dim)
+                value = mc_value(task, field, s, t, sched, 128, mc_rng)
+                cells = []
+                for rewards in projections:
+                    r_proj = rewards[:, :, t_steps - 1 - t].ravel()
+                    cells += [float((r_proj - value).mean()), np.corrcoef(r_proj, value)[0, 1]]
+                print(f"  {seed:4d}  {t / t_steps:.1f}  {value.mean():6.3f}  {cells[0]:+11.3f}  {cells[1]:11.3f}"
+                      f"  {cells[2]:+14.3f}  {cells[3]:14.3f}")
 
 
 class TestCriterion10Determinism:

@@ -45,7 +45,8 @@ def test_batched_step_matches_per_group_oracle(seed, b, g, t, preset, shared):
     # entropy tuples, as the trainer passes them: each side builds its own generators
     seeds = [(seed, trainer.STREAM_ROLLOUT, 1, slot, int(c)) for slot, c in enumerate(contexts)]
 
-    batch = rollout.rollout_group(ARCH, theta_old, contexts, g, schedule, TASK, seeds, shared)
+    batch = rollout.rollout_group(ARCH, theta_old, contexts, g, schedule, seeds, shared)
+    rewards = trainer.instant_rewards(TASK, batch, batch.hs[-1])
     groups = [
         reference_rollout_group(ARCH, theta_old, int(c), g, schedule, TASK, s, shared)
         for c, s in zip(contexts, seeds)
@@ -57,17 +58,15 @@ def test_batched_step_matches_per_group_oracle(seed, b, g, t, preset, shared):
         assert np.array_equal(batch.states[slot, :, 0], init)
         assert close(batch.states[slot], ref["states"])
         assert close(batch.logp_old[slot], ref["logp_old"])
-        assert close(batch.instant_rewards[slot], ref["instant_rewards"])
-        assert close(batch.terminal_rewards[slot], ref["terminal_rewards"])
+        assert close(rewards[slot], ref["instant_rewards"])
+        assert close(rewards[slot, :, -1], ref["terminal_rewards"])
 
     config = trainer.apply_preset(
         trainer.TrainConfig(task=TASK, hidden_dims=(8,), group_size=g, sampling_steps=t), preset
     )
-    advantages = trainer.compute_advantages(batch, config)
+    advantages = trainer.compute_advantages(rewards, config)
     for slot in range(b):
-        want = reference_advantages(
-            batch.instant_rewards[slot], batch.terminal_rewards[slot], config
-        )
+        want = reference_advantages(rewards[slot], rewards[slot, :, -1], config)
         assert close(advantages[slot], want)
 
     ref_mean = reference_means_at(ARCH, theta_ref, batch)

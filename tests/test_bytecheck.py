@@ -156,7 +156,7 @@ def test_a_train_run_covers_the_smallest_shapes():
 
 
 def test_train_runs_cover_the_ring_reward_and_the_1d_mode_reward():
-    # the rollout scores its projections with every branch of the reward:
+    # trainer.instant_rewards scores its projections with every branch of the reward:
     # the ring's, which ignores the context, and mode-preference's column
     # fold at d = 1 over several contexts
     trains = [

@@ -288,12 +288,11 @@ class TestFmLoss:
 def test_ode_reduction_property(seed, steps):
     """a = 0 makes rollout trajectories bit-identical to the Euler integrator."""
     rng = np.random.default_rng(seed)
-    task = envsuite.TaskSpec(num_modes=2, context_count=2)
     arch = diffnet.for_task(2, 2, hidden_dims=(5,))
     params = rng.standard_normal(diffnet.param_count(arch))
     sched = flowcore.NoiseSchedule(a=0.0, num_steps=steps)
     context = int(rng.integers(0, 2))
-    states = rollout.rollout_group(arch, params, [context], 2, sched, task, seeds=[seed]).states[0]
+    states = rollout.rollout_group(arch, params, [context], 2, sched, seeds=[seed]).states[0]
     assert np.array_equal(states, reference_euler_states(arch, params, states[:, 0], context, steps))
 
 
@@ -368,17 +367,17 @@ def test_ode_sampler_rejects_parameters_beyond_float32():
 class TestMarginalPreservation:
     @pytest.mark.parametrize("noise_level", [0.1, 0.3, 0.7])
     def test_sde_matches_ode_marginals(self, two_mode_1d, noise_level):
-        task, arch, params = two_mode_1d
+        _, arch, params = two_mode_1d
         sched = flowcore.NoiseSchedule(a=noise_level, num_steps=10)
         ode, = flowcore.sample_terminal_ode(arch, params, sched, [0], 10000, [np.random.default_rng(1)])
         seeds = [(2, i) for i in range(1250)]
-        sde = rollout.rollout_group(arch, params, [0] * 1250, 8, sched, task, seeds).states[:, :, -1]
+        sde = rollout.rollout_group(arch, params, [0] * 1250, 8, sched, seeds).states[:, :, -1]
         assert wasserstein1_1d(ode, sde) < 0.1
 
     def test_logpdf_of_sampled_states_finite(self, two_mode_1d):
-        task, arch, params = two_mode_1d
+        _, arch, params = two_mode_1d
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
-        batch = rollout.rollout_group(arch, params, [0, 1], 16, sched, task, seeds=[0, 1])
+        batch = rollout.rollout_group(arch, params, [0, 1], 16, sched, seeds=[0, 1])
         assert batch.logp_old.shape == (2, 16, 10)
         assert np.all(np.isfinite(batch.logp_old))
 

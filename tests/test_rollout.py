@@ -16,12 +16,16 @@ def setup():
 
 def make_group(setup, a=0.7, seed=(0, 1, 2), group_size=8, shared=False, steps=10):
     """A one-slot batch: one group of trajectories for context 2."""
-    task, arch, params = setup
+    _, arch, params = setup
     sched = flowcore.NoiseSchedule(a=a, num_steps=steps)
     return rollout.rollout_group(
-        arch, params, contexts=[2], group_size=group_size, schedule=sched, task=task,
-        seeds=[seed], shared_initial_noise=shared,
+        arch, params, contexts=[2], group_size=group_size, schedule=sched, seeds=[seed], shared_initial_noise=shared,
     )
+
+
+def rewards_of(setup, g):
+    """The batch's dense rewards, projected with the rollout's own velocities."""
+    return trainer.instant_rewards(setup[0], g, g.hs[-1])
 
 
 class TestRolloutGroup:
@@ -30,8 +34,9 @@ class TestRolloutGroup:
         g2 = make_group(setup)
         assert np.array_equal(g1.states, g2.states)
         assert np.array_equal(g1.logp_old, g2.logp_old)
-        assert np.array_equal(g1.instant_rewards, g2.instant_rewards)
-        assert np.array_equal(g1.terminal_rewards, g2.terminal_rewards)
+        r1, r2 = rewards_of(setup, g1), rewards_of(setup, g2)
+        assert np.array_equal(r1, r2)
+        assert np.array_equal(r1[..., -1], r2[..., -1])
 
     def test_shapes_and_finiteness(self, setup):
         g = make_group(setup)
@@ -42,8 +47,11 @@ class TestRolloutGroup:
         assert np.all(np.isfinite(g.states))
 
     def test_one_reward_call_per_rollout(self, setup, count_calls):
+        # the sampler scores nothing; the batch's rewards take one call
         calls = count_calls(envsuite, "reward")
-        make_group(setup)
+        g = make_group(setup)
+        assert calls == []
+        rewards_of(setup, g)
         assert len(calls) == 1
 
     def test_deterministic_dynamics_shared_noise_collapses_group(self, setup):
@@ -63,11 +71,11 @@ class TestRolloutGroup:
 
     def test_same_seed_sequences_reused_give_the_same_batch(self, setup):
         # seeds are entropy: each call builds fresh generators from them
-        task, arch, params = setup
+        _, arch, params = setup
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
         seeds = [(0, 1, 2), (0, 1, 3)]
-        first = rollout.rollout_group(arch, params, [2, 5], 4, sched, task, seeds)
-        again = rollout.rollout_group(arch, params, [2, 5], 4, sched, task, seeds)
+        first = rollout.rollout_group(arch, params, [2, 5], 4, sched, seeds)
+        again = rollout.rollout_group(arch, params, [2, 5], 4, sched, seeds)
         for seed in seeds:
             draws = [rollout._draw_noise(seed, 4, 10, arch.state_dim, False) for _ in range(2)]
             assert np.array_equal(draws[0][0], draws[1][0])
@@ -75,7 +83,7 @@ class TestRolloutGroup:
         assert np.array_equal(first.states, again.states)
 
     def test_context_out_of_range_rejected_before_drawing(self, setup, monkeypatch):
-        task, arch, params = setup
+        _, arch, params = setup
 
         def no_draws(*args, **kwargs):
             raise AssertionError("noise drawn before the contexts were checked")
@@ -84,17 +92,17 @@ class TestRolloutGroup:
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
         for contexts in ([0, arch.context_count], [-1]):
             with pytest.raises(ValueError, match="context index out of range"):
-                rollout.rollout_group(arch, params, contexts, 4, sched, task, seeds=[0] * len(contexts))
+                rollout.rollout_group(arch, params, contexts, 4, sched, seeds=[0] * len(contexts))
 
     def test_a_seed_count_other_than_the_slot_count_is_rejected(self, setup):
         # no check of its own: the first write into the buffers takes only
         # one initial state per row of the (B * G) batch
-        task, arch, params = setup
+        _, arch, params = setup
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=6)
         for seeds in ([0], [0, 1, 2]):
             for buffers in (None, rollout.make_buffers(arch, 2, 4, 6)):
                 with pytest.raises(ValueError):
-                    rollout.rollout_group(arch, params, [2, 5], 4, sched, task, seeds, buffers=buffers)
+                    rollout.rollout_group(arch, params, [2, 5], 4, sched, seeds, buffers=buffers)
 
     def test_per_trajectory_streams_do_not_depend_on_group_size(self, setup):
         small = make_group(setup, group_size=4)
@@ -104,7 +112,7 @@ class TestRolloutGroup:
 
     @pytest.mark.parametrize("shared", [False, True])
     def test_one_generator_per_slot(self, setup, monkeypatch, shared):
-        task, arch, params = setup
+        _, arch, params = setup
         made = []
         real_default_rng = np.random.default_rng
 
@@ -114,17 +122,17 @@ class TestRolloutGroup:
 
         monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
-        rollout.rollout_group(arch, params, [2, 5, 2], 8, sched, task, [(0, 1), (0, 2), (0, 3)], shared)
+        rollout.rollout_group(arch, params, [2, 5, 2], 8, sched, [(0, 1), (0, 2), (0, 3)], shared)
         assert len(made) == 3
 
     def test_slot_noise_does_not_depend_on_the_batch(self, setup):
         # BLAS may sum the rows of a larger batch in another order, moving
         # the last bits of the states; the drawn initial states are exact
-        task, arch, params = setup
+        _, arch, params = setup
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
         seeds = [(0, 1, 0, 4), (0, 1, 1, 2), (0, 1, 2, 7)]
-        batch = rollout.rollout_group(arch, params, [4, 2, 7], 8, sched, task, seeds)
-        alone = rollout.rollout_group(arch, params, [2], 8, sched, task, seeds[1:2])
+        batch = rollout.rollout_group(arch, params, [4, 2, 7], 8, sched, seeds)
+        alone = rollout.rollout_group(arch, params, [2], 8, sched, seeds[1:2])
         assert np.array_equal(batch.states[1, :, 0], alone.states[0, :, 0])
         assert np.max(np.abs(batch.states[1] - alone.states[0])) <= 1e-12
 
@@ -132,25 +140,25 @@ class TestRolloutGroup:
     def test_batches_on_reused_buffers_equal_batches_on_fresh_ones(self, setup, shared):
         # three batches of other contexts and seeds written over one set of
         # buffers, each against the same call on buffers of its own
-        task, arch, params = setup
+        _, arch, params = setup
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=6)
         buffers = rollout.make_buffers(arch, 2, 4, 6)
         for i, contexts in enumerate(([2, 5], [0, 0], [7, 1])):
             seeds = [(i, 0), (i, 1)]
-            got = rollout.rollout_group(arch, params, contexts, 4, sched, task, seeds, shared, buffers)
-            want = rollout.rollout_group(arch, params, contexts, 4, sched, task, seeds, shared)
+            got = rollout.rollout_group(arch, params, contexts, 4, sched, seeds, shared, buffers)
+            want = rollout.rollout_group(arch, params, contexts, 4, sched, seeds, shared)
             assert got.states is buffers.batch["states"] and got.hs[-1] is buffers.batch["hs"][-1]
-            for name in ("contexts", "states", "logp_old", "instant_rewards", "phi"):
+            for name in ("contexts", "states", "logp_old", "phi"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
             assert all(np.array_equal(h, w) for h, w in zip(got.hs, want.hs, strict=True))
 
     def test_buffers_of_another_shape_are_rejected(self, setup):
-        task, arch, params = setup
+        _, arch, params = setup
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=6)
         for b, g, t in ((1, 4, 6), (2, 3, 6), (2, 4, 5)):
             with pytest.raises(ValueError, match=r"rollout buffers of another shape for a \(2, 4, 6\) batch"):
                 rollout.rollout_group(
-                    arch, params, [2, 5], 4, sched, task, [0, 1], buffers=rollout.make_buffers(arch, b, g, t)
+                    arch, params, [2, 5], 4, sched, [0, 1], buffers=rollout.make_buffers(arch, b, g, t)
                 )
 
     @pytest.mark.parametrize("steps", [2, 10])
@@ -203,11 +211,10 @@ class TestInstantRewards:
         # scored apart from the rollout: the projection at tau = 0 is the identity
         task, _, _ = setup
         g = make_group(setup)
-        assert np.array_equal(g.instant_rewards[0, :, -1], envsuite.reward(task, g.states[0, :, -1], 2))
+        assert np.array_equal(rewards_of(setup, g)[0, :, -1], envsuite.reward(task, g.states[0, :, -1], 2))
 
     def test_rewards_within_unit_interval(self, setup):
-        g = make_group(setup)
-        r = g.instant_rewards
+        r = rewards_of(setup, make_group(setup))
         assert np.all(r >= 0.0) and np.all(r <= 1.0)
 
     def test_constant_field_matches_hand_projection(self, setup):
@@ -217,10 +224,11 @@ class TestInstantRewards:
         c = np.array([0.5, -0.25])
         params = np.concatenate([np.zeros((2, arch.input_dim)).ravel(), c])
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=5)
-        g = rollout.rollout_group(arch, params, [1], 3, sched, task, seeds=[4])
+        g = rollout.rollout_group(arch, params, [1], 3, sched, seeds=[4])
+        rewards = trainer.instant_rewards(task, g, g.hs[-1])
         for j, tau_next in enumerate((4 / 5, 3 / 5, 2 / 5, 1 / 5, 0.0)):
             s_next = g.states[0, :, j + 1]
-            got = g.instant_rewards[0, :, j]
+            got = rewards[0, :, j]
             want = envsuite.reward(task, s_next - tau_next * c, 1)
             assert np.array_equal(got, want)
 
@@ -230,8 +238,8 @@ class TestInstantRewards:
         task, arch, _ = setup
         params = np.zeros(diffnet.param_count(arch))
         sched = flowcore.NoiseSchedule(a=0.0, num_steps=10)
-        g = rollout.rollout_group(arch, params, [1], 4, sched, task, seeds=[9])
-        for r in g.instant_rewards[0]:
+        g = rollout.rollout_group(arch, params, [1], 4, sched, seeds=[9])
+        for r in trainer.instant_rewards(task, g, g.hs[-1])[0]:
             assert np.all(r == r[0])
 
 
@@ -242,12 +250,9 @@ class TestTrajectoryValidation:
         # on the first step
         arch = diffnet.for_task(1, 1, hidden_dims=())
         params = np.concatenate([np.zeros(arch.input_dim), [1.7e308]])
-        task = envsuite.TaskSpec(
-            num_modes=1, context_count=1, state_dim=1, mode_centers=[[0.0]]
-        )
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
         with pytest.raises(flowcore.NonFiniteStep, match="t=10 context=0"):
-            rollout.rollout_group(arch, params, [0], 2, sched, task, seeds=[0])
+            rollout.rollout_group(arch, params, [0], 2, sched, seeds=[0])
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_diagnostic_names_only_the_diverging_contexts(self):
@@ -257,47 +262,40 @@ class TestTrajectoryValidation:
         weights = np.zeros((1, arch.input_dim))
         weights[0, 1 + diffnet.TIME_FEATURES + 1] = 1.7e308
         params = np.concatenate([weights.ravel(), [0.0]])
-        task = envsuite.TaskSpec(
-            num_modes=3, context_count=3, state_dim=1, mode_centers=[[0.0], [1.0], [2.0]]
-        )
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
         with pytest.raises(flowcore.NonFiniteStep, match="t=10 context=1:"):
             rollout.rollout_group(
-                arch, params, [0, 1, 2, 1], 2, sched, task, seeds=[0, 1, 2, 3]
+                arch, params, [0, 1, 2, 1], 2, sched, seeds=[0, 1, 2, 3]
             )
 
-
-    def test_non_finite_projection_aborts_with_diagnostic(self, setup, monkeypatch):
-        # the third projection, of the states step t=8 made, turns non-finite
-        # in slot 1's rows while every state stays finite: the rollout stops
-        # there, before the reward, naming that step and slot 1's context
+    def test_non_finite_projection_aborts_with_diagnostic(self, setup, count_calls):
+        # a NaN velocity at the state step t=8 made (column 3) in slot 1's
+        # rows, and at a later state in slot 0's, while every state stays
+        # finite: the first bad projection in generation order stops the
+        # rewards before the reward call, naming that step and slot 1's context
         task, arch, params = setup
-        taus = []
-        real_euler_update = flowcore.euler_update
-
-        def euler_update(x, v, h):
-            taus.append(h)
-            out = real_euler_update(x, v, h)
-            if len(taus) == 3:
-                out[4:] = np.nan
-            return out
-
-        monkeypatch.setattr(flowcore, "euler_update", euler_update)
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
+        g = rollout.rollout_group(arch, params, [2, 5], 4, sched, seeds=[0, 1])
+        velocity = g.hs[-1].copy()
+        velocity[1, :, 3] = np.nan
+        velocity[0, :, 6] = np.nan
+        calls = count_calls(envsuite, "reward")
         with pytest.raises(flowcore.NonFiniteStep, match=r"^step t=8 context=5: non-finite projected state$"):
-            rollout.rollout_group(arch, params, [2, 5], 4, sched, task, seeds=[0, 1])
-        assert taus == [0.9, 0.8, 0.7]
+            trainer.instant_rewards(task, g, velocity)
+        assert np.isfinite(g.states).all()
+        assert calls == []
 
 
 class TestTrajectoryDump:
     def test_jsonl_round_trip(self, setup, tmp_path):
         g = make_group(setup)
+        rewards = rewards_of(setup, g)
         path = tmp_path / "trajectories.jsonl"
-        rollout.dump_trajectories(g, path)
+        rollout.dump_trajectories(g, rewards, path)
         rows = load_trajectory_dump(path)
         assert len(rows) == g.group_size
         for i, row in enumerate(rows):
             assert row["context"] == g.contexts[0]
-            assert row["terminal_reward"] == g.terminal_rewards[0, i]
+            assert row["terminal_reward"] == rewards[0, i, -1]
             assert np.array_equal(np.array(row["states"]), g.states[0, i])
-            assert np.array_equal(np.array(row["instant_rewards"]), g.instant_rewards[0, i])
+            assert np.array_equal(np.array(row["instant_rewards"]), rewards[0, i])

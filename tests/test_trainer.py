@@ -19,6 +19,7 @@ from _oracles import (
     reference_evaluate,
     reference_means_at,
     reference_pretrain,
+    reference_velocity_at,
     surrogate_at,
 )
 
@@ -192,20 +193,31 @@ class TestPretrain:
         assert len(updates) == step
 
 
+def rewards_of(batch, cfg):
+    """The batch's dense rewards, projected with the rollout's own velocities."""
+    return trainer.instant_rewards(cfg.task, batch, batch.hs[-1])
+
+
+def advantages_of(batch, cfg):
+    return trainer.compute_advantages(rewards_of(batch, cfg), cfg)
+
+
 class TestComputeAdvantages:
     def test_flow_grpo_broadcasts_terminal_column(self, tiny_setup):
         cfg, _, batch = tiny_setup
         cfg_grpo = trainer.apply_preset(cfg, "flow-grpo")
-        advantages = trainer.compute_advantages(batch, cfg_grpo)
+        rewards = rewards_of(batch, cfg)
+        advantages = trainer.compute_advantages(rewards, cfg_grpo)
         assert np.all(advantages == advantages[..., :1])
         for b in range(batch.contexts.shape[0]):
-            want = grpo_advantages(batch.terminal_rewards[b], batch.num_steps, cfg.eps_std)
+            want = grpo_advantages(rewards[b, :, -1], batch.num_steps, cfg.eps_std)
             assert np.array_equal(advantages[b], want)
 
     def test_vgpo_uses_adae_on_cumulative_values(self, tiny_setup):
         cfg, _, batch = tiny_setup
-        advantages = trainer.compute_advantages(batch, cfg)
-        q = adv.cumulative_values(batch.instant_rewards, cfg.gamma)
+        rewards = rewards_of(batch, cfg)
+        advantages = trainer.compute_advantages(rewards, cfg)
+        q = adv.cumulative_values(rewards, cfg.gamma)
         omega = adv.value_weights(q, cfg.eps_mean)
         want = adv.adae(q, cfg.k, omega, cfg.eps_std)
         assert np.array_equal(advantages, want)
@@ -213,11 +225,29 @@ class TestComputeAdvantages:
     def test_tcrm_disabled_uses_terminal_broadcast_with_unit_weights(self, tiny_setup):
         cfg, _, batch = tiny_setup
         cfg_off = replace(cfg, tcrm_enabled=False)
-        advantages = trainer.compute_advantages(batch, cfg_off)
-        terminal = batch.terminal_rewards
+        rewards = rewards_of(batch, cfg)
+        advantages = trainer.compute_advantages(rewards, cfg_off)
+        terminal = rewards[..., -1]
         q = np.tile(terminal[..., None], (1, 1, batch.num_steps))
         want = adv.adae(q, cfg.k, np.ones_like(q), cfg.eps_std)
         assert np.array_equal(advantages, want)
+
+
+class TestInstantRewards:
+    @pytest.mark.parametrize("hidden_dims", [(8,), (64, 64)], ids=["small", "default-width"])
+    def test_the_reference_pass_at_theta_gives_the_policy_rewards(self, pretrained, hidden_dims):
+        # at theta_ref = theta the reference pass's velocity rows are the
+        # rollout's, up to rounding: one pass over all B * G * T rows runs
+        # other BLAS row counts than the rollout's T passes of B * G rows
+        cfg = small_config(hidden_dims=hidden_dims)
+        theta = pretrained if hidden_dims == (8,) else diffnet.init_params(cfg.architecture(), 3)
+        state = trainer.init_state(cfg, theta)
+        batch = trainer.rollout_batch(state, 1)
+        assert np.array_equal(state.theta_ref, state.theta)
+        v_ref = reference_velocity_at(state.arch, state.theta_ref, batch)
+        got = trainer.instant_rewards(cfg.task, batch, v_ref)
+        want = rewards_of(batch, cfg)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 class TestClippedTerm:
@@ -248,7 +278,7 @@ def surrogate(arch, theta, theta_ref, batch, advantages, eps_clip, beta_kl):
 class TestSurrogate:
     def test_on_policy_identity(self, tiny_setup):
         cfg, state, batch = tiny_setup
-        advantages = trainer.compute_advantages(batch, cfg)
+        advantages = advantages_of(batch, cfg)
         res = surrogate(
             state.arch, state.theta, state.theta_ref, batch, advantages, cfg.eps_clip, beta_kl=0.0
         )
@@ -262,7 +292,7 @@ class TestSurrogate:
         # in the on-policy regime the per-element surrogate magnitude cannot
         # exceed (1 + eps) |A|; with ratios == 1 it equals |A| exactly
         cfg, state, batch = tiny_setup
-        advantages = trainer.compute_advantages(batch, cfg)
+        advantages = advantages_of(batch, cfg)
         res = surrogate(
             state.arch, state.theta, state.theta_ref, batch, advantages, cfg.eps_clip, beta_kl=0.0
         )
@@ -270,7 +300,7 @@ class TestSurrogate:
 
     def test_reference_policy_has_zero_kl(self, tiny_setup):
         cfg, state, batch = tiny_setup
-        advantages = trainer.compute_advantages(batch, cfg)
+        advantages = advantages_of(batch, cfg)
         res = surrogate(
             state.arch, state.theta_ref.copy(), state.theta_ref, batch, advantages, cfg.eps_clip, cfg.beta_kl
         )
@@ -278,7 +308,7 @@ class TestSurrogate:
 
     def test_kl_nonnegative_off_reference(self, tiny_setup):
         cfg, state, batch = tiny_setup
-        advantages = trainer.compute_advantages(batch, cfg)
+        advantages = advantages_of(batch, cfg)
         res = surrogate(
             state.arch, state.theta + 0.01, state.theta_ref, batch, advantages, cfg.eps_clip, cfg.beta_kl
         )
@@ -291,11 +321,11 @@ class TestSurrogate:
         assert diffnet.param_count(arch) <= 200
         theta = diffnet.init_params(arch, 5)
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=4)
-        group = rollout.rollout_group(arch, theta, [1], 3, sched, task, seeds=[(7, 0)])
+        group = rollout.rollout_group(arch, theta, [1], 3, sched, seeds=[(7, 0)])
         cfg = trainer.TrainConfig(
             task=task, hidden_dims=(6,), sampling_steps=4, group_size=3
         )
-        advantages = trainer.compute_advantages(group, cfg)
+        advantages = advantages_of(group, cfg)
         theta_ref = diffnet.init_params(arch, 12)
         ref_mean = reference_means_at(arch, theta_ref, group)
         rng = np.random.default_rng(9)
@@ -317,7 +347,7 @@ class TestSurrogate:
         arch = diffnet.for_task(2, 2, hidden_dims=(6,))
         theta = diffnet.init_params(arch, 5)
         sched = flowcore.NoiseSchedule(a=0.0, num_steps=4)
-        group = rollout.rollout_group(arch, theta, [0], 3, sched, SMALL_TASK, seeds=[1])
+        group = rollout.rollout_group(arch, theta, [0], 3, sched, seeds=[1])
         advantages = adv.adae(np.ones((1, 3, 4)), 0.5, np.ones((1, 3, 4)))
         ref_mean = reference_means_at(arch, theta, group)
         with pytest.raises(ValueError, match="stochastic"):
@@ -325,7 +355,7 @@ class TestSurrogate:
 
     def test_inputs_not_shaped_like_the_batch_rejected(self, tiny_setup):
         cfg, state, batch = tiny_setup
-        advantages = trainer.compute_advantages(batch, cfg)
+        advantages = advantages_of(batch, cfg)
         ref_mean = reference_means_at(state.arch, state.theta_ref, batch)
         assert ref_mean.shape == batch.states[:, :, :-1].shape
         with pytest.raises(ValueError, match=r"advantage shape \(2, 4, 4\) != \(2, 4, 5\)"):
@@ -334,9 +364,9 @@ class TestSurrogate:
             surrogate_at(state.arch, state.theta, batch, advantages, ref_mean[:1], 0.2, 0.01)
 
 
-def _inject_constant_rewards(batch, value):
-    batch.instant_rewards[...] = value
-    batch.terminal_rewards[...] = value
+def _constant_rewards(batch, value):
+    """A reward table of the batch's shape, every instant and terminal reward ``value``."""
+    return np.full(batch.logp_old.shape, value)
 
 
 class TestStagnationContrast:
@@ -345,8 +375,7 @@ class TestStagnationContrast:
         cfg_grpo = trainer.apply_preset(cfg, "flow-grpo")
         fresh = trainer.init_state(cfg_grpo, pretrained)
         batch = trainer.rollout_batch(fresh, 1)
-        _inject_constant_rewards(batch, 0.8)
-        advantages = trainer.compute_advantages(batch, cfg_grpo)
+        advantages = trainer.compute_advantages(_constant_rewards(batch, 0.8), cfg_grpo)
         assert np.all(advantages == 0.0)
         _, _, update_norm = trainer.update_policy(fresh, batch, advantages, 1)
         assert update_norm == 0.0
@@ -355,8 +384,7 @@ class TestStagnationContrast:
         cfg, _, _ = tiny_setup
         fresh = trainer.init_state(cfg, pretrained)
         batch = trainer.rollout_batch(fresh, 1)
-        _inject_constant_rewards(batch, 0.8)
-        advantages = trainer.compute_advantages(batch, cfg)
+        advantages = trainer.compute_advantages(_constant_rewards(batch, 0.8), cfg)
         # degenerate columns engage the absolute-value limit
         assert np.all(advantages > 0.0)
         _, _, update_norm = trainer.update_policy(fresh, batch, advantages, 1)
@@ -374,9 +402,9 @@ class TestTrainStep:
 
     def test_on_policy_ratio_one_after_refresh(self, tiny_setup):
         cfg, state, batch = tiny_setup
-        advantages = trainer.compute_advantages(batch, cfg)
+        advantages = advantages_of(batch, cfg)
         for b in range(batch.contexts.shape[0]):
-            fields = ("contexts", "states", "logp_old", "instant_rewards", "phi")
+            fields = ("contexts", "states", "logp_old", "phi")
             group = replace(
                 batch, **{name: getattr(batch, name)[b:b + 1] for name in fields},
                 hs=[h[b:b + 1] for h in batch.hs],
@@ -401,7 +429,7 @@ class TestOnePassPerTransition:
 
     def test_stored_pass_is_the_old_policys_pass_over_the_rows(self, tiny_setup):
         cfg, state, batch = tiny_setup
-        advantages = trainer.compute_advantages(batch, cfg)
+        advantages = advantages_of(batch, cfg)
         b, g, t, d = batch.states[:, :, :-1].shape
         taus = np.tile(batch.schedule.tau_grid(), b * g)
         x = batch.states[:, :, :-1].reshape(-1, d)
@@ -423,7 +451,7 @@ class TestNonFiniteGradient:
         cfg, _, _ = tiny_setup
         fresh = trainer.init_state(cfg, pretrained)
         batch = trainer.rollout_batch(fresh, 4)
-        advantages = trainer.compute_advantages(batch, cfg)
+        advantages = advantages_of(batch, cfg)
         res = surrogate(fresh.arch, fresh.theta, fresh.theta_ref, batch, advantages, cfg.eps_clip, cfg.beta_kl)
         assert np.isfinite(res.grad).all()
         assert res.nonfinite_contexts is None
@@ -432,7 +460,7 @@ class TestNonFiniteGradient:
         cfg, _, _ = tiny_setup
         fresh = trainer.init_state(cfg, pretrained)
         batch = trainer.rollout_batch(fresh, 5)
-        poisoned = trainer.compute_advantages(batch, cfg)
+        poisoned = advantages_of(batch, cfg)
         poisoned[1, 0, 3] = np.nan
         theta_before = fresh.theta.copy()
         res = surrogate(
@@ -462,7 +490,7 @@ class TestNonFiniteGradient:
         monkeypatch.setattr(diffnet, "backward", overflowing)
         largest = f"{np.abs(fresh.theta).max():.3g}"
         with pytest.raises(RuntimeError, match=rf"step 2: every backward row is finite.*\|theta\| {largest}$"):
-            trainer.update_policy(fresh, batch, trainer.compute_advantages(batch, cfg), 2)
+            trainer.update_policy(fresh, batch, advantages_of(batch, cfg), 2)
 
     def test_two_poisoned_slots_name_both_contexts_sorted(self, tiny_setup, pretrained):
         cfg, _, _ = tiny_setup
@@ -470,7 +498,7 @@ class TestNonFiniteGradient:
         batch = trainer.rollout_batch(fresh, 3)
         # the larger context comes first, so the names must be sorted
         assert batch.contexts.tolist() == [1, 0]
-        poisoned = trainer.compute_advantages(batch, cfg)
+        poisoned = advantages_of(batch, cfg)
         poisoned[0, 1, 0] = np.nan
         poisoned[1, 3, -1] = np.nan
         theta_before = fresh.theta.copy()
@@ -494,7 +522,7 @@ class TestInnerEpochs:
         cfg = small_config(inner_epochs=inner_epochs)
         state = trainer.init_state(cfg, pretrained)
         batch = trainer.rollout_batch(state, 1)
-        advantages = trainer.compute_advantages(batch, cfg)
+        advantages = advantages_of(batch, cfg)
         ref_mean = reference_means_at(state.arch, state.theta_ref, batch)
         theta, adam = state.theta.copy(), copy.deepcopy(state.adam)
         epochs = []
@@ -513,7 +541,7 @@ class TestInnerEpochs:
         assert abs(epochs[1].mean_ratio - 1.0) > 1e-6
 
 
-BATCH_FIELDS = ("contexts", "states", "logp_old", "instant_rewards", "phi")
+BATCH_FIELDS = ("contexts", "states", "logp_old", "phi")
 
 
 class TestStepBuffers:
@@ -544,7 +572,7 @@ class TestStepBuffers:
         arch = cfg.architecture()
         pretrained = diffnet.init_params(arch, 0)
         made = rollout.make_buffers(arch, cfg.batch_contexts, cfg.group_size, cfg.sampling_steps)
-        arrays = [made.states, made.means, made.projections, made.phi, *made.hs]
+        arrays = [made.states, made.means, made.phi, *made.hs]
         arrays += [a for name, a in made.batch.items() if name != "hs"] + made.batch["hs"]
         expected = 4 * pretrained.nbytes + sum(a.nbytes for a in arrays)
         tracemalloc.start()
@@ -570,10 +598,10 @@ class TestStepBuffers:
             made = trainer.init_state(cfg, other.theta)
             fresh = replace(other, buffers=made.buffers)
             want = trainer.rollout_batch(fresh, step)
-            trainer.update_policy(fresh, want, trainer.compute_advantages(want, cfg), step)
+            trainer.update_policy(fresh, want, advantages_of(want, cfg), step)
             batch = trainer.rollout_batch(own, step)
             assert np.shares_memory(batch.hs[0], own.buffers.batch["hs"][0])
-            trainer.update_policy(own, batch, trainer.compute_advantages(batch, cfg), step)
+            trainer.update_policy(own, batch, advantages_of(batch, cfg), step)
             assert np.array_equal(own.theta, other.theta)
             for name in BATCH_FIELDS:
                 assert np.array_equal(getattr(batch, name), getattr(want, name)), name
@@ -634,7 +662,7 @@ class TestReductionEquivalence:
         for step in range(1, 11):
             batch = trainer.rollout_batch(state_a, step)
             advantages = np.stack(
-                [grpo_advantages(r, batch.num_steps, cfg.eps_std) for r in batch.terminal_rewards]
+                [grpo_advantages(r, batch.num_steps, cfg.eps_std) for r in rewards_of(batch, cfg)[..., -1]]
             )
             trainer.update_policy(state_a, batch, advantages, step)
             trainer.train_step(state_b, step)

@@ -45,7 +45,7 @@ commands in order, with its own ``src`` on ``PYTHONPATH``,
   contexts, and ``flowrl train --seed 10 --dump-trajectories`` on the 1-D
   mode-preference task with three modes and three contexts, 40 training
   steps each, so that the reward's ring branch and its 1-D column fold score
-  the rollout's projections too.
+  the projections of ``trainer.instant_rewards`` too.
 
 Every ``flowrl`` child is single-threaded in BLAS because two children with
 threaded BLAS on two cores run slower together than one after the other:
