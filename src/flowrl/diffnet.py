@@ -95,13 +95,11 @@ def init_params(arch: Architecture, seed: int) -> np.ndarray:
 
 def unpack(arch: Architecture, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Views of the flat vector as per-layer (weight, bias) pairs, float32
-    for a float32 vector and float64 for any other."""
+    for a float32 vector and float64 for any other, unchecked: ``init_params``,
+    Adam or ``load_checkpoint`` (which checks the count) make every vector."""
     params = np.asarray(params)
     if params.dtype != np.float32:
         params = params.astype(np.float64, copy=False)
-    expected = param_count(arch)
-    if params.shape != (expected,):
-        raise ValueError(f"expected {expected} parameters, got shape {params.shape}")
     layers = []
     offset = 0
     dims = arch.layer_dims
@@ -356,7 +354,7 @@ def load_checkpoint(path) -> tuple[Architecture, np.ndarray]:
         if not set(map(type, payload["values"])) <= {int, float}:
             raise ValueError("checkpoint values must be JSON numbers")
         params = np.asarray(payload["values"], dtype=np.float64)
-    except (KeyError, TypeError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed checkpoint {path}: {exc!r}") from exc
     if params.shape != (param_count(arch),):
         raise ValueError("checkpoint value count does not match its architecture header")

@@ -157,7 +157,7 @@ def reward(task: TaskSpec, x, context):
     samples and on projected virtual terminals alike. Like ``quality`` it
     runs unchecked: ``trainer.instant_rewards`` checks its projections and
     the evaluation sampler its samples as they are made, and the contexts
-    enter through ``diffnet.check_contexts``."""
+    are ``sample_context``'s draws or the task's range."""
     x2 = np.atleast_2d(x)
     s = task.sharpness
     if task.name == "mode-preference":

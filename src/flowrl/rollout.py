@@ -145,26 +145,21 @@ def rollout_group(
 
     Each new state is checked as it is made: a non-finite one raises
     ``flowcore.NonFiniteStep`` naming the step and the contexts of its rows.
-    Of the inputs, only those that would otherwise pass silently are
-    checked: the contexts (a negative one selects the last one-hot column)
-    and the shape of ``buffers`` (a longer T leaves stale steps in the
-    batch). Too few or too many seeds fail at the first write into the
-    buffers; ``TrainConfig`` checks G >= 2.
+    The inputs run unchecked: ``trainer.rollout_batch`` draws the contexts with
+    ``envsuite.sample_context`` and passes the buffers made for the config's
+    (B, G, T); too few or too many seeds fail at the first buffer write.
 
     Everything is written into ``buffers``, the caller's ``RolloutBuffers``
     for this (B, G, T) shape, or into ones made for this call; their
     docstring says how long the returned batch lives.
     """
     contexts = np.asarray(contexts, dtype=np.int64)
-    diffnet.check_contexts(arch, contexts)
     layers = diffnet.unpack(arch, params_old)
     t_steps = schedule.num_steps
     b, d = contexts.shape[0], arch.state_dim
     n = b * group_size
     if buffers is None:
         buffers = make_buffers(arch, b, group_size, t_steps)
-    elif buffers.batch["phi"].shape != (b, group_size, t_steps, arch.input_dim):
-        raise ValueError(f"rollout buffers of another shape for a ({b}, {group_size}, {t_steps}) batch")
     draws = [_draw_noise(s, group_size, t_steps, d, shared_initial_noise) for s in seeds]
     row_noise = np.concatenate([noise for _, noise in draws])
     row_contexts = np.repeat(contexts, group_size)

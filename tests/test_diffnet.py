@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -41,6 +42,11 @@ class TestArchitecture:
             diffnet.Architecture(input_dim=0, hidden_dims=(4,), output_dim=1)
         with pytest.raises(ValueError):
             diffnet.Architecture(input_dim=5, hidden_dims=(0,), output_dim=1)
+
+    def test_input_narrower_than_state_and_time_rejected(self):
+        # 4 columns hold a 2-D state but not its 3 time features
+        with pytest.raises(ValueError, match="input_dim too small for state"):
+            diffnet.Architecture(input_dim=4, hidden_dims=(4,), output_dim=2)
 
     def test_for_task_feature_layout(self):
         arch = diffnet.for_task(2, 8)
@@ -304,6 +310,41 @@ class TestCheckpoint:
             path.write_text(json.dumps(content))
             with pytest.raises(ValueError):
                 diffnet.load_checkpoint(path)
+
+    @pytest.mark.parametrize("values", [
+        pytest.param(lambda v: v[:-1], id="one-short"),
+        pytest.param(lambda v: v + [0.0], id="one-over"),
+    ])
+    def test_rejects_a_value_count_other_than_its_header(self, tmp_path, values):
+        arch = ARCH_MATRIX[1]
+        path = tmp_path / "ckpt.json"
+        good = json.loads(diffnet.checkpoint_text(arch, np.zeros(diffnet.param_count(arch))))
+        path.write_text(json.dumps(dict(good, values=values(good["values"]))))
+        with pytest.raises(ValueError, match="value count does not match its architecture header"):
+            diffnet.load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, tmp_path, bad):
+        # json writes and reads them as NaN, Infinity and -Infinity
+        arch = ARCH_MATRIX[1]
+        params = np.zeros(diffnet.param_count(arch))
+        params[3] = bad
+        path = tmp_path / "ckpt.json"
+        diffnet.save_checkpoint(path, arch, params)
+        with pytest.raises(ValueError, match="non-finite values"):
+            diffnet.load_checkpoint(path)
+
+    @pytest.mark.parametrize("head", [
+        pytest.param({"input_dim": 3}, id="input-narrower-than-state-and-time"),
+        pytest.param({"hidden_dims": [4, 0]}, id="zero-width-layer"),
+    ])
+    def test_a_header_the_architecture_rejects_is_a_malformed_checkpoint(self, tmp_path, head):
+        arch = ARCH_MATRIX[1]
+        path = tmp_path / "ckpt.json"
+        good = json.loads(diffnet.checkpoint_text(arch, np.zeros(diffnet.param_count(arch))))
+        path.write_text(json.dumps(dict(good, architecture=dict(good["architecture"], **head))))
+        with pytest.raises(ValueError, match=f"^malformed checkpoint {re.escape(str(path))}: "):
+            diffnet.load_checkpoint(path)
 
 
 @given(

@@ -49,6 +49,11 @@ class TestTaskSpec:
         with pytest.raises(ValueError):
             task.weights()[0] = 1.0
 
+    def test_one_dimensional_single_mode_sits_at_the_origin(self):
+        task = envsuite.TaskSpec(state_dim=1, num_modes=1, context_count=1)
+        assert task.centers().tolist() == [[0.0]]
+        assert envsuite.reward(task, np.array([0.0]), 0) == 1.0
+
     def test_default_task_layout(self):
         task = envsuite.TaskSpec()
         assert task.name == "mode-preference"

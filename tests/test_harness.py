@@ -151,6 +151,23 @@ class TestParseConfig:
         with pytest.raises(harness.ConfigError, match="JSON"):
             harness.parse_config(path)
 
+    @pytest.mark.parametrize("content", [[], [{"seed": 1}], "seed", 3])
+    def test_json_other_than_an_object_rejected(self, tmp_path, content):
+        # an empty array would otherwise read as the defaults
+        path = write_config(tmp_path, content)
+        with pytest.raises(harness.ConfigError, match="config must be a JSON object"):
+            harness.parse_config(path)
+
+    @pytest.mark.parametrize("key, message", [
+        ("train_steps", "step counts must be >= 0"),
+        ("pretrain_steps", "step counts must be >= 0"),
+        ("seed", "seed must be >= 0"),
+        ("checkpoint_every", "checkpoint_every must be >= 0"),
+    ])
+    def test_negative_counts_rejected(self, key, message):
+        with pytest.raises(harness.ConfigError, match=message):
+            harness.config_from_dict({key: -1})
+
 
 # every config key at a value other than its default
 NON_DEFAULT_CONFIG = {
@@ -431,6 +448,17 @@ class TestCli:
             assert harness.cli(["eval", "--config", str(config), "--checkpoint", str(ckpt)]) == 1
             assert "checkpoint" in capsys.readouterr().err
 
+    def test_eval_of_another_tasks_checkpoint_reports_error(self, tmp_path, capsys):
+        # the default task's net would evaluate the tiny task's two contexts
+        # without complaint: only the header comparison stops it
+        config = write_config(tmp_path, TINY_CONFIG)
+        ckpt = tmp_path / "params.json"
+        arch = trainer.TrainConfig().architecture()
+        assert arch != harness.parse_config(config).architecture()
+        diffnet.save_checkpoint(ckpt, arch, diffnet.init_params(arch, 0))
+        assert harness.cli(["eval", "--config", str(config), "--checkpoint", str(ckpt)]) == 1
+        assert_one_error_line(capsys, "checkpoint architecture does not match the configured task")
+
     def test_eval_rejects_a_negative_step(self, tmp_path, capsys):
         ckpt = tmp_path / "params.json"
         arch = trainer.TrainConfig().architecture()
@@ -472,6 +500,18 @@ class TestCli:
             assert (out / preset / "metrics.jsonl").exists()
         report = json.loads((out / "phenomena_report.json").read_text())
         assert "steps_to_threshold" in report
+
+    def test_ablate_without_training_steps_reports_no_speedup(self, tmp_path):
+        # every run is its step-0 evaluation, which meets its own threshold
+        config = write_config(tmp_path, dict(TINY_CONFIG, train_steps=0))
+        out = tmp_path / "ablate"
+        assert harness.cli(["ablate", "--config", str(config), "--out-dir", str(out)]) == 0
+        report = json.loads((out / "phenomena_report.json").read_text())
+        assert report["steps_to_threshold"] == {
+            "threshold_fraction": harness.THRESHOLD_FRACTION, "vgpo": 0, "flow-grpo": 0, "speedup_factor": 1.0,
+        }
+        for preset in harness.PRESET_NAMES:
+            assert len(harness.load_metrics(out / preset)) == 1
 
     def test_ablate_pretrains_once_for_all_presets(self, tmp_path, monkeypatch):
         # sharing one θ is sound only while no preset touches the pretraining recipe
@@ -644,6 +684,12 @@ class TestMetricsReader:
         assert_one_error_line(capsys, f"{path} line 2: metrics line: {name}=")
         assert not (tmp_path / "curves.csv").exists()
 
+    @pytest.mark.parametrize("version", [2, 0, "1", None])
+    def test_load_metrics_rejects_another_schema_version(self, tmp_path, version):
+        path = write_metrics_with(tmp_path, "schema_version", version)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 2: unsupported metrics schema"):
+            harness.load_metrics(tmp_path)
+
     @pytest.mark.parametrize("value", [0, 1, 0.0, 1.0, 1e-300])
     def test_accuracy_bounds_and_integers_are_read(self, tmp_path, value):
         write_metrics_with(tmp_path, "accuracy", value)
@@ -673,6 +719,19 @@ class TestReproducePhenomena:
         assert not trend["converged"]
         assert not trend["evaluated"]
         assert "no convergence" in trend["note"]
+
+    def test_converged_run_with_too_few_points_not_evaluated(self):
+        rising = [_record(s, 0.1 + 0.002 * s, 0.3 - 0.001 * s) for s in (0, 25, 50, 75)]
+        report = harness.reproduce_phenomena({"vgpo": rising, "flow-grpo": rising})
+        trend = report["std_trend"]["vgpo"]
+        assert trend["converged"] and not trend["evaluated"]
+        assert trend["note"] == "too few evaluation points"
+
+    def test_no_speedup_factor_when_only_the_dense_run_starts_at_threshold(self):
+        dense = [_record(s, 0.5, 0.1) for s in range(0, 125, 25)]
+        sparse = [_record(s, 0.1 if s < 100 else 0.5, 0.1) for s in range(0, 125, 25)]
+        out = harness.reproduce_phenomena({"vgpo": dense, "flow-grpo": sparse})["steps_to_threshold"]
+        assert (out["vgpo"], out["flow-grpo"], out["speedup_factor"]) == (0, 100, None)
 
     def test_speedup_factor_from_recorded_steps(self):
         # dense-reward run crosses 80% of its final reward at step 300, the

@@ -82,18 +82,6 @@ class TestRolloutGroup:
             assert np.array_equal(draws[0][1], draws[1][1])
         assert np.array_equal(first.states, again.states)
 
-    def test_context_out_of_range_rejected_before_drawing(self, setup, monkeypatch):
-        _, arch, params = setup
-
-        def no_draws(*args, **kwargs):
-            raise AssertionError("noise drawn before the contexts were checked")
-
-        monkeypatch.setattr(rollout, "_draw_noise", no_draws)
-        sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
-        for contexts in ([0, arch.context_count], [-1]):
-            with pytest.raises(ValueError, match="context index out of range"):
-                rollout.rollout_group(arch, params, contexts, 4, sched, seeds=[0] * len(contexts))
-
     def test_a_seed_count_other_than_the_slot_count_is_rejected(self, setup):
         # no check of its own: the first write into the buffers takes only
         # one initial state per row of the (B * G) batch
@@ -151,15 +139,6 @@ class TestRolloutGroup:
             for name in ("contexts", "states", "logp_old", "phi"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
             assert all(np.array_equal(h, w) for h, w in zip(got.hs, want.hs, strict=True))
-
-    def test_buffers_of_another_shape_are_rejected(self, setup):
-        _, arch, params = setup
-        sched = flowcore.NoiseSchedule(a=0.7, num_steps=6)
-        for b, g, t in ((1, 4, 6), (2, 3, 6), (2, 4, 5)):
-            with pytest.raises(ValueError, match=r"rollout buffers of another shape for a \(2, 4, 6\) batch"):
-                rollout.rollout_group(
-                    arch, params, [2, 5], 4, sched, [0, 1], buffers=rollout.make_buffers(arch, b, g, t)
-                )
 
     @pytest.mark.parametrize("steps", [2, 10])
     def test_one_network_evaluation_per_timestep(self, setup, monkeypatch, steps):
