@@ -37,7 +37,7 @@ class Architecture:
     """Layer shape of the velocity net.
 
     ``input_dim`` counts state + time + one-hot context features; ``output_dim``
-    equals the task's state dimension, so the context width is implied.
+    equals the task's state dimension, so the context width (>= 1) is implied.
     """
 
     input_dim: int
@@ -46,12 +46,12 @@ class Architecture:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
-        if self.input_dim < 1 or self.output_dim < 1:
-            raise ValueError("input_dim and output_dim must be >= 1")
+        if self.output_dim < 1:
+            raise ValueError("output_dim must be >= 1")
         if any(h < 1 for h in self.hidden_dims):
             raise ValueError("hidden layer widths must be >= 1")
-        if self.input_dim - self.output_dim - TIME_FEATURES < 0:
-            raise ValueError("input_dim too small for state + time features")
+        if self.input_dim - self.output_dim - TIME_FEATURES < 1:
+            raise ValueError("input_dim too small for state + time + context features")
 
     @property
     def state_dim(self) -> int:
@@ -138,7 +138,7 @@ def features(arch: Architecture, x, tau, context) -> np.ndarray:
 
 def check_contexts(arch: Architecture, context) -> None:
     """Reject context indices (an int or an array) outside the net's one-hot block."""
-    if arch.context_count > 0 and (np.any(context < 0) or np.any(context >= arch.context_count)):
+    if np.any(context < 0) or np.any(context >= arch.context_count):
         raise ValueError("context index out of range")
 
 
@@ -165,10 +165,9 @@ def write_state_time(arch: Architecture, phi: np.ndarray, x: np.ndarray, time) -
 def write_context(arch: Architecture, phi: np.ndarray, context) -> None:
     """Overwrite the one-hot context block of ``phi`` in place: row i gets a
     one in the column of ``context[i]`` (or of one int for every row)."""
-    if arch.context_count > 0:
-        one_hot = phi[:, arch.state_dim + TIME_FEATURES:]
-        one_hot.fill(0.0)
-        one_hot[np.arange(phi.shape[0]), context] = 1.0
+    one_hot = phi[:, arch.state_dim + TIME_FEATURES:]
+    one_hot.fill(0.0)
+    one_hot[np.arange(phi.shape[0]), context] = 1.0
 
 
 def first_layer_blocks(arch: Architecture, w: np.ndarray):

@@ -125,7 +125,7 @@ def step_mean(x, v, tau_clamped, s2, dtau: float):
     """Mean of the stochastic step from the predicted velocity v at x.
 
     ``tau_clamped`` and ``s2`` (sigma^2) are scalars, or columns that broadcast
-    against x, e.g. ``NoiseSchedule.table``'s (T, 1) ones for (..., T, d) states.
+    against x, e.g. the (T, 1) table columns of ``trainer.step_means``.
     """
     drift = v + (s2 / (2.0 * tau_clamped)) * (x + (1.0 - tau_clamped) * v)
     return x - drift * dtau
@@ -164,10 +164,9 @@ def sde_update(x: np.ndarray, v: np.ndarray, t: int, schedule: NoiseSchedule, no
     """``sde_step`` at the grid time tau = t / T from the velocity v already
     predicted at (x, tau), with the constants of ``schedule.table``,
     unchecked: a non-finite next state is the caller's to detect. Returns
-    (x_next, mean); the step's variance is the table's row 2."""
+    x_next only; ``trainer.step_means`` forms the means of a batch's steps."""
     tau_clamped, s2, _, noise_scale, _ = schedule.table[:, schedule.num_steps - t]
-    mean = step_mean(x, v, tau_clamped, s2, schedule.dtau)
-    return mean + noise_scale * noise, mean
+    return step_mean(x, v, tau_clamped, s2, schedule.dtau) + noise_scale * noise
 
 
 def euler_update(x: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
@@ -257,7 +256,7 @@ def sample_terminal_ode(
     for sample, context, rng in zip(samples, contexts, rngs):
         rng.standard_normal(out=sample)
         x[:] = sample
-        np.add(time_rows, w_context[:, context] if arch.context_count else 0.0, out=blocks[:, d])
+        np.add(time_rows, w_context[:, context], out=blocks[:, d])
         for t, block in zip(range(steps, 0, -1), blocks):
             v = np.matmul(x_one, block, out=hs[0])
             if later:

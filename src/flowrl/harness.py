@@ -320,7 +320,8 @@ def _cmd_train(args) -> int:
         # one batch under the final policy, at the step index after the last
         batch = trainer.rollout_batch(trainer.init_state(config, result.params), config.train_steps + 1)
         rewards = trainer.instant_rewards(config.task, batch, batch.hs[-1])
-        rollout.dump_trajectories(batch, rewards, Path(args.out_dir) / "trajectories.jsonl")
+        logps = trainer.step_logps(batch, trainer.step_means(batch, batch.hs[-1]))
+        rollout.dump_trajectories(batch, rewards, logps, Path(args.out_dir) / "trajectories.jsonl")
     print(json.dumps({"steps": config.train_steps, "final": result.metrics[-1].metrics_json()}))
     return 0
 

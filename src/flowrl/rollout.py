@@ -1,14 +1,14 @@
 """Denoising-MDP executor: samples groups of stochastic trajectories under a frozen policy.
 
-A batch holds one group per context slot, stored as arrays: the states, the
-log-densities of their transitions and the policy's network pass at every
-transition, whose velocity rows ``trainer.instant_rewards`` projects and
-which the first update epoch reuses. Each slot draws all its noise at once
-from one generator keyed by the slot's seed, member by member, so a
-trajectory's noise depends neither on the batch size nor on the other slots
-nor on the group members after it, while every timestep advances all rows
-of the batch at once. Each state is checked as it is made; the
-log-densities are computed after the loop, in one call.
+A batch holds one group per context slot, stored as arrays: the states and
+the policy's network pass at every transition, whose velocity rows
+``trainer.instant_rewards`` projects, ``trainer.step_means`` turns into the
+behaviour policy's step means and the first update epoch reuses. Each slot
+draws all its noise at once from one generator keyed by the slot's seed,
+member by member, so a trajectory's noise depends neither on the batch size
+nor on the other slots nor on the group members after it, while every
+timestep advances all rows of the batch at once. Each state is checked as
+it is made.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ class RolloutBatch:
     """B groups of G trajectories, one group per context slot.
 
     Axes are slot, group member, timestep and state dimension. ``states``
-    runs in generation order s_T .. s_0. ``logp_old`` is None for
-    deterministic (a = 0) rollouts, which have no transition density.
+    runs in generation order s_T .. s_0.
 
     ``phi`` and ``hs`` are the policy's network pass at every transition's
     (s_t, tau_t): the feature matrix and the ``diffnet.mlp`` layer outputs,
@@ -46,17 +45,12 @@ class RolloutBatch:
     contexts: np.ndarray          # (B,)
     schedule: NoiseSchedule
     states: np.ndarray            # (B, G, T+1, D)
-    logp_old: np.ndarray | None   # (B, G, T)
     phi: np.ndarray               # (B, G, T, input_dim)
     hs: list[np.ndarray]          # one (B, G, T, fan_out) per layer
 
     @property
     def group_size(self) -> int:
         return self.states.shape[1]
-
-    @property
-    def num_steps(self) -> int:
-        return self.states.shape[2] - 1
 
 
 @dataclass
@@ -73,11 +67,12 @@ class RolloutBuffers:
     1. ``rollout_group`` fills the time-major arrays, then copies them,
        reordered, into ``batch``; they hold nothing that is read again.
     2. ``trainer.instant_rewards`` reads the velocity rows of the batch's ``hs``.
-    3. ``trainer.reference_means`` runs the reference pass into the
-       time-major ``hs``; every ``diffnet.backward`` of the update writes
-       its deltas over them.
-    4. The first ``trainer.update_policy`` epoch reads the rollout's pass
-       in the batch's ``hs``, and its ``backward`` spends that pass, as
+    3. ``trainer.update_policy`` forms the behaviour log-densities from the
+       same rows, then ``trainer.reference_means`` runs the reference pass
+       into the time-major ``hs``; every ``diffnet.backward`` of the update
+       writes its deltas over them.
+    4. The first update epoch reads the rollout's pass in the batch's
+       ``hs``, and its ``backward`` spends that pass, as
        ``diffnet.backward`` states; each later epoch first runs its own.
 
     The rest of the batch is only read, until the next ``rollout_group``
@@ -86,10 +81,9 @@ class RolloutBuffers:
     """
 
     states: np.ndarray          # (T+1, B*G, D)
-    means: np.ndarray           # (T, B*G, D)
     phi: np.ndarray             # (T, B*G, input_dim)
     hs: list[np.ndarray]        # one (T, B*G, fan_out) per layer
-    batch: dict                 # states, logp_old, phi, hs: (B, G, T', ...)
+    batch: dict                 # states, phi, hs: (B, G, T', ...)
 
 
 def make_buffers(arch: Architecture, batch_contexts: int, group_size: int, num_steps: int) -> RolloutBuffers:
@@ -100,12 +94,10 @@ def make_buffers(arch: Architecture, batch_contexts: int, group_size: int, num_s
     widths = arch.layer_dims[1:]
     return RolloutBuffers(
         states=np.empty((t + 1, n, d)),
-        means=np.empty((t, n, d)),
         phi=np.empty((t, n, arch.input_dim)),
         hs=[np.empty((t, n, w)) for w in widths],
         batch={
             "states": np.empty((b, g, t + 1, d)),
-            "logp_old": np.empty((b, g, t)),
             "phi": np.empty((b, g, t, arch.input_dim)),
             "hs": [np.empty((b, g, t, w)) for w in widths],
         },
@@ -137,9 +129,7 @@ def rollout_group(
 
     ``seeds`` gives one seed per slot, as SeedSequence entropy (an int or a
     tuple of ints). For t = T .. 1 one network pass at every row's (s_t, t/T)
-    gives the velocity v of the exploration step to s_{t-1}, whose mean is
-    kept. After the loop one ``transition_logpdf`` call, with the step
-    variance as a (T, 1) column, gives every log-density.
+    gives the velocity v of the exploration step to s_{t-1}.
     ``shared_initial_noise`` starts every trajectory of a slot from the same
     s_T (exploration then comes only from the step noise).
 
@@ -164,19 +154,16 @@ def rollout_group(
     row_noise = np.concatenate([noise for _, noise in draws])
     row_contexts = np.repeat(contexts, group_size)
 
-    states, means, phi, hs = buffers.states, buffers.means, buffers.phi, buffers.hs
+    states, phi, hs = buffers.states, buffers.phi, buffers.hs
     diffnet.write_context(arch, phi.reshape(-1, arch.input_dim), np.tile(row_contexts, t_steps))
     # out= takes only the exact (B*G, D) shape: one seed per slot
     x = np.concatenate([init for init, _ in draws], out=states[0])
     for j, t in enumerate(range(t_steps, 0, -1)):
         diffnet.write_state_time(arch, phi[j], x, diffnet.time_features(t / t_steps))
         v = diffnet.mlp(layers, phi[j], [h[j] for h in hs])
-        states[j + 1], means[j] = flowcore.sde_update(x, v, t, schedule, row_noise[:, j])
+        states[j + 1] = flowcore.sde_update(x, v, t, schedule, row_noise[:, j])
         flowcore.check_states(states[j + 1], t, row_contexts, "SDE")
         x = states[j + 1]
-    logps = None
-    if schedule.a > 0:
-        logps = flowcore.transition_logpdf(states[1:], means, schedule.table[2][:, None])
 
     def batch_major(a, out):
         """Copy a time-major (T', n, ...) array into its (B, G, T', ...) buffer."""
@@ -188,15 +175,15 @@ def rollout_group(
         contexts=contexts,
         schedule=schedule,
         states=batch_major(states, out["states"]),
-        logp_old=None if logps is None else batch_major(logps, out["logp_old"]),
         phi=batch_major(phi, out["phi"]),
         hs=[batch_major(h, o) for h, o in zip(hs, out["hs"])],
     )
 
 
-def dump_trajectories(batch: RolloutBatch, rewards: np.ndarray, path) -> None:
+def dump_trajectories(batch: RolloutBatch, rewards: np.ndarray, logps: np.ndarray, path) -> None:
     """Write one JSON-lines record per trajectory (debugging / oracle tests),
-    with its row of the (B, G, T) ``trainer.instant_rewards`` table."""
+    with its rows of the (B, G, T) ``trainer.instant_rewards`` and
+    ``trainer.step_logps`` tables."""
     with Path(path).open("w") as fh:
         for b, context in enumerate(batch.contexts.tolist()):
             for i in range(batch.group_size):
@@ -205,6 +192,6 @@ def dump_trajectories(batch: RolloutBatch, rewards: np.ndarray, path) -> None:
                     "states": batch.states[b, i].tolist(),
                     "instant_rewards": rewards[b, i].tolist(),
                     "terminal_reward": float(rewards[b, i, -1]),
-                    "logp_old": None if batch.logp_old is None else batch.logp_old[b, i].tolist(),
+                    "logp_old": logps[b, i].tolist(),
                 }
                 fh.write(json.dumps(record) + "\n")

@@ -65,8 +65,6 @@ class TrainConfig:
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
         if self.group_size < 2:
             raise ValueError("group_size must be >= 2")
-        if self.sampling_steps < 2:
-            raise ValueError("sampling_steps must be >= 2")
         if self.train_steps < 0 or self.pretrain_steps < 0:
             raise ValueError("step counts must be >= 0")
         if self.batch_contexts < 1 or self.inner_epochs < 1:
@@ -91,8 +89,8 @@ class TrainConfig:
             raise ValueError("eps_std and eps_mean must be finite and > 0")
         if not 0.0 < self.accuracy_threshold < 1.0:
             raise ValueError("accuracy_threshold must be in (0, 1)")
-        # one schedule per config, so its step table is worked out once per run,
-        # and one architecture, so its layer widths are checked before a run starts
+        # one schedule per config, which checks sampling_steps and works out its step
+        # table once per run, and one architecture, so its layer widths are checked before a run starts
         object.__setattr__(self, "_schedule", NoiseSchedule(a=self.noise_level, num_steps=self.sampling_steps))
         arch = diffnet.for_task(self.task.state_dim, self.task.context_count, self.hidden_dims)
         object.__setattr__(self, "_arch", arch)
@@ -145,9 +143,9 @@ class StepRecord:
 
 @dataclass
 class TrainState:
-    """The current parameters, which also generate each step's rollouts (the
-    surrogate's old log-densities are stored in the batch), the fixed
-    reference parameters of the KL penalty, and ``buffers``, the run's
+    """The current parameters, which also generate each step's rollouts
+    (``update_policy`` forms their log-densities from the batch's pass), the
+    fixed reference parameters of the KL penalty, and ``buffers``, the run's
     training-step arrays, which ``rollout.RolloutBuffers`` describes."""
 
     config: TrainConfig
@@ -258,36 +256,46 @@ def clipped_term(ratio, advantages, eps_clip: float):
     return np.minimum(ratio * advantages, np.clip(ratio, 1.0 - eps_clip, 1.0 + eps_clip) * advantages)
 
 
-def reference_means(arch: Architecture, theta_ref: np.ndarray, batch: RolloutBatch, hs) -> np.ndarray:
-    """The reference policy's (B, G, T, d) step means at the batch's states,
-    from its one ``diffnet.mlp`` pass over ``batch.phi`` into the caller's
-    ``hs``, one (B * G * T, fan_out) array per layer. ``diffnet.backward``
-    states how a pass is spent, and ``rollout.RolloutBuffers`` how long a
-    training step's arrays live."""
-    layers = diffnet.unpack(arch, theta_ref)
-    v_ref = diffnet.mlp(layers, batch.phi.reshape(-1, arch.input_dim), hs)
+def step_means(batch: RolloutBatch, velocity: np.ndarray) -> np.ndarray:
+    """(B, G, T, d) step means at the batch's states from the ``velocity``
+    rows there, (B, G, T, d) or (B * G * T, d): the one place the schedule
+    table's (T, 1) columns are broadcast over the slots and group members."""
     x, sched = batch.states[:, :, :-1], batch.schedule
     tc, s2 = sched.table[:2, :, None]
-    return flowcore.step_mean(x, v_ref.reshape(x.shape), tc, s2, sched.dtau)
+    return flowcore.step_mean(x, velocity.reshape(x.shape), tc, s2, sched.dtau)
+
+
+def step_logps(batch: RolloutBatch, mean: np.ndarray) -> np.ndarray:
+    """(B, G, T) log-densities of the batch's transitions under the (B, G,
+    T, d) ``step_means`` ``mean`` and the schedule's step variances."""
+    return flowcore.transition_logpdf(batch.states[:, :, 1:], mean, batch.schedule.table[2])
+
+
+def reference_means(arch: Architecture, theta_ref: np.ndarray, batch: RolloutBatch, hs) -> np.ndarray:
+    """The reference policy's ``step_means``, from its one ``diffnet.mlp`` pass
+    over ``batch.phi`` into the caller's ``hs``, one (B * G * T, fan_out) array
+    per layer. ``diffnet.backward`` states how a pass is spent, and
+    ``rollout.RolloutBuffers`` how long a training step's arrays live."""
+    layers = diffnet.unpack(arch, theta_ref)
+    return step_means(batch, diffnet.mlp(layers, batch.phi.reshape(-1, arch.input_dim), hs))
 
 
 def surrogate_loss_and_grad(
-    arch: Architecture, theta: np.ndarray, batch: RolloutBatch, advantages, ref_mean: np.ndarray,
-    eps_clip: float, beta_kl: float, hs, deltas,
+    arch: Architecture, theta: np.ndarray, batch: RolloutBatch, logp_old: np.ndarray, advantages,
+    ref_mean: np.ndarray, eps_clip: float, beta_kl: float, hs, deltas,
 ) -> SurrogateResult:
     """Clipped surrogate objective over a rollout batch and its exact gradient.
 
-    Ratios are exp(logp_theta - logp_old) where logp_theta comes from the
-    current policy's step means at the stored states; the (B, G, T)
-    ``advantages`` and the stored old log-densities are constants. The KL
+    Ratios are exp(logp_theta - logp_old): logp_theta is the ``step_logps``
+    of the current policy's ``step_means``, and the behaviour policy's
+    (B, G, T) ``logp_old`` and the ``advantages`` are constants. The KL
     penalty compares the current step means with ``ref_mean``, the
-    ``reference_means`` of the batch, under the batch's schedule, whose
-    table's (T, 1) columns broadcast over the slots and group members.
+    ``reference_means`` of the batch, under the batch's schedule.
     Gradients flow only through the current policy's means. Value and
     gradient are means over all B * G * T transitions, i.e. the mean over
     groups of the per-group objective. A deterministic (a = 0) batch, which
-    has no transition densities, and advantages or reference means not
-    shaped like the batch's transitions are rejected.
+    has no transition densities, and old log-densities, advantages or
+    reference means not shaped like the batch's transitions are rejected.
 
     ``hs`` are the layer outputs of the caller's ``diffnet.mlp`` pass of
     theta over ``batch.phi``, one (B * G * T, fan_out) array per layer, and
@@ -297,18 +305,19 @@ def surrogate_loss_and_grad(
     ``nonfinite_contexts``: None if it is finite, else the contexts of the
     slots with a non-finite row of the upstream or of a hidden layer's delta.
     """
-    if batch.logp_old is None:
+    if batch.schedule.a == 0.0:
         raise ValueError("policy optimization requires stochastic rollouts (a > 0)")
-    if np.shape(advantages) != batch.logp_old.shape:
-        raise ValueError(f"advantage shape {np.shape(advantages)} != {batch.logp_old.shape}")
-    x, x_next, sched = batch.states[:, :, :-1], batch.states[:, :, 1:], batch.schedule
-    if np.shape(ref_mean) != x.shape:
-        raise ValueError(f"reference mean shape {np.shape(ref_mean)} != {x.shape}")
-    tc, s2, var, _, coeff = sched.table[:, :, None]
-    n_rows = batch.logp_old.size
+    x_next = batch.states[:, :, 1:]
+    rows = x_next.shape[:-1]
+    for name, value, shape in (("logp_old", logp_old, rows), ("advantage", advantages, rows),
+                               ("reference mean", ref_mean, x_next.shape)):
+        if np.shape(value) != shape:
+            raise ValueError(f"{name} shape {np.shape(value)} != {shape}")
+    _, _, var, _, coeff = batch.schedule.table[:, :, None]
+    n_rows = logp_old.size
     layers = diffnet.unpack(arch, theta)
-    mean = flowcore.step_mean(x, hs[-1].reshape(x.shape), tc, s2, sched.dtau)
-    ratio = np.exp(flowcore.transition_logpdf(x_next, mean, var[:, 0]) - batch.logp_old)
+    mean = step_means(batch, hs[-1])
+    ratio = np.exp(step_logps(batch, mean) - logp_old)
     unclipped = ratio * advantages
     surrogate_terms = clipped_term(ratio, advantages, eps_clip)
     kl_terms = flowcore.kl_step(mean, ref_mean, var[:, 0])
@@ -385,13 +394,15 @@ def update_policy(
     A gradient the surrogate finds non-finite stops the run before the update.
 
     Precondition: the batch has the state's shape and was sampled at the
-    state's current theta, as ``rollout_batch`` does; its ``logp_old``
-    already assumes this. The first epoch therefore reads the batch's network
-    pass instead of running it again; each later epoch runs its own into
-    the arrays ``rollout.RolloutBuffers`` names.
+    state's current theta, as ``rollout_batch`` does. The behaviour policy's
+    ``logp_old`` is therefore formed once, before any update, from the
+    velocity rows of the batch's pass, and the first epoch reads that pass
+    instead of running it again; each later epoch runs its own into the
+    arrays ``rollout.RolloutBuffers`` names.
     """
     cfg, arch = state.config, state.arch
     theta_before = state.theta.copy()
+    logp_old = step_logps(batch, step_means(batch, batch.hs[-1]))
     deltas = [h.reshape(-1, h.shape[-1]) for h in state.buffers.hs]
     ref_mean = reference_means(arch, state.theta_ref, batch, deltas)
     hs = [h.reshape(-1, h.shape[-1]) for h in batch.hs]
@@ -400,7 +411,7 @@ def update_policy(
         if epoch:
             diffnet.mlp(diffnet.unpack(arch, state.theta), batch.phi.reshape(-1, arch.input_dim), hs)
         res = surrogate_loss_and_grad(
-            arch, state.theta, batch, advantages, ref_mean, cfg.eps_clip, cfg.beta_kl, hs, deltas
+            arch, state.theta, batch, logp_old, advantages, ref_mean, cfg.eps_clip, cfg.beta_kl, hs, deltas
         )
         if res.nonfinite_contexts is not None:
             where = f"contexts {list(res.nonfinite_contexts)}" if res.nonfinite_contexts else (

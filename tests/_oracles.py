@@ -13,8 +13,10 @@ means from ``reference_velocity`` and ``flowcore.step_mean``, its densities
 from ``transition_logpdf`` and ``kl_step``, and its gradient from one
 ``diffnet.mlp`` and ``diffnet.backward`` call per timestep;
 ``reference_means_at`` and ``surrogate_at`` run the library's two update
-kernels on arrays built for one call, and ``reference_velocity_at`` returns
-the velocity rows of the reference pass. The flow-matching references are a
+kernels on arrays built for one call, ``reference_velocity_at`` returns
+the velocity rows of the reference pass, ``rollout_logps`` forms a batch's
+behaviour log-densities as the update does, and ``reference_logps`` forms
+them from the formulas instead. The flow-matching references are a
 checked, allocating form of the pretraining loop, and ``exact_velocity`` is
 the closed-form field that loop should learn; ``mc_value`` estimates, by
 continuing the SDE on such a field, the value that a dense reward stands in
@@ -177,18 +179,28 @@ def _step_constants(schedule, t):
     return tc, schedule.a ** 2 * tc / (1.0 - tc)
 
 
+def _reference_step(arch, params, x, schedule, t, context):
+    """(mean, var) of the stochastic step of the (n, d) rows x from the grid
+    time t / T, from the formulas: with tau' the time clamped half a step
+    inside the grid and sigma^2 = a^2 tau' / (1 - tau'), the mean is
+    x - [v + sigma^2 / (2 tau') * (x + (1 - tau') v)] / T and the variance
+    sigma^2 / T."""
+    t_steps = schedule.num_steps
+    tc, s2 = _step_constants(schedule, t)
+    v = reference_velocity(arch, params, x, t / t_steps, context)
+    return x - (v + s2 / (2.0 * tc) * (x + (1.0 - tc) * v)) / t_steps, s2 / t_steps
+
+
 def reference_rollout_group(arch, params_old, context, group_size, schedule, task, seed,
                             shared_initial_noise=False):
     """One group of G trajectories, one timestep at a time over G rows.
 
-    Each step is taken from the formulas: with tau' the time clamped half a
-    step inside the grid and sigma^2 = a^2 tau' / (1 - tau'), the mean is
-    x - [v + sigma^2 / (2 tau') * (x + (1 - tau') v)] / T, the variance
-    sigma^2 / T, and the instant reward scores the projection x - tau v at
-    the new state and time. The noise comes from one generator keyed by the
-    slot's seed, member after member: each member's initial state, then its
-    T step draws; with ``shared_initial_noise`` every member starts from
-    member 0's initial state. Returns a dict of (G, ...) arrays: noises,
+    Each step is taken from the formulas of ``_reference_step``, and the
+    instant reward scores the projection x - tau v at the new state and
+    time. The noise comes from one generator keyed by the slot's seed,
+    member after member: each member's initial state, then its T step
+    draws; with ``shared_initial_noise`` every member starts from member 0's
+    initial state. Returns a dict of (G, ...) arrays: noises,
     states, logp_old, instant_rewards, terminal_rewards.
     """
     t_steps, d = schedule.num_steps, arch.state_dim
@@ -205,10 +217,7 @@ def reference_rollout_group(arch, params_old, context, group_size, schedule, tas
     rewards = np.empty((t_steps, group_size))
     states[0] = x = init
     for j, t in enumerate(range(t_steps, 0, -1)):
-        tc, s2 = _step_constants(schedule, t)
-        v = reference_velocity(arch, params_old, x, t / t_steps, context)
-        mean = x - (v + s2 / (2.0 * tc) * (x + (1.0 - tc) * v)) / t_steps
-        var = s2 / t_steps
+        mean, var = _reference_step(arch, params_old, x, schedule, t, context)
         x = mean + math.sqrt(var) * noises[:, j]
         states[j + 1] = x
         logps[j] = [gaussian_product_logpdf(x[i], mean[i], var) for i in range(group_size)]
@@ -319,7 +328,28 @@ def reference_velocity_at(arch, theta_ref, batch):
     return hs[-1].reshape(batch.hs[-1].shape)
 
 
-def surrogate_at(arch, theta, batch, advantages, ref_mean, eps_clip, beta_kl):
+def rollout_logps(batch):
+    """The behaviour log-densities ``trainer.update_policy`` forms: the
+    ``trainer.step_logps`` of the ``step_means`` of the batch's own velocity
+    rows, which the batch's pass must still hold."""
+    return trainer.step_logps(batch, trainer.step_means(batch, batch.hs[-1]))
+
+
+def reference_logps(arch, params, batch):
+    """(B, G, T) log-densities of the batch's transitions under params's
+    steps, one slot and one timestep at a time from ``_reference_step`` and
+    ``gaussian_product_logpdf``; it reads only the batch's states."""
+    b, g, t_steps = batch.states.shape[0], batch.group_size, batch.schedule.num_steps
+    out = np.empty((b, g, t_steps))
+    for slot, context in enumerate(batch.contexts):
+        for j, t in enumerate(range(t_steps, 0, -1)):
+            x, x_next = batch.states[slot, :, j], batch.states[slot, :, j + 1]
+            mean, var = _reference_step(arch, params, x, batch.schedule, t, context)
+            out[slot, :, j] = [gaussian_product_logpdf(y, m, var) for y, m in zip(x_next, mean)]
+    return out
+
+
+def surrogate_at(arch, theta, batch, logp_old, advantages, ref_mean, eps_clip, beta_kl):
     """``trainer.surrogate_loss_and_grad`` (the library kernel, not an
     oracle) at theta: theta's pass over ``batch.phi`` runs into layer buffers
     built for this one call, which the surrogate then spends, so every call,
@@ -329,7 +359,9 @@ def surrogate_at(arch, theta, batch, advantages, ref_mean, eps_clip, beta_kl):
     phi = batch.phi.reshape(-1, arch.input_dim)
     hs, deltas = diffnet.layer_buffers(layers, phi.shape[0]), diffnet.layer_buffers(layers, phi.shape[0])
     diffnet.mlp(layers, phi, hs)
-    return trainer.surrogate_loss_and_grad(arch, theta, batch, advantages, ref_mean, eps_clip, beta_kl, hs, deltas)
+    return trainer.surrogate_loss_and_grad(
+        arch, theta, batch, logp_old, advantages, ref_mean, eps_clip, beta_kl, hs, deltas
+    )
 
 
 def reference_interpolate(x0, x1, tau):
@@ -453,7 +485,7 @@ def mc_value(task, field, s, t, schedule, K, rng, context=0):
     x = np.repeat(np.asarray(s, dtype=float), K, axis=0)
     for step in range(t, 0, -1):
         noise = rng.standard_normal(x.shape)
-        x, _ = flowcore.sde_update(x, field(x, step / schedule.num_steps), step, schedule, noise)
+        x = flowcore.sde_update(x, field(x, step / schedule.num_steps), step, schedule, noise)
     return envsuite.reward(task, x, context).reshape(-1, K).mean(axis=1)
 
 

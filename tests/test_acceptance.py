@@ -34,6 +34,7 @@ from _oracles import (
     reference_means_at,
     reference_velocity,
     reference_velocity_at,
+    rollout_logps,
     surrogate_at,
     wasserstein1_1d,
 )
@@ -195,9 +196,10 @@ class TestCriterion2GradientChecks:
         advantages = trainer.compute_advantages(trainer.instant_rewards(task, group, group.hs[-1]), cfg)
         theta_ref = diffnet.init_params(arch_s, 12)
         ref_mean = reference_means_at(arch_s, theta_ref, group)
-        res = surrogate_at(arch_s, theta_s.copy(), group, advantages, ref_mean, 0.2, 0.01)
+        logp_old = rollout_logps(group)
+        res = surrogate_at(arch_s, theta_s.copy(), group, logp_old, advantages, ref_mean, 0.2, 0.01)
         fd_s = central_difference(
-            lambda t: surrogate_at(arch_s, t, group, advantages, ref_mean, 0.2, 0.01).value, theta_s
+            lambda t: surrogate_at(arch_s, t, group, logp_old, advantages, ref_mean, 0.2, 0.01).value, theta_s
         )
         errors["surrogate"] = max_rel_error(res.grad, fd_s)
 
@@ -270,7 +272,7 @@ class TestCriterion5ReductionEquivalence:
         for step in range(1, 51):
             batch = trainer.rollout_batch(state_a, step)
             terminal = trainer.instant_rewards(cfg.task, batch, batch.hs[-1])[..., -1]
-            advantages = np.stack([grpo_advantages(r, batch.num_steps, cfg.eps_std) for r in terminal])
+            advantages = np.stack([grpo_advantages(r, cfg.sampling_steps, cfg.eps_std) for r in terminal])
             trainer.update_policy(state_a, batch, advantages, step)
             trainer.train_step(state_b, step)
             worst = max(worst, float(np.max(np.abs(state_a.theta - state_b.theta))))
@@ -289,7 +291,7 @@ class TestCriterion6StagnationContrast:
             state = trainer.init_state(cfg, pretrained)
             batch = trainer.rollout_batch(state, 1)
             # every instant and terminal reward 0.8
-            advantages = trainer.compute_advantages(np.full(batch.logp_old.shape, 0.8), cfg)
+            advantages = trainer.compute_advantages(np.full(batch.hs[-1].shape[:-1], 0.8), cfg)
             _, _, norms[name] = trainer.update_policy(state, batch, advantages, 1)
         ok = norms["flow-grpo"] == 0.0 and norms["vgpo"] >= 1e-6
         report(6, "stagnation contrast on uniform sub-maximal rewards", ok,

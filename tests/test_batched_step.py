@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from flowrl import diffnet, envsuite, flowcore, rollout, trainer
 
 from _oracles import (
-    reference_advantages, reference_means_at, reference_rollout_group, reference_surrogate, surrogate_at,
+    reference_advantages, reference_means_at, reference_rollout_group, reference_surrogate, rollout_logps,
+    surrogate_at,
 )
 
 TOL = 1e-12
@@ -47,6 +48,7 @@ def test_batched_step_matches_per_group_oracle(seed, b, g, t, preset, shared):
 
     batch = rollout.rollout_group(ARCH, theta_old, contexts, g, schedule, seeds, shared)
     rewards = trainer.instant_rewards(TASK, batch, batch.hs[-1])
+    logp_old = rollout_logps(batch)
     groups = [
         reference_rollout_group(ARCH, theta_old, int(c), g, schedule, TASK, s, shared)
         for c, s in zip(contexts, seeds)
@@ -57,7 +59,7 @@ def test_batched_step_matches_per_group_oracle(seed, b, g, t, preset, shared):
         assert np.array_equal(init, ref["states"][:, 0])
         assert np.array_equal(batch.states[slot, :, 0], init)
         assert close(batch.states[slot], ref["states"])
-        assert close(batch.logp_old[slot], ref["logp_old"])
+        assert close(logp_old[slot], ref["logp_old"])
         assert close(rewards[slot], ref["instant_rewards"])
         assert close(rewards[slot, :, -1], ref["terminal_rewards"])
 
@@ -70,10 +72,10 @@ def test_batched_step_matches_per_group_oracle(seed, b, g, t, preset, shared):
         assert close(advantages[slot], want)
 
     ref_mean = reference_means_at(ARCH, theta_ref, batch)
-    res = surrogate_at(ARCH, theta, batch, advantages, ref_mean, 0.2, 0.01)
+    res = surrogate_at(ARCH, theta, batch, logp_old, advantages, ref_mean, 0.2, 0.01)
     per_group = [
         reference_surrogate(
-            ARCH, theta, theta_ref, batch.states[slot], batch.logp_old[slot], advantages[slot],
+            ARCH, theta, theta_ref, batch.states[slot], logp_old[slot], advantages[slot],
             int(contexts[slot]), schedule, 0.2, 0.01,
         )
         for slot in range(b)

@@ -23,7 +23,7 @@ ARCH_MATRIX = [
 def random_inputs(arch, rng, n=3):
     x = rng.standard_normal((n, arch.state_dim))
     tau = rng.uniform(0.0, 1.0, n)
-    ctx = rng.integers(0, max(arch.context_count, 1), n) if arch.context_count else np.zeros(n, int)
+    ctx = rng.integers(0, arch.context_count, n)
     return x, tau, ctx
 
 
@@ -336,6 +336,8 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("head", [
         pytest.param({"input_dim": 3}, id="input-narrower-than-state-and-time"),
+        pytest.param({"input_dim": 5}, id="no-context-column"),
+        pytest.param({"output_dim": 0}, id="no-output"),
         pytest.param({"hidden_dims": [4, 0]}, id="zero-width-layer"),
     ])
     def test_a_header_the_architecture_rejects_is_a_malformed_checkpoint(self, tmp_path, head):
@@ -362,7 +364,7 @@ def test_param_count_formula_property(state_dim, context_count, hidden, seed):
 
 @given(
     state_dim=st.integers(1, 3),
-    context_count=st.integers(0, 4),
+    context_count=st.integers(1, 4),
     hidden=st.lists(st.integers(1, 6), max_size=2),
     n=st.integers(1, 6),
     seed=st.integers(0, 2**16),
@@ -377,7 +379,7 @@ def test_mlp_on_features_matches_forward_property(state_dim, context_count, hidd
     params = rng.standard_normal(diffnet.param_count(arch))
     x = rng.standard_normal((n, state_dim))
     tau = rng.uniform(0.0, 1.0, n)
-    ctx = rng.integers(0, max(context_count, 1), n)
+    ctx = rng.integers(0, context_count, n)
     phi = diffnet.features(arch, x, tau, ctx)
     layers = diffnet.unpack(arch, params)
     want = diffnet.forward(arch, params, x, tau, ctx)

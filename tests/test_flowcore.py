@@ -88,9 +88,9 @@ class TestSdeStep:
         # 1-D, v = 0, x = 1, t = 5 of 10 (tau' = 0.5), a = 0.7, dtau = 0.1, noise = 0:
         # sigma^2 = 0.49, mean = 1 - (0.49 / 1.0) * 1 * 0.1 = 0.951
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
-        x_next, mean = flowcore.sde_update(
-            np.array([1.0]), np.array([0.0]), 5, sched, np.array([0.0])
-        )
+        x_next = flowcore.sde_update(np.array([1.0]), np.array([0.0]), 5, sched, np.array([0.0]))
+        params = constant_field_params(CONST_ARCH_1D, [0.0])
+        _, mean, _ = flowcore.sde_step(CONST_ARCH_1D, params, np.array([1.0]), 0.5, sched, np.array([0.0]), 0)
         var = sched.table[2, 10 - 5]
         assert abs(mean[0] - 0.951) < 1e-12
         assert np.array_equal(x_next, mean)
@@ -98,9 +98,7 @@ class TestSdeStep:
 
     def test_hand_evaluated_diffusion(self):
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
-        x_next, _ = flowcore.sde_update(
-            np.array([1.0]), np.array([0.0]), 5, sched, np.array([1.0])
-        )
+        x_next = flowcore.sde_update(np.array([1.0]), np.array([0.0]), 5, sched, np.array([1.0]))
         assert abs(x_next[0] - (0.951 + 0.7 * math.sqrt(0.1))) < 1e-12
 
     def test_zero_noise_reduces_to_euler_ode(self, rng):
@@ -109,7 +107,7 @@ class TestSdeStep:
         x = rng.standard_normal((5, 2))
         for t in range(10, 0, -1):
             v = rng.standard_normal((5, 2))
-            x_next, _ = flowcore.sde_update(x, v, t, sched, rng.standard_normal((5, 2)))
+            x_next = flowcore.sde_update(x, v, t, sched, rng.standard_normal((5, 2)))
             assert np.array_equal(x_next, x - 0.1 * v)
             assert sched.table[2, 10 - t] == 0.0
             x = x_next
@@ -378,8 +376,9 @@ class TestMarginalPreservation:
         _, arch, params = two_mode_1d
         sched = flowcore.NoiseSchedule(a=0.7, num_steps=10)
         batch = rollout.rollout_group(arch, params, [0, 1], 16, sched, seeds=[0, 1])
-        assert batch.logp_old.shape == (2, 16, 10)
-        assert np.all(np.isfinite(batch.logp_old))
+        logps = trainer.step_logps(batch, trainer.step_means(batch, batch.hs[-1]))
+        assert logps.shape == (2, 16, 10)
+        assert np.all(np.isfinite(logps))
 
 
 class TestExactVelocity:
@@ -396,7 +395,7 @@ class TestExactVelocity:
         for t in range(sched.num_steps, 0, -1):
             tau = t / sched.num_steps
             noise = rng.standard_normal(x.shape)
-            x, _ = flowcore.sde_update(x, exact_velocity(self.TASK, x, tau), t, sched, noise)
+            x = flowcore.sde_update(x, exact_velocity(self.TASK, x, tau), t, sched, noise)
         data_rng = np.random.default_rng(4)
         data = envsuite.sample_data(self.TASK, data_rng.random(20000), data_rng.standard_normal((20000, 1)))
         # measured 0.016 (a = 0.1) and 0.018 (a = 0.7); a drift correction
@@ -462,7 +461,7 @@ class TestDenseRewardFidelity:
         rng = np.random.default_rng(0)
         x, states = rng.standard_normal((400, task.state_dim)), {}
         for t in range(T, 0, -1):
-            x, _ = flowcore.sde_update(x, field(x, t / T), t, sched, rng.standard_normal(x.shape))
+            x = flowcore.sde_update(x, field(x, t / T), t, sched, rng.standard_normal(x.shape))
             states[t - 1] = x
         mc_rng = np.random.default_rng(1)
         corr, bias = {}, {}

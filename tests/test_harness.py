@@ -41,6 +41,24 @@ def write_config(tmp_path, payload, name="config.json"):
     return path
 
 
+# one value below its range per entry check, with the message it raises
+BELOW_RANGE = [
+    ({"batch_contexts": 0}, "batch_contexts and inner_epochs must be >= 1"),
+    ({"inner_epochs": 0}, "batch_contexts and inner_epochs must be >= 1"),
+    ({"pretrain_batch": 0}, "pretrain_batch, eval_samples, eval_every must be >= 1"),
+    ({"eval_samples": 0}, "pretrain_batch, eval_samples, eval_every must be >= 1"),
+    ({"eval_every": 0}, "pretrain_batch, eval_samples, eval_every must be >= 1"),
+    ({"task": "foo"}, "invalid task specification: unknown task 'foo'"),
+    ({"task": "half-plane", "task_state_dim": 0}, "invalid task specification: state_dim must be >= 1"),
+    ({"task": "ring", "task_num_modes": 0}, "invalid task specification: need at least one mode"),
+    ({"task_context_count": 0}, "invalid task specification: context_count must be >= 1"),
+    # the noise schedule the config builds is the one check
+    ({"sampling_steps": 1}, "^need at least 2 sampling steps$"),
+    ({"sampling_steps": 0}, "^need at least 2 sampling steps$"),
+    ({"sampling_steps": -3}, "^need at least 2 sampling steps$"),
+]
+
+
 class TestParseConfig:
     def test_empty_file_gives_documented_defaults(self, tmp_path):
         path = tmp_path / "empty.json"
@@ -167,6 +185,15 @@ class TestParseConfig:
     def test_negative_counts_rejected(self, key, message):
         with pytest.raises(harness.ConfigError, match=message):
             harness.config_from_dict({key: -1})
+
+    @pytest.mark.parametrize("raw, message", BELOW_RANGE, ids=[
+        "-".join(f"{k}={v}" for k, v in raw.items()) for raw, _ in BELOW_RANGE
+    ])
+    def test_a_value_below_its_range_rejected(self, raw, message):
+        # without these checks "foo" scores as a ring, a 0-D half-plane and a
+        # ring without modes fail mid-run with IndexError and ZeroDivisionError
+        with pytest.raises(harness.ConfigError, match=message):
+            harness.config_from_dict(raw)
 
 
 # every config key at a value other than its default

@@ -5,7 +5,7 @@ import pytest
 
 from flowrl import diffnet, envsuite, flowcore, rollout, trainer
 
-from _oracles import load_trajectory_dump, reference_euler_states
+from _oracles import load_trajectory_dump, reference_euler_states, rollout_logps
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +33,7 @@ class TestRolloutGroup:
         g1 = make_group(setup)
         g2 = make_group(setup)
         assert np.array_equal(g1.states, g2.states)
-        assert np.array_equal(g1.logp_old, g2.logp_old)
+        assert np.array_equal(rollout_logps(g1), rollout_logps(g2))
         r1, r2 = rewards_of(setup, g1), rewards_of(setup, g2)
         assert np.array_equal(r1, r2)
         assert np.array_equal(r1[..., -1], r2[..., -1])
@@ -41,9 +41,9 @@ class TestRolloutGroup:
     def test_shapes_and_finiteness(self, setup):
         g = make_group(setup)
         assert g.group_size == 8
-        assert g.num_steps == 10
         assert g.states.shape == (1, 8, 11, 2)
-        assert g.logp_old.shape == (1, 8, 10)
+        assert all(h.shape[:3] == (1, 8, 10) for h in g.hs)
+        assert rollout_logps(g).shape == (1, 8, 10)
         assert np.all(np.isfinite(g.states))
 
     def test_one_reward_call_per_rollout(self, setup, count_calls):
@@ -67,7 +67,6 @@ class TestRolloutGroup:
         g = make_group(setup, a=0.0, shared=False)
         states = g.states[0]
         assert np.array_equal(reference_euler_states(arch, params, states[:, 0], 2, 10), states)
-        assert g.logp_old is None
 
     def test_same_seed_sequences_reused_give_the_same_batch(self, setup):
         # seeds are entropy: each call builds fresh generators from them
@@ -136,7 +135,7 @@ class TestRolloutGroup:
             got = rollout.rollout_group(arch, params, contexts, 4, sched, seeds, shared, buffers)
             want = rollout.rollout_group(arch, params, contexts, 4, sched, seeds, shared)
             assert got.states is buffers.batch["states"] and got.hs[-1] is buffers.batch["hs"][-1]
-            for name in ("contexts", "states", "logp_old", "phi"):
+            for name in ("contexts", "states", "phi"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
             assert all(np.array_equal(h, w) for h, w in zip(got.hs, want.hs, strict=True))
 
@@ -166,15 +165,17 @@ class TestRolloutGroup:
         assert min(timings) < 0.050
 
 
-class TestStoredDensities:
+class TestStepLogps:
     def test_logp_matches_recomputation_from_stored_distributions(self, setup):
-        # the step means are recomputed one trajectory at a time, the
-        # variances are sigma(tau)^2 * dtau of the batch's schedule
+        # the densities of the rollout's own pass: the step means are
+        # recomputed one trajectory at a time, the variances are
+        # sigma(tau)^2 * dtau of the batch's schedule
         _, arch, params = setup
         g = make_group(setup)
-        for states, logp in zip(g.states[0], g.logp_old[0]):
-            for j, t in enumerate(range(g.num_steps, 0, -1)):
-                tau = t / g.num_steps
+        steps = g.schedule.num_steps
+        for states, logp in zip(g.states[0], rollout_logps(g)[0]):
+            for j, t in enumerate(range(steps, 0, -1)):
+                tau = t / steps
                 mean, _ = flowcore.step_distribution(arch, params, states[j:j + 1], tau, g.schedule, 2)
                 var = flowcore.sigma(tau, g.schedule) ** 2 * g.schedule.dtau
                 recomputed = flowcore.transition_logpdf(states[j + 1:j + 2], mean, var)[0]
@@ -182,7 +183,7 @@ class TestStoredDensities:
 
     def test_logp_finite_whenever_noise_active(self, setup):
         g = make_group(setup, a=0.3)
-        assert np.all(np.isfinite(g.logp_old))
+        assert np.all(np.isfinite(rollout_logps(g)))
 
 
 class TestInstantRewards:
@@ -268,9 +269,9 @@ class TestTrajectoryValidation:
 class TestTrajectoryDump:
     def test_jsonl_round_trip(self, setup, tmp_path):
         g = make_group(setup)
-        rewards = rewards_of(setup, g)
+        rewards, logps = rewards_of(setup, g), rollout_logps(g)
         path = tmp_path / "trajectories.jsonl"
-        rollout.dump_trajectories(g, rewards, path)
+        rollout.dump_trajectories(g, rewards, logps, path)
         rows = load_trajectory_dump(path)
         assert len(rows) == g.group_size
         for i, row in enumerate(rows):
@@ -278,3 +279,4 @@ class TestTrajectoryDump:
             assert row["terminal_reward"] == rewards[0, i, -1]
             assert np.array_equal(np.array(row["states"]), g.states[0, i])
             assert np.array_equal(np.array(row["instant_rewards"]), rewards[0, i])
+            assert np.array_equal(np.array(row["logp_old"]), logps[0, i])

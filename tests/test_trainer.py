@@ -17,9 +17,11 @@ from _oracles import (
     grpo_advantages,
     max_rel_error,
     reference_evaluate,
+    reference_logps,
     reference_means_at,
     reference_pretrain,
     reference_velocity_at,
+    rollout_logps,
     surrogate_at,
 )
 
@@ -210,7 +212,7 @@ class TestComputeAdvantages:
         advantages = trainer.compute_advantages(rewards, cfg_grpo)
         assert np.all(advantages == advantages[..., :1])
         for b in range(batch.contexts.shape[0]):
-            want = grpo_advantages(rewards[b, :, -1], batch.num_steps, cfg.eps_std)
+            want = grpo_advantages(rewards[b, :, -1], cfg.sampling_steps, cfg.eps_std)
             assert np.array_equal(advantages[b], want)
 
     def test_vgpo_uses_adae_on_cumulative_values(self, tiny_setup):
@@ -228,7 +230,7 @@ class TestComputeAdvantages:
         rewards = rewards_of(batch, cfg)
         advantages = trainer.compute_advantages(rewards, cfg_off)
         terminal = rewards[..., -1]
-        q = np.tile(terminal[..., None], (1, 1, batch.num_steps))
+        q = np.tile(terminal[..., None], (1, 1, cfg.sampling_steps))
         want = adv.adae(q, cfg.k, np.ones_like(q), cfg.eps_std)
         assert np.array_equal(advantages, want)
 
@@ -271,8 +273,10 @@ class TestClippedTerm:
 
 
 def surrogate(arch, theta, theta_ref, batch, advantages, eps_clip, beta_kl):
-    """The surrogate on one batch, against theta_ref's step means."""
-    return surrogate_at(arch, theta, batch, advantages, reference_means_at(arch, theta_ref, batch), eps_clip, beta_kl)
+    """The surrogate on one batch against theta_ref's step means, with the
+    log-densities of the batch's own pass as the old ones."""
+    ref_mean = reference_means_at(arch, theta_ref, batch)
+    return surrogate_at(arch, theta, batch, rollout_logps(batch), advantages, ref_mean, eps_clip, beta_kl)
 
 
 class TestSurrogate:
@@ -328,22 +332,25 @@ class TestSurrogate:
         advantages = advantages_of(group, cfg)
         theta_ref = diffnet.init_params(arch, 12)
         ref_mean = reference_means_at(arch, theta_ref, group)
+        logp_old = rollout_logps(group)
         rng = np.random.default_rng(9)
         # at shift 0.1 a share of the ratios leaves the clip band, so the
         # saturated branch's zero gradient is checked too
         for shift in (0.0, 0.01, 0.1):
             theta_cur = theta + shift * rng.standard_normal(theta.size)
-            res = surrogate_at(arch, theta_cur, group, advantages, ref_mean, 0.2, 0.01)
+            res = surrogate_at(arch, theta_cur, group, logp_old, advantages, ref_mean, 0.2, 0.01)
             if shift == 0.1:
                 assert res.clip_fraction > 0.0
 
             def value_at(t):
-                return surrogate_at(arch, t, group, advantages, ref_mean, 0.2, 0.01).value
+                return surrogate_at(arch, t, group, logp_old, advantages, ref_mean, 0.2, 0.01).value
 
             fd = central_difference(value_at, theta_cur)
             assert max_rel_error(res.grad, fd) < 1e-5
 
     def test_deterministic_rollouts_rejected(self):
+        # a = 0 steps have no density: any old log-densities are rejected
+        # with the batch, before the zero variances divide
         arch = diffnet.for_task(2, 2, hidden_dims=(6,))
         theta = diffnet.init_params(arch, 5)
         sched = flowcore.NoiseSchedule(a=0.0, num_steps=4)
@@ -351,22 +358,24 @@ class TestSurrogate:
         advantages = adv.adae(np.ones((1, 3, 4)), 0.5, np.ones((1, 3, 4)))
         ref_mean = reference_means_at(arch, theta, group)
         with pytest.raises(ValueError, match="stochastic"):
-            surrogate_at(arch, theta.copy(), group, advantages, ref_mean, 0.2, 0.01)
+            surrogate_at(arch, theta.copy(), group, np.zeros((1, 3, 4)), advantages, ref_mean, 0.2, 0.01)
 
     def test_inputs_not_shaped_like_the_batch_rejected(self, tiny_setup):
         cfg, state, batch = tiny_setup
         advantages = advantages_of(batch, cfg)
-        ref_mean = reference_means_at(state.arch, state.theta_ref, batch)
+        ref_mean, logp_old = reference_means_at(state.arch, state.theta_ref, batch), rollout_logps(batch)
         assert ref_mean.shape == batch.states[:, :, :-1].shape
+        with pytest.raises(ValueError, match=r"logp_old shape \(2, 4\) != \(2, 4, 5\)"):
+            surrogate_at(state.arch, state.theta, batch, logp_old[..., 0], advantages, ref_mean, 0.2, 0.01)
         with pytest.raises(ValueError, match=r"advantage shape \(2, 4, 4\) != \(2, 4, 5\)"):
-            surrogate_at(state.arch, state.theta, batch, advantages[..., 1:], ref_mean, 0.2, 0.01)
+            surrogate_at(state.arch, state.theta, batch, logp_old, advantages[..., 1:], ref_mean, 0.2, 0.01)
         with pytest.raises(ValueError, match=r"reference mean shape \(1, 4, 5, 2\) != \(2, 4, 5, 2\)"):
-            surrogate_at(state.arch, state.theta, batch, advantages, ref_mean[:1], 0.2, 0.01)
+            surrogate_at(state.arch, state.theta, batch, logp_old, advantages, ref_mean[:1], 0.2, 0.01)
 
 
 def _constant_rewards(batch, value):
     """A reward table of the batch's shape, every instant and terminal reward ``value``."""
-    return np.full(batch.logp_old.shape, value)
+    return np.full(batch.hs[-1].shape[:-1], value)
 
 
 class TestStagnationContrast:
@@ -404,7 +413,7 @@ class TestTrainStep:
         cfg, state, batch = tiny_setup
         advantages = advantages_of(batch, cfg)
         for b in range(batch.contexts.shape[0]):
-            fields = ("contexts", "states", "logp_old", "phi")
+            fields = ("contexts", "states", "phi")
             group = replace(
                 batch, **{name: getattr(batch, name)[b:b + 1] for name in fields},
                 hs=[h[b:b + 1] for h in batch.hs],
@@ -523,11 +532,11 @@ class TestInnerEpochs:
         state = trainer.init_state(cfg, pretrained)
         batch = trainer.rollout_batch(state, 1)
         advantages = advantages_of(batch, cfg)
-        ref_mean = reference_means_at(state.arch, state.theta_ref, batch)
+        ref_mean, logp_old = reference_means_at(state.arch, state.theta_ref, batch), rollout_logps(batch)
         theta, adam = state.theta.copy(), copy.deepcopy(state.adam)
         epochs = []
         for _ in range(inner_epochs):
-            res = surrogate_at(state.arch, theta, batch, advantages, ref_mean, cfg.eps_clip, cfg.beta_kl)
+            res = surrogate_at(state.arch, theta, batch, logp_old, advantages, ref_mean, cfg.eps_clip, cfg.beta_kl)
             diffnet.adam_update(theta, -res.grad, adam, cfg.lr)
             epochs.append(res)
         surrogate, kl, update_norm = trainer.update_policy(state, batch, advantages, 1)
@@ -540,8 +549,27 @@ class TestInnerEpochs:
         assert abs(epochs[0].mean_ratio - 1.0) < 1e-10
         assert abs(epochs[1].mean_ratio - 1.0) > 1e-6
 
+    @pytest.mark.parametrize("inner_epochs", [2, 3])
+    def test_every_epoch_keeps_the_behaviour_densities(self, pretrained, inner_epochs):
+        # the loop holds the rollout theta's densities, formed from the
+        # formulas; an update that formed them again from the moved theta
+        # would see every ratio at 1 in each epoch and step elsewhere
+        cfg = small_config(inner_epochs=inner_epochs)
+        state = trainer.init_state(cfg, pretrained)
+        batch = trainer.rollout_batch(state, 1)
+        advantages = advantages_of(batch, cfg)
+        ref_mean = reference_means_at(state.arch, state.theta_ref, batch)
+        logp_old = reference_logps(state.arch, state.theta, batch)
+        theta, adam = state.theta.copy(), copy.deepcopy(state.adam)
+        for _ in range(inner_epochs):
+            res = surrogate_at(state.arch, theta, batch, logp_old, advantages, ref_mean, cfg.eps_clip, cfg.beta_kl)
+            diffnet.adam_update(theta, -res.grad, adam, cfg.lr)
+        trainer.update_policy(state, batch, advantages, 1)
+        # 1.4e-17 here; 1.7e-4 with the densities formed again in each epoch
+        assert np.max(np.abs(state.theta - theta)) <= 1e-10
 
-BATCH_FIELDS = ("contexts", "states", "logp_old", "phi")
+
+BATCH_FIELDS = ("contexts", "states", "phi")
 
 
 class TestStepBuffers:
@@ -572,7 +600,7 @@ class TestStepBuffers:
         arch = cfg.architecture()
         pretrained = diffnet.init_params(arch, 0)
         made = rollout.make_buffers(arch, cfg.batch_contexts, cfg.group_size, cfg.sampling_steps)
-        arrays = [made.states, made.means, made.phi, *made.hs]
+        arrays = [made.states, made.phi, *made.hs]
         arrays += [a for name, a in made.batch.items() if name != "hs"] + made.batch["hs"]
         expected = 4 * pretrained.nbytes + sum(a.nbytes for a in arrays)
         tracemalloc.start()
@@ -662,7 +690,7 @@ class TestReductionEquivalence:
         for step in range(1, 11):
             batch = trainer.rollout_batch(state_a, step)
             advantages = np.stack(
-                [grpo_advantages(r, batch.num_steps, cfg.eps_std) for r in rewards_of(batch, cfg)[..., -1]]
+                [grpo_advantages(r, cfg.sampling_steps, cfg.eps_std) for r in rewards_of(batch, cfg)[..., -1]]
             )
             trainer.update_policy(state_a, batch, advantages, step)
             trainer.train_step(state_b, step)

@@ -13,7 +13,8 @@ commands in order, with its own ``src`` on ``PYTHONPATH``,
 - ``flowrl ablate --seed 1``;
 - ``flowrl train --preset flow-grpo --seed 2 --dump-trajectories`` with
   ``inner_epochs: 2``, which also writes one rollout batch under the final
-  policy (states, instant rewards and ``logp_old``) to ``trajectories.jsonl``;
+  policy (states, instant rewards and ``logp_old``, the ``trainer.step_logps``
+  that the policy update also forms) to ``trajectories.jsonl``;
 - ``flowrl dump-curves`` on that run, which writes its ``curves.csv``;
 - ``flowrl eval`` on that run's final checkpoint;
 - ``flowrl eval`` at the benchmark's shape, 1024 samples per context, on the
